@@ -29,26 +29,20 @@ from .eigen_data import (
 from .finite_field import (
     FFElement,
     FieldSpec,
-    frobenius,
-    in_subfield,
     legendre,
     make_field,
-    mult_order,
 )
 from .polynomial import (
     Factorization,
     Polynomial,
-    conjugate_poly,
     factor,
     is_irreducible,
     is_squarefree,
-    roots_in,
 )
 from .symplectic import (
     Matrix4,
     charpoly,
     companion,
-    eigen_projective_order,
     matrix_order,
     projective_order,
     similitude,
@@ -77,26 +71,20 @@ __all__ = [
     "certify",
     "charpoly",
     "companion",
-    "conjugate_poly",
-    "eigen_projective_order",
     "embedding_roots",
     "factor",
-    "frobenius",
     "hecke_charpoly",
     "hecke_quartic",
-    "in_subfield",
     "ingest",
     "is_irreducible",
     "is_squarefree",
     "legendre",
     "make_field",
     "matrix_order",
-    "mult_order",
     "projective_order",
     "render_json",
     "render_text",
     "residual_roots",
-    "roots_in",
     "run",
     "similitude",
     "specialize",

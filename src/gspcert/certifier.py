@@ -23,8 +23,8 @@ from .eigen_data import (
     hecke_charpoly,
     specialize,
 )
-from .finite_field import in_subfield, legendre, make_field
-from .polynomial import Polynomial, conjugate_poly, roots_in
+from .finite_field import legendre
+from .polynomial import Polynomial, poly_powmod
 
 VERDICT_LARGE_IMAGE = "LARGE_IMAGE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
@@ -114,7 +114,7 @@ def check_linear_constituent(records: Sequence[FrobeniusRecord]) -> CheckResult:
     counts: dict[str, int] = {}
     witnesses = []
     for rec in records:
-        n = len(roots_in(rec.charpoly, 1))
+        n = sum(mult for _, mult in rec.factorization.linear_roots())
         counts[str(rec.q)] = n
         if n == 0:
             witnesses.append(rec.q)
@@ -186,28 +186,50 @@ def check_rational_22_split(records: Sequence[FrobeniusRecord], p: int) -> Check
     )
 
 
-def _admissible_pairings(f: Polynomial) -> int | None:
-    """Number of ways to split the roots of a squarefree quartic into a
-    conjugate pair of F_{p^2}-rational quadratics with rational constant
-    term; None when the quartic does not split over F_{p^4}."""
-    field4 = make_field(f.field.p, 4)
-    roots = roots_in(f, 4)
-    if len(roots) != 4:
+def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
+    """Number of ways to write a squarefree quartic f as g * conj(g), with g
+    a monic quadratic over F_{p^2} whose constant term lies in F_p and conj
+    the Frobenius sigma: x -> x^p on coefficients; None for a cubic factor.
+
+    Such a g takes two of the four roots of f, so this counts the pairings
+    {a, b} | {c, d} of the roots with sigma{a, b} = {c, d} and ab in F_p.
+    The count reads off the F_p factorization:
+
+    - A root r in F_p is fixed by sigma, so the pair holding r meets its
+      own image: every pattern with a linear factor counts 0.
+    - f irreducible with root r: sigma cycles r, r^p, r^(p^2), r^(p^3), and
+      only {r, r^(p^2)} maps onto its complement.  It counts when
+      r^(1 + p^2) lies in F_p, i.e. r^((p^2 + 1)(p - 1)) = 1, which is
+      x^((p^2 + 1)(p - 1)) = 1 mod f.
+    - f = (x^2 - s_1 x + n_1)(x^2 - s_2 x + n_2) with roots u, u^p and
+      v, v^p: {u, u^p} is its own image, while {u, v} and {u, v^p} map
+      onto their complements and count when uv, resp. uv^p, lies in F_p.
+      Since
+
+          (s_1^2 - 2 n_1) n_2 - (s_2^2 - 2 n_2) n_1
+              = (u v^p - u^p v)(u v - u^p v^p),
+
+      at least one counts iff the left side vanishes.  Both count iff
+      u/u^p = v^p/v = v/v^p, i.e. v^p = -v and then u^p = -u (roots of a
+      squarefree f are distinct): s_1 = s_2 = 0.
+    - With a cubic factor (3 + 1) the roots lie outside F_{p^4}; None
+      marks the record as skipped.
+    """
+    f = rec.charpoly
+    p = f.field.p
+    factors = [g for g, _ in rec.factorization.factors]
+    degrees = [g.degree for g in factors]
+    if 3 in degrees:
         return None
-    one = field4.one()
-    count = 0
-    for first, second in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        ra, rb = roots[first[0]], roots[first[1]]
-        rc, rd = roots[second[0]], roots[second[1]]
-        g = Polynomial(field4, (ra * rb, -(ra + rb), one))
-        if not all(in_subfield(c, 2) for c in g.coeffs):
-            continue
-        if not in_subfield(g.coeffs[0], 1):
-            continue
-        partner = Polynomial(field4, (rc * rd, -(rc + rd), one))
-        if partner == conjugate_poly(g):
-            count += 1
-    return count
+    if degrees == [4]:
+        x = Polynomial.x(f.field)
+        return int(poly_powmod(x, (p * p + 1) * (p - 1), f) == Polynomial.constant(f.field, 1))
+    if degrees == [2, 2]:
+        (n1, s1), (n2, s2) = ((g.coeffs[0].lift(), -g.coeffs[1].lift() % p) for g in factors)
+        if (s1 * s1 - 2 * n1) * n2 % p != (s2 * s2 - 2 * n2) * n1 % p:
+            return 0
+        return 2 if s1 == s2 == 0 else 1
+    return 0
 
 
 def check_conjugate_22_split(records: Sequence[FrobeniusRecord], p: int) -> CheckResult:
@@ -217,15 +239,15 @@ def check_conjugate_22_split(records: Sequence[FrobeniusRecord], p: int) -> Chec
     An element preserving such a decomposition factors its characteristic
     polynomial as g * conjugate(g) with g quadratic over F_{p^2} and
     determinant-induced rational constant term.  For each squarefree record
-    the three root pairings over F_{p^4} are enumerated; a record with no
-    admissible pairing cannot arise that way.
+    those factorizations are counted from its F_p factorization
+    (_conjugate_pairings); a record with none cannot arise that way.
     """
     counts: dict[str, int] = {}
     witnesses = []
     for rec in records:
         if not rec.squarefree:
             continue
-        n = _admissible_pairings(rec.charpoly)
+        n = _conjugate_pairings(rec)
         if n is None:
             continue  # no cubic-factor quartic is similitude-shaped; be safe
         counts[str(rec.q)] = n

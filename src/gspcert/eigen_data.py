@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .finite_field import FFElement, is_prime, make_field
 from .polynomial import Factorization, Polynomial, factor, is_squarefree
@@ -26,10 +27,9 @@ def _eigenvalue_base(index: int) -> int:
     """The prime q with index in {q, q^2}; raises for anything else."""
     if index >= 2 and is_prime(index):
         return index
-    root = round(index**0.5)
-    for r in (root - 1, root, root + 1):
-        if r >= 2 and r * r == index and is_prime(r):
-            return r
+    r = isqrt(max(index, 0))
+    if r >= 2 and r * r == index and is_prime(r):
+        return r
     raise ValueError(f"eigenvalue index {index} is neither a prime nor a prime square")
 
 
@@ -142,7 +142,10 @@ def specialize(ds: EigenformDataset, p: int, root: int | FFElement) -> ResidualD
     changes the residue map; extending scalars is out of scope).
     """
     F = make_field(p, 1)
-    root = F.element(root) if isinstance(root, int) else root
+    if isinstance(root, int):
+        if not 0 <= root < p:
+            raise ValueError(f"root must lie in [0, {p}), got {root}")
+        root = F.element(root)
     if root.field != F:
         raise ValueError(f"root must live in F_{p}")
     fac = residual_roots(ds.defining_poly, p)

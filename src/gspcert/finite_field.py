@@ -1,14 +1,14 @@
-"""Exact arithmetic in F_p and its extensions F_{p^2}, F_{p^4}.
+"""Exact arithmetic in F_p, plus the small extensions F_{p^2}, F_{p^4}.
 
+The certificate only ever builds F_p.  The extensions (d in {2, 4}) remain
+for the test oracles that cross-check it over the splitting field.
 Elements are dense coefficient vectors over a canonical modulus, reduced
-eagerly after every operation.  Only the extension degrees the certifier
-actually touches are supported (d in {1, 2, 4}); fields are tiny (at most
-p^4 <= a few thousand elements), so everything is plain integer arithmetic.
+eagerly after every operation; everything is plain integer arithmetic.
 """
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 SUPPORTED_DEGREES = (1, 2, 4)
@@ -228,32 +228,6 @@ class FieldSpec:
             prod[i] = 0
         return tuple(c % p for c in prod[:d])
 
-    @cached_property
-    def _unit_group_factors(self) -> dict[int, int]:
-        return factorize(self.order - 1)
-
-    @cached_property
-    def _generator(self) -> FFElement:
-        """Smallest multiplicative generator in canonical element order."""
-        for i in range(1, self.order):
-            x = self.element_from_index(i)
-            if mult_order(x) == self.order - 1:
-                return x
-        raise RuntimeError("multiplicative group has no generator")  # unreachable
-
-    @cached_property
-    def _exp_table(self) -> list[tuple[int, ...]]:
-        # exp[j] = coefficients of g^j; used by the exhaustive root scans
-        g = self._generator.coeffs
-        table = [self.one().coeffs]
-        for _ in range(self.order - 2):
-            table.append(self._mul_coeffs(table[-1], g))
-        return table
-
-    @cached_property
-    def _log_table(self) -> dict[tuple[int, ...], int]:
-        return {c: j for j, c in enumerate(self._exp_table)}
-
 
 class FFElement:
     """Immutable element of a FieldSpec: d residues mod p, low degree first."""
@@ -390,31 +364,6 @@ def make_field(p: int, d: int) -> FieldSpec:
     if d == 1:
         return FieldSpec(p, 1, None)
     return FieldSpec(p, d, _smallest_irreducible(p, d))
-
-
-def frobenius(x: FFElement) -> FFElement:
-    """The field automorphism x -> x^p."""
-    return x**x.field.p
-
-
-def in_subfield(x: FFElement, e: int) -> bool:
-    """Whether x lies in the subfield F_{p^e}; requires e | d."""
-    if e < 1 or x.field.d % e != 0:
-        raise ValueError(f"F_{x.field.p}^{e} is not a subfield of {x.field!r}")
-    return x ** (x.field.p**e) == x
-
-
-def mult_order(x: FFElement) -> int:
-    """Multiplicative order of nonzero x, by descent through the factored
-    group order (p^d - 1 is at most 2400 here, trial division suffices)."""
-    if x.is_zero():
-        raise ValueError("zero has no multiplicative order")
-    one = x.field.one()
-    order = x.field.order - 1
-    for ell in x.field._unit_group_factors:
-        while order % ell == 0 and x ** (order // ell) == one:
-            order //= ell
-    return order
 
 
 def legendre(a: int, p: int) -> int:

@@ -2,17 +2,16 @@
 
 Dense coefficient representation, low degree first.  Factorization is
 deterministic: distinct-degree splitting via gcd(f, x^(q^k) - x), then
-equal-degree splitting by exhaustive scan over candidate monic factors in
-canonical order.  Root finding is exhaustive evaluation over the target
-field; fields have at most 2401 elements.
+equal-degree splitting by the trace values of x, x^2, ..., tried against
+every c in F_q so the cost does not depend on where the factors lie.  Roots in F_p are read off the linear factors
+(Factorization.linear_roots); there is no separate root finder.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .finite_field import FFElement, FieldSpec, factorize, frobenius, make_field
+from .finite_field import FFElement, FieldSpec, factorize
 
 
 class Polynomial:
@@ -223,91 +222,6 @@ def is_squarefree(f: Polynomial) -> bool:
     return gcd(f, f.derivative()).degree <= 0
 
 
-def conjugate_poly(f: Polynomial) -> Polynomial:
-    """Apply the Frobenius x -> x^p to every coefficient."""
-    return Polynomial(f.field, (frobenius(c) for c in f.coeffs))
-
-
-def lift(f: Polynomial, target: FieldSpec) -> Polynomial:
-    """Re-read a prime-field polynomial over an extension of the same p."""
-    if f.field.d != 1:
-        raise ValueError("lift starts from a prime-field polynomial")
-    if target.p != f.field.p:
-        raise ValueError(f"characteristic mismatch: {f.field.p} vs {target.p}")
-    return Polynomial(target, (target.element(c.coeffs[0]) for c in f.coeffs))
-
-
-def roots_in(f: Polynomial, e: int) -> list[FFElement]:
-    """Roots of f lying in F_{p^e}, with multiplicity, by evaluating f at
-    every element of the target field.  f must be over F_p or over F_{p^e}
-    itself; roots come back sorted in canonical element order."""
-    if f.is_zero():
-        raise ValueError("the zero polynomial has every root")
-    target = make_field(f.field.p, e)
-    if f.field.d == e:
-        g = f
-    elif f.field.d == 1:
-        g = lift(f, target)
-    else:
-        raise ValueError(f"no canonical embedding of {f.field!r} into {target!r}")
-    if g.degree < 1:
-        return []
-    out: list[FFElement] = []
-    for r in _scan_distinct_roots(g):
-        linear = Polynomial(target, (-r, target.one()))
-        h = g
-        while True:
-            q, rem = divmod(h, linear)
-            if not rem.is_zero():
-                break
-            h = q
-            out.append(r)
-    return sorted(out, key=target.index)
-
-
-def _scan_distinct_roots(g: Polynomial) -> list[FFElement]:
-    # exhaustive evaluation at 0 and at every power of the cached generator;
-    # term values are table lookups, so a full F_{7^4} sweep stays cheap
-    F = g.field
-    p, d, m = F.p, F.d, F.order - 1
-    roots: list[FFElement] = []
-    if g.coeffs[0].is_zero():
-        roots.append(F.zero())
-    exp = F._exp_table
-    log = F._log_table
-    terms = [(i, log[c.coeffs]) for i, c in enumerate(g.coeffs) if not c.is_zero()]
-    hits: list[int] = []
-    if d == 4:
-        for j in range(m):
-            s0 = s1 = s2 = s3 = 0
-            for i, lc in terms:
-                c0, c1, c2, c3 = exp[(lc + i * j) % m]
-                s0 += c0
-                s1 += c1
-                s2 += c2
-                s3 += c3
-            if not (s0 % p or s1 % p or s2 % p or s3 % p):
-                hits.append(j)
-    elif d == 2:
-        for j in range(m):
-            s0 = s1 = 0
-            for i, lc in terms:
-                c0, c1 = exp[(lc + i * j) % m]
-                s0 += c0
-                s1 += c1
-            if not (s0 % p or s1 % p):
-                hits.append(j)
-    else:
-        for j in range(m):
-            s0 = 0
-            for i, lc in terms:
-                s0 += exp[(lc + i * j) % m][0]
-            if not s0 % p:
-                hits.append(j)
-    roots.extend(FFElement(F, exp[j]) for j in hits)
-    return sorted(roots, key=F.index)
-
-
 def is_irreducible(f: Polynomial) -> bool:
     """True iff f (degree >= 1) has no monic factor of degree in
     [1, deg f - 1]; decided by the derandomized Rabin criterion."""
@@ -380,47 +294,52 @@ def factor(f: Polynomial) -> Factorization:
     g = f.monic()
     pairs: list[tuple[Polynomial, int]] = []
     while g.degree > 0:
-        h = _smallest_irreducible_factor(g)
-        mult = 0
-        while True:
-            q, rem = divmod(g, h)
-            if not rem.is_zero():
-                break
-            g = q
-            mult += 1
-        pairs.append((h, mult))
+        for h in _lowest_degree_factors(g):
+            mult = 0
+            while True:
+                q, rem = divmod(g, h)
+                if not rem.is_zero():
+                    break
+                g = q
+                mult += 1
+            pairs.append((h, mult))
     pairs.sort(key=lambda pair: _poly_sort_key(pair[0]))
     return Factorization(unit=unit, factors=tuple(pairs))
 
 
-def _smallest_irreducible_factor(g: Polynomial) -> Polynomial:
+def _lowest_degree_factors(g: Polynomial) -> list[Polynomial]:
     # distinct-degree sieve: gcd(g, x^(q^k) - x) collects the distinct factors
     # of degree dividing k, so scanning k upward makes every hit degree k
     F = g.field
-    q = F.order
     x = Polynomial.x(F)
     r = x % g
     k = 0
     while k < g.degree // 2:
         k += 1
-        r = poly_powmod(r, q, g)
+        r = poly_powmod(r, F.order, g)
         s = gcd(r - x, g)
-        if s.degree == 0:
-            continue
-        if s.degree == k:
-            return s
-        return _lex_smallest_factor(s, k)
-    return g  # no factor of degree <= deg/2 means g is irreducible
+        if s.degree > 0:
+            return _equal_degree_split(s, k)
+    return [g]  # no factor of degree <= deg/2 means g is irreducible
 
 
-def _lex_smallest_factor(s: Polynomial, k: int) -> Polynomial:
-    # equal-degree split: exhaustive scan over monic degree-k candidates in
-    # canonical order (high-degree coefficients compared first)
+def _equal_degree_split(s: Polynomial, k: int) -> list[Polynomial]:
+    # s is a product of distinct monic irreducibles g_i of degree k.  For u in
+    # F_q[x], t = u + u^q + ... + u^(q^(k-1)) mod s is the constant Tr(u(root
+    # of g_i)) mod each g_i, so gcd(h, t - c) over every c in F_q partitions a
+    # part h.  Some u = x^j, 0 < j < deg s, separates any two g_i: else every
+    # u of degree < deg s would have equal traces, yet by CRT one such u is
+    # 0 mod one g_i and of nonzero trace mod the other.
     F = s.field
-    one = F.one()
-    for high in itertools.product(range(F.order), repeat=k):
-        coeffs = tuple(F.element_from_index(i) for i in reversed(high)) + (one,)
-        cand = Polynomial(F, coeffs)
-        if (s % cand).is_zero():
-            return cand
-    raise RuntimeError("equal-degree scan found no factor")  # unreachable
+    parts = [s]
+    u = Polynomial.constant(F, 1)
+    while any(h.degree > k for h in parts):
+        u = u * Polynomial.x(F) % s
+        t = w = u
+        for _ in range(k - 1):
+            w = poly_powmod(w, F.order, s)
+            t = t + w
+        split = [[h] if h.degree == k else
+                 [gcd(h, t - Polynomial.constant(F, c)) for c in F.elements()] for h in parts]
+        parts = [g for gs in split for g in gs if g.degree > 0]
+    return parts

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .finite_field import FFElement, FieldSpec, mult_order
-from .polynomial import Polynomial, is_squarefree, roots_in
+from .finite_field import FFElement, FieldSpec
+from .polynomial import Polynomial
 
 Rows = tuple[tuple[int, int, int, int], ...]
 
@@ -222,29 +222,3 @@ def projective_order(m: Matrix4) -> int:
             return n
         power = _mul_rows(power, m.rows, p)
     raise RuntimeError("projective order exceeded the GL(4, p) bound")  # unreachable
-
-
-def eigen_projective_order(f: Polynomial) -> int:
-    """Projective order recomputed from the eigenvalues of a squarefree
-    quartic: the least n with r1^n = r2^n = r3^n = r4^n over F_{p^4}.
-
-    Cross-check route for projective_order(companion(f)); requires all
-    four roots to lie in F_{p^4} (true for every similitude-shaped
-    quartic) and a nonzero constant term.
-    """
-    if f.degree != 4:
-        raise ValueError(f"expected a quartic, got degree {f.degree}")
-    if not is_squarefree(f):
-        raise ValueError("eigenvalue route needs a squarefree quartic")
-    if f.coeffs[0].is_zero():
-        raise ValueError("zero eigenvalue: companion matrix is singular")
-    roots = roots_in(f, 4)
-    if len(roots) != 4:
-        raise ValueError("quartic does not split over F_{p^4}")
-    base = roots[0]
-    n = 1
-    for r in roots[1:]:
-        ratio = r / base
-        if not ratio == base.field.one():
-            n = lcm(n, mult_order(ratio))
-    return n

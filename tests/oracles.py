@@ -1,11 +1,19 @@
 """Hand-rolled reference implementations used as independent oracles.
 
-The polynomial helpers work on plain integer coefficient lists, low
-degree first, with no dependency on the package under test.
+The integer-list helpers work on plain coefficient lists, low degree
+first, with no dependency on the package under test.  The extension-field
+section below is the route the certificate used to take over F_{p^4}: it
+finds the roots of a quartic by scanning the splitting field and pairs
+them up directly, on top of the package's FieldSpec arithmetic.
 """
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from math import lcm
+
+from gspcert.finite_field import FFElement, FieldSpec, factorize, make_field
+from gspcert.polynomial import Polynomial, is_squarefree
 
 
 def ptrim(a: list[int]) -> list[int]:
@@ -47,6 +55,41 @@ def monic_polys(p: int, d: int):
         yield list(reversed(high)) + [1]
 
 
+def pdiv(a: list[int], m: list[int], p: int) -> list[int]:
+    """Quotient of a by monic m."""
+    a = ptrim(a)
+    dm = len(m) - 1
+    q = [0] * max(len(a) - dm, 0)
+    for shift in range(len(a) - 1 - dm, -1, -1):
+        c = q[shift] = a[shift + dm]
+        for i, mc in enumerate(m):
+            a[shift + i] = (a[shift + i] - c * mc) % p
+    return ptrim(q)
+
+
+def naive_factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Monic irreducible factors of monic f with multiplicity, ascending by
+    degree and then in monic_polys order.  Trial division by every monic
+    polynomial of degree 1, 2, ... in turn: a divisor found this way has
+    no smaller factor left, so it is irreducible.  The reference for
+    factor's trace split."""
+    f = ptrim(f)
+    out = []
+    d = 1
+    while len(f) - 1 >= 2 * d:
+        for g in monic_polys(p, d):
+            mult = 0
+            while divides(g, f, p):
+                f = pdiv(f, g, p)
+                mult += 1
+            if mult:
+                out.append((g, mult))
+        d += 1
+    if len(f) > 1:
+        out.append((f, 1))
+    return out
+
+
 def naive_irreducible(f: list[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg//2."""
     d = len(f) - 1
@@ -71,4 +114,158 @@ def naive_mult_order(x, one, bound: int = 10000) -> int:
         n += 1
         if n > bound:
             raise AssertionError("order search exceeded bound")
+    return n
+
+
+# ---------------------------------------------------------------------------
+# the F_{p^2} / F_{p^4} reference route
+
+
+def frobenius(x: FFElement) -> FFElement:
+    """The field automorphism x -> x^p."""
+    return x**x.field.p
+
+
+def in_subfield(x: FFElement, e: int) -> bool:
+    """Whether x lies in the subfield F_{p^e}; requires e | d."""
+    if e < 1 or x.field.d % e != 0:
+        raise ValueError(f"F_{x.field.p}^{e} is not a subfield of {x.field!r}")
+    return x ** (x.field.p**e) == x
+
+
+def mult_order(x: FFElement) -> int:
+    """Multiplicative order of nonzero x, by descent through the factored
+    group order."""
+    if x.is_zero():
+        raise ValueError("zero has no multiplicative order")
+    one = x.field.one()
+    order = x.field.order - 1
+    for ell in factorize(order):
+        while order % ell == 0 and x ** (order // ell) == one:
+            order //= ell
+    return order
+
+
+@lru_cache(maxsize=None)
+def exp_log_tables(field: FieldSpec) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+    """exp[j] = coefficients of g^j for the smallest multiplicative generator
+    g in canonical element order, and the inverse map."""
+    g = next(
+        x for x in map(field.element_from_index, range(1, field.order))
+        if mult_order(x) == field.order - 1
+    )
+    exp = [field.one().coeffs]
+    for _ in range(field.order - 2):
+        exp.append(field._mul_coeffs(exp[-1], g.coeffs))
+    return exp, {c: j for j, c in enumerate(exp)}
+
+
+def conjugate_poly(f: Polynomial) -> Polynomial:
+    """Apply the Frobenius x -> x^p to every coefficient."""
+    return Polynomial(f.field, (frobenius(c) for c in f.coeffs))
+
+
+def lift(f: Polynomial, target: FieldSpec) -> Polynomial:
+    """Re-read a prime-field polynomial over an extension of the same p."""
+    if f.field.d != 1:
+        raise ValueError("lift starts from a prime-field polynomial")
+    return Polynomial(target, (target.element(c.coeffs[0]) for c in f.coeffs))
+
+
+def roots_in(f: Polynomial, e: int) -> list[FFElement]:
+    """Roots of f lying in F_{p^e}, with multiplicity, by evaluating f at
+    every element of the target field.  f must be over F_p or over F_{p^e}
+    itself; roots come back sorted in canonical element order."""
+    if f.is_zero():
+        raise ValueError("the zero polynomial has every root")
+    target = make_field(f.field.p, e)
+    if f.field.d == e:
+        g = f
+    elif f.field.d == 1:
+        g = lift(f, target)
+    else:
+        raise ValueError(f"no canonical embedding of {f.field!r} into {target!r}")
+    if g.degree < 1:
+        return []
+    out: list[FFElement] = []
+    for r in scan_distinct_roots(g):
+        linear = Polynomial(target, (-r, target.one()))
+        h = g
+        while True:
+            q, rem = divmod(h, linear)
+            if not rem.is_zero():
+                break
+            h = q
+            out.append(r)
+    return sorted(out, key=target.index)
+
+
+def scan_distinct_roots(g: Polynomial) -> list[FFElement]:
+    """Evaluate g at 0 and at every power of the table generator; each term
+    value is a table lookup."""
+    F = g.field
+    p, m = F.p, F.order - 1
+    exp, log = exp_log_tables(F)
+    roots = [F.zero()] if g.coeffs[0].is_zero() else []
+    terms = [(i, log[c.coeffs]) for i, c in enumerate(g.coeffs) if not c.is_zero()]
+    for j in range(m):
+        if F.d == 4:  # unrolled: F_{p^4} sweeps dominate the oracle's cost
+            s0 = s1 = s2 = s3 = 0
+            for i, lc in terms:
+                c0, c1, c2, c3 = exp[(lc + i * j) % m]
+                s0 += c0
+                s1 += c1
+                s2 += c2
+                s3 += c3
+            hit = not (s0 % p or s1 % p or s2 % p or s3 % p)
+        else:
+            hit = not any(sum(col) % p for col in zip(*(exp[(lc + i * j) % m] for i, lc in terms)))
+        if hit:
+            roots.append(FFElement(F, exp[j]))
+    return sorted(roots, key=F.index)
+
+
+def admissible_pairings(f: Polynomial) -> int | None:
+    """Number of ways to split the roots of a squarefree quartic into a
+    conjugate pair of F_{p^2}-rational quadratics with rational constant
+    term; None when the quartic does not split over F_{p^4}."""
+    field4 = make_field(f.field.p, 4)
+    roots = roots_in(f, 4)
+    if len(roots) != 4:
+        return None
+    one = field4.one()
+    count = 0
+    for first, second in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        ra, rb = roots[first[0]], roots[first[1]]
+        rc, rd = roots[second[0]], roots[second[1]]
+        g = Polynomial(field4, (ra * rb, -(ra + rb), one))
+        if not all(in_subfield(c, 2) for c in g.coeffs):
+            continue
+        if not in_subfield(g.coeffs[0], 1):
+            continue
+        partner = Polynomial(field4, (rc * rd, -(rc + rd), one))
+        if partner == conjugate_poly(g):
+            count += 1
+    return count
+
+
+def eigen_projective_order(f: Polynomial) -> int:
+    """Projective order of the companion matrix of a squarefree quartic,
+    from its eigenvalues: the least n with r1^n = r2^n = r3^n = r4^n over
+    F_{p^4}.  Needs all four roots in F_{p^4} and a nonzero constant term."""
+    if f.degree != 4:
+        raise ValueError(f"expected a quartic, got degree {f.degree}")
+    if not is_squarefree(f):
+        raise ValueError("eigenvalue route needs a squarefree quartic")
+    if f.coeffs[0].is_zero():
+        raise ValueError("zero eigenvalue: companion matrix is singular")
+    roots = roots_in(f, 4)
+    if len(roots) != 4:
+        raise ValueError("quartic does not split over F_{p^4}")
+    base = roots[0]
+    n = 1
+    for r in roots[1:]:
+        ratio = r / base
+        if ratio != base.field.one():
+            n = lcm(n, mult_order(ratio))
     return n

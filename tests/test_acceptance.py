@@ -16,24 +16,20 @@ from gspcert import (
     Polynomial,
     certify,
     companion,
-    conjugate_poly,
-    eigen_projective_order,
     factor,
     hecke_charpoly,
     hecke_quartic,
-    in_subfield,
     ingest,
     is_irreducible,
     make_field,
-    mult_order,
     projective_order,
     render_json,
-    roots_in,
     specialize,
     validate_similitude_shape,
 )
 from gspcert.certifier import check_conjugate_22_split
 from gspcert.eigen_data import FrobeniusRecord
+from oracles import conjugate_poly, eigen_projective_order, in_subfield, mult_order, roots_in
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)

@@ -1,7 +1,9 @@
 """Tests for the six exclusion checks and the certificate assembly."""
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,8 +23,9 @@ from gspcert.certifier import (
     rational_split_exponent,
 )
 from gspcert.eigen_data import EigenformDataset, FrobeniusRecord, specialize
-from gspcert.finite_field import in_subfield, make_field
-from gspcert.polynomial import Polynomial, conjugate_poly, factor
+from gspcert.finite_field import make_field
+from gspcert.polynomial import Polynomial, factor, is_squarefree
+from oracles import admissible_pairings, conjugate_poly, in_subfield, roots_in
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)
@@ -54,7 +57,7 @@ def synthetic_record(q: int, f: Polynomial, order=None, squarefree=None) -> Frob
         factorization=fac,
         squarefree=fac.is_squarefree() if squarefree is None else squarefree,
         projective_order=order,
-        similitude=F7.one(),
+        similitude=f.field.one(),
     )
 
 
@@ -149,6 +152,66 @@ class TestConjugate22Split:
         res = check_conjugate_22_split([rec], 7)
         assert not res.passed
         assert "2" not in res.data["admissible_pairings"]
+
+
+def recorded_counts(f: Polynomial) -> tuple[int, int | None]:
+    """The F_p root count (with multiplicity) and the admissible-pairing
+    count the certificate records for f at q = 2; None when skipped."""
+    rec = synthetic_record(2, f)
+    linear = check_linear_constituent([rec]).data["base_field_root_counts"]["2"]
+    pairings = check_conjugate_22_split([rec], f.field.p).data["admissible_pairings"]
+    return linear, pairings.get("2")
+
+
+def conjugate_product(beta, gamma: int) -> Polynomial:
+    """g * conj(g) for g = x^2 + beta x + gamma, read over F_p."""
+    F2 = beta.field
+    g = Polynomial(F2, (F2.element(gamma), beta, F2.one()))
+    product = g * conjugate_poly(g)
+    assert all(in_subfield(c, 1) for c in product.coeffs)
+    return Polynomial.from_ints(make_field(F2.p, 1), [c.coeffs[0] for c in product.coeffs])
+
+
+class TestPairingCountOracles:
+    """The F_p pairing count against the definition and the F_{p^4} route."""
+
+    def test_exhaustive_p7_against_definitional_tally(self):
+        # each admissible pairing is one pair {g, conj(g)} with g != conj(g)
+        F49 = make_field(7, 2)
+        tally = Counter(
+            conjugate_product(beta, gamma) for beta in F49.elements() for gamma in range(1, 7)
+        )
+        covered = 0
+        for tail in itertools.product(range(7), repeat=4):
+            if tail[0] == 0:
+                continue
+            f = Polynomial.from_ints(F7, tail + (1,))
+            linear, n = recorded_counts(f)
+            assert linear == len(roots_in(f, 1)), str(f)
+            if n is None:  # repeated root or a cubic factor
+                continue
+            covered += 1
+            assert 2 * n == tally[f], str(f)
+        assert covered == 1128
+
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_seeded_sample_against_f_p4_route(self, p):
+        F2 = make_field(p, 2)
+        rng = random.Random(4 * p + 1)
+        sampled = 0
+        while sampled < 100:
+            if sampled % 2:
+                tail = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(3)]
+                f = Polynomial.from_ints(make_field(p, 1), tail + [1])
+            else:
+                beta = F2.element_from_index(rng.randrange(F2.order))
+                f = conjugate_product(beta, rng.randrange(1, p))
+            linear, n = recorded_counts(f)
+            assert linear == len(roots_in(f, 1)), str(f)
+            if not is_squarefree(f):
+                continue
+            sampled += 1
+            assert n == admissible_pairings(f), str(f)
 
 
 class TestPrimitivity:
@@ -308,6 +371,11 @@ class TestCertify:
         a = certify(ds, 7, 1)
         b = certify(ds, 7, 1, table=builtin_exceptional_table(7))
         assert a == b
+
+    @pytest.mark.parametrize("root", [8, -6])
+    def test_out_of_range_root_rejected(self, root):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 7\)"):
+            certify(paper_dataset(), 7, root)
 
     def test_only_q_equal_p_data_rejected(self):
         ds = EigenformDataset(

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gspcert
 from gspcert.cli import DatasetError, REPORT_FORMAT, ingest, main
 
 DATASETS = resources.files("gspcert") / "datasets"
@@ -26,6 +31,16 @@ CHECK_NAMES = (
 
 def runner() -> CliRunner:
     return CliRunner()
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the gspcert under test."""
+    src = str(Path(gspcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestIngest:
@@ -258,6 +273,18 @@ class TestErrorExits:
         assert res.exit_code == 1
         assert "no prime-field embedding" in res.stderr
 
+    def test_huge_eigenvalue_index_exits_one_with_one_line(self, tmp_path):
+        path = tmp_path / "huge.dataset"
+        path.write_text(
+            "weight 28\nlevel 1\ndefining_poly -59412960 -294086 -1 1\n"
+            f"eigenvalue {10**400} 1\n"
+        )
+        res = runner().invoke(main, ["certify", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+        assert "neither a prime nor a prime square" in res.stderr
+
     def test_only_q_equal_p_data_exits_one(self, tmp_path):
         path = tmp_path / "pdata.dataset"
         path.write_text(
@@ -267,3 +294,25 @@ class TestErrorExits:
         res = runner().invoke(main, ["certify", str(path), "--root", "1"])
         assert res.exit_code == 1
         assert "no Frobenius data" in res.stderr
+
+
+class TestFreshInterpreter:
+    def test_python_dash_m_gspcert(self):
+        res = run_python("-m", "gspcert", "certify", PAPER)
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert "3 certificate(s): 3 LARGE_IMAGE, 0 INCONCLUSIVE" in res.stdout
+
+    def test_certificates_build_only_the_prime_field(self):
+        res = run_python("-c", (
+            "from gspcert import certify, embedding_roots, ingest, make_field\n"
+            f"for path in {[PAPER, A3ZERO, SPLIT]!r}:\n"
+            "    ds = ingest(path)\n"
+            "    for r in embedding_roots(ds.defining_poly, 7):\n"
+            "        certify(ds, 7, r.lift())\n"
+            "built = make_field.cache_info().currsize\n"
+            "make_field(7, 1)\n"
+            "print(built, make_field.cache_info().currsize)\n"
+        ))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "1 1\n"  # F_7 and nothing else

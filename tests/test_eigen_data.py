@@ -71,6 +71,13 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="6"):
             paper_dataset(eigenvalues=bad)
 
+    @pytest.mark.parametrize("index", [10**400, -4, 0], ids=["10**400", "-4", "0"])
+    def test_huge_or_negative_index_rejected(self, index):
+        bad = dict(EIGENVALUES)
+        bad[index] = (1,)
+        with pytest.raises(ValueError, match="neither a prime nor a prime square"):
+            paper_dataset(eigenvalues=bad)
+
     def test_expression_degree_bounded_by_defining_degree(self):
         bad = dict(EIGENVALUES)
         bad[2] = (1, 2, 3, 4)  # degree 3 expression, deg E = 3
@@ -162,6 +169,11 @@ class TestSpecialize:
     def test_non_root_rejected(self):
         with pytest.raises(ValueError, match="not a root"):
             specialize(paper_dataset(), 7, 2)
+
+    @pytest.mark.parametrize("root", [7, 8, -1, -6])
+    def test_out_of_range_root_rejected(self, root):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 7\)"):
+            specialize(paper_dataset(), 7, root)
 
     def test_repeated_root_rejected(self):
         ds = paper_dataset(defining_poly=(-2, 5, -4, 1))

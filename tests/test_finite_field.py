@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from gspcert.finite_field import (
     factorize,
-    frobenius,
-    in_subfield,
     is_prime,
     legendre,
     make_field,
-    mult_order,
 )
-from oracles import naive_mult_order, smallest_irreducible
+from oracles import frobenius, in_subfield, mult_order, naive_mult_order, smallest_irreducible
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)

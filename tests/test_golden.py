@@ -1,0 +1,39 @@
+"""Byte-for-byte regression of the CLI reports on the bundled datasets.
+
+tests/golden/<dataset>.p7.{txt,json} hold the output of
+
+    gspcert certify src/gspcert/datasets/<dataset>.dataset \
+        --prime 7 --root all --format text|json
+
+Any change to a certificate, its wording or its rendering shows up here.
+"""
+from __future__ import annotations
+
+from importlib import resources
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from gspcert.cli import main
+
+DATASETS = resources.files("gspcert") / "datasets"
+GOLDEN = Path(__file__).parent / "golden"
+
+# dataset -> exit code: the paper table certifies, both controls do not
+EXPECTED_EXIT = {
+    "weight28_level1": 0,
+    "weight28_level1_a3zero": 2,
+    "weight28_level1_fully_split": 2,
+}
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
+def test_report_matches_golden_bytes(dataset, fmt, suffix):
+    args = ["certify", str(DATASETS / f"{dataset}.dataset"),
+            "--prime", "7", "--root", "all", "--format", fmt]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == EXPECTED_EXIT[dataset]
+    assert res.stderr == ""
+    assert res.stdout_bytes == (GOLDEN / f"{dataset}.p7.{suffix}").read_bytes()

@@ -1,23 +1,21 @@
 """Tests for polynomial arithmetic, factorization, and root finding."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from gspcert.finite_field import frobenius, make_field
+from gspcert.finite_field import make_field
 from gspcert.polynomial import (
     Polynomial,
-    conjugate_poly,
     factor,
     gcd,
     is_irreducible,
     is_squarefree,
-    lift,
     poly_powmod,
-    roots_in,
 )
-from oracles import naive_irreducible
+from oracles import conjugate_poly, frobenius, lift, monic_polys, naive_factor, naive_irreducible, roots_in
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)
@@ -278,6 +276,33 @@ class TestFactor:
     def test_factor_zero_rejected(self):
         with pytest.raises(ValueError):
             factor(Polynomial(F7, ()))
+
+    @pytest.mark.parametrize("p, degree", [(2, 8), (3, 6), (5, 4), (7, 3)])
+    def test_every_monic_matches_trial_division(self, p, degree):
+        F = make_field(p, 1)
+        for f in monic_polys(p, degree):
+            got = [([c.lift() for c in g.coeffs], m) for g, m in factor(Polynomial.from_ints(F, f)).factors]
+            assert got == naive_factor(f, p), f
+
+    @pytest.mark.parametrize(
+        "p, d, k, m",
+        [(2, 1, 3, 2), (2, 1, 4, 3), (3, 1, 2, 3), (5, 1, 2, 2), (7, 1, 1, 4), (2, 2, 2, 3), (7, 2, 1, 3)],
+    )
+    def test_equal_degree_products_split_completely(self, p, d, k, m):
+        # m distinct irreducibles of one degree k reach the trace split
+        # together; over F_2 two of the three quartics share the trace of x,
+        # so (2, 1, 4, 3) needs a second round with x^2
+        F = make_field(p, d)
+        monics = (Polynomial(F, cs + (F.one(),)) for cs in itertools.product(list(F.elements()), repeat=k))
+        irreducibles = [g for g in monics if is_irreducible(g)]
+        rng = random.Random(f"{p}:{d}:{k}:{m}")
+        for _ in range(5):
+            gs = rng.sample(irreducibles, m)
+            f = Polynomial.constant(F, 1)
+            for g in gs:
+                f = f * g
+            assert dict(factor(f).factors) == dict.fromkeys(gs, 1)
+            assert dict(factor(f * gs[0]).factors) == {**dict.fromkeys(gs, 1), gs[0]: 2}
 
     def test_shape_eligible_quartics_split_over_f2401(self):
         # products of irreducibles of degree 1, 2, or 4 have all their

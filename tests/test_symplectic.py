@@ -6,20 +6,20 @@ from math import lcm
 
 import pytest
 
-from gspcert.finite_field import make_field, mult_order
+from gspcert.finite_field import make_field
 from gspcert.polynomial import Polynomial, factor, is_irreducible
 from gspcert.symplectic import (
     Matrix4,
     charpoly,
     companion,
     det,
-    eigen_projective_order,
     matrix_order,
     order_cap,
     projective_order,
     similitude,
     standard_form,
 )
+from oracles import eigen_projective_order, mult_order
 
 F7 = make_field(7, 1)
 
