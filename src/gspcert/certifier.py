@@ -23,8 +23,8 @@ from .eigen_data import (
     hecke_charpoly,
     specialize,
 )
-from .finite_field import legendre
-from .polynomial import Polynomial, poly_powmod
+from .finite_field import is_prime, legendre
+from .polynomial import fp_powmod
 
 VERDICT_LARGE_IMAGE = "LARGE_IMAGE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
@@ -62,6 +62,23 @@ class ExceptionalTable:
 
     p: int
     entries: tuple[tuple[str, int], ...]
+
+
+def supported_table(p: int, table: ExceptionalTable | None = None) -> ExceptionalTable:
+    """The exceptional table to certify with at p (the built-in one when
+    table is None), after checking that the argument applies at p: p prime,
+    p >= 5 and p = 3 mod 4.  Raises ValueError otherwise."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p < 5:
+        raise ValueError(f"the certificate needs p >= 5, got p = {p}")
+    if p % 4 != 3:
+        raise ValueError(f"primitivity argument needs p = 3 mod 4, got p = {p}")
+    if table is None:
+        return builtin_exceptional_table(p)
+    if table.p != p:
+        raise ValueError(f"exceptional table is for p = {table.p}, not p = {p}")
+    return table
 
 
 def builtin_exceptional_table(p: int) -> ExceptionalTable:
@@ -222,8 +239,8 @@ def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
     if 3 in degrees:
         return None
     if degrees == [4]:
-        x = Polynomial.x(f.field)
-        return int(poly_powmod(x, (p * p + 1) * (p - 1), f) == Polynomial.constant(f.field, 1))
+        a = tuple(c.lift() for c in f.coeffs)
+        return int(fp_powmod((0, 1), (p * p + 1) * (p - 1), a, p) == (1,))
     if degrees == [2, 2]:
         (n1, s1), (n2, s2) = ((g.coeffs[0].lift(), -g.coeffs[1].lift() % p) for g in factors)
         if (s1 * s1 - 2 * n1) * n2 % p != (s2 * s2 - 2 * n2) * n1 % p:
@@ -419,8 +436,7 @@ def certify(
     failure leaves the verdict INCONCLUSIVE (the checks are one-sided and
     can never certify a small image).
     """
-    if table is None:
-        table = builtin_exceptional_table(p)
+    table = supported_table(p, table)
     rd = specialize(ds, p, root)
     records = build_records(rd)
     if not records:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import click
 
-from .certifier import Certificate, certify
+from .certifier import Certificate, certify, supported_table
 from .eigen_data import EigenformDataset, embedding_roots
 from .finite_field import is_prime
 
@@ -237,8 +237,12 @@ def run(config: RunConfig) -> int:
         return _fail(str(exc))
 
     p = config.p
-    if not is_prime(p):
-        return _fail(f"--prime must be a prime number, got {p}")
+    try:
+        if not is_prime(p):
+            return _fail(f"--prime must be a prime number, got {p}")
+        table = supported_table(p)
+    except ValueError as exc:
+        return _fail(str(exc))
     if config.root is not None and not 0 <= config.root < p:
         return _fail(f"--root must lie in [0, {p}), got {config.root}")
 
@@ -259,7 +263,7 @@ def run(config: RunConfig) -> int:
                 )
         else:
             roots = [config.root]
-        certs = [certify(ds, p, root) for root in roots]
+        certs = [certify(ds, p, root, table) for root in roots]
     except ValueError as exc:
         return _fail(str(exc))
 

@@ -1,9 +1,10 @@
 """Exact arithmetic in F_p, plus the small extensions F_{p^2}, F_{p^4}.
 
 The certificate only ever builds F_p.  The extensions (d in {2, 4}) remain
-for the test oracles that cross-check it over the splitting field.
-Elements are dense coefficient vectors over a canonical modulus, reduced
-eagerly after every operation; everything is plain integer arithmetic.
+for the test oracles that cross-check it over the splitting field; their
+canonical modulus is found by polynomial's F_p kernel (fp_is_irreducible).
+Elements are dense coefficient vectors over that modulus, reduced eagerly
+after every operation; everything is plain integer arithmetic.
 """
 from __future__ import annotations
 
@@ -12,16 +13,35 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 SUPPORTED_DEGREES = (1, 2, 4)
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the bases SMALL_PRIMES is exact below this bound
+# (Sorenson and Webster, 2015)
+MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Trial division by SMALL_PRIMES, then deterministic Miller-Rabin;
+    ValueError for n >= MILLER_RABIN_BOUND with no factor in SMALL_PRIMES."""
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for q in SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"{n} is too large to test for primality (limit {MILLER_RABIN_BOUND})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 1
     return True
 
 
@@ -41,94 +61,14 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# bootstrap polynomial arithmetic on raw int vectors mod p
-#
-# make_field must test irreducibility before the polynomial module can exist
-# (it depends on this one), so the modulus scan runs on bare coefficient
-# tuples.  Vectors are low-degree-first and need not be normalized.
-
-def _ptrim(a: Sequence[int]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return tuple(a[:i])
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> tuple[int, ...]:
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        c = a[-1] % p
-        if c:
-            shift = len(a) - 1 - df
-            for j in range(df):
-                a[shift + j] = (a[shift + j] - c * f[j]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _ppowmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    acc = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, acc, p), f, p)
-        acc = _pmod(_pmul(acc, acc, p), f, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        # reduce a mod b after forcing b monic
-        inv = pow(b[-1], p - 2, p)
-        bm = tuple(c * inv % p for c in b)
-        a, b = b, _pmod(a, bm, p)
-    if not a:
-        return ()
-    inv = pow(a[-1], p - 2, p)
-    return tuple(c * inv % p for c in a)
-
-
-def _irreducible_mod_p(f: Sequence[int], p: int) -> bool:
-    """Monic f of degree n is irreducible iff x^(p^n) = x mod f and
-    gcd(x^(p^(n/l)) - x, f) is constant for every prime l | n."""
-    n = len(f) - 1
-    x = (0, 1)
-    xq = _ppowmod(x, p**n, f, p)
-    if xq != _pmod(x, f, p):
-        return False
-    for ell in factorize(n):
-        h = _ppowmod(x, p ** (n // ell), f, p)
-        diff = [0] * max(len(h), 2)
-        for i, c in enumerate(h):
-            diff[i] = c
-        diff[1] = (diff[1] - 1) % p
-        if len(_pgcd(diff, f, p)) > 1:
-            return False
-    return True
-
-
 def _smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
     # lexicographically smallest monic irreducible, high-degree coefficients
     # compared first; scan order: (c_{d-1}, ..., c_0) ascending
+    from .polynomial import fp_is_irreducible  # polynomial imports this module
+
     for high in itertools.product(range(p), repeat=d):
         cand = tuple(reversed(high)) + (1,)
-        if _irreducible_mod_p(cand, p):
+        if fp_is_irreducible(cand, p):
             return cand
     raise RuntimeError(f"no irreducible of degree {d} over F_{p}")  # unreachable
 

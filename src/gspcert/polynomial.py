@@ -1,9 +1,13 @@
-"""Univariate polynomials over the small finite fields of finite_field.
+"""Univariate polynomials over the finite fields of finite_field.
 
-Dense coefficient representation, low degree first.  Factorization is
-deterministic: distinct-degree splitting via gcd(f, x^(q^k) - x), then
-equal-degree splitting by the trace values of x, x^2, ..., tried against
-every c in F_q so the cost does not depend on where the factors lie.  Roots in F_p are read off the linear factors
+Polynomial holds FFElement coefficients, low degree first; its ring
+operations work over every field.  factor, gcd, poly_powmod, is_squarefree
+and is_irreducible work over F_p only (ValueError otherwise): each converts
+to the fp_* kernel's low-first tuples of ints in [0, p) once and back once.
+Factorization is deterministic: distinct-degree splitting via
+gcd(f, x^(p^k) - x), then equal-degree splitting by the trace values of x,
+x^2, ..., tried against every c in F_p so the cost does not depend on where
+the factors lie.  Roots in F_p are read off the linear factors
 (Factorization.linear_roots); there is no separate root finder.
 """
 from __future__ import annotations
@@ -12,6 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .finite_field import FFElement, FieldSpec, factorize
+
+FpPoly = tuple[int, ...]
 
 
 class Polynomial:
@@ -186,32 +192,179 @@ def _coeff_str(c: FFElement, standalone: bool) -> str:
     return s
 
 
-def poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    """base^e reduced mod `mod`, square-and-multiply on the exponent bits."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = Polynomial.constant(base.field, 1) % mod
-    acc = base % mod
+# ---------------------------------------------------------------------------
+# the F_p kernel: low-first int tuples, reduced into [0, p), no trailing zero
+
+
+def fp_trim(a: Sequence[int]) -> FpPoly:
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return tuple(a[:n])
+
+
+def fp_add(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return fp_trim(out)
+
+
+def fp_mul(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return fp_trim([c % p for c in out])
+
+
+def fp_divmod(a: FpPoly, b: FpPoly, p: int) -> tuple[FpPoly, FpPoly]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quot = [0] * max(len(a) - db, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = rem[shift + db] * inv % p
+        if c:
+            for j in range(db):
+                rem[shift + j] = (rem[shift + j] - c * b[j]) % p
+    return fp_trim(quot), fp_trim(rem[:db])
+
+
+def fp_mod(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
+    return fp_divmod(a, b, p)[1]
+
+
+def fp_powmod(a: FpPoly, e: int, m: FpPoly, p: int) -> FpPoly:
+    """a^e mod m, square-and-multiply on the exponent bits."""
+    result = fp_mod((1,), m, p)
+    acc = fp_mod(a, m, p)
     while e:
         if e & 1:
-            result = (result * acc) % mod
-        acc = (acc * acc) % mod
+            result = fp_mod(fp_mul(result, acc, p), m, p)
         e >>= 1
+        if e:
+            acc = fp_mod(fp_mul(acc, acc, p), m, p)
     return result
 
 
+def fp_monic(a: FpPoly, p: int) -> FpPoly:
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+def fp_gcd(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
+    """Monic gcd by the Euclidean algorithm; gcd(a, 0) is the monic copy of a."""
+    while b:
+        a, b = b, fp_mod(a, b, p)
+    return fp_monic(a, p)
+
+
+def fp_is_irreducible(f: FpPoly, p: int) -> bool:
+    """Rabin's test for monic f of degree n >= 1: x^(p^n) = x mod f and
+    gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n."""
+    n = len(f) - 1
+    x = fp_mod((0, 1), f, p)
+    if fp_powmod(x, p**n, f, p) != x:
+        return False
+    return all(  # n >= 2 here, so x = (0, 1) and -x = (0, p - 1)
+        len(fp_gcd(fp_add(fp_powmod(x, p ** (n // ell), f, p), (0, p - 1), p), f, p)) == 1
+        for ell in factorize(n)
+    )
+
+
+def fp_factor(f: FpPoly, p: int) -> list[tuple[FpPoly, int]]:
+    """Monic irreducible factors of monic f with multiplicity, sorted by
+    degree and then by coefficients, high degree first."""
+    pairs = []
+    while len(f) > 1:
+        for h in _lowest_degree_factors(f, p):
+            mult = 0
+            while True:
+                q, rem = fp_divmod(f, h, p)
+                if rem:
+                    break
+                f = q
+                mult += 1
+            pairs.append((h, mult))
+    pairs.sort(key=lambda pair: (len(pair[0]), pair[0][::-1]))
+    return pairs
+
+
+def _lowest_degree_factors(g: FpPoly, p: int) -> list[FpPoly]:
+    # distinct-degree sieve: gcd(g, x^(p^k) - x) collects the distinct factors
+    # of degree dividing k, so scanning k upward makes every hit degree k
+    r = (0, 1)  # deg g >= 2 whenever the loop runs
+    for k in range(1, (len(g) - 1) // 2 + 1):
+        r = fp_powmod(r, p, g, p)
+        s = fp_gcd(fp_add(r, (0, p - 1), p), g, p)
+        if len(s) > 1:
+            return fp_split_equal_degree(s, k, p)
+    return [g]  # no factor of degree <= deg/2 means g is irreducible
+
+
+def fp_split_equal_degree(s: FpPoly, k: int, p: int) -> list[FpPoly]:
+    """The monic irreducible factors of s, a product of distinct monic
+    irreducibles g_i of degree k; RuntimeError if s is not one."""
+    # For u in F_p[x], t = u + u^p + ... + u^(p^(k-1)) mod s is the constant
+    # Tr(u(root of g_i)) mod each g_i, so gcd(h, t - c) over every c in F_p
+    # partitions a part h.  Some u = x^j, 0 < j < deg s, separates any two
+    # g_i: else every u of degree < deg s would have equal traces, yet by CRT
+    # one such u is 0 mod one g_i and of nonzero trace mod the other.
+    parts = [s]
+    for j in range(1, len(s) - 1):
+        if all(len(h) == k + 1 for h in parts):
+            break
+        t = w = (0,) * j + (1,)
+        for _ in range(k - 1):
+            w = fp_powmod(w, p, s, p)
+            t = fp_add(t, w, p)
+        split = []
+        for h in parts:
+            if len(h) == k + 1:
+                split.append(h)
+                continue
+            gs = [g for g in (fp_gcd(h, fp_add(t, (-c % p,), p), p) for c in range(p)) if len(g) > 1]
+            if sum(len(g) - 1 for g in gs) != len(h) - 1:
+                raise RuntimeError(f"{h} is not squarefree: the trace split lost a factor")
+            split += gs
+        parts = split
+    if any(len(h) != k + 1 for h in parts):
+        raise RuntimeError(f"x^j, 0 < j < {len(s) - 1}, left {parts} unsplit")
+    return parts
+
+
+# ---------------------------------------------------------------------------
+# the Polynomial entry points
+
+
+def _fp(f: Polynomial) -> FpPoly:
+    if f.field.d != 1:
+        raise ValueError(f"polynomial factoring works over a prime field, not {f.field!r}")
+    return tuple(c.coeffs[0] for c in f.coeffs)
+
+
+def poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
+    """base^e reduced mod `mod`, over F_p."""
+    base._check(mod)
+    if e < 0:
+        raise ValueError("negative exponent")
+    return Polynomial.from_ints(base.field, fp_powmod(_fp(base), e, _fp(mod), base.field.p))
+
+
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm; gcd(f, 0) is the monic copy of f."""
+    """Monic gcd over F_p; gcd(f, 0) is the monic copy of f."""
     f._check(g)
-    while not g.is_zero():
-        f, g = g, f % g
-    if f.is_zero():
-        return f
-    return f.monic()
-
-
-def derivative(f: Polynomial) -> Polynomial:
-    return f.derivative()
+    return Polynomial.from_ints(f.field, fp_gcd(_fp(f), _fp(g), f.field.p))
 
 
 def is_squarefree(f: Polynomial) -> bool:
@@ -219,26 +372,16 @@ def is_squarefree(f: Polynomial) -> bool:
     vanishing derivative leaves gcd(f, 0) = f non-constant)."""
     if f.is_zero():
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    return gcd(f, f.derivative()).degree <= 0
+    a, p = _fp(f), f.field.p
+    return len(fp_gcd(a, fp_trim([i * c % p for i, c in enumerate(a)][1:]), p)) == 1
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """True iff f (degree >= 1) has no monic factor of degree in
+    """True iff f (degree >= 1, over F_p) has no monic factor of degree in
     [1, deg f - 1]; decided by the derandomized Rabin criterion."""
     if f.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
-    fm = f.monic()
-    F = f.field
-    q = F.order
-    n = f.degree
-    x = Polynomial.x(F)
-    if poly_powmod(x, q**n, fm) != x % fm:
-        return False
-    for ell in factorize(n):
-        h = poly_powmod(x, q ** (n // ell), fm)
-        if gcd(h - x, fm).degree > 0:
-            return False
-    return True
+    return fp_is_irreducible(fp_monic(_fp(f), f.field.p), f.field.p)
 
 
 @dataclass(frozen=True)
@@ -279,67 +422,15 @@ class Factorization:
         return "".join(parts)
 
 
-def _poly_sort_key(f: Polynomial) -> tuple[int, tuple[int, ...]]:
-    idx = f.field.index
-    return (f.degree, tuple(idx(c) for c in reversed(f.coeffs)))
-
-
 def factor(f: Polynomial) -> Factorization:
-    """Complete factorization into monic irreducibles with multiplicity."""
-    if f.is_zero():
+    """Complete factorization over F_p into monic irreducibles with
+    multiplicity."""
+    a = _fp(f)
+    if not a:
         raise ValueError("cannot factor the zero polynomial")
-    unit = f.leading_coeff()
-    if f.degree == 0:
-        return Factorization(unit=unit, factors=())
-    g = f.monic()
-    pairs: list[tuple[Polynomial, int]] = []
-    while g.degree > 0:
-        for h in _lowest_degree_factors(g):
-            mult = 0
-            while True:
-                q, rem = divmod(g, h)
-                if not rem.is_zero():
-                    break
-                g = q
-                mult += 1
-            pairs.append((h, mult))
-    pairs.sort(key=lambda pair: _poly_sort_key(pair[0]))
-    return Factorization(unit=unit, factors=tuple(pairs))
-
-
-def _lowest_degree_factors(g: Polynomial) -> list[Polynomial]:
-    # distinct-degree sieve: gcd(g, x^(q^k) - x) collects the distinct factors
-    # of degree dividing k, so scanning k upward makes every hit degree k
-    F = g.field
-    x = Polynomial.x(F)
-    r = x % g
-    k = 0
-    while k < g.degree // 2:
-        k += 1
-        r = poly_powmod(r, F.order, g)
-        s = gcd(r - x, g)
-        if s.degree > 0:
-            return _equal_degree_split(s, k)
-    return [g]  # no factor of degree <= deg/2 means g is irreducible
-
-
-def _equal_degree_split(s: Polynomial, k: int) -> list[Polynomial]:
-    # s is a product of distinct monic irreducibles g_i of degree k.  For u in
-    # F_q[x], t = u + u^q + ... + u^(q^(k-1)) mod s is the constant Tr(u(root
-    # of g_i)) mod each g_i, so gcd(h, t - c) over every c in F_q partitions a
-    # part h.  Some u = x^j, 0 < j < deg s, separates any two g_i: else every
-    # u of degree < deg s would have equal traces, yet by CRT one such u is
-    # 0 mod one g_i and of nonzero trace mod the other.
-    F = s.field
-    parts = [s]
-    u = Polynomial.constant(F, 1)
-    while any(h.degree > k for h in parts):
-        u = u * Polynomial.x(F) % s
-        t = w = u
-        for _ in range(k - 1):
-            w = poly_powmod(w, F.order, s)
-            t = t + w
-        split = [[h] if h.degree == k else
-                 [gcd(h, t - Polynomial.constant(F, c)) for c in F.elements()] for h in parts]
-        parts = [g for gs in split for g in gs if g.degree > 0]
-    return parts
+    F = f.field
+    pairs = fp_factor(fp_monic(a, F.p), F.p)
+    return Factorization(
+        unit=f.coeffs[-1],
+        factors=tuple((Polynomial.from_ints(F, h), mult) for h, mult in pairs),
+    )

@@ -2,9 +2,11 @@
 
 The integer-list helpers work on plain coefficient lists, low degree
 first, with no dependency on the package under test.  The extension-field
-section below is the route the certificate used to take over F_{p^4}: it
-finds the roots of a quartic by scanning the splitting field and pairs
-them up directly, on top of the package's FieldSpec arithmetic.
+sections below run on the package's FieldSpec and Polynomial arithmetic:
+the factoring route over F_{p^d} that factor took before it moved onto its
+F_p kernel, and the route the certificate used to take over F_{p^4}, which
+finds the roots of a quartic by scanning the splitting field and pairs them
+up directly.
 """
 from __future__ import annotations
 
@@ -115,6 +117,94 @@ def naive_mult_order(x, one, bound: int = 10000) -> int:
         if n > bound:
             raise AssertionError("order search exceeded bound")
     return n
+
+
+# ---------------------------------------------------------------------------
+# factoring over F_{p^d} on FFElement coefficients, any d
+
+
+def ext_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
+    """base^e reduced mod `mod`, square-and-multiply on the exponent bits."""
+    result = Polynomial.constant(base.field, 1) % mod
+    acc = base % mod
+    while e:
+        if e & 1:
+            result = (result * acc) % mod
+        acc = (acc * acc) % mod
+        e >>= 1
+    return result
+
+
+def ext_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Monic gcd by the Euclidean algorithm; gcd(f, 0) is the monic copy of f."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f if f.is_zero() else f.monic()
+
+
+def ext_is_irreducible(f: Polynomial) -> bool:
+    """The derandomized Rabin criterion."""
+    fm = f.monic()
+    q, n = f.field.order, f.degree
+    x = Polynomial.x(f.field)
+    if ext_powmod(x, q**n, fm) != x % fm:
+        return False
+    return all(
+        ext_gcd(ext_powmod(x, q ** (n // ell), fm) - x, fm).degree <= 0 for ell in factorize(n)
+    )
+
+
+def ext_factor(f: Polynomial) -> tuple[tuple[Polynomial, int], ...]:
+    """Monic irreducible factors with multiplicity, in factor's order."""
+    g = f.monic()
+    pairs: list[tuple[Polynomial, int]] = []
+    while g.degree > 0:
+        for h in lowest_degree_factors(g):
+            mult = 0
+            while True:
+                q, rem = divmod(g, h)
+                if not rem.is_zero():
+                    break
+                g = q
+                mult += 1
+            pairs.append((h, mult))
+    idx = f.field.index
+    pairs.sort(key=lambda pair: (pair[0].degree, tuple(idx(c) for c in reversed(pair[0].coeffs))))
+    return tuple(pairs)
+
+
+def lowest_degree_factors(g: Polynomial) -> list[Polynomial]:
+    """Every irreducible factor of g of the lowest degree, by the
+    distinct-degree sieve gcd(g, x^(q^k) - x), k = 1, 2, ..."""
+    F = g.field
+    x = Polynomial.x(F)
+    r = x % g
+    k = 0
+    while k < g.degree // 2:
+        k += 1
+        r = ext_powmod(r, F.order, g)
+        s = ext_gcd(r - x, g)
+        if s.degree > 0:
+            return equal_degree_split(s, k)
+    return [g]
+
+
+def equal_degree_split(s: Polynomial, k: int) -> list[Polynomial]:
+    """The factors of s, a product of distinct monic irreducibles of degree
+    k: gcd(h, Tr(x^j) - c) for every c in F_q, j = 1, 2, ..."""
+    F = s.field
+    parts = [s]
+    u = Polynomial.constant(F, 1)
+    while any(h.degree > k for h in parts):
+        u = u * Polynomial.x(F) % s
+        t = w = u
+        for _ in range(k - 1):
+            w = ext_powmod(w, F.order, s)
+            t = t + w
+        split = [[h] if h.degree == k else
+                 [ext_gcd(h, t - Polynomial.constant(F, c)) for c in F.elements()] for h in parts]
+        parts = [g for gs in split for g in gs if g.degree > 0]
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,25 @@ class TestCertify:
         with pytest.raises(ValueError, match="no Frobenius data"):
             certify(ds, 7, 1)
 
+    @pytest.mark.parametrize(
+        "p, table, message",
+        [
+            (13, None, "3 mod 4"),
+            (13, ExceptionalTable(p=13, entries=()), "3 mod 4"),
+            (9, None, "not prime"),
+            (3, None, "p >= 5"),
+            (11, None, "table"),
+            (19, builtin_exceptional_table(7), "table is for p = 7"),
+        ],
+    )
+    def test_unsupported_prime_rejected_before_specialize(self, monkeypatch, p, table, message):
+        def unreachable(*args):
+            raise AssertionError("specialize ran")
+
+        monkeypatch.setattr("gspcert.certifier.specialize", unreachable)
+        with pytest.raises(ValueError, match=message):
+            certify(paper_dataset(), p, 0, table=table)
+
     def test_other_prime_with_user_table(self):
         ds = EigenformDataset(
             weight=4, level=1, defining_poly=(0, 1),

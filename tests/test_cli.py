@@ -285,6 +285,38 @@ class TestErrorExits:
         assert res.stderr.count("\n") == 1
         assert "neither a prime nor a prime square" in res.stderr
 
+    @pytest.mark.parametrize("prime", ["11", "100291", "2305843009213693951"])
+    def test_unsupported_prime_fails_before_dataset_work(self, monkeypatch, prime):
+        def unreachable(*args):
+            raise AssertionError("dataset-derived work ran")
+
+        monkeypatch.setattr("gspcert.cli.embedding_roots", unreachable)
+        monkeypatch.setattr("gspcert.certifier.build_records", unreachable)
+        res = runner().invoke(main, ["certify", PAPER, "--prime", prime])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+        assert "table" in res.stderr
+
+    def test_prime_past_the_primality_bound_exits_one_with_one_line(self):
+        res = runner().invoke(main, ["certify", PAPER, "--prime", str(10**29 + 319)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+        assert "too large" in res.stderr
+
+    def test_30_digit_prime_eigenvalue_index_exits_one_with_one_line(self, tmp_path):
+        q = 10**29 + 319
+        path = tmp_path / "bigq.dataset"
+        path.write_text(
+            "weight 28\nlevel 1\ndefining_poly -59412960 -294086 -1 1\n"
+            f"eigenvalue {q} 1\neigenvalue {q * q} 1\n"
+        )
+        res = runner().invoke(main, ["certify", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+
     def test_only_q_equal_p_data_exits_one(self, tmp_path):
         path = tmp_path / "pdata.dataset"
         path.write_text(

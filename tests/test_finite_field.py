@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,28 @@ class TestIntegerHelpers:
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
         for n in range(-2, 25):
             assert is_prime(n) == (n in primes)
+
+    def test_is_prime_matches_trial_division_below_1e5(self):
+        for n in range(10**5):
+            assert is_prime(n) == (n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))), n
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (2**61 - 1, True),
+            (3825123056546413051, False),  # strong pseudoprime to the bases 2, ..., 23
+            (318665857834031151167461, False),  # and to 2, ..., 37
+            (10**400, False),
+        ],
+    )
+    def test_is_prime_large_values(self, n, expected):
+        assert is_prime(n) == expected
+
+    @pytest.mark.parametrize("n", [3317044064679887385961981, 10**29 + 319])
+    def test_is_prime_refuses_past_the_miller_rabin_bound(self, n):
+        # the first is a strong pseudoprime to all 13 bases, the second a prime
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(n)
 
     def test_factorize(self):
         assert factorize(360) == {2: 3, 3: 2, 5: 1}

@@ -10,12 +10,26 @@ from gspcert.finite_field import make_field
 from gspcert.polynomial import (
     Polynomial,
     factor,
+    fp_mul,
+    fp_split_equal_degree,
     gcd,
     is_irreducible,
     is_squarefree,
     poly_powmod,
 )
-from oracles import conjugate_poly, frobenius, lift, monic_polys, naive_factor, naive_irreducible, roots_in
+from oracles import (
+    conjugate_poly,
+    ext_factor,
+    ext_is_irreducible,
+    frobenius,
+    lift,
+    monic_polys,
+    naive_factor,
+    naive_irreducible,
+    pmod,
+    pmul,
+    roots_in,
+)
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)
@@ -291,18 +305,85 @@ class TestFactor:
     def test_equal_degree_products_split_completely(self, p, d, k, m):
         # m distinct irreducibles of one degree k reach the trace split
         # together; over F_2 two of the three quartics share the trace of x,
-        # so (2, 1, 4, 3) needs a second round with x^2
+        # so (2, 1, 4, 3) needs a second round with x^2.  Over F_{p^d}, d > 1,
+        # the reference route of tests/oracles.py splits them.
         F = make_field(p, d)
+        irreducible, factors = (
+            (is_irreducible, lambda f: factor(f).factors) if d == 1 else (ext_is_irreducible, ext_factor)
+        )
         monics = (Polynomial(F, cs + (F.one(),)) for cs in itertools.product(list(F.elements()), repeat=k))
-        irreducibles = [g for g in monics if is_irreducible(g)]
+        irreducibles = [g for g in monics if irreducible(g)]
         rng = random.Random(f"{p}:{d}:{k}:{m}")
         for _ in range(5):
             gs = rng.sample(irreducibles, m)
             f = Polynomial.constant(F, 1)
             for g in gs:
                 f = f * g
-            assert dict(factor(f).factors) == dict.fromkeys(gs, 1)
-            assert dict(factor(f * gs[0]).factors) == {**dict.fromkeys(gs, 1), gs[0]: 2}
+            assert dict(factors(f)) == dict.fromkeys(gs, 1)
+            assert dict(factors(f * gs[0])) == {**dict.fromkeys(gs, 1), gs[0]: 2}
+
+    @pytest.mark.parametrize("p", [19, 31])
+    def test_seeded_quartics_match_trial_division(self, p):
+        F = make_field(p, 1)
+        rng = random.Random(p)
+        for _ in range(500):
+            f = [rng.randrange(p) for _ in range(4)] + [1]
+            got = [([c.lift() for c in g.coeffs], m) for g, m in factor(Polynomial.from_ints(F, f)).factors]
+            assert got == naive_factor(f, p), f
+
+    def test_seeded_powmod_and_gcd_match_oracle_arithmetic_p19(self):
+        # powmod against repeated oracle pmul/pmod; gcd against the product
+        # of the common trial-division factors at their lower multiplicity
+        p = 19
+        F = make_field(p, 1)
+        rng = random.Random(1919)
+
+        def monic(d: int) -> list[int]:
+            return [rng.randrange(p) for _ in range(d)] + [1]
+
+        for _ in range(60):
+            a = [rng.randrange(p) for _ in range(rng.randrange(0, 8))]
+            m = monic(rng.randrange(1, 5))
+            e = rng.randrange(0, 60)
+            acc = pmod([1], m, p)
+            for _ in range(e):
+                acc = pmod(pmul(acc, a, p), m, p)
+            got = poly_powmod(Polynomial.from_ints(F, a), e, Polynomial.from_ints(F, m))
+            assert [c.lift() for c in got.coeffs] == acc, (a, e, m)
+
+            h = monic(rng.randrange(0, 3))
+            f, g = pmul(h, monic(rng.randrange(1, 4)), p), pmul(h, monic(rng.randrange(0, 3)), p)
+            in_g = {tuple(k): mult for k, mult in naive_factor(g, p)}
+            expected = [1]
+            for k, mult in naive_factor(f, p):
+                for _ in range(min(mult, in_g.get(tuple(k), 0))):
+                    expected = pmul(expected, k, p)
+            got = gcd(Polynomial.from_ints(F, f), Polynomial.from_ints(F, g))
+            assert [c.lift() for c in got.coeffs] == expected, (f, g)
+
+    @pytest.mark.parametrize("name", ["factor", "gcd", "poly_powmod", "is_squarefree", "is_irreducible"])
+    def test_extension_fields_rejected(self, name):
+        # the F_{p^d} route, d > 1, is the reference in tests/oracles.py
+        f = Polynomial(F49, (F49.gen(), F49.one(), F49.one()))
+        call = {
+            "factor": lambda: factor(f),
+            "gcd": lambda: gcd(f, f),
+            "poly_powmod": lambda: poly_powmod(f, 3, f),
+            "is_squarefree": lambda: is_squarefree(f),
+            "is_irreducible": lambda: is_irreducible(f),
+        }[name]
+        with pytest.raises(ValueError, match="prime field"):
+            call()
+
+    @pytest.mark.parametrize("gs, k", [([(3, 1)], 1), ([(1, 0, 1)], 2), ([(3, 1), (5, 1)], 1)])
+    def test_split_of_a_square_raises(self, gs, k):
+        # the trace split needs distinct factors; with g_1 squared it must
+        # fail loudly rather than come back short or loop
+        s = gs[0]
+        for g in gs:
+            s = fp_mul(s, g, 7)
+        with pytest.raises(RuntimeError):
+            fp_split_equal_degree(s, k, 7)
 
     def test_shape_eligible_quartics_split_over_f2401(self):
         # products of irreducibles of degree 1, 2, or 4 have all their
