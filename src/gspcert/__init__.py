@@ -14,7 +14,6 @@ from .certifier import (
     builtin_exceptional_table,
     certify,
 )
-from .cli import DatasetError, RunConfig, ingest, render_json, render_text, run
 from .eigen_data import (
     EigenformDataset,
     FrobeniusRecord,
@@ -50,6 +49,20 @@ from .symplectic import (
 )
 
 __version__ = "0.1.0"
+
+# The command-line names load cli (and click) on first use, so that
+# `python -m gspcert.cli` does not find cli imported by its own package.
+_CLI_NAMES = ("DatasetError", "RunConfig", "ingest", "render_json", "render_text", "run")
+
+
+def __getattr__(name: str):
+    if name not in _CLI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cli
+
+    value = globals()[name] = getattr(cli, name)
+    return value
+
 
 __all__ = [
     "Certificate",

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
+from typing import Sequence
 
 from .finite_field import FFElement, is_prime, make_field
-from .polynomial import Factorization, Polynomial, factor, is_squarefree
-from .symplectic import companion, projective_order
+from .polynomial import Factorization, Polynomial, factor
+from .polynomial import fp_projective_order as projective_order
 
 KNOWN_ASSUMPTIONS = ("not_maass_spezialform", "conductor_one")
 
@@ -119,8 +121,14 @@ class FrobeniusRecord:
     similitude: FFElement
 
 
-def residual_roots(defining_poly: tuple[int, ...], p: int) -> Factorization:
-    """Factorization of the defining polynomial reduced mod p."""
+def residual_roots(defining_poly: Sequence[int], p: int) -> Factorization:
+    """Factorization of the defining polynomial reduced mod p, computed
+    once per (defining_poly, p) and shared by specialize and the CLI."""
+    return _residual_roots(tuple(defining_poly), p)
+
+
+@lru_cache(maxsize=64)
+def _residual_roots(defining_poly: tuple[int, ...], p: int) -> Factorization:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if defining_poly[-1] % p == 0:
@@ -129,7 +137,7 @@ def residual_roots(defining_poly: tuple[int, ...], p: int) -> Factorization:
     return factor(Polynomial.from_ints(F, defining_poly))
 
 
-def embedding_roots(defining_poly: tuple[int, ...], p: int) -> list[FFElement]:
+def embedding_roots(defining_poly: Sequence[int], p: int) -> list[FFElement]:
     """Simple roots of E mod p, in the deterministic factor order."""
     fac = residual_roots(defining_poly, p)
     return [r for r, mult in fac.linear_roots() if mult == 1]
@@ -199,7 +207,11 @@ def hecke_quartic(a1: FFElement, a2: FFElement, q: int, k: int) -> Polynomial:
 
 def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
     """Spin characteristic polynomial of Frobenius at q, with its
-    factorization, squarefreeness, projective order, and similitude."""
+    factorization, squarefreeness, projective order, and similitude.
+
+    The projective order (squarefree charpolys only) is the order of the
+    companion matrix in PGL(4, p), read off F_p[x]/(f) as the least n with
+    x^n constant (polynomial.fp_projective_order); no matrix is built."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if q == rd.p:
@@ -212,7 +224,7 @@ def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
     f = hecke_quartic(rd.eigenvalues[q], rd.eigenvalues[q * q], q, k)
     fac = factor(f)
     sqfree = fac.is_squarefree()
-    order = projective_order(companion(f)) if sqfree else None
+    order = projective_order(tuple(c.coeffs[0] for c in f.coeffs), p) if sqfree else None
     return FrobeniusRecord(
         q=q,
         charpoly=f,

@@ -9,6 +9,8 @@ gcd(f, x^(p^k) - x), then equal-degree splitting by the trace values of x,
 x^2, ..., tried against every c in F_p so the cost does not depend on where
 the factors lie.  Roots in F_p are read off the linear factors
 (Factorization.linear_roots); there is no separate root finder.
+fp_projective_order gives the order of a quartic's companion matrix in
+PGL(4, p) from the powers of x mod the quartic, without the matrix.
 """
 from __future__ import annotations
 
@@ -280,6 +282,28 @@ def fp_is_irreducible(f: FpPoly, p: int) -> bool:
         len(fp_gcd(fp_add(fp_powmod(x, p ** (n // ell), f, p), (0, p - 1), p), f, p)) == 1
         for ell in factorize(n)
     )
+
+
+def fp_projective_order(f: FpPoly, p: int) -> int:
+    """Least n >= 1 with x^n constant mod f, for a monic quartic f with
+    f(0) != 0: the order of its companion matrix in PGL(4, p).
+
+    The companion matrix C is multiplication by x on F_p[x]/(f) in the
+    basis 1, x, x^2, x^3, so C^n = cI exactly when x^n = c mod f (apply C^n
+    to 1 for one direction, multiply by any g for the other), squarefree
+    or not.  x is a unit there since f(0) != 0, so the loop ends.
+    """
+    if len(f) != 5 or f[4] != 1:
+        raise ValueError(f"expected a monic quartic, got {f}")
+    c0, c1, c2, c3 = f[0], f[1], f[2], f[3]
+    if not c0:
+        raise ValueError("f(0) = 0: x is not a unit mod f, so it has no projective order")
+    n, a0, a1, a2, a3 = 1, 0, 1, 0, 0  # x^n mod f, low first
+    while a1 or a2 or a3:
+        # x * x^n: shift up, then replace a3 x^4 by -a3 (c0 + c1 x + c2 x^2 + c3 x^3)
+        a0, a1, a2, a3 = -a3 * c0 % p, (a0 - a3 * c1) % p, (a1 - a3 * c2) % p, (a2 - a3 * c3) % p
+        n += 1
+    return n
 
 
 def fp_factor(f: FpPoly, p: int) -> list[tuple[FpPoly, int]]:

@@ -1,10 +1,15 @@
-"""4x4 matrices over F_p for the symplectic-similitude order arguments.
+"""4x4 matrices over F_p: the reference route for the order arguments.
+
+The certificate does not use this module: its projective orders come from
+polynomial.fp_projective_order, the least n with x^n constant mod the
+charpoly.  Here the same orders are taken literally, by iterating the
+companion matrix, and the tests compare the two.
 
 Matrices wrap prime-field residues directly (entries stay ints internally;
 charpoly and similitude hand back field elements).  Orders are computed by
 bounded brute-force iteration rather than exponent lattices: the group
 element orders here are at most p * lcm(p-1, p^2-1, p^3-1, p^4-1), which is
-957600 for p = 7, and the observed orders are tiny.
+957600 for p = 7.
 """
 from __future__ import annotations
 
@@ -171,7 +176,8 @@ def charpoly(m: Matrix4) -> Polynomial:
 
 def det(m: Matrix4) -> int:
     """det m, read off the characteristic polynomial at 0."""
-    return charpoly(m).coeffs[0].coeffs[0] if charpoly(m).coeffs else 0
+    cp = charpoly(m)
+    return cp.coeffs[0].coeffs[0] if cp.coeffs else 0
 
 
 def order_cap(p: int) -> int:

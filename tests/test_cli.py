@@ -335,6 +335,33 @@ class TestFreshInterpreter:
         assert res.stderr == ""
         assert "3 certificate(s): 3 LARGE_IMAGE, 0 INCONCLUSIVE" in res.stdout
 
+    def test_python_dash_m_gspcert_cli_does_not_warn(self):
+        # runpy warns if the package import has already loaded gspcert.cli
+        res = run_python("-m", "gspcert.cli", "--help")
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert "certify" in res.stdout
+
+    def test_package_loads_cli_on_first_use(self):
+        res = run_python("-c", (
+            "import sys\n"
+            "import gspcert\n"
+            "print('gspcert.cli' in sys.modules)\n"
+            "from gspcert import certify, ingest, run\n"
+            "print('gspcert.cli' in sys.modules, run is sys.modules['gspcert.cli'].run)\n"
+            "from gspcert import *\n"
+            "print(all(name in globals() for name in gspcert.__all__))\n"
+        ))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\nTrue True\nTrue\n"
+
+    def test_package_getattr_rejects_other_names(self):
+        with pytest.raises(AttributeError):
+            gspcert.no_such_name  # noqa: B018
+        from gspcert import cli
+
+        assert cli.main is main
+
     def test_certificates_build_only_the_prime_field(self):
         res = run_python("-c", (
             "from gspcert import certify, embedding_roots, ingest, make_field\n"

@@ -1,8 +1,12 @@
 """Tests for dataset modeling, embedding, and Frobenius data extraction."""
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
+from gspcert import eigen_data
+from gspcert.cli import RunConfig, run
 from gspcert.eigen_data import (
     EigenformDataset,
     embedding_roots,
@@ -126,6 +130,29 @@ class TestResidualRoots:
     def test_p_must_not_kill_leading_coefficient(self):
         with pytest.raises(ValueError):
             residual_roots((1, 7), 7)
+
+    def test_list_input_shares_the_memoized_factorization(self):
+        assert residual_roots(list(DEFINING), 7) is residual_roots(DEFINING, 7)
+        assert [r.lift() for r in embedding_roots(list(DEFINING), 7)] == [4, 3, 1]
+
+    def test_defining_poly_factored_once_across_all_roots(self, monkeypatch, capsys):
+        # the CLI takes the roots from E's factorization and specialize checks
+        # each root against it: one factorization of E serves them all
+        real_factor = eigen_data.factor
+        factored = []
+
+        def counting_factor(f):
+            factored.append(f)
+            return real_factor(f)
+
+        monkeypatch.setattr(eigen_data, "factor", counting_factor)
+        eigen_data._residual_roots.cache_clear()
+        path = resources.files("gspcert") / "datasets" / "weight28_level1.dataset"
+        assert run(RunConfig(input_path=str(path), p=7, root=None, fmt="text", out=None)) == 0
+        assert "3 certificate(s)" in capsys.readouterr().out
+        e = Polynomial.from_ints(F7, DEFINING)
+        assert sum(f == e for f in factored) == 1
+        assert len(factored) == 1 + 3 * 3  # E, then three charpolys per root
 
 
 class TestSpecialize:

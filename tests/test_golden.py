@@ -6,6 +6,8 @@ tests/golden/<dataset>.p7.{txt,json} hold the output of
         --prime 7 --root all --format text|json
 
 Any change to a certificate, its wording or its rendering shows up here.
+The same bytes must come back with the 4x4 matrix route disabled: the
+certificate's projective orders are taken in F_p[x], not from matrices.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from gspcert import symplectic
 from gspcert.cli import main
 
 DATASETS = resources.files("gspcert") / "datasets"
@@ -28,12 +31,27 @@ EXPECTED_EXIT = {
 }
 
 
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-@pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
-def test_report_matches_golden_bytes(dataset, fmt, suffix):
+def check_golden(dataset: str, fmt: str, suffix: str) -> None:
     args = ["certify", str(DATASETS / f"{dataset}.dataset"),
             "--prime", "7", "--root", "all", "--format", fmt]
     res = CliRunner().invoke(main, args)
     assert res.exit_code == EXPECTED_EXIT[dataset]
     assert res.stderr == ""
     assert res.stdout_bytes == (GOLDEN / f"{dataset}.p7.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
+def test_report_matches_golden_bytes(dataset, fmt, suffix):
+    check_golden(dataset, fmt, suffix)
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
+def test_no_matrix_product_on_the_certify_path(dataset, fmt, suffix, monkeypatch):
+    def no_matrices(*args):
+        raise AssertionError("a 4x4 matrix was built while certifying")
+
+    monkeypatch.setattr(symplectic, "_mul_rows", no_matrices)
+    monkeypatch.setattr(symplectic, "companion", no_matrices)
+    check_golden(dataset, fmt, suffix)

@@ -11,6 +11,7 @@ from gspcert.polynomial import (
     Polynomial,
     factor,
     fp_mul,
+    fp_projective_order,
     fp_split_equal_degree,
     gcd,
     is_irreducible,
@@ -30,6 +31,7 @@ from oracles import (
     pmul,
     roots_in,
 )
+from gspcert.symplectic import companion, projective_order
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)
@@ -403,3 +405,44 @@ class TestFactor:
             for d in pattern:
                 f = f * random_irreducible(d)
             assert len(roots_in(f, 4)) == 4
+
+
+def matrix_projective_order(f: tuple[int, ...], p: int) -> int:
+    """The reference: iterate the companion matrix until it is scalar."""
+    return projective_order(companion(Polynomial.from_ints(make_field(p, 1), f)))
+
+
+class TestProjectiveOrder:
+    def test_every_invertible_monic_quartic_p7_matches_matrix_route(self):
+        # all 6 * 7^3 = 2,058 monic quartics with f(0) != 0, squarefree or not
+        count = 0
+        for c in itertools.product(range(1, 7), range(7), range(7), range(7)):
+            f = c + (1,)
+            assert fp_projective_order(f, 7) == matrix_projective_order(f, 7), f
+            count += 1
+        assert count == 2058
+
+    @pytest.mark.parametrize("p", [11, 19, 31])
+    def test_seeded_quartics_match_matrix_route(self, p):
+        rng = random.Random(4000 + p)
+        for _ in range(500):
+            f = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(3)) + (1,)
+            assert fp_projective_order(f, p) == matrix_projective_order(f, p), f
+
+    def test_frozen_paper_orders(self):
+        assert fp_projective_order((2, 5, 2, 3, 1), 7) == 25
+        assert fp_projective_order((4, 6, 3, 4, 1), 7) == 16
+        assert fp_projective_order((2, 4, 4, 6, 1), 7) == 8
+
+    @pytest.mark.parametrize("f", [(0, 0, 0, 0, 1), (0, 1, 2, 3, 1), (0, 0, 5, 0, 1)])
+    def test_zero_constant_term_rejected(self, f):
+        # x is then a zero divisor; without the check x^4 would report order 4
+        with pytest.raises(ValueError):
+            fp_projective_order(f, 7)
+        with pytest.raises(ValueError):
+            matrix_projective_order(f, 7)
+
+    @pytest.mark.parametrize("f", [(1, 1), (1, 0, 0, 1), (2, 0, 0, 0, 3), (1, 0, 0, 0, 0, 1)])
+    def test_non_monic_quartic_rejected(self, f):
+        with pytest.raises(ValueError):
+            fp_projective_order(f, 7)

@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 
+from gspcert import symplectic
 from gspcert.finite_field import make_field
 from gspcert.polynomial import Polynomial, factor, is_irreducible
 from gspcert.symplectic import (
@@ -154,6 +155,18 @@ class TestCompanionAndCharpoly:
         for _ in range(20):
             f = Polynomial.from_ints(F7, [rng.randrange(7) for _ in range(4)] + [1])
             assert det(companion(f)) == f.coeffs[0].lift()
+
+    def test_det_takes_one_charpoly(self, monkeypatch):
+        taken = []
+        real_charpoly = symplectic.charpoly
+
+        def counting_charpoly(m):
+            taken.append(m)
+            return real_charpoly(m)
+
+        monkeypatch.setattr(symplectic, "charpoly", counting_charpoly)
+        assert det(companion(POL3)) == 4
+        assert len(taken) == 1
 
     def test_matrix_constructor_validation(self):
         with pytest.raises(ValueError):
