@@ -23,7 +23,6 @@ from .eigen_data import (
     hecke_quartic,
     residual_roots,
     specialize,
-    validate_similitude_shape,
 )
 from .finite_field import (
     FFElement,
@@ -102,6 +101,5 @@ __all__ = [
     "similitude",
     "specialize",
     "standard_form",
-    "validate_similitude_shape",
     "__version__",
 ]

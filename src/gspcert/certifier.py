@@ -232,17 +232,15 @@ def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
     - With a cubic factor (3 + 1) the roots lie outside F_{p^4}; None
       marks the record as skipped.
     """
-    f = rec.charpoly
-    p = f.field.p
+    p = rec.factorization.p
     factors = [g for g, _ in rec.factorization.factors]
-    degrees = [g.degree for g in factors]
+    degrees = [len(g) - 1 for g in factors]
     if 3 in degrees:
         return None
     if degrees == [4]:
-        a = tuple(c.lift() for c in f.coeffs)
-        return int(fp_powmod((0, 1), (p * p + 1) * (p - 1), a, p) == (1,))
+        return int(fp_powmod((0, 1), (p * p + 1) * (p - 1), rec.charpoly, p) == (1,))
     if degrees == [2, 2]:
-        (n1, s1), (n2, s2) = ((g.coeffs[0].lift(), -g.coeffs[1].lift() % p) for g in factors)
+        (n1, s1), (n2, s2) = ((g[0], -g[1] % p) for g in factors)
         if (s1 * s1 - 2 * n1) * n2 % p != (s2 * s2 - 2 * n2) * n1 % p:
             return 0
         return 2 if s1 == s2 == 0 else 1
@@ -305,8 +303,8 @@ def check_primitivity(rd: ResidualDataset) -> CheckResult:
     if p % 4 != 3:
         raise ValueError(f"primitivity argument needs p = 3 mod 4, got p = {p}")
     inert = [q for q in rd.primes() if q != p and legendre(q, p) == -1]
-    traces = {str(q): rd.eigenvalues[q].lift() for q in inert}
-    zeros = [q for q in inert if rd.eigenvalues[q].is_zero()]
+    traces = {str(q): rd.eigenvalues[q] for q in inert}
+    zeros = [q for q in inert if rd.eigenvalues[q] == 0]
     ok = bool(inert) and not zeros
     if ok:
         just = (
@@ -449,10 +447,8 @@ def certify(
         dataset_digest=ds.digest(),
         defining_poly=ds.defining_poly,
         p=p,
-        root=rd.root.lift(),
-        residual_eigenvalues=tuple(
-            (i, rd.eigenvalues[i].lift()) for i in sorted(rd.eigenvalues)
-        ),
+        root=rd.root,
+        residual_eigenvalues=tuple((i, rd.eigenvalues[i]) for i in sorted(rd.eigenvalues)),
         records=records,
         checks=checks,
         assumptions=tuple(sorted(ds.assumptions)) + STANDING_ASSUMPTIONS,

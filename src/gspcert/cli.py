@@ -22,6 +22,7 @@ import click
 from .certifier import Certificate, certify, supported_table
 from .eigen_data import EigenformDataset, embedding_roots
 from .finite_field import is_prime
+from .polynomial import fp_str
 
 REPORT_FORMAT = "gspcert.certify-report/1"
 
@@ -46,9 +47,11 @@ def ingest(path: str | Path) -> EigenformDataset:
     """Parse a dataset file; raise DatasetError with line diagnostics."""
     path = str(path)
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")  # skips a byte-order mark
     except OSError as exc:
         raise DatasetError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
     weight: int | None = None
     level: int | None = None
@@ -143,12 +146,12 @@ def certificate_dict(cert: Certificate) -> dict:
         "frobenius_records": [
             {
                 "q": rec.q,
-                "charpoly": [c.lift() for c in rec.charpoly.coeffs],
-                "charpoly_pretty": str(rec.charpoly),
+                "charpoly": list(rec.charpoly),
+                "charpoly_pretty": fp_str(rec.charpoly),
                 "factorization": str(rec.factorization),
                 "squarefree": rec.squarefree,
                 "projective_order": rec.projective_order,
-                "similitude": rec.similitude.lift(),
+                "similitude": rec.similitude,
             }
             for rec in cert.records
         ],
@@ -189,13 +192,13 @@ def _render_certificate_text(cert: Certificate) -> list[str]:
     )
     lines.append("frobenius records:")
     for rec in cert.records:
-        lines.append(f"  q = {rec.q}: {rec.charpoly}")
+        lines.append(f"  q = {rec.q}: {fp_str(rec.charpoly)}")
         lines.append(f"    factorization: {rec.factorization}")
         order = rec.projective_order if rec.projective_order is not None else "n/a"
         squarefree = "yes" if rec.squarefree else "no"
         lines.append(
             f"    squarefree: {squarefree} | projective order: {order} "
-            f"| similitude: {rec.similitude.lift()}"
+            f"| similitude: {rec.similitude}"
         )
     lines.append("checks:")
     for check in cert.checks:
@@ -246,13 +249,6 @@ def run(config: RunConfig) -> int:
     if config.root is not None and not 0 <= config.root < p:
         return _fail(f"--root must lie in [0, {p}), got {config.root}")
 
-    if p in ds.primes():
-        click.echo(
-            f"warning: ignoring eigenvalues at q = {p}: "
-            "q = p carries no Frobenius data",
-            err=True,
-        )
-
     try:
         if config.root is None:
             roots = [r.lift() for r in embedding_roots(ds.defining_poly, p)]
@@ -269,13 +265,20 @@ def run(config: RunConfig) -> int:
 
     report = render_json(certs) if config.fmt == "json" else render_text(certs)
     if config.out is not None:
-        Path(config.out).write_text(report)
+        try:
+            Path(config.out).write_text(report, encoding="utf-8")
+        except OSError as exc:
+            return _fail(f"{config.out}: {exc.strerror or exc}")
     else:
         click.echo(report, nl=False)
 
-    if all(c.certified for c in certs):
-        return 0
-    return 2
+    if p in ds.primes():  # only once nothing can fail: exit 1 prints one line
+        click.echo(
+            f"warning: ignoring eigenvalues at q = {p}: "
+            "q = p carries no Frobenius data",
+            err=True,
+        )
+    return 0 if all(c.certified for c in certs) else 2
 
 
 # ---------------------------------------------------------------------------

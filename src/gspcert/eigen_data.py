@@ -9,6 +9,9 @@ characteristic polynomial of Frobenius at q is
     x^4 - a_q x^3 + (a_q^2 - a_{q^2} - q^(2k-4)) x^2 - a_q q^(2k-3) x + q^(4k-6)
 
 with every prime power q^e computed mod p after reducing e mod p-1.
+Residues are ints in [0, p) and polynomials the low-first int tuples of
+polynomial's F_p kernel, from specialize to the records; only
+embedding_roots hands out field elements.
 """
 from __future__ import annotations
 
@@ -19,7 +22,8 @@ from math import isqrt
 from typing import Sequence
 
 from .finite_field import FFElement, is_prime, make_field
-from .polynomial import Factorization, Polynomial, factor
+from .polynomial import Factorization, FpPoly
+from .polynomial import fp_factorization as factor
 from .polynomial import fp_projective_order as projective_order
 
 KNOWN_ASSUMPTIONS = ("not_maass_spezialform", "conductor_one")
@@ -96,13 +100,14 @@ class EigenformDataset:
 
 @dataclass(frozen=True)
 class ResidualDataset:
-    """Eigenvalues pushed into F_p through one embedding alpha -> root."""
+    """Eigenvalues pushed into F_p through one embedding alpha -> root,
+    as ints in [0, p)."""
 
     p: int
-    root: FFElement
+    root: int
     weight: int
     level: int
-    eigenvalues: dict[int, FFElement]
+    eigenvalues: dict[int, int]
     assumptions: frozenset[str]
 
     def primes(self) -> list[int]:
@@ -111,14 +116,15 @@ class ResidualDataset:
 
 @dataclass(frozen=True)
 class FrobeniusRecord:
-    """Everything the certifier consumes about one Frobenius class."""
+    """Everything the certifier consumes about one Frobenius class; the
+    charpoly is a low-first int tuple and the similitude an int mod p."""
 
     q: int
-    charpoly: Polynomial
+    charpoly: FpPoly
     factorization: Factorization
     squarefree: bool
     projective_order: int | None
-    similitude: FFElement
+    similitude: int
 
 
 def residual_roots(defining_poly: Sequence[int], p: int) -> Factorization:
@@ -133,14 +139,13 @@ def _residual_roots(defining_poly: tuple[int, ...], p: int) -> Factorization:
         raise ValueError(f"{p} is not prime")
     if defining_poly[-1] % p == 0:
         raise ValueError(f"leading coefficient of E vanishes mod {p}")
-    F = make_field(p, 1)
-    return factor(Polynomial.from_ints(F, defining_poly))
+    return factor(tuple(c % p for c in defining_poly), p)
 
 
 def embedding_roots(defining_poly: Sequence[int], p: int) -> list[FFElement]:
     """Simple roots of E mod p, in the deterministic factor order."""
-    fac = residual_roots(defining_poly, p)
-    return [r for r, mult in fac.linear_roots() if mult == 1]
+    F, fac = make_field(p, 1), residual_roots(defining_poly, p)
+    return [F.element(r) for r, mult in fac.linear_roots() if mult == 1]
 
 
 def specialize(ds: EigenformDataset, p: int, root: int | FFElement) -> ResidualDataset:
@@ -149,27 +154,24 @@ def specialize(ds: EigenformDataset, p: int, root: int | FFElement) -> ResidualD
     Refuses roots that are absent mod p or non-simple (a repeated root
     changes the residue map; extending scalars is out of scope).
     """
-    F = make_field(p, 1)
-    if isinstance(root, int):
-        if not 0 <= root < p:
-            raise ValueError(f"root must lie in [0, {p}), got {root}")
-        root = F.element(root)
-    if root.field != F:
-        raise ValueError(f"root must live in F_{p}")
-    fac = residual_roots(ds.defining_poly, p)
-    simple = {r.coeffs[0] for r, mult in fac.linear_roots() if mult == 1}
-    repeated = {r.coeffs[0] for r, mult in fac.linear_roots() if mult > 1}
-    if root.coeffs[0] in repeated:
+    if isinstance(root, FFElement):
+        if root.field != make_field(p, 1):
+            raise ValueError(f"root must live in F_{p}")
+        root = root.lift()
+    if not 0 <= root < p:
+        raise ValueError(f"root must lie in [0, {p}), got {root}")
+    mult = dict(residual_roots(ds.defining_poly, p).linear_roots()).get(root, 0)
+    if mult == 0:
+        raise ValueError(f"alpha = {root} is not a root of E mod {p}")
+    if mult > 1:
         raise ValueError(
             f"alpha = {root} is a repeated root of E mod {p}; refusing the ramified embedding"
         )
-    if root.coeffs[0] not in simple:
-        raise ValueError(f"alpha = {root} is not a root of E mod {p}")
-    values: dict[int, FFElement] = {}
+    values: dict[int, int] = {}
     for index, expr in ds.eigenvalues.items():
-        acc = F.zero()
+        acc = 0
         for c in reversed(expr):
-            acc = acc * root + F.element(c)
+            acc = (acc * root + c) % p
         values[index] = acc
     return ResidualDataset(
         p=p,
@@ -188,21 +190,16 @@ def _power_mod(q: int, e: int, p: int) -> int:
     return pow(q % p, r, p)
 
 
-def hecke_quartic(a1: FFElement, a2: FFElement, q: int, k: int) -> Polynomial:
-    """The degree-4 spin polynomial built from a_q, a_{q^2}, q, and the
-    weight k:
+def hecke_quartic(a1: int, a2: int, q: int, k: int, p: int) -> FpPoly:
+    """The degree-4 spin polynomial over F_p built from a_q, a_{q^2}, q,
+    and the weight k, as a monic low-first int tuple:
 
         x^4 - a_q x^3 + (a_q^2 - a_{q^2} - q^(2k-4)) x^2
             - a_q q^(2k-3) x + q^(4k-6)
     """
-    F = a1.field
-    p = F.p
-    nu = F.element(_power_mod(q, 2 * k - 3, p))
-    c3 = -a1
-    c2 = a1 * a1 - a2 - F.element(_power_mod(q, 2 * k - 4, p))
-    c1 = -a1 * nu
-    c0 = nu * nu
-    return Polynomial(F, (c0, c1, c2, c3, F.one()))
+    nu = _power_mod(q, 2 * k - 3, p)
+    c2 = (a1 * a1 - a2 - _power_mod(q, 2 * k - 4, p)) % p
+    return (nu * nu % p, -a1 * nu % p, c2, -a1 % p, 1)
 
 
 def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
@@ -219,28 +216,15 @@ def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
     if q not in rd.eigenvalues or q * q not in rd.eigenvalues:
         raise ValueError(f"missing eigenvalues a_{q} / a_{q*q}")
     p, k = rd.p, rd.weight
-    F = rd.root.field
-    nu = F.element(_power_mod(q, 2 * k - 3, p))
-    f = hecke_quartic(rd.eigenvalues[q], rd.eigenvalues[q * q], q, k)
-    fac = factor(f)
+    f = hecke_quartic(rd.eigenvalues[q], rd.eigenvalues[q * q], q, k, p)
+    fac = factor(f, p)
     sqfree = fac.is_squarefree()
-    order = projective_order(tuple(c.coeffs[0] for c in f.coeffs), p) if sqfree else None
     return FrobeniusRecord(
         q=q,
         charpoly=f,
         factorization=fac,
         squarefree=sqfree,
-        projective_order=order,
-        similitude=nu,
+        projective_order=projective_order(f, p) if sqfree else None,
+        similitude=_power_mod(q, 2 * k - 3, p),
     )
 
-
-def validate_similitude_shape(f: Polynomial, q: int, k: int, p: int) -> bool:
-    """Check the two symmetry identities a similitude-shaped quartic obeys:
-    c1 = c3 * nu and c0 = nu^2 for nu = q^(2k-3)."""
-    if f.degree != 4 or not f.is_monic():
-        raise ValueError("expected a monic quartic")
-    F = f.field
-    nu = F.element(_power_mod(q, 2 * k - 3, p))
-    c0, c1, _, c3 = f.coeffs[0], f.coeffs[1], f.coeffs[2], f.coeffs[3]
-    return c1 == c3 * nu and c0 == nu * nu

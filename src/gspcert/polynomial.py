@@ -1,16 +1,17 @@
-"""Univariate polynomials over the finite fields of finite_field.
+"""Univariate polynomials over F_p as int tuples, and the Polynomial type.
 
-Polynomial holds FFElement coefficients, low degree first; its ring
-operations work over every field.  factor, gcd, poly_powmod, is_squarefree
-and is_irreducible work over F_p only (ValueError otherwise): each converts
-to the fp_* kernel's low-first tuples of ints in [0, p) once and back once.
-Factorization is deterministic: distinct-degree splitting via
-gcd(f, x^(p^k) - x), then equal-degree splitting by the trace values of x,
-x^2, ..., tried against every c in F_p so the cost does not depend on where
-the factors lie.  Roots in F_p are read off the linear factors
-(Factorization.linear_roots); there is no separate root finder.
-fp_projective_order gives the order of a quartic's companion matrix in
-PGL(4, p) from the powers of x mod the quartic, without the matrix.
+The fp_* kernel works on low-first tuples of ints in [0, p) with no trailing
+zero, and the certificate runs on it alone.  fp_factor makes one
+distinct-degree pass, carrying x^(p^k) on to the shrinking cofactor; it
+reads the linear factors off the values at every c in F_p and splits
+equal-degree factors by the trace values of x, x^2, ... against every c, so
+the cost does not depend on where the factors lie.  Factorization holds its
+factors as tuples; fp_str prints a tuple as str(Polynomial) does.
+fp_projective_order is the order of a quartic's companion matrix in
+PGL(4, p), read off the powers of x mod the quartic.  Polynomial, with
+FFElement coefficients over any field, serves the tests' reference routes;
+factor, gcd, poly_powmod, is_squarefree and is_irreducible accept it over
+F_p only (ValueError otherwise) and run on the kernel.
 """
 from __future__ import annotations
 
@@ -168,30 +169,15 @@ class Polynomial:
         return f"Polynomial({self.field!r}, {self})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        one = self.field.one()
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            if i == 0:
-                parts.append(_coeff_str(c, standalone=True))
-            else:
-                xpow = "x" if i == 1 else f"x^{i}"
-                head = "" if c == one else _coeff_str(c, standalone=False)
-                parts.append(f"{head}{xpow}")
-        return " + ".join(parts)
-
-
-def _coeff_str(c: FFElement, standalone: bool) -> str:
-    s = str(c)
-    if c.field.d > 1 and ("+" in s or not standalone and " " in s):
-        return f"({s})"
-    if c.field.d > 1 and not standalone and s not in ("0",) and len(s) > 2:
-        return f"({s})"
-    return s
+        """fp_str over F_p; over F_{p^d}, d > 1, every coefficient is bracketed."""
+        if self.field.d == 1:
+            return fp_str(tuple(c.coeffs[0] for c in self.coeffs))
+        terms = [
+            f"({c})" + ("" if i == 0 else "x" if i == 1 else f"x^{i}")
+            for i, c in reversed(list(enumerate(self.coeffs)))
+            if not c.is_zero()
+        ]
+        return " + ".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +189,16 @@ def fp_trim(a: Sequence[int]) -> FpPoly:
     while n and not a[n - 1]:
         n -= 1
     return tuple(a[:n])
+
+
+def fp_str(a: FpPoly) -> str:
+    """a as text, high degree first; equals str(Polynomial) over F_p."""
+    terms = [
+        str(c) if i == 0 else ("" if c == 1 else str(c)) + ("x" if i == 1 else f"x^{i}")
+        for i, c in reversed(list(enumerate(a)))
+        if c
+    ]
+    return " + ".join(terms) or "0"
 
 
 def fp_add(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
@@ -241,7 +237,19 @@ def fp_divmod(a: FpPoly, b: FpPoly, p: int) -> tuple[FpPoly, FpPoly]:
 
 
 def fp_mod(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
-    return fp_divmod(a, b, p)[1]
+    """a mod b, without building the quotient."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = rem[top] * inv % p
+        if c:
+            shift = top - db
+            for j in range(db):
+                rem[shift + j] = (rem[shift + j] - c * b[j]) % p
+    return fp_trim(rem[:db])
 
 
 def fp_powmod(a: FpPoly, e: int, m: FpPoly, p: int) -> FpPoly:
@@ -309,31 +317,45 @@ def fp_projective_order(f: FpPoly, p: int) -> int:
 def fp_factor(f: FpPoly, p: int) -> list[tuple[FpPoly, int]]:
     """Monic irreducible factors of monic f with multiplicity, sorted by
     degree and then by coefficients, high degree first."""
+    # One distinct-degree pass.  Entering step k, f has no factor of degree
+    # < k and r = x^(p^(k-1)) modulo f or a multiple of f, so gcd(f,
+    # x^(p^k) - x) is the product of the distinct degree-k factors; r stays
+    # valid for the cofactor left after dividing them out (fp_powmod reduces
+    # it modulo the cofactor).  Once 2k > deg f, f is 1 or irreducible.
     pairs = []
-    while len(f) > 1:
-        for h in _lowest_degree_factors(f, p):
-            mult = 0
-            while True:
-                q, rem = fp_divmod(f, h, p)
-                if rem:
-                    break
-                f = q
-                mult += 1
-            pairs.append((h, mult))
+    r, k = (0, 1), 1
+    while 2 * k <= len(f) - 1:
+        r = fp_powmod(r, p, f, p)
+        s = fp_gcd(fp_add(r, (0, p - 1), p), f, p)
+        if len(s) > 1:
+            for g in _linear_factors(s, p) if k == 1 else fp_split_equal_degree(s, k, p):
+                mult = 0
+                while True:
+                    q, rem = fp_divmod(f, g, p)
+                    if rem:
+                        break
+                    f, mult = q, mult + 1
+                pairs.append((g, mult))
+        k += 1
+    if len(f) > 1:
+        pairs.append((f, 1))
     pairs.sort(key=lambda pair: (len(pair[0]), pair[0][::-1]))
     return pairs
 
 
-def _lowest_degree_factors(g: FpPoly, p: int) -> list[FpPoly]:
-    # distinct-degree sieve: gcd(g, x^(p^k) - x) collects the distinct factors
-    # of degree dividing k, so scanning k upward makes every hit degree k
-    r = (0, 1)  # deg g >= 2 whenever the loop runs
-    for k in range(1, (len(g) - 1) // 2 + 1):
-        r = fp_powmod(r, p, g, p)
-        s = fp_gcd(fp_add(r, (0, p - 1), p), g, p)
-        if len(s) > 1:
-            return fp_split_equal_degree(s, k, p)
-    return [g]  # no factor of degree <= deg/2 means g is irreducible
+def _linear_factors(s: FpPoly, p: int) -> list[FpPoly]:
+    # s is a product of distinct monic linear factors: x - c for each root c,
+    # found by evaluating s at c = 0, 1, ... until deg s roots are in
+    out = []
+    for c in range(p):
+        v = 0
+        for a in reversed(s):
+            v = (v * c + a) % p
+        if not v:
+            out.append((-c % p, 1))
+            if len(out) == len(s) - 1:
+                return out
+    raise RuntimeError(f"{s} is not a product of distinct linear factors")
 
 
 def fp_split_equal_degree(s: FpPoly, k: int, p: int) -> list[FpPoly]:
@@ -343,7 +365,9 @@ def fp_split_equal_degree(s: FpPoly, k: int, p: int) -> list[FpPoly]:
     # Tr(u(root of g_i)) mod each g_i, so gcd(h, t - c) over every c in F_p
     # partitions a part h.  Some u = x^j, 0 < j < deg s, separates any two
     # g_i: else every u of degree < deg s would have equal traces, yet by CRT
-    # one such u is 0 mod one g_i and of nonzero trace mod the other.
+    # one such u is 0 mod one g_i and of nonzero trace mod the other.  The
+    # gcds for distinct c are coprime, so the scan over c stops once they
+    # cover h.
     parts = [s]
     for j in range(1, len(s) - 1):
         if all(len(h) == k + 1 for h in parts):
@@ -357,8 +381,14 @@ def fp_split_equal_degree(s: FpPoly, k: int, p: int) -> list[FpPoly]:
             if len(h) == k + 1:
                 split.append(h)
                 continue
-            gs = [g for g in (fp_gcd(h, fp_add(t, (-c % p,), p), p) for c in range(p)) if len(g) > 1]
-            if sum(len(g) - 1 for g in gs) != len(h) - 1:
+            gs = []
+            for c in range(p):
+                g = fp_gcd(h, fp_add(t, (-c % p,), p), p)
+                if len(g) > 1:
+                    gs.append(g)
+                    if sum(len(g) - 1 for g in gs) == len(h) - 1:
+                        break
+            else:
                 raise RuntimeError(f"{h} is not squarefree: the trace split lost a factor")
             split += gs
         parts = split
@@ -410,51 +440,38 @@ def is_irreducible(f: Polynomial) -> bool:
 
 @dataclass(frozen=True)
 class Factorization:
-    """unit * product(factor^multiplicity); factors monic irreducible,
-    sorted by degree then by coefficient sequence, high degree first."""
+    """unit * product(factor^multiplicity) over F_p; the factors are monic
+    irreducible int tuples, sorted by degree then by coefficient sequence,
+    high degree first."""
 
-    unit: FFElement
-    factors: tuple[tuple[Polynomial, int], ...]
+    p: int
+    unit: int
+    factors: tuple[tuple[FpPoly, int], ...]
 
-    def expand(self) -> Polynomial:
-        field = self.unit.field
-        out = Polynomial.constant(field, self.unit)
-        for fac, mult in self.factors:
-            for _ in range(mult):
-                out = out * fac
-        return out
-
-    def linear_roots(self) -> list[tuple[FFElement, int]]:
+    def linear_roots(self) -> list[tuple[int, int]]:
         """(root, multiplicity) for each linear factor, in factor order."""
-        out = []
-        for fac, mult in self.factors:
-            if fac.degree == 1:
-                out.append((-fac.coeffs[0], mult))
-        return out
+        return [(-fac[0] % self.p, mult) for fac, mult in self.factors if len(fac) == 2]
 
     def is_squarefree(self) -> bool:
         return all(m == 1 for _, m in self.factors)
 
     def __str__(self) -> str:
-        field = self.unit.field
         parts = []
-        if self.unit != field.one() or not self.factors:
+        if self.unit != 1 or not self.factors:
             parts.append(str(self.unit))
         for fac, mult in self.factors:
-            head = f"({fac})"
+            head = f"({fp_str(fac)})"
             parts.append(head if mult == 1 else f"{head}^{mult}")
         return "".join(parts)
 
 
-def factor(f: Polynomial) -> Factorization:
-    """Complete factorization over F_p into monic irreducibles with
-    multiplicity."""
-    a = _fp(f)
-    if not a:
+def fp_factorization(f: FpPoly, p: int) -> Factorization:
+    """Complete factorization of f != 0 over F_p, with multiplicities."""
+    if not f:
         raise ValueError("cannot factor the zero polynomial")
-    F = f.field
-    pairs = fp_factor(fp_monic(a, F.p), F.p)
-    return Factorization(
-        unit=f.coeffs[-1],
-        factors=tuple((Polynomial.from_ints(F, h), mult) for h, mult in pairs),
-    )
+    return Factorization(p, f[-1], tuple(fp_factor(fp_monic(f, p), p)))
+
+
+def factor(f: Polynomial) -> Factorization:
+    """fp_factorization of a Polynomial over F_p."""
+    return fp_factorization(_fp(f), f.field.p)

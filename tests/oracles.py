@@ -92,6 +92,31 @@ def naive_factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
+def expand(fac) -> list[int]:
+    """unit * product(factor^multiplicity) of a Factorization."""
+    out = [fac.unit]
+    for g, mult in fac.factors:
+        for _ in range(mult):
+            out = pmul(out, list(g), fac.p)
+    return out
+
+
+def poly_str(coeffs: list[int]) -> str:
+    """A prime-field polynomial as text, high degree first, term by term:
+    the unit coefficient is left off every power of x."""
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            xpow = "x" if i == 1 else f"x^{i}"
+            parts.append(xpow if c == 1 else f"{c}{xpow}")
+    return " + ".join(parts) if parts else "0"
+
+
 def naive_irreducible(f: list[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg//2."""
     d = len(f) - 1
@@ -107,6 +132,16 @@ def smallest_irreducible(p: int, d: int) -> list[int]:
         if naive_irreducible(f, p):
             return f
     raise AssertionError(f"no irreducible of degree {d} over F_{p}")
+
+
+def validate_similitude_shape(f: tuple[int, ...], q: int, k: int, p: int) -> bool:
+    """Check the two symmetry identities a similitude-shaped monic quartic
+    over F_p obeys: c1 = c3 * nu and c0 = nu^2 for nu = q^(2k-3)."""
+    if len(f) != 5 or f[4] != 1:
+        raise ValueError("expected a monic quartic")
+    nu = pow(q, 2 * k - 3, p)
+    c0, c1, _, c3 = f[:4]
+    return c1 == c3 * nu % p and c0 == nu * nu % p
 
 
 def naive_mult_order(x, one, bound: int = 10000) -> int:

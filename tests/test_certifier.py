@@ -53,11 +53,11 @@ def synthetic_record(q: int, f: Polynomial, order=None, squarefree=None) -> Frob
     fac = factor(f)
     return FrobeniusRecord(
         q=q,
-        charpoly=f,
+        charpoly=tuple(c.lift() for c in f.coeffs),
         factorization=fac,
         squarefree=fac.is_squarefree() if squarefree is None else squarefree,
         projective_order=order,
-        similitude=f.field.one(),
+        similitude=1,
     )
 
 
@@ -83,7 +83,7 @@ class TestLinearConstituent:
         split = paper_dataset({2: (0,), 4: (1,), 3: (6,), 9: (1,), 5: (4,), 25: (1,)})
         records = build_records(specialize(split, 7, 1))
         for rec in records:
-            assert all(g.degree == 1 for g, _ in rec.factorization.factors)
+            assert all(len(g) == 2 for g, _ in rec.factorization.factors)
         assert not check_linear_constituent(records).passed
 
 

@@ -140,6 +140,18 @@ class TestIngest:
             ingest(str(path))
         assert str(path) in str(err.value)
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.dataset"
+        path.write_bytes("\ufeff".encode() + Path(PAPER).read_bytes())
+        assert ingest(str(path)) == ingest(PAPER)
+
+    def test_non_utf8_file_raises_dataset_error_with_path(self, tmp_path):
+        path = tmp_path / "latin1.dataset"
+        path.write_bytes(b"weight 28\n\xff\xfe level 1\n")
+        with pytest.raises(DatasetError, match="not UTF-8") as err:
+            ingest(str(path))
+        assert str(path) in str(err.value)
+
 
 class TestCertifyCommand:
     def test_single_root_large_image(self):
@@ -316,6 +328,35 @@ class TestErrorExits:
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
+
+    def test_non_utf8_dataset_exits_one_with_one_line(self, tmp_path):
+        path = tmp_path / "latin1.dataset"
+        path.write_bytes(b"weight 28\n\xff\xfe level 1\n")
+        res = runner().invoke(main, ["certify", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr == f"error: {path}: not UTF-8 text (byte 10)\n"
+
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/report.txt", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_one_with_one_line(self, tmp_path, target, reason):
+        out = tmp_path / target
+        res = runner().invoke(main, ["certify", PAPER, "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr == f"error: {out}: {reason}\n"
+        assert res.stdout == ""
+
+    def test_q_equal_p_warning_not_added_to_an_error(self, tmp_path):
+        path = tmp_path / "rootless_with_p.dataset"
+        path.write_text(
+            "weight 28\nlevel 1\ndefining_poly 1 0 1\n"
+            "eigenvalue 2 4\neigenvalue 4 5\neigenvalue 7 1\neigenvalue 49 1\n"
+        )
+        res = runner().invoke(main, ["certify", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr.count("\n") == 1
+        assert "no prime-field embedding" in res.stderr
 
     def test_only_q_equal_p_data_exits_one(self, tmp_path):
         path = tmp_path / "pdata.dataset"

@@ -1,0 +1,118 @@
+"""Fuzzing the certify command over dataset text and option values.
+
+Every case must end within the deadline with exit code 0, 1 or 2, let no
+exception escape, and on exit 1 print exactly one line on stderr.  The
+search is derandomized with a fixed number of examples, so every run tries
+the same cases.
+"""
+from __future__ import annotations
+
+import tempfile
+from datetime import timedelta
+from pathlib import Path
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gspcert.cli import main
+
+FLAGS = ["not_maass_spezialform", "conductor_one"]
+DIRECTIVES = ["weight", "level", "defining_poly", "assumptions", "eigenvalue", "spin", "#"]
+BIG = [10**29 + 319, 2**61 - 1, 10**400, -(10**30), 9**2000]
+
+integers = st.one_of(st.integers(-3, 60), st.sampled_from(BIG))
+tokens = st.one_of(integers.map(str), st.sampled_from(["x", "1.5", "0x10", "all", "é", *FLAGS]))
+junk_lines = st.one_of(
+    st.builds(lambda key, rest: " ".join([key, *rest]), st.sampled_from(DIRECTIVES),
+              st.lists(tokens, max_size=4)),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+def words(key: str, values) -> str:
+    return " ".join([key, *map(str, values)])
+
+
+def dataset_lines(weight, level, e, table, flags, junk, reverse) -> list[str]:
+    lines = [
+        words("weight", [weight]),
+        words("level", [level]),
+        words("defining_poly", e),
+        words("assumptions", flags),
+        *(words("eigenvalue", [i, *cs]) for i, cs in table.items()),
+        *junk,
+    ]
+    return lines[::-1] if reverse else lines
+
+
+# a well-formed dataset most of the time: the paper's cubic, one with a
+# repeated root, a rootless one or a small random E; the paper's table or
+# Hecke entries at q and q^2 for some q in {2, 3, 5, 7, 11}; then perhaps a
+# junk line
+structured = st.builds(
+    dataset_lines,
+    st.one_of(st.integers(2, 60), integers),
+    st.sampled_from([1, 1, 1, 2]),
+    st.one_of(
+        st.sampled_from([(-59412960, -294086, -1, 1), (-2, 5, -4, 1), (1, 0, 1), (0, 1)]),
+        st.lists(integers, min_size=1, max_size=3).map(lambda cs: (*cs, 1)),
+    ),
+    st.one_of(
+        st.just({2: (4,), 4: (5,), 3: (3,), 9: (2,), 5: (1,), 25: (2,)}),
+        st.lists(st.sampled_from([2, 3, 5, 7, 11]), min_size=1, max_size=4, unique=True).flatmap(
+            lambda qs: st.fixed_dictionaries(
+                {i: st.one_of(st.tuples(integers), st.lists(integers, min_size=1, max_size=3))
+                 for q in qs for i in (q, q * q)}
+            )
+        ),
+    ),
+    st.lists(st.sampled_from(FLAGS + ["totally_real"]), max_size=2, unique=True),
+    st.lists(junk_lines, max_size=1),
+    st.booleans(),
+)
+
+
+def encode(lines: list[str], bad: bytes, at: int) -> bytes:
+    """The dataset file: the lines as UTF-8 with `bad` spliced in at `at`."""
+    raw = "\n".join(lines).encode()
+    return raw[:at] + bad + raw[at:]
+
+
+# b"" keeps the file valid UTF-8
+datasets = st.builds(
+    encode,
+    st.one_of(structured, structured, structured, st.lists(junk_lines, max_size=8)),
+    st.sampled_from([b""] * 12 + [b"\xff\xfe", b"\xc3", b"\x80", b"\xed\xa0\x80"]),
+    st.integers(0, 300),
+)
+primes = st.sampled_from(
+    ["7"] * 16 + ["11", "19", "13", "5", "3", "2", "1", "0", "-7", "6", "x", ""]
+    + ["2305843009213693951"]
+)
+roots = st.sampled_from(["all"] * 6 + ["0", "1", "3", "4", "6", "7", "-1", "x", "", str(10**400)])
+formats = st.sampled_from(["text"] * 4 + ["json"] * 4 + ["xml", ""])
+# where --out points, inside the case's own directory
+outs = st.sampled_from([None] * 6 + ["report.out", "missing/report.out", "."])
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=datasets, prime=primes, root=roots, fmt=formats, out=outs)
+def test_every_input_ends_with_an_exit_code_and_at_most_one_error_line(data, prime, root, fmt, out):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.dataset"
+        path.write_bytes(data)
+        args = ["certify", str(path), "--prime", prime, "--root", root, "--format", fmt]
+        if out is not None:
+            args += ["--out", str(Path(tmp) / out)]
+        res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 1, 2), (res.exit_code, res.stderr)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    if res.exit_code == 1:
+        assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n"), res.stderr

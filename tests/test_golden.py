@@ -8,6 +8,9 @@ tests/golden/<dataset>.p7.{txt,json} hold the output of
 Any change to a certificate, its wording or its rendering shows up here.
 The same bytes must come back with the 4x4 matrix route disabled: the
 certificate's projective orders are taken in F_p[x], not from matrices.
+They must also come back from certify and the renderers with FFElement and
+Polynomial construction disabled: the certificate runs on ints and int
+tuples from specialize to the report.
 """
 from __future__ import annotations
 
@@ -17,8 +20,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from gspcert import symplectic
-from gspcert.cli import main
+from gspcert import eigen_data, symplectic
+from gspcert.certifier import certify
+from gspcert.cli import ingest, main, render_json, render_text
+from gspcert.eigen_data import embedding_roots
+from gspcert.finite_field import FFElement
+from gspcert.polynomial import Polynomial
 
 DATASETS = resources.files("gspcert") / "datasets"
 GOLDEN = Path(__file__).parent / "golden"
@@ -55,3 +62,19 @@ def test_no_matrix_product_on_the_certify_path(dataset, fmt, suffix, monkeypatch
     monkeypatch.setattr(symplectic, "_mul_rows", no_matrices)
     monkeypatch.setattr(symplectic, "companion", no_matrices)
     check_golden(dataset, fmt, suffix)
+
+
+@pytest.mark.parametrize("render, suffix", [(render_text, "txt"), (render_json, "json")])
+@pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
+def test_no_field_element_or_polynomial_on_the_certify_path(dataset, render, suffix, monkeypatch):
+    ds = ingest(DATASETS / f"{dataset}.dataset")
+    roots = [r.lift() for r in embedding_roots(ds.defining_poly, 7)]
+    eigen_data._residual_roots.cache_clear()  # so certify factors E again, patched
+
+    def no_objects(*args):
+        raise AssertionError("an FFElement or a Polynomial was built while certifying")
+
+    monkeypatch.setattr(FFElement, "__init__", no_objects)
+    monkeypatch.setattr(Polynomial, "__init__", no_objects)
+    report = render([certify(ds, 7, root) for root in roots])
+    assert report.encode() == (GOLDEN / f"{dataset}.p7.{suffix}").read_bytes()

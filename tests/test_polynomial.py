@@ -13,6 +13,8 @@ from gspcert.polynomial import (
     fp_mul,
     fp_projective_order,
     fp_split_equal_degree,
+    fp_str,
+    fp_trim,
     gcd,
     is_irreducible,
     is_squarefree,
@@ -20,6 +22,7 @@ from gspcert.polynomial import (
 )
 from oracles import (
     conjugate_poly,
+    expand,
     ext_factor,
     ext_is_irreducible,
     frobenius,
@@ -29,6 +32,8 @@ from oracles import (
     naive_irreducible,
     pmod,
     pmul,
+    poly_str,
+    ptrim,
     roots_in,
 )
 from gspcert.symplectic import companion, projective_order
@@ -122,6 +127,17 @@ class TestArithmetic:
         assert str(Polynomial(F7, ())) == "0"
         assert str(Polynomial.constant(F7, 3)) == "3"
         assert str(Polynomial.x(F7)) == "x"
+
+    def test_fp_str_matches_term_by_term_reference(self):
+        # every polynomial of degree <= 4 over F_2, F_3 and F_7, zero included;
+        # str(Polynomial) over F_p is fp_str
+        for p in (2, 3, 7):
+            F = make_field(p, 1)
+            for cs in itertools.chain.from_iterable(
+                itertools.product(range(p), repeat=n) for n in range(6)
+            ):
+                assert fp_str(fp_trim(cs)) == poly_str(ptrim(cs)), cs
+                assert str(Polynomial.from_ints(F, cs)) == poly_str(ptrim(cs)), cs
 
 
 class TestSquarefree:
@@ -261,18 +277,18 @@ class TestFactor:
     def test_repeated_factor_multiplicity(self):
         x = Polynomial.x(F7)
         fac = factor(x * x)
-        assert fac.factors == ((x, 2),)
+        assert fac.factors == (((0, 1), 2),)
         assert not fac.is_squarefree()
 
     def test_linear_roots_follow_factor_order(self):
         fac = factor(DEFINING)
-        assert [(r.lift(), m) for r, m in fac.linear_roots()] == [(4, 1), (3, 1), (1, 1)]
+        assert fac.linear_roots() == [(4, 1), (3, 1), (1, 1)]
 
     def test_unit_preserved(self):
         f = POL3 * 3
         fac = factor(f)
-        assert fac.unit == F7.element(3)
-        assert fac.expand() == f
+        assert fac.unit == 3
+        assert Polynomial.from_ints(F7, expand(fac)) == f
 
     def test_roundtrip_random(self):
         rng = random.Random(10)
@@ -281,12 +297,12 @@ class TestFactor:
             coeffs.append(rng.randrange(1, 7))
             f = Polynomial.from_ints(F7, coeffs)
             fac = factor(f)
-            assert fac.expand() == f
+            assert Polynomial.from_ints(F7, expand(fac)) == f
             for g, m in fac.factors:
-                assert g.is_monic()
-                assert is_irreducible(g)
+                assert g[-1] == 1
+                assert is_irreducible(Polynomial.from_ints(F7, g))
                 assert m >= 1
-            degrees = [g.degree for g, _ in fac.factors]
+            degrees = [len(g) - 1 for g, _ in fac.factors]
             assert degrees == sorted(degrees)
 
     def test_factor_zero_rejected(self):
@@ -297,7 +313,7 @@ class TestFactor:
     def test_every_monic_matches_trial_division(self, p, degree):
         F = make_field(p, 1)
         for f in monic_polys(p, degree):
-            got = [([c.lift() for c in g.coeffs], m) for g, m in factor(Polynomial.from_ints(F, f)).factors]
+            got = [(list(g), m) for g, m in factor(Polynomial.from_ints(F, f)).factors]
             assert got == naive_factor(f, p), f
 
     @pytest.mark.parametrize(
@@ -311,7 +327,8 @@ class TestFactor:
         # the reference route of tests/oracles.py splits them.
         F = make_field(p, d)
         irreducible, factors = (
-            (is_irreducible, lambda f: factor(f).factors) if d == 1 else (ext_is_irreducible, ext_factor)
+            (is_irreducible, lambda f: [(Polynomial.from_ints(F, g), m) for g, m in factor(f).factors])
+            if d == 1 else (ext_is_irreducible, ext_factor)
         )
         monics = (Polynomial(F, cs + (F.one(),)) for cs in itertools.product(list(F.elements()), repeat=k))
         irreducibles = [g for g in monics if irreducible(g)]
@@ -330,8 +347,38 @@ class TestFactor:
         rng = random.Random(p)
         for _ in range(500):
             f = [rng.randrange(p) for _ in range(4)] + [1]
-            got = [([c.lift() for c in g.coeffs], m) for g, m in factor(Polynomial.from_ints(F, f)).factors]
+            got = [(list(g), m) for g, m in factor(Polynomial.from_ints(F, f)).factors]
             assert got == naive_factor(f, p), f
+
+    @pytest.mark.parametrize("p", [19, 31])
+    def test_seeded_repeated_factors_match_trial_division(self, p):
+        # products of powers of distinct irreducibles of degree 1-3, up to
+        # degree 8, at least one repeated: the distinct-degree pass then
+        # divides factors out with multiplicity and carries x^(p^k) on to
+        # the cofactor
+        F = make_field(p, 1)
+        rng = random.Random(700 + p)
+        checked = 0
+        while checked < 40:
+            powers: dict[tuple[int, ...], int] = {}
+            degree = 0
+            for _ in range(6):
+                d, m = rng.randint(1, 3), rng.randint(1, 3)
+                g = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+                if degree + d * m <= 8 and g not in powers and naive_irreducible(list(g), p):
+                    powers[g] = m
+                    degree += d * m
+            if all(m == 1 for m in powers.values()):
+                continue
+            checked += 1
+            f = [1]
+            for g, m in powers.items():
+                for _ in range(m):
+                    f = pmul(f, list(g), p)
+            expected = naive_factor(f, p)
+            assert {tuple(g): m for g, m in expected} == powers
+            got = [(list(g), m) for g, m in factor(Polynomial.from_ints(F, f)).factors]
+            assert got == expected, f
 
     def test_seeded_powmod_and_gcd_match_oracle_arithmetic_p19(self):
         # powmod against repeated oracle pmul/pmod; gcd against the product

@@ -233,7 +233,7 @@ def eligible_random_quartic(rng: random.Random) -> Polynomial:
         fac = factor(f)
         if not fac.is_squarefree():
             continue
-        if any(g.degree == 3 for g, _ in fac.factors):
+        if any(len(g) == 4 for g, _ in fac.factors):
             continue
         return f
 
