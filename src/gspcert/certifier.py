@@ -67,7 +67,8 @@ class ExceptionalTable:
 def supported_table(p: int, table: ExceptionalTable | None = None) -> ExceptionalTable:
     """The exceptional table to certify with at p (the built-in one when
     table is None), after checking that the argument applies at p: p prime,
-    p >= 5 and p = 3 mod 4.  Raises ValueError otherwise."""
+    p >= 5 and p = 3 mod 4, and that a given table is for p and lists
+    (name, order) pairs of a str and an int.  Raises ValueError otherwise."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p < 5:
@@ -78,6 +79,12 @@ def supported_table(p: int, table: ExceptionalTable | None = None) -> Exceptiona
         return builtin_exceptional_table(p)
     if table.p != p:
         raise ValueError(f"exceptional table is for p = {table.p}, not p = {p}")
+    for entry in table.entries:
+        if not (
+            isinstance(entry, tuple) and len(entry) == 2
+            and isinstance(entry[0], str) and type(entry[1]) is int  # not a bool
+        ):
+            raise ValueError(f"exceptional table entry {entry!r} is not a (str, int) pair")
     return table
 
 

@@ -8,19 +8,22 @@ line per entry, the coefficients being the integer polynomial in alpha
 ignored.
 
 Exit codes: 0 when every requested certification returns LARGE_IMAGE,
-2 when any returns INCONCLUSIVE, 1 for usage or data errors.
+2 when any returns INCONCLUSIVE, 1 for usage or data errors, which print
+one `error:` line on stderr.
 """
 from __future__ import annotations
 
-import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import click
 
-from .certifier import Certificate, certify, supported_table
-from .eigen_data import EigenformDataset, embedding_roots
+from .certifier import Certificate, CheckResult, certify, supported_table
+from .eigen_data import EigenformDataset, FrobeniusRecord, embedding_roots
 from .finite_field import is_prime
 from .polynomial import fp_str
 
@@ -133,49 +136,117 @@ class RunConfig:
 # report rendering
 
 
-def certificate_dict(cert: Certificate) -> dict:
-    """The structured (JSON-ready) form of one certificate."""
-    return {
-        "weight": cert.weight,
-        "level": cert.level,
-        "dataset_sha256": cert.dataset_digest,
-        "defining_poly": list(cert.defining_poly),
-        "p": cert.p,
-        "root": cert.root,
-        "residual_eigenvalues": [[i, a] for i, a in cert.residual_eigenvalues],
-        "frobenius_records": [
-            {
-                "q": rec.q,
-                "charpoly": list(rec.charpoly),
-                "charpoly_pretty": fp_str(rec.charpoly),
-                "factorization": str(rec.factorization),
-                "squarefree": rec.squarefree,
-                "projective_order": rec.projective_order,
-                "similitude": rec.similitude,
-            }
-            for rec in cert.records
-        ],
-        "checks": [
-            {
-                "name": c.name,
-                "status": c.status,
-                "witnesses": list(c.witnesses),
-                "justification": c.justification,
-                "data": c.data,
-            }
-            for c in cert.checks
-        ],
-        "assumptions": list(cert.assumptions),
-        "verdict": cert.verdict,
-    }
+def _layout(pad: str, *keys: str) -> str:
+    # a str.format template for an object with these keys, laid out like
+    # _block
+    return "{{\n" + ",\n".join(f'{pad}  "{key}": {{}}' for key in keys) + f"\n{pad}}}}}"
+
+
+# Indents: a certificate opens at 4 and its fields at 6; the items of its
+# lists, its records and checks among them, open at 8 and their fields at 10.
+_CERT, _CERT_FIELD, _ITEM, _FIELD = (" " * n for n in (4, 6, 8, 10))
+# the report's fixed objects, keys in sorted order as sort_keys writes them
+_REPORT = _layout("", "certificates", "format") + "\n"
+_CERTIFICATE = _layout(
+    _CERT, "assumptions", "checks", "dataset_sha256", "defining_poly", "frobenius_records",
+    "level", "p", "residual_eigenvalues", "root", "verdict", "weight",
+)
+_RECORD = _layout(
+    _ITEM, "charpoly", "charpoly_pretty", "factorization", "projective_order", "q",
+    "similitude", "squarefree",
+)
+_CHECK = _layout(_ITEM, "data", "justification", "name", "status", "witnesses")
+
+
+def _block(items: Sequence[str], pad: str, brackets: str = "[]") -> str:
+    # written items as json.dumps(indent=2) lays out a list (or, with
+    # brackets "{}", an object) starting on a line at pad: one item a line
+    # at pad + 2, the closing bracket at pad
+    if not items:
+        return brackets
+    sep = ",\n" + pad + "  "
+    return brackets[0] + sep[1:] + sep.join(items) + "\n" + pad + brackets[1]
+
+
+def _ints(values: Sequence[int], pad: str) -> str:
+    return _block(list(map(int.__repr__, values)), pad)
+
+
+def _value(value: object, pad: str) -> str:
+    """A CheckResult.data value as json.dumps(indent=2, sort_keys=True)
+    writes it on a line indented by pad.  Only the exact types str, int,
+    bool, None, list, tuple and dict with str keys are written; anything
+    else raises TypeError."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _quote(value)
+    inner = pad + "  "
+    if kind is dict:  # sorted keys, as sort_keys; _quote refuses a non-str key
+        return _block([_quote(k) + ": " + _value(value[k], inner) for k in sorted(value)], pad, "{}")
+    if kind is list or kind is tuple:
+        return _block([_value(v, inner) for v in value], pad)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"{kind.__name__} cannot appear in a certify report")
+
+
+def _record_json(rec: FrobeniusRecord) -> str:
+    order = rec.projective_order
+    return _RECORD.format(
+        _ints(rec.charpoly, _FIELD),
+        _quote(fp_str(rec.charpoly)),
+        _quote(str(rec.factorization)),
+        "null" if order is None else int.__repr__(order),
+        int.__repr__(rec.q),
+        int.__repr__(rec.similitude),
+        "true" if rec.squarefree else "false",
+    )
+
+
+def _check_json(check: CheckResult) -> str:
+    return _CHECK.format(
+        _value(check.data, _FIELD),
+        _quote(check.justification),
+        _quote(check.name),
+        _quote(check.status),
+        _ints(check.witnesses, _FIELD),
+    )
+
+
+def _certificate_json(cert: Certificate) -> str:
+    return _CERTIFICATE.format(
+        _block(list(map(_quote, cert.assumptions)), _CERT_FIELD),
+        _block(list(map(_check_json, cert.checks)), _CERT_FIELD),
+        _quote(cert.dataset_digest),
+        _ints(cert.defining_poly, _CERT_FIELD),
+        _block(list(map(_record_json, cert.records)), _CERT_FIELD),
+        int.__repr__(cert.level),
+        int.__repr__(cert.p),
+        _block([_ints(pair, _ITEM) for pair in cert.residual_eigenvalues], _CERT_FIELD),
+        int.__repr__(cert.root),
+        _quote(cert.verdict),
+        int.__repr__(cert.weight),
+    )
 
 
 def render_json(certs: list[Certificate]) -> str:
-    tree = {
-        "format": REPORT_FORMAT,
-        "certificates": [certificate_dict(c) for c in certs],
-    }
-    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    """The gspcert.certify-report/1 document for certs.
+
+    Written straight from the certificates' fields, its bytes are those of
+    json.dumps(tree, indent=2, sort_keys=True) + newline for the tree of
+    the same fields (tests/oracles.py holds that tree as the reference);
+    strings are escaped by encode_basestring_ascii, the C function behind
+    json.dumps' default ensure_ascii.  json.dumps itself is not used:
+    with indent set it runs the pure-Python encoder, which cost about as
+    much as certifying.
+    """
+    return _REPORT.format(
+        _block(list(map(_certificate_json, certs)), "  "), _quote(REPORT_FORMAT)
+    )
 
 
 def _render_certificate_text(cert: Certificate) -> list[str]:
@@ -228,7 +299,8 @@ def render_text(certs: list[Certificate]) -> str:
 
 
 def _fail(message: str) -> int:
-    click.echo(f"error: {message}", err=True)
+    # one line whatever the message holds: a path may contain line breaks
+    click.echo("error: " + "\\n".join(message.splitlines()), err=True)
     return 1
 
 
@@ -285,7 +357,36 @@ def run(config: RunConfig) -> int:
 # command line
 
 
-@click.group()
+class _OneLineError(click.ClickException):
+    exit_code = 1
+
+    def show(self, file=None) -> None:
+        _fail(self.format_message())
+
+
+@contextmanager
+def _one_line_errors() -> Iterator[None]:
+    try:
+        yield
+    except click.ClickException as exc:
+        raise _OneLineError(exc.format_message()) from exc
+
+
+class _Commands(click.Group):
+    """click's group, but every click error, usage errors included, ends in
+    one `error:` line and exit 1 like the errors of run: click's usage exit
+    code 2 is the INCONCLUSIVE code here."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _one_line_errors():  # the group's own options
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx: click.Context):
+        with _one_line_errors():  # the command name, its arguments and options
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Commands, no_args_is_help=False)
 def main() -> None:
     """Certify that a residual Galois image is all of PGSp(4, p)."""
 

@@ -28,6 +28,11 @@ from .polynomial import fp_projective_order as projective_order
 
 KNOWN_ASSUMPTIONS = ("not_maass_spezialform", "conductor_one")
 
+# Factoring E mod p costs about deg(E)^3: some 0.4 s at degree 128 over F_7.
+# Eigenvalue fields of genus-2 forms at desk scale are far smaller (the
+# paper's is cubic), so a larger E is refused rather than factored.
+MAX_DEFINING_DEGREE = 128
+
 
 def _eigenvalue_base(index: int) -> int:
     """The prime q with index in {q, q^2}; raises for anything else."""
@@ -62,6 +67,11 @@ class EigenformDataset:
             raise ValueError(f"only level 1 is supported, got {self.level}")
         if len(self.defining_poly) < 2 or self.defining_poly[-1] != 1:
             raise ValueError("defining polynomial must be monic of degree >= 1")
+        if len(self.defining_poly) - 1 > MAX_DEFINING_DEGREE:
+            raise ValueError(
+                f"defining polynomial has degree {len(self.defining_poly) - 1}, "
+                f"above the supported {MAX_DEFINING_DEGREE}"
+            )
         if not self.eigenvalues:
             raise ValueError("eigenvalue table is empty: no Frobenius data")
         deg = len(self.defining_poly) - 1

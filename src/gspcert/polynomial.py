@@ -193,11 +193,17 @@ def fp_trim(a: Sequence[int]) -> FpPoly:
 
 def fp_str(a: FpPoly) -> str:
     """a as text, high degree first; equals str(Polynomial) over F_p."""
-    terms = [
-        str(c) if i == 0 else ("" if c == 1 else str(c)) + ("x" if i == 1 else f"x^{i}")
-        for i, c in reversed(list(enumerate(a)))
-        if c
-    ]
+    terms = []
+    i = len(a)
+    for c in reversed(a):
+        i -= 1
+        if c:
+            if i > 1:
+                terms.append(f"x^{i}" if c == 1 else f"{c}x^{i}")
+            elif i:
+                terms.append("x" if c == 1 else f"{c}x")
+            else:
+                terms.append(str(c))
     return " + ".join(terms) or "0"
 
 
@@ -327,8 +333,12 @@ def fp_factor(f: FpPoly, p: int) -> list[tuple[FpPoly, int]]:
     while 2 * k <= len(f) - 1:
         r = fp_powmod(r, p, f, p)
         s = fp_gcd(fp_add(r, (0, p - 1), p), f, p)
-        if len(s) > 1:
-            for g in _linear_factors(s, p) if k == 1 else fp_split_equal_degree(s, k, p):
+        if len(s) > 1 and k == 1:
+            for c in _roots(s, p):
+                f, mult = _divide_out_root(f, c, p)
+                pairs.append(((-c % p, 1), mult))
+        elif len(s) > 1:
+            for g in fp_split_equal_degree(s, k, p):
                 mult = 0
                 while True:
                     q, rem = fp_divmod(f, g, p)
@@ -343,19 +353,34 @@ def fp_factor(f: FpPoly, p: int) -> list[tuple[FpPoly, int]]:
     return pairs
 
 
-def _linear_factors(s: FpPoly, p: int) -> list[FpPoly]:
-    # s is a product of distinct monic linear factors: x - c for each root c,
-    # found by evaluating s at c = 0, 1, ... until deg s roots are in
+def _roots(s: FpPoly, p: int) -> list[int]:
+    # s is a product of distinct monic linear factors: its roots c, found by
+    # evaluating s at c = 0, 1, ... until deg s roots are in
     out = []
     for c in range(p):
         v = 0
         for a in reversed(s):
             v = (v * c + a) % p
         if not v:
-            out.append((-c % p, 1))
+            out.append(c)
             if len(out) == len(s) - 1:
                 return out
     raise RuntimeError(f"{s} is not a product of distinct linear factors")
+
+
+def _divide_out_root(f: FpPoly, c: int, p: int) -> tuple[FpPoly, int]:
+    """(f / (x - c)^m, m) for the multiplicity m of the root c of f != 0."""
+    for mult in range(len(f)):  # m <= deg f
+        # synthetic division: Horner's partial sums, high first, are the
+        # quotient's coefficients, and the last one is the remainder f(c)
+        v, sums = 0, []
+        for a in reversed(f):
+            v = (v * c + a) % p
+            sums.append(v)
+        if v:
+            return f, mult
+        f = tuple(sums[-2::-1])
+    raise RuntimeError(f"x - {c} divides {f} more than its degree allows")
 
 
 def fp_split_equal_degree(s: FpPoly, k: int, p: int) -> list[FpPoly]:

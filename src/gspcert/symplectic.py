@@ -2,20 +2,20 @@
 
 The certificate does not use this module: its projective orders come from
 polynomial.fp_projective_order, the least n with x^n constant mod the
-charpoly.  Here the same orders are taken literally, by iterating the
+charpoly.  Here the same orders are taken literally, as orders of the
 companion matrix, and the tests compare the two.
 
 Matrices wrap prime-field residues directly (entries stay ints internally;
-charpoly and similitude hand back field elements).  Orders are computed by
-bounded brute-force iteration rather than exponent lattices: the group
-element orders here are at most p * lcm(p-1, p^2-1, p^3-1, p^4-1), which is
-957600 for p = 7.
+charpoly and similitude hand back field elements).  Every element order in
+GL(4, p), p >= 5, divides order_cap(p) = p * lcm(p-1, p^2-1, p^3-1,
+p^4-1), which is 957600 for p = 7: matrix_order iterates up to it, and
+projective_order descends from it by matrix powering, one prime at a time.
 """
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 
-from .finite_field import FFElement, FieldSpec
+from .finite_field import FFElement, FieldSpec, factorize
 from .polynomial import Polynomial
 
 Rows = tuple[tuple[int, int, int, int], ...]
@@ -215,16 +215,51 @@ def _scalar_of_rows(rows: Rows) -> int | None:
     return None
 
 
+def _pow_rows(rows: Rows, e: int, p: int) -> Rows:
+    """rows^e for e >= 0, by square-and-multiply."""
+    result: Rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    while e:
+        if e & 1:
+            result = _mul_rows(result, rows, p)
+        e >>= 1
+        if e:
+            rows = _mul_rows(rows, rows, p)
+    return result
+
+
 def projective_order(m: Matrix4) -> int:
-    """Least n >= 1 with m^n scalar: the order of m in PGL(4, p)."""
+    """Least n >= 1 with m^n scalar: the order of m in PGL(4, p).
+
+    The n with m^n scalar form a subgroup of Z that holds order_cap(p), so
+    the order is found by descent from it (_scalar_order).
+    """
     cp = charpoly(m)
     if cp.coeffs[0].is_zero():
         raise ValueError("singular matrix has no projective order")
     p = m.field.p
-    cap = order_cap(p)
-    power = m.rows
-    for n in range(1, cap + 1):
-        if _scalar_of_rows(power) is not None:
-            return n
-        power = _mul_rows(power, m.rows, p)
-    raise RuntimeError("projective order exceeded the GL(4, p) bound")  # unreachable
+    return _scalar_order(m.rows, list(factorize(order_cap(p)).items()), p)
+
+
+def _scalar_order(b: Rows, parts: list[tuple[int, int]], p: int) -> int:
+    """Least n >= 1 with b^n scalar, where b^N is scalar for N the product
+    of the prime powers l^e listed as (l, e) in parts.
+
+    The order is the product of its l-parts.  With parts split in halves
+    of products L and R, b^R has the L-part of the order as its order and
+    b^L the R-part; at a single l^e, the l-part is the least l^f, f <= e,
+    with b^(l^f) scalar.
+    """
+    if len(parts) > 1:
+        left, right = parts[: len(parts) // 2], parts[len(parts) // 2 :]
+        l_part = prod(ell**e for ell, e in left)
+        r_part = prod(ell**e for ell, e in right)
+        return _scalar_order(_pow_rows(b, r_part, p), left, p) * _scalar_order(
+            _pow_rows(b, l_part, p), right, p
+        )
+    ((ell, e),) = parts
+    n = 1
+    while _scalar_of_rows(b) is None:
+        if n == ell**e:  # so b^N is not scalar
+            raise RuntimeError("projective order exceeded the GL(4, p) bound")
+        b, n = _pow_rows(b, ell, p), n * ell
+    return n

@@ -6,16 +6,21 @@ sections below run on the package's FieldSpec and Polynomial arithmetic:
 the factoring route over F_{p^d} that factor took before it moved onto its
 F_p kernel, and the route the certificate used to take over F_{p^4}, which
 finds the roots of a quartic by scanning the splitting field and pairs them
-up directly.
+up directly.  The last sections hold the projective order of a matrix by
+stepping through its powers, and the JSON report as json.dumps writes it.
 """
 from __future__ import annotations
 
 import itertools
+import json
 from functools import lru_cache
 from math import lcm
 
+from gspcert.certifier import Certificate
+from gspcert.cli import REPORT_FORMAT
 from gspcert.finite_field import FFElement, FieldSpec, factorize, make_field
-from gspcert.polynomial import Polynomial, is_squarefree
+from gspcert.polynomial import Polynomial, fp_str, is_squarefree
+from gspcert.symplectic import Matrix4, _mul_rows, _scalar_of_rows, order_cap
 
 
 def ptrim(a: list[int]) -> list[int]:
@@ -394,3 +399,69 @@ def eigen_projective_order(f: Polynomial) -> int:
         if ratio != base.field.one():
             n = lcm(n, mult_order(ratio))
     return n
+
+
+# ---------------------------------------------------------------------------
+# projective order by stepping: symplectic.projective_order before it took
+# the order by descent
+
+
+def stepped_projective_order(m: Matrix4) -> int:
+    """Least n >= 1 with m^n scalar, multiplying by m until it is."""
+    p = m.field.p
+    power, n = m.rows, 1
+    while _scalar_of_rows(power) is None:
+        if n == order_cap(p):
+            raise RuntimeError("projective order exceeded the GL(4, p) bound")
+        power, n = _mul_rows(power, m.rows, p), n + 1
+    return n
+
+
+# ---------------------------------------------------------------------------
+# the certify-report/1 JSON as a tree for json.dumps: cli.render_json
+# before it wrote the bytes itself
+
+
+def certificate_dict(cert: Certificate) -> dict:
+    """The structured (JSON-ready) form of one certificate."""
+    return {
+        "weight": cert.weight,
+        "level": cert.level,
+        "dataset_sha256": cert.dataset_digest,
+        "defining_poly": list(cert.defining_poly),
+        "p": cert.p,
+        "root": cert.root,
+        "residual_eigenvalues": [[i, a] for i, a in cert.residual_eigenvalues],
+        "frobenius_records": [
+            {
+                "q": rec.q,
+                "charpoly": list(rec.charpoly),
+                "charpoly_pretty": fp_str(rec.charpoly),
+                "factorization": str(rec.factorization),
+                "squarefree": rec.squarefree,
+                "projective_order": rec.projective_order,
+                "similitude": rec.similitude,
+            }
+            for rec in cert.records
+        ],
+        "checks": [
+            {
+                "name": c.name,
+                "status": c.status,
+                "witnesses": list(c.witnesses),
+                "justification": c.justification,
+                "data": c.data,
+            }
+            for c in cert.checks
+        ],
+        "assumptions": list(cert.assumptions),
+        "verdict": cert.verdict,
+    }
+
+
+def reference_render_json(certs: list[Certificate]) -> str:
+    tree = {
+        "format": REPORT_FORMAT,
+        "certificates": [certificate_dict(c) for c in certs],
+    }
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"

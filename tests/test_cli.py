@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -367,6 +369,71 @@ class TestErrorExits:
         res = runner().invoke(main, ["certify", str(path), "--root", "1"])
         assert res.exit_code == 1
         assert "no Frobenius data" in res.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["certify", "--bogus", "x", PAPER], "No such option '--bogus'"),
+            (["certify"], "Missing argument 'INPUT'"),
+            (["frobnicate"], "No such command 'frobnicate'"),
+            ([], "Missing command"),
+            (["--bogus", "certify", PAPER], "No such option '--bogus'"),
+            (["certify", PAPER, "extra"], "unexpected extra argument (extra)"),
+            (["certify", PAPER, "--root"], "'--root' requires an argument"),
+            (["certify", PAPER, "--root", "abc"], "--root must be an integer or 'all'"),
+            (["certify", PAPER, "--format", "xml"], "--format must be text or json"),
+        ],
+        ids=["unknown-option", "no-input", "unknown-command", "no-command",
+             "unknown-group-option", "extra-argument", "option-without-value", "root-abc",
+             "format-xml"],
+    )
+    def test_click_errors_exit_one_with_one_error_line(self, args, message):
+        # exit 2 would read as INCONCLUSIVE; click's usage text is not printed
+        res = runner().invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+        assert message in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("args", [["--help"], ["certify", "--help"]])
+    def test_help_exits_zero(self, args):
+        res = runner().invoke(main, args)
+        assert res.exit_code == 0
+        assert res.stdout.startswith("Usage: ")
+        assert res.stderr == ""
+
+    def test_line_breaks_in_a_message_stay_on_one_line(self):
+        res = runner().invoke(main, ["certify", "no\nsuch\r\n.dataset"])
+        assert res.exit_code == 1
+        assert res.stderr == "error: no such dataset file: no\\nsuch\\n.dataset\n"
+
+    def test_defining_poly_at_the_degree_cap_finishes(self, tmp_path):
+        # x times a random monic of degree 127: a root at 0, so it certifies
+        rng = random.Random(128)
+        e = [0, *(rng.randrange(-50, 50) for _ in range(127)), 1]
+        path = tmp_path / "cap.dataset"
+        path.write_text(
+            f"weight 28\nlevel 1\ndefining_poly {' '.join(map(str, e))}\n"
+            "eigenvalue 2 4\neigenvalue 4 5\neigenvalue 3 3\neigenvalue 9 2\n"
+        )
+        start = time.perf_counter()
+        res = runner().invoke(main, ["certify", str(path)])
+        assert res.exit_code in (0, 2)
+        assert time.perf_counter() - start < 5
+        assert "== certificate: p = 7, root = 0 ==" in res.stdout
+
+    def test_defining_poly_above_the_degree_cap_exits_one_with_one_line(self, tmp_path):
+        path = tmp_path / "toobig.dataset"
+        path.write_text(
+            f"weight 28\nlevel 1\ndefining_poly {' 1' * 129} 1\n"
+            "eigenvalue 2 4\neigenvalue 4 5\n"
+        )
+        res = runner().invoke(main, ["certify", str(path)])
+        assert res.exit_code == 1
+        assert res.stderr == (
+            f"error: {path}: defining polynomial has degree 129, above the supported 128\n"
+        )
 
 
 class TestFreshInterpreter:

@@ -1,21 +1,27 @@
-"""Fuzzing the certify command over dataset text and option values.
+"""Fuzzing the command line over dataset text, option values and argv.
 
-Every case must end within the deadline with exit code 0, 1 or 2, let no
-exception escape, and on exit 1 print exactly one line on stderr.  The
-search is derandomized with a fixed number of examples, so every run tries
-the same cases.
+Every case must end within the deadline with exit code 0, 1 or 2 and let
+no exception escape.  Exit 1 prints exactly one `error:` line on stderr;
+exit 2, the INCONCLUSIVE code, comes only after a complete report with an
+INCONCLUSIVE certificate was written to stdout or to --out.  The search is
+derandomized with a fixed number of examples, so every run tries the same
+cases.
 """
 from __future__ import annotations
 
+import json
+import re
+import shutil
 import tempfile
 from datetime import timedelta
+from importlib import resources
 from pathlib import Path
 
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gspcert.cli import main
+from gspcert.cli import REPORT_FORMAT, main
 
 FLAGS = ["not_maass_spezialform", "conductor_one"]
 DIRECTIVES = ["weight", "level", "defining_poly", "assumptions", "eigenvalue", "spin", "#"]
@@ -96,13 +102,47 @@ formats = st.sampled_from(["text"] * 4 + ["json"] * 4 + ["xml", ""])
 outs = st.sampled_from([None] * 6 + ["report.out", "missing/report.out", "."])
 
 
-@settings(
+SUMMARY = re.compile(r"\n\n\d+ certificate\(s\): \d+ LARGE_IMAGE, [1-9]\d* INCONCLUSIVE\n\Z")
+
+
+def inconclusive_report(text: str) -> bool:
+    """text is a whole text or JSON report with an INCONCLUSIVE certificate."""
+    if SUMMARY.search(text):
+        return True
+    try:
+        tree = json.loads(text)
+    except ValueError:
+        return False
+    return (
+        text.endswith("}\n") and tree["format"] == REPORT_FORMAT
+        and any(c["verdict"] == "INCONCLUSIVE" for c in tree["certificates"])
+    )
+
+
+def check_outcome(res, directory: Path) -> None:
+    assert res.exit_code in (0, 1, 2), (res.exit_code, res.stderr)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    if res.exit_code == 1:
+        assert res.stderr.startswith("error: "), res.stderr
+        assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n"), res.stderr
+    if res.exit_code == 2:
+        written = [res.stdout] + [
+            f.read_text(encoding="utf-8", errors="replace")
+            for f in directory.rglob("*") if f.is_file()
+        ]
+        assert any(map(inconclusive_report, written)), (res.stdout, res.stderr)
+
+
+SETTINGS = settings(
     max_examples=300,
     derandomize=True,
     database=None,
     deadline=timedelta(seconds=5),
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@SETTINGS
 @given(data=datasets, prime=primes, root=roots, fmt=formats, out=outs)
 def test_every_input_ends_with_an_exit_code_and_at_most_one_error_line(data, prime, root, fmt, out):
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,7 +152,55 @@ def test_every_input_ends_with_an_exit_code_and_at_most_one_error_line(data, pri
         if out is not None:
             args += ["--out", str(Path(tmp) / out)]
         res = CliRunner().invoke(main, args)
-    assert res.exit_code in (0, 1, 2), (res.exit_code, res.stderr)
-    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
-    if res.exit_code == 1:
-        assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n"), res.stderr
+        check_outcome(res, Path(tmp))
+
+
+# argv-level junk on a well-formed command line over a bundled dataset
+# (the paper's table certifies, both controls end INCONCLUSIVE): unknown
+# options and commands, a dropped INPUT, extra or repeated arguments
+BUNDLED = resources.files("gspcert") / "datasets"
+ARGV_TOKENS = [
+    "certify", "frobnicate", "--bogus", "-z", "--prime", "-p", "--root", "--format", "--out",
+    "--help", "--", "-", "--prime=7", "--root=all", "--format=json", "case.dataset", "7", "1",
+    "all", "json", "text", "out.txt",
+]
+argv_tokens = st.one_of(
+    st.sampled_from(ARGV_TOKENS), st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+)
+edits = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 9), argv_tokens),
+    max_size=3,
+)
+command_lines = st.builds(
+    lambda fmt, root, out: ["certify", "case.dataset", "--format", fmt, "--root", root, *out],
+    st.sampled_from(["text", "json"]),
+    st.sampled_from(["all", "1", "3"]),
+    st.sampled_from([[], ["--out", "report.out"]]),
+)
+
+
+def apply_edits(args: list[str], edits) -> list[str]:
+    args = list(args)
+    for kind, at, token in edits:
+        at %= len(args) + 1
+        if kind == "insert":
+            args.insert(at, token)
+        elif args and kind == "delete":
+            del args[at % len(args)]
+        elif args:
+            args[at % len(args)] = token
+    return args
+
+
+@settings(SETTINGS, max_examples=150)
+@given(
+    dataset=st.sampled_from(["weight28_level1", "weight28_level1_a3zero", "weight28_level1_fully_split"]),
+    args=command_lines,
+    edits=edits,
+)
+def test_argv_junk_exits_one_with_one_error_line_never_two_without_a_report(dataset, args, edits):
+    runner = CliRunner()
+    with runner.isolated_filesystem() as tmp:
+        shutil.copy(BUNDLED / f"{dataset}.dataset", "case.dataset")
+        res = runner.invoke(main, apply_edits(args, edits))
+        check_outcome(res, Path(tmp))

@@ -55,6 +55,11 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             paper_dataset(defining_poly=(5,))
 
+    def test_defining_degree_capped(self):
+        paper_dataset(defining_poly=(1,) * (eigen_data.MAX_DEFINING_DEGREE + 1))
+        with pytest.raises(ValueError, match="degree 129, above the supported 128"):
+            paper_dataset(defining_poly=(1,) * (eigen_data.MAX_DEFINING_DEGREE + 2))
+
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="no Frobenius data"):
             paper_dataset(eigenvalues={})

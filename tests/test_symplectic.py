@@ -1,6 +1,7 @@
 """Tests for 4x4 matrix arithmetic over F_p and the similitude machinery."""
 from __future__ import annotations
 
+import itertools
 import random
 from math import lcm
 
@@ -20,7 +21,7 @@ from gspcert.symplectic import (
     similitude,
     standard_form,
 )
-from oracles import eigen_projective_order, mult_order
+from oracles import eigen_projective_order, mult_order, stepped_projective_order
 
 F7 = make_field(7, 1)
 
@@ -206,6 +207,26 @@ class TestOrders:
             matrix_order(nilpotent)
         with pytest.raises(ValueError):
             projective_order(nilpotent)
+
+    def test_descent_matches_stepping_on_every_invertible_companion_p7(self):
+        # all 6 * 7^3 = 2,058 monic quartics with f(0) != 0, squarefree or not
+        count = 0
+        for c in itertools.product(range(1, 7), range(7), range(7), range(7)):
+            m = companion(Polynomial.from_ints(F7, c + (1,)))
+            assert projective_order(m) == stepped_projective_order(m), c
+            count += 1
+        assert count == 2058
+
+    def test_descent_refuses_a_bound_the_order_does_not_divide(self):
+        # order_cap(p) holds every projective order for p >= 5; against a
+        # smaller bound the descent raises instead of returning a divisor
+        rows = companion(POL2).rows  # projective order 25
+        assert symplectic._scalar_order(rows, [(5, 2)], 7) == 25
+        assert symplectic._scalar_order(rows, [(2, 1), (5, 3)], 7) == 25
+        with pytest.raises(RuntimeError):
+            symplectic._scalar_order(rows, [(5, 1)], 7)
+        with pytest.raises(RuntimeError):
+            symplectic._scalar_order(rows, [(2, 3), (3, 1)], 7)
 
     def test_order_cap_frozen(self):
         assert order_cap(7) == 7 * lcm(6, 48, 342, 2400)
