@@ -24,33 +24,13 @@ from .eigen_data import (
     residual_roots,
     specialize,
 )
-from .finite_field import (
-    FFElement,
-    FieldSpec,
-    legendre,
-    make_field,
-)
-from .polynomial import (
-    Factorization,
-    Polynomial,
-    factor,
-    is_irreducible,
-    is_squarefree,
-)
-from .symplectic import (
-    Matrix4,
-    charpoly,
-    companion,
-    matrix_order,
-    projective_order,
-    similitude,
-    standard_form,
-)
+from .finite_field import legendre
+from .polynomial import Factorization
 
 __version__ = "0.1.0"
 
-# The command-line names load cli (and click) on first use, so that
-# `python -m gspcert.cli` does not find cli imported by its own package.
+# The command-line names load cli on first use, so that `python -m
+# gspcert.cli` does not find cli imported by its own package.
 _CLI_NAMES = ("DatasetError", "RunConfig", "ingest", "render_json", "render_text", "run")
 
 
@@ -63,43 +43,30 @@ def __getattr__(name: str):
     return value
 
 
+# the public API, as the README's "Library use" lists it
 __all__ = [
     "Certificate",
     "CheckResult",
     "DatasetError",
     "EigenformDataset",
     "ExceptionalTable",
-    "FFElement",
     "Factorization",
-    "FieldSpec",
     "FrobeniusRecord",
-    "Matrix4",
-    "Polynomial",
     "ResidualDataset",
     "RunConfig",
     "VERDICT_INCONCLUSIVE",
     "VERDICT_LARGE_IMAGE",
     "builtin_exceptional_table",
     "certify",
-    "charpoly",
-    "companion",
     "embedding_roots",
-    "factor",
     "hecke_charpoly",
     "hecke_quartic",
     "ingest",
-    "is_irreducible",
-    "is_squarefree",
     "legendre",
-    "make_field",
-    "matrix_order",
-    "projective_order",
     "render_json",
     "render_text",
     "residual_roots",
     "run",
-    "similitude",
     "specialize",
-    "standard_form",
     "__version__",
 ]

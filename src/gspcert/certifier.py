@@ -11,10 +11,9 @@ so the only verdicts are LARGE_IMAGE and INCONCLUSIVE.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd as int_gcd
 from math import lcm
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 from .eigen_data import (
     EigenformDataset,
@@ -37,8 +36,7 @@ FAIL = "fail"
 STANDING_ASSUMPTIONS = ("formal_reduction_admissible",)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one exclusion check.
 
     witnesses lists the Frobenius primes whose data carries the argument;
@@ -56,8 +54,7 @@ class CheckResult:
         return self.status == PASS
 
 
-@dataclass(frozen=True)
-class ExceptionalTable:
+class ExceptionalTable(NamedTuple):
     """Orders of the exceptional maximal subgroups of PGSp(4, p)."""
 
     p: int
@@ -102,8 +99,7 @@ def builtin_exceptional_table(p: int) -> ExceptionalTable:
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checkable trace of one certification run."""
 
     weight: int

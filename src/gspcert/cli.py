@@ -9,21 +9,21 @@ ignored.
 
 Exit codes: 0 when every requested certification returns LARGE_IMAGE,
 2 when any returns INCONCLUSIVE, 1 for usage or data errors, which print
-one `error:` line on stderr.
+one `error:` line on stderr.  The command line is parsed by argparse.
 """
 from __future__ import annotations
 
+import argparse
+import os
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
-from typing import Iterator, Sequence
-
-import click
+from typing import NamedTuple, NoReturn, Sequence
 
 from .certifier import Certificate, CheckResult, certify, supported_table
-from .eigen_data import EigenformDataset, FrobeniusRecord, embedding_roots
+from .eigen_data import EigenformDataset, FrobeniusRecord, residual_roots
+# not called here: perfbench's library workloads look embedding_roots up in
+# this module, where its tracer rebinds it
+from .eigen_data import embedding_roots  # noqa: F401
 from .finite_field import is_prime
 from .polynomial import fp_str
 
@@ -46,11 +46,12 @@ def _parse_int(token: str, path: str, lineno: int, what: str) -> int:
         raise _dataset_error(path, lineno, f"{what} must be an integer, got {token!r}") from None
 
 
-def ingest(path: str | Path) -> EigenformDataset:
+def ingest(path: str | os.PathLike[str]) -> EigenformDataset:
     """Parse a dataset file; raise DatasetError with line diagnostics."""
     path = str(path)
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")  # skips a byte-order mark
+        with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
+            text = fh.read()
     except OSError as exc:
         raise DatasetError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -121,8 +122,7 @@ def ingest(path: str | Path) -> EigenformDataset:
         raise _dataset_error(path, None, str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One certification run: which dataset, prime, roots, and output."""
 
     input_path: str
@@ -300,7 +300,7 @@ def render_text(certs: list[Certificate]) -> str:
 
 def _fail(message: str) -> int:
     # one line whatever the message holds: a path may contain line breaks
-    click.echo("error: " + "\\n".join(message.splitlines()), err=True)
+    print("error: " + "\\n".join(message.splitlines()), file=sys.stderr)
     return 1
 
 
@@ -323,7 +323,9 @@ def run(config: RunConfig) -> int:
 
     try:
         if config.root is None:
-            roots = [r.lift() for r in embedding_roots(ds.defining_poly, p)]
+            roots = [
+                r for r, mult in residual_roots(ds.defining_poly, p).linear_roots() if mult == 1
+            ]
             if not roots:
                 return _fail(
                     f"no prime-field embedding: the defining polynomial "
@@ -338,17 +340,17 @@ def run(config: RunConfig) -> int:
     report = render_json(certs) if config.fmt == "json" else render_text(certs)
     if config.out is not None:
         try:
-            Path(config.out).write_text(report, encoding="utf-8")
-        except OSError as exc:
-            return _fail(f"{config.out}: {exc.strerror or exc}")
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            return _fail(f"{config.out}: {getattr(exc, 'strerror', None) or exc}")
     else:
-        click.echo(report, nl=False)
+        sys.stdout.write(report)
 
     if p in ds.primes():  # only once nothing can fail: exit 1 prints one line
-        click.echo(
-            f"warning: ignoring eigenvalues at q = {p}: "
-            "q = p carries no Frobenius data",
-            err=True,
+        print(
+            f"warning: ignoring eigenvalues at q = {p}: q = p carries no Frobenius data",
+            file=sys.stderr,
         )
     return 0 if all(c.certified for c in certs) else 2
 
@@ -357,80 +359,82 @@ def run(config: RunConfig) -> int:
 # command line
 
 
-class _OneLineError(click.ClickException):
-    exit_code = 1
-
-    def show(self, file=None) -> None:
-        _fail(self.format_message())
+class _UsageError(Exception):
+    """A command-line usage error, with argparse's message."""
 
 
-@contextmanager
-def _one_line_errors() -> Iterator[None]:
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error raises _UsageError, so that it
+    ends in one `error:` line and exit 1 like the errors of run, instead of
+    the usage text and argparse's exit 2, which is the INCONCLUSIVE code
+    here."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
+
+
+def _parser(prog: str | None) -> _Parser:
+    parser = _Parser(
+        prog=prog,
+        description="Certify that a residual Galois image is all of PGSp(4, p).",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    command = commands.add_parser(
+        "certify",
+        help="run the exclusion argument on a dataset",
+        description="Run the full exclusion argument on the dataset at INPUT.",
+        allow_abbrev=False,
+    )
+    command.add_argument("input_path", metavar="INPUT", help="the dataset file")
+    command.add_argument(
+        "--prime", "-p", default="7", metavar="P",
+        help="residual characteristic, a prime (default: 7)",
+    )
+    command.add_argument(
+        "--root", default="all", metavar="R",
+        help="embedding root in [0, p), or 'all' for every simple root of the "
+             "defining polynomial mod p (default: all)",
+    )
+    command.add_argument(
+        "--format", dest="fmt", default="text", metavar="FORMAT",
+        help="report format: text or json (default: text)",
+    )
+    command.add_argument(
+        "--out", metavar="PATH",
+        help="write the report to this file instead of standard output",
+    )
+    return parser
+
+
+def _certify_command(args: argparse.Namespace) -> int:
+    """Check the option values of `certify`, then run it."""
+    if not os.path.isfile(args.input_path):
+        return _fail(f"no such dataset file: {args.input_path}")
     try:
-        yield
-    except click.ClickException as exc:
-        raise _OneLineError(exc.format_message()) from exc
-
-
-class _Commands(click.Group):
-    """click's group, but every click error, usage errors included, ends in
-    one `error:` line and exit 1 like the errors of run: click's usage exit
-    code 2 is the INCONCLUSIVE code here."""
-
-    def make_context(self, *args, **kwargs) -> click.Context:
-        with _one_line_errors():  # the group's own options
-            return super().make_context(*args, **kwargs)
-
-    def invoke(self, ctx: click.Context):
-        with _one_line_errors():  # the command name, its arguments and options
-            return super().invoke(ctx)
-
-
-@click.group(cls=_Commands, no_args_is_help=False)
-def main() -> None:
-    """Certify that a residual Galois image is all of PGSp(4, p)."""
-
-
-@main.command(name="certify")
-@click.argument("input_path", metavar="INPUT")
-@click.option(
-    "--prime", "-p", "prime", default="7", show_default=True,
-    help="Residual characteristic (a prime).",
-)
-@click.option(
-    "--root", default="all", show_default=True,
-    help="Embedding root in [0, p), or 'all' for every simple root of the "
-         "defining polynomial mod p.",
-)
-@click.option(
-    "--format", "fmt", default="text", show_default=True,
-    help="Report format: text or json.",
-)
-@click.option(
-    "--out", default=None,
-    help="Write the report to this file instead of standard output.",
-)
-def certify_command(input_path: str, prime: str, root: str, fmt: str, out: str | None) -> None:
-    """Run the full exclusion argument on the dataset at INPUT."""
-    if not Path(input_path).is_file():
-        raise click.ClickException(f"no such dataset file: {input_path}")
-    try:
-        p = int(prime)
+        p = int(args.prime)
     except ValueError:
-        raise click.ClickException(f"--prime must be an integer, got {prime!r}") from None
-    if root == "all":
-        chosen = None
+        return _fail(f"--prime must be an integer, got {args.prime!r}")
+    if args.root == "all":
+        root = None
     else:
         try:
-            chosen = int(root)
+            root = int(args.root)
         except ValueError:
-            raise click.ClickException(
-                f"--root must be an integer or 'all', got {root!r}"
-            ) from None
-    if fmt not in ("text", "json"):
-        raise click.ClickException(f"--format must be text or json, got {fmt!r}")
-    config = RunConfig(input_path=input_path, p=p, root=chosen, fmt=fmt, out=out)
-    sys.exit(run(config))
+            return _fail(f"--root must be an integer or 'all', got {args.root!r}")
+    if args.fmt not in ("text", "json"):
+        return _fail(f"--format must be text or json, got {args.fmt!r}")
+    return run(RunConfig(input_path=args.input_path, p=p, root=root, fmt=args.fmt, out=args.out))
+
+
+def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Run the command line on args (sys.argv[1:] when None) and exit with
+    its code; `--help` exits 0."""
+    try:
+        parsed = _parser(prog_name).parse_args(args)
+    except _UsageError as exc:
+        sys.exit(_fail(str(exc)))
+    sys.exit(_certify_command(parsed))
 
 
 if __name__ == "__main__":

@@ -11,20 +11,22 @@ characteristic polynomial of Frobenius at q is
 with every prime power q^e computed mod p after reducing e mod p-1.
 Residues are ints in [0, p) and polynomials the low-first int tuples of
 polynomial's F_p kernel, from specialize to the records; only
-embedding_roots hands out field elements.
+embedding_roots hands out field elements.  The records are NamedTuples.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .finite_field import FFElement, is_prime, make_field
+from .finite_field import is_prime
 from .polynomial import Factorization, FpPoly
 from .polynomial import fp_factorization as factor
 from .polynomial import fp_projective_order as projective_order
+
+if TYPE_CHECKING:
+    from .field_elements import FFElement
 
 KNOWN_ASSUMPTIONS = ("not_maass_spezialform", "conductor_one")
 
@@ -44,39 +46,50 @@ def _eigenvalue_base(index: int) -> int:
     raise ValueError(f"eigenvalue index {index} is neither a prime nor a prime square")
 
 
-@dataclass(frozen=True)
-class EigenformDataset:
+class _EigenformFields(NamedTuple):
+    weight: int
+    level: int
+    defining_poly: tuple[int, ...]
+    eigenvalues: dict[int, tuple[int, ...]]
+    assumptions: frozenset[str] = frozenset()
+
+
+class EigenformDataset(_EigenformFields):
     """Provider-declared Hecke data for one genus-2 eigenform.
 
     defining_poly: integer coefficients of the monic field polynomial E,
     constant term first.  eigenvalues maps the Hecke index (q or q^2) to
     the integer coefficients of the eigenvalue's expression in alpha,
-    constant term first, of degree < deg E.
+    constant term first, of degree < deg E.  Construction, _replace
+    included, validates the fields and raises ValueError.
     """
 
-    weight: int
-    level: int
-    defining_poly: tuple[int, ...]
-    eigenvalues: dict[int, tuple[int, ...]]
-    assumptions: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.weight < 2:
-            raise ValueError(f"weight {self.weight} out of range")
-        if self.level != 1:
-            raise ValueError(f"only level 1 is supported, got {self.level}")
-        if len(self.defining_poly) < 2 or self.defining_poly[-1] != 1:
+    def __new__(
+        cls,
+        weight: int,
+        level: int,
+        defining_poly: tuple[int, ...],
+        eigenvalues: dict[int, tuple[int, ...]],
+        assumptions: frozenset[str] = frozenset(),
+    ) -> EigenformDataset:
+        if weight < 2:
+            raise ValueError(f"weight {weight} out of range")
+        if level != 1:
+            raise ValueError(f"only level 1 is supported, got {level}")
+        if len(defining_poly) < 2 or defining_poly[-1] != 1:
             raise ValueError("defining polynomial must be monic of degree >= 1")
-        if len(self.defining_poly) - 1 > MAX_DEFINING_DEGREE:
+        if len(defining_poly) - 1 > MAX_DEFINING_DEGREE:
             raise ValueError(
-                f"defining polynomial has degree {len(self.defining_poly) - 1}, "
+                f"defining polynomial has degree {len(defining_poly) - 1}, "
                 f"above the supported {MAX_DEFINING_DEGREE}"
             )
-        if not self.eigenvalues:
+        if not eigenvalues:
             raise ValueError("eigenvalue table is empty: no Frobenius data")
-        deg = len(self.defining_poly) - 1
+        deg = len(defining_poly) - 1
         primes = set()
-        for index, expr in self.eigenvalues.items():
+        for index, expr in eigenvalues.items():
             primes.add(_eigenvalue_base(index))
             if not 1 <= len(expr) <= deg:
                 raise ValueError(
@@ -84,13 +97,19 @@ class EigenformDataset:
                 )
         for q in sorted(primes):
             for needed in (q, q * q):
-                if needed not in self.eigenvalues:
+                if needed not in eigenvalues:
                     raise ValueError(
                         f"incomplete pair for prime {q}: eigenvalue index {needed} is missing"
                     )
-        unknown = self.assumptions - set(KNOWN_ASSUMPTIONS)
+        unknown = assumptions - set(KNOWN_ASSUMPTIONS)
         if unknown:
             raise ValueError(f"unknown assumption flags: {sorted(unknown)}")
+        return super().__new__(cls, weight, level, defining_poly, eigenvalues, assumptions)
+
+    @classmethod
+    def _make(cls, iterable) -> EigenformDataset:
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     def primes(self) -> list[int]:
         return sorted({_eigenvalue_base(i) for i in self.eigenvalues})
@@ -108,8 +127,7 @@ class EigenformDataset:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class ResidualDataset:
+class ResidualDataset(NamedTuple):
     """Eigenvalues pushed into F_p through one embedding alpha -> root,
     as ints in [0, p)."""
 
@@ -124,8 +142,7 @@ class ResidualDataset:
         return sorted({_eigenvalue_base(i) for i in self.eigenvalues})
 
 
-@dataclass(frozen=True)
-class FrobeniusRecord:
+class FrobeniusRecord(NamedTuple):
     """Everything the certifier consumes about one Frobenius class; the
     charpoly is a low-first int tuple and the similitude an int mod p."""
 
@@ -153,21 +170,24 @@ def _residual_roots(defining_poly: tuple[int, ...], p: int) -> Factorization:
 
 
 def embedding_roots(defining_poly: Sequence[int], p: int) -> list[FFElement]:
-    """Simple roots of E mod p, in the deterministic factor order."""
+    """Simple roots of E mod p as elements of F_p (.lift() gives the int),
+    in the deterministic factor order: the linear roots of multiplicity 1
+    in residual_roots(defining_poly, p)."""
+    from .field_elements import make_field
+
     F, fac = make_field(p, 1), residual_roots(defining_poly, p)
     return [F.element(r) for r, mult in fac.linear_roots() if mult == 1]
 
 
-def specialize(ds: EigenformDataset, p: int, root: int | FFElement) -> ResidualDataset:
-    """Evaluate every eigenvalue expression at the chosen residual root.
+def specialize(ds: EigenformDataset, p: int, root: int) -> ResidualDataset:
+    """Evaluate every eigenvalue expression at the chosen residual root,
+    an int in [0, p).
 
     Refuses roots that are absent mod p or non-simple (a repeated root
     changes the residue map; extending scalars is out of scope).
     """
-    if isinstance(root, FFElement):
-        if root.field != make_field(p, 1):
-            raise ValueError(f"root must live in F_{p}")
-        root = root.lift()
+    if type(root) is not int:
+        raise ValueError(f"root must be an int in [0, {p}), got {root!r}")
     if not 0 <= root < p:
         raise ValueError(f"root must lie in [0, {p}), got {root}")
     mult = dict(residual_roots(ds.defining_poly, p).linear_roots()).get(root, 0)

@@ -2,7 +2,8 @@
 
 The integer-list helpers work on plain coefficient lists, low degree
 first, with no dependency on the package under test.  The extension-field
-sections below run on the package's FieldSpec and Polynomial arithmetic:
+sections below run on FieldSpec (gspcert.field_elements) and Polynomial
+(field_polynomial.py) arithmetic:
 the factoring route over F_{p^d} that factor took before it moved onto its
 F_p kernel, and the route the certificate used to take over F_{p^4}, which
 finds the roots of a quartic by scanning the splitting field and pairs them
@@ -16,11 +17,13 @@ import json
 from functools import lru_cache
 from math import lcm
 
+from field_polynomial import Polynomial, is_squarefree
 from gspcert.certifier import Certificate
 from gspcert.cli import REPORT_FORMAT
-from gspcert.finite_field import FFElement, FieldSpec, factorize, make_field
-from gspcert.polynomial import Polynomial, fp_str, is_squarefree
-from gspcert.symplectic import Matrix4, _mul_rows, _scalar_of_rows, order_cap
+from gspcert.field_elements import FFElement, FieldSpec, make_field
+from gspcert.finite_field import factorize
+from gspcert.polynomial import fp_str
+from symplectic import Matrix4, _mul_rows, _scalar_of_rows, order_cap
 
 
 def ptrim(a: list[int]) -> list[int]:

@@ -1,7 +1,7 @@
 """4x4 matrices over F_p: the reference route for the order arguments.
 
 The certificate does not use this module: its projective orders come from
-polynomial.fp_projective_order, the least n with x^n constant mod the
+gspcert.polynomial.fp_projective_order, the least n with x^n constant mod the
 charpoly.  Here the same orders are taken literally, as orders of the
 companion matrix, and the tests compare the two.
 
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from math import lcm, prod
 
-from .finite_field import FFElement, FieldSpec, factorize
-from .polynomial import Polynomial
+from field_polynomial import Polynomial
+from gspcert.field_elements import FFElement, FieldSpec
+from gspcert.finite_field import factorize
 
 Rows = tuple[tuple[int, int, int, int], ...]
 

@@ -11,23 +11,19 @@ import time
 from importlib import resources
 from math import gcd
 
+from field_polynomial import Polynomial, factor, is_irreducible
 from gspcert import (
     EigenformDataset,
-    Polynomial,
     certify,
-    companion,
-    factor,
     hecke_charpoly,
     hecke_quartic,
     ingest,
-    is_irreducible,
-    make_field,
-    projective_order,
     render_json,
     specialize,
 )
 from gspcert.certifier import check_conjugate_22_split
 from gspcert.eigen_data import FrobeniusRecord
+from gspcert.field_elements import make_field
 from gspcert.polynomial import fp_str
 from oracles import (
     conjugate_poly,
@@ -37,6 +33,7 @@ from oracles import (
     roots_in,
     validate_similitude_shape,
 )
+from symplectic import companion, projective_order
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from field_polynomial import Polynomial, factor, is_squarefree
 from gspcert.certifier import (
     VERDICT_INCONCLUSIVE,
     VERDICT_LARGE_IMAGE,
@@ -23,8 +24,7 @@ from gspcert.certifier import (
     rational_split_exponent,
 )
 from gspcert.eigen_data import EigenformDataset, FrobeniusRecord, specialize
-from gspcert.finite_field import make_field
-from gspcert.polynomial import Polynomial, factor, is_squarefree
+from gspcert.field_elements import make_field
 from oracles import admissible_pairings, conjugate_poly, in_subfield, roots_in
 
 F7 = make_field(7, 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,9 +12,9 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import gspcert
+from cli_runner import invoke
 from gspcert.cli import DatasetError, REPORT_FORMAT, ingest, main
 
 DATASETS = resources.files("gspcert") / "datasets"
@@ -29,10 +30,6 @@ CHECK_NAMES = (
     "exceptional",
     "multiplier_surjective",
 )
-
-
-def runner() -> CliRunner:
-    return CliRunner()
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -157,7 +154,7 @@ class TestIngest:
 
 class TestCertifyCommand:
     def test_single_root_large_image(self):
-        res = runner().invoke(main, ["certify", PAPER, "--root", "1"])
+        res = invoke(["certify", PAPER, "--root", "1"])
         assert res.exit_code == 0
         assert "== certificate: p = 7, root = 1 ==" in res.stdout
         for name in CHECK_NAMES:
@@ -168,7 +165,7 @@ class TestCertifyCommand:
         assert res.stdout.index("assumptions:") < res.stdout.index("verdict:")
 
     def test_all_roots_in_factor_order(self):
-        res = runner().invoke(main, ["certify", PAPER])
+        res = invoke(["certify", PAPER])
         assert res.exit_code == 0
         headers = [l for l in res.stdout.splitlines() if l.startswith("== certificate")]
         assert headers == [
@@ -179,34 +176,33 @@ class TestCertifyCommand:
         assert "3 certificate(s): 3 LARGE_IMAGE, 0 INCONCLUSIVE" in res.stdout
 
     def test_a3_zero_control_is_inconclusive(self):
-        res = runner().invoke(main, ["certify", A3ZERO, "--root", "1"])
+        res = invoke(["certify", A3ZERO, "--root", "1"])
         assert res.exit_code == 2
         assert "[FAIL] primitivity" in res.stdout
         assert "verdict: INCONCLUSIVE" in res.stdout
 
     def test_fully_split_control_is_inconclusive(self):
-        res = runner().invoke(main, ["certify", SPLIT, "--root", "1"])
+        res = invoke(["certify", SPLIT, "--root", "1"])
         assert res.exit_code == 2
         assert "[FAIL] linear_constituent" in res.stdout
 
     def test_json_reports_same_verdicts(self):
-        res = runner().invoke(main, ["certify", PAPER, "--format", "json"])
+        res = invoke(["certify", PAPER, "--format", "json"])
         assert res.exit_code == 0
         report = json.loads(res.stdout)
         assert report["format"] == REPORT_FORMAT
         assert [c["root"] for c in report["certificates"]] == [4, 3, 1]
         assert all(c["verdict"] == "LARGE_IMAGE" for c in report["certificates"])
 
-        res2 = runner().invoke(main, ["certify", A3ZERO, "--format", "json"])
+        res2 = invoke(["certify", A3ZERO, "--format", "json"])
         assert res2.exit_code == 2
         report2 = json.loads(res2.stdout)
         assert all(c["verdict"] == "INCONCLUSIVE" for c in report2["certificates"])
 
     @pytest.mark.parametrize("fixture", [PAPER, A3ZERO, SPLIT])
     def test_text_and_json_report_identical_facts(self, fixture):
-        run = runner()
-        text = run.invoke(main, ["certify", fixture]).stdout
-        report = json.loads(run.invoke(main, ["certify", fixture, "--format", "json"]).stdout)
+        text = invoke(["certify", fixture]).stdout
+        report = json.loads(invoke(["certify", fixture, "--format", "json"]).stdout)
         for cert in report["certificates"]:
             assert f"== certificate: p = {cert['p']}, root = {cert['root']} ==" in text
             assert f"dataset sha256: {cert['dataset_sha256']}" in text
@@ -223,17 +219,15 @@ class TestCertifyCommand:
 
     def test_out_writes_report_file(self, tmp_path):
         out = tmp_path / "report.json"
-        run = runner()
-        res = run.invoke(main, ["certify", PAPER, "--format", "json", "--out", str(out)])
+        res = invoke(["certify", PAPER, "--format", "json", "--out", str(out)])
         assert res.exit_code == 0
-        direct = run.invoke(main, ["certify", PAPER, "--format", "json"]).stdout
+        direct = invoke(["certify", PAPER, "--format", "json"]).stdout
         assert out.read_text() == direct
 
     def test_reports_are_byte_identical_across_runs(self):
-        run = runner()
         for fmt in ("text", "json"):
-            a = run.invoke(main, ["certify", PAPER, "--format", fmt])
-            b = run.invoke(main, ["certify", PAPER, "--format", fmt])
+            a = invoke(["certify", PAPER, "--format", fmt])
+            b = invoke(["certify", PAPER, "--format", fmt])
             assert a.stdout == b.stdout
 
     def test_q_equal_p_entries_skipped_with_warning(self, tmp_path):
@@ -244,7 +238,7 @@ class TestCertifyCommand:
             "eigenvalue 2 4\neigenvalue 4 5\neigenvalue 3 3\neigenvalue 9 2\n"
             "eigenvalue 5 1\neigenvalue 25 2\neigenvalue 7 1\neigenvalue 49 1\n"
         )
-        res = runner().invoke(main, ["certify", str(path), "--root", "1"])
+        res = invoke(["certify", str(path), "--root", "1"])
         assert res.exit_code == 0
         assert "ignoring eigenvalues at q = 7" in res.stderr
         assert "q = 7:" not in res.stdout
@@ -265,7 +259,7 @@ class TestErrorExits:
         ],
     )
     def test_usage_and_data_errors_exit_one(self, args, message):
-        res = runner().invoke(main, args)
+        res = invoke(args)
         assert res.exit_code == 1
         assert message in res.stderr
         assert res.stdout == ""
@@ -273,7 +267,7 @@ class TestErrorExits:
     def test_parse_error_exits_one_with_line_number(self, tmp_path):
         path = tmp_path / "bad.dataset"
         path.write_text("weight 28\nlevel 1\nspin 3\n")
-        res = runner().invoke(main, ["certify", str(path)])
+        res = invoke(["certify", str(path)])
         assert res.exit_code == 1
         assert "line 3" in res.stderr
 
@@ -283,7 +277,7 @@ class TestErrorExits:
             "weight 28\nlevel 1\ndefining_poly 1 0 1\n"
             "eigenvalue 2 4\neigenvalue 4 5\n"
         )
-        res = runner().invoke(main, ["certify", str(path)])
+        res = invoke(["certify", str(path)])
         assert res.exit_code == 1
         assert "no prime-field embedding" in res.stderr
 
@@ -293,7 +287,7 @@ class TestErrorExits:
             "weight 28\nlevel 1\ndefining_poly -59412960 -294086 -1 1\n"
             f"eigenvalue {10**400} 1\n"
         )
-        res = runner().invoke(main, ["certify", str(path)])
+        res = invoke(["certify", str(path)])
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
@@ -304,16 +298,16 @@ class TestErrorExits:
         def unreachable(*args):
             raise AssertionError("dataset-derived work ran")
 
-        monkeypatch.setattr("gspcert.cli.embedding_roots", unreachable)
+        monkeypatch.setattr("gspcert.cli.residual_roots", unreachable)
         monkeypatch.setattr("gspcert.certifier.build_records", unreachable)
-        res = runner().invoke(main, ["certify", PAPER, "--prime", prime])
+        res = invoke(["certify", PAPER, "--prime", prime])
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
         assert "table" in res.stderr
 
     def test_prime_past_the_primality_bound_exits_one_with_one_line(self):
-        res = runner().invoke(main, ["certify", PAPER, "--prime", str(10**29 + 319)])
+        res = invoke(["certify", PAPER, "--prime", str(10**29 + 319)])
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
@@ -326,7 +320,7 @@ class TestErrorExits:
             "weight 28\nlevel 1\ndefining_poly -59412960 -294086 -1 1\n"
             f"eigenvalue {q} 1\neigenvalue {q * q} 1\n"
         )
-        res = runner().invoke(main, ["certify", str(path)])
+        res = invoke(["certify", str(path)])
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
@@ -334,17 +328,18 @@ class TestErrorExits:
     def test_non_utf8_dataset_exits_one_with_one_line(self, tmp_path):
         path = tmp_path / "latin1.dataset"
         path.write_bytes(b"weight 28\n\xff\xfe level 1\n")
-        res = runner().invoke(main, ["certify", str(path)])
+        res = invoke(["certify", str(path)])
         assert res.exit_code == 1
         assert res.stderr == f"error: {path}: not UTF-8 text (byte 10)\n"
 
     @pytest.mark.parametrize("target, reason", [
         ("missing/report.txt", "No such file or directory"),
         (".", "Is a directory"),
-    ], ids=["missing-directory", "directory"])
+        ("nul\0byte", "embedded null byte"),
+    ], ids=["missing-directory", "directory", "nul-byte"])
     def test_unwritable_out_exits_one_with_one_line(self, tmp_path, target, reason):
         out = tmp_path / target
-        res = runner().invoke(main, ["certify", PAPER, "--out", str(out)])
+        res = invoke(["certify", PAPER, "--out", str(out)])
         assert res.exit_code == 1
         assert res.stderr == f"error: {out}: {reason}\n"
         assert res.stdout == ""
@@ -355,7 +350,7 @@ class TestErrorExits:
             "weight 28\nlevel 1\ndefining_poly 1 0 1\n"
             "eigenvalue 2 4\neigenvalue 4 5\neigenvalue 7 1\neigenvalue 49 1\n"
         )
-        res = runner().invoke(main, ["certify", str(path)])
+        res = invoke(["certify", str(path)])
         assert res.exit_code == 1
         assert res.stderr.count("\n") == 1
         assert "no prime-field embedding" in res.stderr
@@ -366,45 +361,48 @@ class TestErrorExits:
             "weight 28\nlevel 1\ndefining_poly -59412960 -294086 -1 1\n"
             "eigenvalue 7 1\neigenvalue 49 1\n"
         )
-        res = runner().invoke(main, ["certify", str(path), "--root", "1"])
+        res = invoke(["certify", str(path), "--root", "1"])
         assert res.exit_code == 1
         assert "no Frobenius data" in res.stderr
 
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["certify", "--bogus", "x", PAPER], "No such option '--bogus'"),
-            (["certify"], "Missing argument 'INPUT'"),
-            (["frobnicate"], "No such command 'frobnicate'"),
-            ([], "Missing command"),
-            (["--bogus", "certify", PAPER], "No such option '--bogus'"),
-            (["certify", PAPER, "extra"], "unexpected extra argument (extra)"),
-            (["certify", PAPER, "--root"], "'--root' requires an argument"),
-            (["certify", PAPER, "--root", "abc"], "--root must be an integer or 'all'"),
-            (["certify", PAPER, "--format", "xml"], "--format must be text or json"),
+            (["certify", "--bogus", "x", PAPER], "unrecognized arguments: --bogus"),
+            (["certify"], "the following arguments are required: INPUT"),
+            (["frobnicate"], "argument COMMAND: invalid choice: 'frobnicate'"),
+            ([], "the following arguments are required: COMMAND"),
+            (["--bogus", "certify", PAPER], "unrecognized arguments: --bogus"),
+            (["certify", PAPER, "extra"], "unrecognized arguments: extra"),
+            (["certify", PAPER, "--root"], "argument --root: expected one argument"),
+            (["certify", PAPER, "--root", "abc"], "--root must be an integer or 'all', got 'abc'"),
+            (["certify", PAPER, "--format", "xml"], "--format must be text or json, got 'xml'"),
         ],
         ids=["unknown-option", "no-input", "unknown-command", "no-command",
              "unknown-group-option", "extra-argument", "option-without-value", "root-abc",
              "format-xml"],
     )
     def test_click_errors_exit_one_with_one_error_line(self, args, message):
-        # exit 2 would read as INCONCLUSIVE; click's usage text is not printed
-        res = runner().invoke(main, args)
+        # usage errors, in argparse's wording (the test keeps the name it had
+        # under click): exit 2 would read as INCONCLUSIVE, and the usage text
+        # is not printed
+        res = invoke(args)
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
         assert res.stderr.count("\n") == 1
         assert message in res.stderr
         assert res.stdout == ""
+        assert res.exception is None
 
     @pytest.mark.parametrize("args", [["--help"], ["certify", "--help"]])
     def test_help_exits_zero(self, args):
-        res = runner().invoke(main, args)
+        res = invoke(args)
         assert res.exit_code == 0
-        assert res.stdout.startswith("Usage: ")
+        assert res.stdout.startswith("usage: gspcert ")
         assert res.stderr == ""
 
     def test_line_breaks_in_a_message_stay_on_one_line(self):
-        res = runner().invoke(main, ["certify", "no\nsuch\r\n.dataset"])
+        res = invoke(["certify", "no\nsuch\r\n.dataset"])
         assert res.exit_code == 1
         assert res.stderr == "error: no such dataset file: no\\nsuch\\n.dataset\n"
 
@@ -418,7 +416,7 @@ class TestErrorExits:
             "eigenvalue 2 4\neigenvalue 4 5\neigenvalue 3 3\neigenvalue 9 2\n"
         )
         start = time.perf_counter()
-        res = runner().invoke(main, ["certify", str(path)])
+        res = invoke(["certify", str(path)])
         assert res.exit_code in (0, 2)
         assert time.perf_counter() - start < 5
         assert "== certificate: p = 7, root = 0 ==" in res.stdout
@@ -429,7 +427,7 @@ class TestErrorExits:
             f"weight 28\nlevel 1\ndefining_poly {' 1' * 129} 1\n"
             "eigenvalue 2 4\neigenvalue 4 5\n"
         )
-        res = runner().invoke(main, ["certify", str(path)])
+        res = invoke(["certify", str(path)])
         assert res.exit_code == 1
         assert res.stderr == (
             f"error: {path}: defining polynomial has degree 129, above the supported 128\n"
@@ -463,6 +461,35 @@ class TestFreshInterpreter:
         assert res.returncode == 0, res.stderr
         assert res.stdout == "False\nTrue True\nTrue\n"
 
+    @pytest.mark.parametrize("module", ["gspcert.cli", "gspcert"])
+    def test_import_loads_no_click_dataclasses_or_reference_maths(self, module):
+        # the command's start-up: click, dataclasses (with inspect), the
+        # matrix route and the field-element module stay off the import path
+        res = run_python("-c", (
+            f"import sys, {module}\n"
+            "print(sorted(m for m in ('click', 'dataclasses', 'inspect', 'gspcert.symplectic',"
+            " 'gspcert.field_elements') if m in sys.modules))\n"
+        ))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
+
+    @pytest.mark.parametrize("args, stderr", [
+        (["certify", "nöpe.dataset"], "error: no such dataset file: n\\xf6pe.dataset\n"),
+        (["certify", PAPER, "--out", "nöpe/report.txt"],
+         "error: n\\xf6pe/report.txt: No such file or directory\n"),
+    ], ids=["input", "out"])
+    def test_non_ascii_paths_on_an_ascii_stderr_give_one_error_line(self, tmp_path, args, stderr):
+        # stderr escapes what its encoding cannot write, so no traceback
+        res = subprocess.run(
+            [sys.executable, "-m", "gspcert", *args], capture_output=True, text=True,
+            cwd=tmp_path, timeout=120,
+            env={**os.environ, "PYTHONIOENCODING": "ascii",
+                 "PYTHONPATH": str(Path(gspcert.__file__).resolve().parents[1])},
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == stderr
+
     def test_package_getattr_rejects_other_names(self):
         with pytest.raises(AttributeError):
             gspcert.no_such_name  # noqa: B018
@@ -472,7 +499,8 @@ class TestFreshInterpreter:
 
     def test_certificates_build_only_the_prime_field(self):
         res = run_python("-c", (
-            "from gspcert import certify, embedding_roots, ingest, make_field\n"
+            "from gspcert import certify, embedding_roots, ingest\n"
+            "from gspcert.field_elements import make_field\n"
             f"for path in {[PAPER, A3ZERO, SPLIT]!r}:\n"
             "    ds = ingest(path)\n"
             "    for r in embedding_roots(ds.defining_poly, 7):\n"
@@ -483,3 +511,13 @@ class TestFreshInterpreter:
         ))
         assert res.returncode == 0, res.stderr
         assert res.stdout == "1 1\n"  # F_7 and nothing else
+
+
+class TestPublicApi:
+    def test_all_is_the_readme_list(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+        items = re.findall(r"^- (.*(?:\n  .*)*)", section, re.MULTILINE)
+        listed = [name for item in items for name in re.findall(r"`([\w.]+)`", item)]
+        assert sorted(listed) == sorted(gspcert.__all__)
+        assert len(set(listed)) == len(listed)

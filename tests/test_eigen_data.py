@@ -15,7 +15,7 @@ from gspcert.eigen_data import (
     residual_roots,
     specialize,
 )
-from gspcert.finite_field import make_field
+from gspcert.field_elements import make_field
 from gspcert.polynomial import fp_str
 from oracles import validate_similitude_shape
 
@@ -97,6 +97,12 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="unknown"):
             paper_dataset(assumptions=frozenset({"totally_real"}))
 
+    def test_replace_validates_like_construction(self):
+        ds = paper_dataset()
+        assert ds._replace(weight=30) == paper_dataset(weight=30)
+        with pytest.raises(ValueError, match="only level 1"):
+            ds._replace(level=2)
+
     def test_digest_frozen_and_order_insensitive(self):
         ds = paper_dataset()
         assert ds.digest().startswith("41bfa1c8e09416c0")
@@ -177,9 +183,13 @@ class TestSpecialize:
         ]
         assert tables[0] == tables[1] == tables[2]
 
-    def test_root_accepted_as_field_element(self):
-        rd = specialize(paper_dataset(), 7, F7.element(4))
-        assert rd.root == 4
+    @pytest.mark.parametrize(
+        "root", [F7.element(4), 4.0, True], ids=["f7-element", "float", "bool"]
+    )
+    def test_root_other_than_an_int_refused(self, root):
+        # an F_7 element is a root only after .lift()
+        with pytest.raises(ValueError, match=r"must be an int in \[0, 7\)"):
+            specialize(paper_dataset(), 7, root)
 
     def test_alpha_expression_evaluates_to_root(self):
         alpha = {2: (0, 1), 4: (0, 1), 3: (1,), 9: (1,), 5: (2,), 25: (2,)}

@@ -8,12 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspcert.finite_field import (
-    factorize,
-    is_prime,
-    legendre,
-    make_field,
-)
+from gspcert.field_elements import make_field
+from gspcert.finite_field import factorize, is_prime, legendre
 from oracles import frobenius, in_subfield, mult_order, naive_mult_order, smallest_irreducible
 
 F7 = make_field(7, 1)

@@ -6,8 +6,9 @@ tests/golden/<dataset>.p7.{txt,json} hold the output of
         --prime 7 --root all --format text|json
 
 Any change to a certificate, its wording or its rendering shows up here.
-The same bytes must come back with the 4x4 matrix route disabled: the
-certificate's projective orders are taken in F_p[x], not from matrices.
+The same bytes must come back with the 4x4 matrix route of
+tests/symplectic.py disabled: the certificate's projective orders are taken
+in F_p[x], not from matrices.
 They must also come back from certify and the renderers with FFElement and
 Polynomial construction disabled: the certificate runs on ints and int
 tuples from specialize to the report.
@@ -18,14 +19,15 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from gspcert import eigen_data, symplectic
+import symplectic
+from cli_runner import invoke
+from field_polynomial import Polynomial
+from gspcert import eigen_data
 from gspcert.certifier import certify
-from gspcert.cli import ingest, main, render_json, render_text
+from gspcert.cli import ingest, render_json, render_text
 from gspcert.eigen_data import embedding_roots
-from gspcert.finite_field import FFElement
-from gspcert.polynomial import Polynomial
+from gspcert.field_elements import FFElement
 
 DATASETS = resources.files("gspcert") / "datasets"
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,10 +43,10 @@ EXPECTED_EXIT = {
 def check_golden(dataset: str, fmt: str, suffix: str) -> None:
     args = ["certify", str(DATASETS / f"{dataset}.dataset"),
             "--prime", "7", "--root", "all", "--format", fmt]
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     assert res.exit_code == EXPECTED_EXIT[dataset]
     assert res.stderr == ""
-    assert res.stdout_bytes == (GOLDEN / f"{dataset}.p7.{suffix}").read_bytes()
+    assert res.stdout.encode() == (GOLDEN / f"{dataset}.p7.{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])

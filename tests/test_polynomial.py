@@ -6,19 +6,21 @@ import random
 
 import pytest
 
-from gspcert.finite_field import make_field
-from gspcert.polynomial import (
+from field_polynomial import (
     Polynomial,
     factor,
+    gcd,
+    is_irreducible,
+    is_squarefree,
+    poly_powmod,
+)
+from gspcert.field_elements import make_field
+from gspcert.polynomial import (
     fp_mul,
     fp_projective_order,
     fp_split_equal_degree,
     fp_str,
     fp_trim,
-    gcd,
-    is_irreducible,
-    is_squarefree,
-    poly_powmod,
 )
 from oracles import (
     conjugate_poly,
@@ -36,7 +38,7 @@ from oracles import (
     ptrim,
     roots_in,
 )
-from gspcert.symplectic import companion, projective_order
+from symplectic import companion, projective_order
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)

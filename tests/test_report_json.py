@@ -3,7 +3,6 @@ json.dumps(tree, indent=2, sort_keys=True) + newline writes the tree of the
 same fields (tests/oracles.py keeps that tree and call as the reference)."""
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from importlib import resources
@@ -106,16 +105,16 @@ def test_goldens_need_no_json_encoder(name, monkeypatch):
 )
 def test_data_outside_the_json_types_raises_type_error(data):
     cert = bundled_certificates("weight28_level1")[0]
-    check = dataclasses.replace(cert.checks[0], data=data)
+    check = cert.checks[0]._replace(data=data)
     with pytest.raises(TypeError):
-        render_json([dataclasses.replace(cert, checks=(check,) + cert.checks[1:])])
+        render_json([cert._replace(checks=(check,) + cert.checks[1:])])
 
 
 def test_data_of_every_json_type_matches_json_dumps():
     cert = bundled_certificates("weight28_level1")[0]
     data = {"z": None, "b": [True, False], "e": {}, "l": [], "t": (1, "é"), "n": {"1": [[]]}}
-    check = dataclasses.replace(cert.checks[0], data=data)
-    certs = [dataclasses.replace(cert, checks=(check,) + cert.checks[1:])]
+    check = cert.checks[0]._replace(data=data)
+    certs = [cert._replace(checks=(check,) + cert.checks[1:])]
     assert render_json(certs) == reference_render_json(certs)
 
 

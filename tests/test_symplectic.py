@@ -7,10 +7,10 @@ from math import lcm
 
 import pytest
 
-from gspcert import symplectic
-from gspcert.finite_field import make_field
-from gspcert.polynomial import Polynomial, factor, is_irreducible
-from gspcert.symplectic import (
+import symplectic
+from field_polynomial import Polynomial, factor, is_irreducible
+from gspcert.field_elements import make_field
+from symplectic import (
     Matrix4,
     charpoly,
     companion,
