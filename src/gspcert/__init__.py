@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 # The command-line names load cli on first use, so that `python -m
 # gspcert.cli` does not find cli imported by its own package.
-_CLI_NAMES = ("DatasetError", "RunConfig", "ingest", "render_json", "render_text", "run")
+_CLI_NAMES = ("DatasetError", "ingest", "render_json", "render_text")
 
 
 def __getattr__(name: str):
@@ -53,7 +53,6 @@ __all__ = [
     "Factorization",
     "FrobeniusRecord",
     "ResidualDataset",
-    "RunConfig",
     "VERDICT_INCONCLUSIVE",
     "VERDICT_LARGE_IMAGE",
     "builtin_exceptional_table",
@@ -66,7 +65,6 @@ __all__ = [
     "render_json",
     "render_text",
     "residual_roots",
-    "run",
     "specialize",
     "__version__",
 ]

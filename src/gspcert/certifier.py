@@ -165,6 +165,16 @@ def rational_split_exponent(p: int) -> int:
     return 2 * lcm(p * (p - 1), p * p - 1, p - 1)
 
 
+def _squarefree_orders(records: Sequence[FrobeniusRecord]) -> dict[int, int]:
+    """q -> projective order for each squarefree record, the only records
+    whose order is taken; the two order checks read their witnesses here."""
+    return {
+        rec.q: rec.projective_order
+        for rec in records
+        if rec.squarefree and rec.projective_order is not None
+    }
+
+
 def check_rational_22_split(records: Sequence[FrobeniusRecord], p: int) -> CheckResult:
     """Exclude the stabilizer of a rational 2+2 plane decomposition.
 
@@ -173,21 +183,11 @@ def check_rational_22_split(records: Sequence[FrobeniusRecord], p: int) -> Check
     projective order not dividing E2 cannot lie in it.
     """
     bound = rational_split_exponent(p)
-    orders: dict[str, int] = {}
-    witnesses = []
-    for rec in records:
-        if not rec.squarefree or rec.projective_order is None:
-            continue
-        orders[str(rec.q)] = rec.projective_order
-        if bound % rec.projective_order != 0:
-            witnesses.append(rec.q)
-    witnesses.sort()
-    ok = bool(witnesses)
-    if ok:
-        q = witnesses[0]
-        o = orders[str(q)]
+    orders = _squarefree_orders(records)
+    q = min((r for r, o in orders.items() if bound % o), default=None)
+    if q is not None:
         just = (
-            f"projective Frobenius order {o} at q = {q} does not divide "
+            f"projective Frobenius order {orders[q]} at q = {q} does not divide "
             f"E2 = {bound}, the exponent of the rational plane-pair stabilizer"
         )
     elif orders:
@@ -199,10 +199,13 @@ def check_rational_22_split(records: Sequence[FrobeniusRecord], p: int) -> Check
         just = "no order witnesses available (no squarefree record); no exclusion"
     return CheckResult(
         name="rational_22_split",
-        status=PASS if ok else FAIL,
-        witnesses=(witnesses[0],) if ok else (),
+        status=FAIL if q is None else PASS,
+        witnesses=() if q is None else (q,),
         justification=just,
-        data={"exponent_bound": bound, "projective_orders": orders},
+        data={
+            "exponent_bound": bound,
+            "projective_orders": {str(r): o for r, o in orders.items()},
+        },
     )
 
 
@@ -339,21 +342,14 @@ def check_exceptional(
     occur inside any of them."""
     if table.p != p:
         raise ValueError(f"exceptional table is for p = {table.p}, not p = {p}")
-    orders: dict[str, int] = {}
-    witnesses = []
-    for rec in records:
-        if not rec.squarefree or rec.projective_order is None:
-            continue
-        orders[str(rec.q)] = rec.projective_order
-        if all(group_order % rec.projective_order != 0 for _, group_order in table.entries):
-            witnesses.append(rec.q)
-    witnesses.sort()
-    ok = bool(witnesses)
+    orders = _squarefree_orders(records)
+    q = min(
+        (r for r, o in orders.items() if all(n % o for _, n in table.entries)), default=None
+    )
     groups = ", ".join(f"{name} (order {n})" for name, n in table.entries)
-    if ok:
-        q = witnesses[0]
+    if q is not None:
         just = (
-            f"projective Frobenius order {orders[str(q)]} at q = {q} divides none "
+            f"projective Frobenius order {orders[q]} at q = {q} divides none "
             f"of the exceptional subgroup orders [{groups}]"
         )
     elif orders:
@@ -365,12 +361,12 @@ def check_exceptional(
         just = "no order witnesses available (no squarefree record); no exclusion"
     return CheckResult(
         name="exceptional",
-        status=PASS if ok else FAIL,
-        witnesses=(witnesses[0],) if ok else (),
+        status=FAIL if q is None else PASS,
+        witnesses=() if q is None else (q,),
         justification=just,
         data={
             "subgroup_orders": {name: n for name, n in table.entries},
-            "projective_orders": orders,
+            "projective_orders": {str(r): o for r, o in orders.items()},
         },
     )
 
@@ -410,21 +406,6 @@ def build_records(rd: ResidualDataset) -> tuple[FrobeniusRecord, ...]:
     return tuple(hecke_charpoly(rd, q) for q in rd.primes() if q != rd.p)
 
 
-def run_checks(
-    rd: ResidualDataset,
-    records: Sequence[FrobeniusRecord],
-    table: ExceptionalTable,
-) -> tuple[CheckResult, ...]:
-    return (
-        check_linear_constituent(records),
-        check_rational_22_split(records, rd.p),
-        check_conjugate_22_split(records, rd.p),
-        check_primitivity(rd),
-        check_exceptional(records, table, rd.p),
-        check_multiplier_surjective(rd.weight, rd.p),
-    )
-
-
 def certify(
     ds: EigenformDataset,
     p: int,
@@ -442,7 +423,14 @@ def certify(
     records = build_records(rd)
     if not records:
         raise ValueError("no Frobenius data at primes q != p; nothing to certify")
-    checks = run_checks(rd, records, table)
+    checks = (
+        check_linear_constituent(records),
+        check_rational_22_split(records, p),
+        check_conjugate_22_split(records, p),
+        check_primitivity(rd),
+        check_exceptional(records, table, p),
+        check_multiplier_surjective(ds.weight, p),
+    )
     verdict = VERDICT_LARGE_IMAGE if all(c.passed for c in checks) else VERDICT_INCONCLUSIVE
     return Certificate(
         weight=ds.weight,

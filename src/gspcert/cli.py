@@ -7,9 +7,13 @@ line per entry, the coefficients being the integer polynomial in alpha
 (a single integer for a constant).  Blank lines and text after `#` are
 ignored.
 
-Exit codes: 0 when every requested certification returns LARGE_IMAGE,
-2 when any returns INCONCLUSIVE, 1 for usage or data errors, which print
-one `error:` line on stderr.  The command line is parsed by argparse.
+`gspcert certify` runs as one function: check the option values and the
+prime, ingest, choose the roots, certify, render, write, warn.  Exit codes:
+0 when every requested certification returns LARGE_IMAGE, 2 when any
+returns INCONCLUSIVE, 1 for usage or data errors and for a report that
+cannot be written (to --out or to stdout), which print one `error:` line on
+stderr.  The command line is parsed by argparse; library callers use
+ingest, certify and the two renderers.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import argparse
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from .certifier import Certificate, CheckResult, certify, supported_table
 from .eigen_data import EigenformDataset, FrobeniusRecord, residual_roots
@@ -57,9 +61,7 @@ def ingest(path: str | os.PathLike[str]) -> EigenformDataset:
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
-    weight: int | None = None
-    level: int | None = None
-    defining: tuple[int, ...] | None = None
+    header: dict[str, object] = {}  # weight, level and defining_poly
     assumptions: list[str] = []
     eigenvalues: dict[int, tuple[int, ...]] = {}
 
@@ -68,28 +70,20 @@ def ingest(path: str | os.PathLike[str]) -> EigenformDataset:
         if not line:
             continue
         key, *rest = line.split()
-        if key == "weight":
-            if weight is not None:
-                raise _dataset_error(path, lineno, "duplicate weight")
+        if key == "weight" or key == "level":
+            if key in header:
+                raise _dataset_error(path, lineno, f"duplicate {key}")
             if len(rest) != 1:
-                raise _dataset_error(path, lineno, "weight takes exactly one integer")
-            weight = _parse_int(rest[0], path, lineno, "weight")
-        elif key == "level":
-            if level is not None:
-                raise _dataset_error(path, lineno, "duplicate level")
-            if len(rest) != 1:
-                raise _dataset_error(path, lineno, "level takes exactly one integer")
-            level = _parse_int(rest[0], path, lineno, "level")
+                raise _dataset_error(path, lineno, f"{key} takes exactly one integer")
+            header[key] = _parse_int(rest[0], path, lineno, key)
         elif key == "defining_poly":
-            if defining is not None:
+            if key in header:
                 raise _dataset_error(path, lineno, "duplicate defining_poly")
             if len(rest) < 2:
                 raise _dataset_error(
                     path, lineno, "defining_poly needs at least two coefficients"
                 )
-            defining = tuple(
-                _parse_int(tok, path, lineno, "coefficient") for tok in rest
-            )
+            header[key] = tuple(_parse_int(tok, path, lineno, "coefficient") for tok in rest)
         elif key == "assumptions":
             assumptions.extend(rest)
         elif key == "eigenvalue":
@@ -106,30 +100,16 @@ def ingest(path: str | os.PathLike[str]) -> EigenformDataset:
         else:
             raise _dataset_error(path, lineno, f"unknown directive {key!r}")
 
-    for name, value in (("weight", weight), ("level", level), ("defining_poly", defining)):
-        if value is None:
+    for name in ("weight", "level", "defining_poly"):
+        if name not in header:
             raise _dataset_error(path, None, f"missing required field {name!r}")
 
     try:
         return EigenformDataset(
-            weight=weight,
-            level=level,
-            defining_poly=defining,
-            eigenvalues=eigenvalues,
-            assumptions=frozenset(assumptions),
+            **header, eigenvalues=eigenvalues, assumptions=frozenset(assumptions)
         )
     except ValueError as exc:
         raise _dataset_error(path, None, str(exc)) from exc
-
-
-class RunConfig(NamedTuple):
-    """One certification run: which dataset, prime, roots, and output."""
-
-    input_path: str
-    p: int = 7
-    root: int | None = None  # None means every embedding root
-    fmt: str = "text"
-    out: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -295,67 +275,6 @@ def render_text(certs: list[Certificate]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the runner
-
-
-def _fail(message: str) -> int:
-    # one line whatever the message holds: a path may contain line breaks
-    print("error: " + "\\n".join(message.splitlines()), file=sys.stderr)
-    return 1
-
-
-def run(config: RunConfig) -> int:
-    """Ingest, certify the selected roots, write the report."""
-    try:
-        ds = ingest(config.input_path)
-    except DatasetError as exc:
-        return _fail(str(exc))
-
-    p = config.p
-    try:
-        if not is_prime(p):
-            return _fail(f"--prime must be a prime number, got {p}")
-        table = supported_table(p)
-    except ValueError as exc:
-        return _fail(str(exc))
-    if config.root is not None and not 0 <= config.root < p:
-        return _fail(f"--root must lie in [0, {p}), got {config.root}")
-
-    try:
-        if config.root is None:
-            roots = [
-                r for r, mult in residual_roots(ds.defining_poly, p).linear_roots() if mult == 1
-            ]
-            if not roots:
-                return _fail(
-                    f"no prime-field embedding: the defining polynomial "
-                    f"has no simple root mod {p}"
-                )
-        else:
-            roots = [config.root]
-        certs = [certify(ds, p, root, table) for root in roots]
-    except ValueError as exc:
-        return _fail(str(exc))
-
-    report = render_json(certs) if config.fmt == "json" else render_text(certs)
-    if config.out is not None:
-        try:
-            with open(config.out, "w", encoding="utf-8") as fh:
-                fh.write(report)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-            return _fail(f"{config.out}: {getattr(exc, 'strerror', None) or exc}")
-    else:
-        sys.stdout.write(report)
-
-    if p in ds.primes():  # only once nothing can fail: exit 1 prints one line
-        print(
-            f"warning: ignoring eigenvalues at q = {p}: q = p carries no Frobenius data",
-            file=sys.stderr,
-        )
-    return 0 if all(c.certified for c in certs) else 2
-
-
-# ---------------------------------------------------------------------------
 # command line
 
 
@@ -365,9 +284,9 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but a usage error raises _UsageError, so that it
-    ends in one `error:` line and exit 1 like the errors of run, instead of
-    the usage text and argparse's exit 2, which is the INCONCLUSIVE code
-    here."""
+    ends in one `error:` line and exit 1 like the command's other errors,
+    instead of the usage text and argparse's exit 2, which is the
+    INCONCLUSIVE code here."""
 
     def error(self, message: str) -> NoReturn:
         raise _UsageError(message)
@@ -407,8 +326,15 @@ def _parser(prog: str | None) -> _Parser:
     return parser
 
 
+def _fail(message: str) -> int:
+    # one line whatever the message holds: a path may contain line breaks
+    print("error: " + "\\n".join(message.splitlines()), file=sys.stderr)
+    return 1
+
+
 def _certify_command(args: argparse.Namespace) -> int:
-    """Check the option values of `certify`, then run it."""
+    """Check the options and the prime, ingest, certify the selected roots,
+    write the report, and return the exit code."""
     if not os.path.isfile(args.input_path):
         return _fail(f"no such dataset file: {args.input_path}")
     try:
@@ -424,7 +350,54 @@ def _certify_command(args: argparse.Namespace) -> int:
             return _fail(f"--root must be an integer or 'all', got {args.root!r}")
     if args.fmt not in ("text", "json"):
         return _fail(f"--format must be text or json, got {args.fmt!r}")
-    return run(RunConfig(input_path=args.input_path, p=p, root=root, fmt=args.fmt, out=args.out))
+
+    try:  # every ValueError, DatasetError among them, ends in its one line
+        if not is_prime(p):
+            return _fail(f"--prime must be a prime number, got {p}")
+        table = supported_table(p)  # before any dataset work
+        ds = ingest(args.input_path)
+        if root is None:
+            roots = [
+                r for r, mult in residual_roots(ds.defining_poly, p).linear_roots() if mult == 1
+            ]
+            if not roots:
+                return _fail(
+                    f"no prime-field embedding: the defining polynomial "
+                    f"has no simple root mod {p}"
+                )
+        elif 0 <= root < p:
+            roots = [root]
+        else:
+            return _fail(f"--root must lie in [0, {p}), got {root}")
+        certs = [certify(ds, p, r, table) for r in roots]
+    except ValueError as exc:
+        return _fail(str(exc))
+
+    report = render_json(certs) if args.fmt == "json" else render_text(certs)
+    if args.out is not None:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            return _fail(f"{args.out}: {getattr(exc, 'strerror', None) or exc}")
+    else:
+        try:
+            sys.stdout.write(report)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, a full disk
+            # the unwritten bytes stay buffered: send them to devnull, or the
+            # interpreter's exit flush fails again and prints "Exception ignored"
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return _fail(f"stdout: {exc.strerror or exc}")
+
+    if p in ds.primes():  # only once nothing can fail: exit 1 prints one line
+        print(
+            f"warning: ignoring eigenvalues at q = {p}: q = p carries no Frobenius data",
+            file=sys.stderr,
+        )
+    return 0 if all(c.certified for c in certs) else 2
 
 
 def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:

@@ -187,9 +187,6 @@ class FFElement:
             return NotImplemented
         return self * other.inv()
 
-    def __rtruediv__(self, other: int) -> FFElement:
-        return self.field.element(other) / self
-
     def __pow__(self, e: int) -> FFElement:
         if not isinstance(e, int):
             return NotImplemented

@@ -1,6 +1,7 @@
 """Tests for dataset ingestion and the certify command."""
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -32,13 +33,15 @@ CHECK_NAMES = (
 )
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports the gspcert under test."""
+def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the gspcert under test; stdout
+    is captured unless another target is given."""
     src = str(Path(gspcert.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        timeout=120,
     )
 
 
@@ -306,6 +309,13 @@ class TestErrorExits:
         assert res.stderr.count("\n") == 1
         assert "table" in res.stderr
 
+    def test_prime_checked_before_the_dataset_is_read(self, tmp_path):
+        path = tmp_path / "bad.dataset"
+        path.write_text("weight 28\nlevel 1\nspin 3\n")
+        res = invoke(["certify", str(path), "--prime", "9"])
+        assert res.exit_code == 1
+        assert res.stderr == "error: --prime must be a prime number, got 9\n"
+
     def test_prime_past_the_primality_bound_exits_one_with_one_line(self):
         res = invoke(["certify", PAPER, "--prime", str(10**29 + 319)])
         assert res.exit_code == 1
@@ -453,8 +463,8 @@ class TestFreshInterpreter:
             "import sys\n"
             "import gspcert\n"
             "print('gspcert.cli' in sys.modules)\n"
-            "from gspcert import certify, ingest, run\n"
-            "print('gspcert.cli' in sys.modules, run is sys.modules['gspcert.cli'].run)\n"
+            "from gspcert import certify, ingest\n"
+            "print('gspcert.cli' in sys.modules, ingest is sys.modules['gspcert.cli'].ingest)\n"
             "from gspcert import *\n"
             "print(all(name in globals() for name in gspcert.__all__))\n"
         ))
@@ -489,6 +499,25 @@ class TestFreshInterpreter:
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr == stderr
+
+    @pytest.mark.parametrize("target, errnum", [
+        ("closed-pipe", errno.EPIPE),
+        pytest.param("/dev/full", errno.ENOSPC, marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full device")),
+    ], ids=["closed-pipe", "dev-full"])
+    def test_unwritable_stdout_exits_one_with_one_line(self, target, errnum):
+        if target == "closed-pipe":
+            read_end, fd = os.pipe()
+            os.close(read_end)  # every write to the pipe now fails with EPIPE
+        else:
+            fd = os.open(target, os.O_WRONLY)
+        try:
+            res = run_python("-m", "gspcert", "certify", PAPER, stdout=fd)
+        finally:
+            os.close(fd)
+        # one line: no traceback, and no "Exception ignored" from the exit flush
+        assert res.returncode == 1
+        assert res.stderr == f"error: stdout: {os.strerror(errnum)}\n"
 
     def test_package_getattr_rejects_other_names(self):
         with pytest.raises(AttributeError):

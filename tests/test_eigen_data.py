@@ -5,8 +5,8 @@ from importlib import resources
 
 import pytest
 
+from cli_runner import invoke
 from gspcert import eigen_data
-from gspcert.cli import RunConfig, run
 from gspcert.eigen_data import (
     EigenformDataset,
     embedding_roots,
@@ -146,7 +146,7 @@ class TestResidualRoots:
         assert residual_roots(list(DEFINING), 7) is residual_roots(DEFINING, 7)
         assert [r.lift() for r in embedding_roots(list(DEFINING), 7)] == [4, 3, 1]
 
-    def test_defining_poly_factored_once_across_all_roots(self, monkeypatch, capsys):
+    def test_defining_poly_factored_once_across_all_roots(self, monkeypatch):
         # the CLI takes the roots from E's factorization and specialize checks
         # each root against it: one factorization of E serves them all
         real_factor = eigen_data.factor
@@ -159,8 +159,9 @@ class TestResidualRoots:
         monkeypatch.setattr(eigen_data, "factor", counting_factor)
         eigen_data._residual_roots.cache_clear()
         path = resources.files("gspcert") / "datasets" / "weight28_level1.dataset"
-        assert run(RunConfig(input_path=str(path), p=7, root=None, fmt="text", out=None)) == 0
-        assert "3 certificate(s)" in capsys.readouterr().out
+        res = invoke(["certify", str(path)])
+        assert res.exit_code == 0
+        assert "3 certificate(s)" in res.stdout
         e = tuple(c % 7 for c in DEFINING)
         assert sum(f == e for f in factored) == 1
         assert len(factored) == 1 + 3 * 3  # E, then three charpolys per root
