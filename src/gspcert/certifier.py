@@ -23,7 +23,6 @@ from .eigen_data import (
     specialize,
 )
 from .finite_field import is_prime, legendre
-from .polynomial import fp_powmod
 
 VERDICT_LARGE_IMAGE = "LARGE_IMAGE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
@@ -212,7 +211,8 @@ def check_rational_22_split(records: Sequence[FrobeniusRecord], p: int) -> Check
 def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
     """Number of ways to write a squarefree quartic f as g * conj(g), with g
     a monic quadratic over F_{p^2} whose constant term lies in F_p and conj
-    the Frobenius sigma: x -> x^p on coefficients; None for a cubic factor.
+    the Frobenius sigma: x -> x^p on coefficients; None for a cubic factor
+    or an irreducible f whose record has no projective order.
 
     Such a g takes two of the four roots of f, so this counts the pairings
     {a, b} | {c, d} of the roots with sigma{a, b} = {c, d} and ab in F_p.
@@ -222,8 +222,14 @@ def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
       own image: every pattern with a linear factor counts 0.
     - f irreducible with root r: sigma cycles r, r^p, r^(p^2), r^(p^3), and
       only {r, r^(p^2)} maps onto its complement.  It counts when
-      r^(1 + p^2) lies in F_p, i.e. r^((p^2 + 1)(p - 1)) = 1, which is
-      x^((p^2 + 1)(p - 1)) = 1 mod f.
+      r^(1 + p^2) lies in F_p, which is read off the record's projective
+      order n, the least n >= 1 with x^n constant mod f: it counts iff
+      n | p^2 + 1.  For x -> r identifies F_p[x]/(f) with F_{p^4}, and
+      the m with r^m in F_p^* are the preimage of a subgroup under
+      m -> r^m, a subgroup of Z, so they are the multiples of n.  This is
+      the same test as r^((p^2 + 1)(p - 1)) = 1, i.e.
+      x^((p^2 + 1)(p - 1)) = 1 mod f, as F_p^* is the set of z with
+      z^(p - 1) = 1.
     - f = (x^2 - s_1 x + n_1)(x^2 - s_2 x + n_2) with roots u, u^p and
       v, v^p: {u, u^p} is its own image, while {u, v} and {u, v^p} map
       onto their complements and count when uv, resp. uv^p, lies in F_p.
@@ -236,7 +242,9 @@ def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
       u/u^p = v^p/v = v/v^p, i.e. v^p = -v and then u^p = -u (roots of a
       squarefree f are distinct): s_1 = s_2 = 0.
     - With a cubic factor (3 + 1) the roots lie outside F_{p^4}; None
-      marks the record as skipped.
+      marks the record as skipped.  So does an irreducible f whose record
+      has no order (one built by hand; the order checks skip it too, in
+      _squarefree_orders): no witness rests on it.
     """
     p = rec.factorization.p
     factors = [g for g, _ in rec.factorization.factors]
@@ -244,7 +252,8 @@ def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
     if 3 in degrees:
         return None
     if degrees == [4]:
-        return int(fp_powmod((0, 1), (p * p + 1) * (p - 1), rec.charpoly, p) == (1,))
+        n = rec.projective_order
+        return None if n is None else int((p * p + 1) % n == 0)
     if degrees == [2, 2]:
         (n1, s1), (n2, s2) = ((g[0], -g[1] % p) for g in factors)
         if (s1 * s1 - 2 * n1) * n2 % p != (s2 * s2 - 2 * n2) * n1 % p:

@@ -1,29 +1,60 @@
 """Hand-rolled reference implementations used as independent oracles.
 
-The integer-list helpers work on plain coefficient lists, low degree
-first, with no dependency on the package under test.  The extension-field
+The first two helpers are the F_p kernel's product and powmod as they
+were before the products were reduced on the fly.  The integer-list
+helpers work on plain coefficient lists, low degree first, with no
+dependency on the package under test.  The extension-field
 sections below run on FieldSpec (gspcert.field_elements) and Polynomial
 (field_polynomial.py) arithmetic:
 the factoring route over F_{p^d} that factor took before it moved onto its
 F_p kernel, and the route the certificate used to take over F_{p^4}, which
 finds the roots of a quartic by scanning the splitting field and pairs them
 up directly.  The last sections hold the projective order of a matrix by
-stepping through its powers, and the JSON report as json.dumps writes it.
+stepping through its powers, the projective orders of irreducible quartics
+from a primitive element and by descent, and the JSON report as
+json.dumps writes it.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from field_polynomial import Polynomial, is_squarefree
 from gspcert.certifier import Certificate
 from gspcert.cli import REPORT_FORMAT
 from gspcert.field_elements import FFElement, FieldSpec, make_field
 from gspcert.finite_field import factorize
-from gspcert.polynomial import fp_str
+from gspcert.polynomial import fp_mod, fp_powmod, fp_str, fp_trim
 from symplectic import Matrix4, _mul_rows, _scalar_of_rows, order_cap
+
+
+def fp_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a * b over F_p on the kernel's low-first int tuples."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return fp_trim([c % p for c in out])
+
+
+def reference_powmod(a: tuple[int, ...], e: int, m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a^e mod m, square-and-multiply with a full product and a separate
+    reduction per step: fp_powmod before its products and reductions were
+    fused."""
+    result = fp_mod((1,), m, p)
+    acc = fp_mod(a, m, p)
+    while e:
+        if e & 1:
+            result = fp_mod(fp_mul(result, acc, p), m, p)
+        e >>= 1
+        if e:
+            acc = fp_mod(fp_mul(acc, acc, p), m, p)
+    return result
 
 
 def ptrim(a: list[int]) -> list[int]:
@@ -417,6 +448,59 @@ def stepped_projective_order(m: Matrix4) -> int:
         if n == order_cap(p):
             raise RuntimeError("projective order exceeded the GL(4, p) bound")
         power, n = _mul_rows(power, m.rows, p), n + 1
+    return n
+
+
+# ---------------------------------------------------------------------------
+# projective orders of irreducible quartics, without stepping: the F_p order
+# route of _conjugate_pairings is checked against x^((p^2+1)(p-1)) = 1 on them
+
+
+def irreducible_quartic_orders(p: int) -> dict[tuple[int, ...], int]:
+    """Every monic irreducible quartic over F_p, mapped to the projective
+    order of its companion matrix, from a primitive element g of
+    F_{p^4} = F_p[x]/(f0): the quartics are the minimal polynomials
+    prod_k (X - g^(j p^k)) of the g^j of degree 4, and F_{p^4}^*/F_p^* is
+    cyclic of order N = (p^4 - 1)/(p - 1), generated by g, so the order of
+    g^j there is N / gcd(j, N)."""
+    m = p**4 - 1
+    # x has order m mod f0, so F_p[x]/(f0) has m units: it is a field; and
+    # f0(0) is the norm of x, a primitive root mod p
+    c0, c1, c2, c3, _ = next(
+        f + (1,) for f in itertools.product(range(1, p), range(p), range(p), range(p))
+        if all(pow(f[0], (p - 1) // ell, p) != 1 for ell in factorize(p - 1))
+        and reference_powmod((0, 1), m, f + (1,), p) == (1,)
+        and all(reference_powmod((0, 1), m // ell, f + (1,), p) != (1,) for ell in factorize(m))
+    )
+    exp = [(1, 0, 0, 0)]  # exp[j] = x^j mod f0, low first
+    for _ in range(m - 1):
+        a0, a1, a2, a3 = exp[-1]
+        exp.append((-a3 * c0 % p, (a0 - a3 * c1) % p, (a1 - a3 * c2) % p, (a2 - a3 * c3) % p))
+
+    def coefficient(exponents) -> int:
+        # the sum of the g^e, which lies in F_p
+        total = [sum(col) % p for col in zip(*(exp[e % m] for e in exponents))]
+        assert not any(total[1:]), total
+        return total[0]
+
+    n = m // (p - 1)
+    orders = {}
+    for j in range(1, m):
+        js = [j * p**k % m for k in range(4)]
+        if min(js) != j or js[2] == j:  # one j per orbit, none in F_{p^2}
+            continue
+        e = [coefficient(map(sum, itertools.combinations(js, i))) for i in range(1, 5)]
+        orders[(e[3], -e[2] % p, e[1], -e[0] % p, 1)] = n // gcd(j, n)
+    return orders
+
+
+def irreducible_projective_order(f: tuple[int, ...], p: int) -> int:
+    """Projective order of the companion matrix of an irreducible quartic
+    f, by descent from N = (p + 1)(p^2 + 1): x^N is the norm of x, in F_p."""
+    n = (p + 1) * (p * p + 1)
+    for ell in factorize(n):
+        while n % ell == 0 and len(fp_powmod((0, 1), n // ell, f, p)) <= 1:
+            n //= ell
     return n
 
 

@@ -25,7 +25,16 @@ from gspcert.certifier import (
 )
 from gspcert.eigen_data import EigenformDataset, FrobeniusRecord, specialize
 from gspcert.field_elements import make_field
-from oracles import admissible_pairings, conjugate_poly, in_subfield, roots_in
+from gspcert.polynomial import Factorization, fp_factorization, fp_projective_order
+from oracles import (
+    admissible_pairings,
+    conjugate_poly,
+    in_subfield,
+    irreducible_projective_order,
+    irreducible_quartic_orders,
+    reference_powmod,
+    roots_in,
+)
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)
@@ -50,12 +59,18 @@ def paper_records():
 
 
 def synthetic_record(q: int, f: Polynomial, order=None, squarefree=None) -> FrobeniusRecord:
+    """A record for the monic quartic f; a squarefree one without a given
+    order gets fp_projective_order's, as hecke_charpoly fills it in."""
     fac = factor(f)
+    charpoly = tuple(c.lift() for c in f.coeffs)
+    squarefree = fac.is_squarefree() if squarefree is None else squarefree
+    if squarefree and order is None:
+        order = fp_projective_order(charpoly, f.field.p)
     return FrobeniusRecord(
         q=q,
-        charpoly=tuple(c.lift() for c in f.coeffs),
+        charpoly=charpoly,
         factorization=fac,
-        squarefree=fac.is_squarefree() if squarefree is None else squarefree,
+        squarefree=squarefree,
         projective_order=order,
         similitude=1,
     )
@@ -212,6 +227,78 @@ class TestPairingCountOracles:
                 continue
             sampled += 1
             assert n == admissible_pairings(f), str(f)
+
+
+def squarefree_record(
+    f: tuple[int, ...], p: int, order: int | None, irreducible=False
+) -> FrobeniusRecord:
+    """A record for the squarefree monic quartic f at q = 2, order as given;
+    an irreducible f is not factored again."""
+    return FrobeniusRecord(
+        q=2,
+        charpoly=f,
+        factorization=Factorization(p, 1, ((f, 1),)) if irreducible else fp_factorization(f, p),
+        squarefree=True,
+        projective_order=order,
+        similitude=1,
+    )
+
+
+def assert_order_route_matches_exponent_route(orders: dict, p: int) -> None:
+    """The pairing count of each irreducible quartic's record, which reads
+    its projective order, against x^((p^2 + 1)(p - 1)) = 1 mod f."""
+    counted = Counter()
+    for f, n in orders.items():
+        res = check_conjugate_22_split([squarefree_record(f, p, n, irreducible=True)], p)
+        expected = int(reference_powmod((0, 1), (p * p + 1) * (p - 1), f, p) == (1,))
+        assert res.data["admissible_pairings"] == {"2": expected}, (f, n)
+        assert res.witnesses == (() if expected else (2,))
+        counted[expected] += 1
+    assert counted[0] and counted[1]  # both outcomes occur
+
+
+class TestConjugatePairOrderRoute:
+    """An irreducible record counts one pairing iff its projective order
+    divides p^2 + 1: the same test as the exponentiation it replaces."""
+
+    @pytest.mark.parametrize("p, count", [(5, 150), (7, 588), (11, 3630), (13, 7098)])
+    def test_every_irreducible_quartic(self, p, count):
+        orders = irreducible_quartic_orders(p)
+        assert len(orders) == count == (p**4 - p**2) // 4
+        if p <= 7:  # the orders are the records' own, and the descent's
+            for f, n in orders.items():
+                assert fp_projective_order(f, p) == n == irreducible_projective_order(f, p), f
+        assert_order_route_matches_exponent_route(orders, p)
+
+    @pytest.mark.parametrize("p", [19, 23, 31, 103])
+    def test_seeded_irreducible_quartics(self, p):
+        rng = random.Random(9000 + p)
+        orders = {}
+        while len(orders) < 500:
+            f = tuple(rng.randrange(p) for _ in range(4)) + (1,)
+            if f not in orders and fp_factorization(f, p).factors == ((f, 1),):
+                orders[f] = irreducible_projective_order(f, p)
+        assert_order_route_matches_exponent_route(orders, p)
+
+    @pytest.mark.parametrize("f, order", [((3, 0, 1, 1, 1), 400), ((2, 5, 2, 3, 1), 25)])
+    def test_irreducible_record_without_an_order_is_skipped(self, f, order):
+        # with its order, 400 (not dividing 50) makes a witness and 25 does
+        # not; without it: no TypeError, and never a witness
+        p = 7
+        assert irreducible_quartic_orders(p)[f] == order
+        with_order = check_conjugate_22_split([squarefree_record(f, p, order)], p)
+        assert with_order.data["admissible_pairings"] == {"2": int(50 % order == 0)}
+        res = check_conjugate_22_split([squarefree_record(f, p, None)], p)
+        assert not res.passed
+        assert res.witnesses == ()
+        assert res.data["admissible_pairings"] == {}
+
+    @pytest.mark.parametrize("f, count", [((2, 0, 3, 0, 1), 2), ((5, 0, 1, 0, 1), 0)])
+    def test_split_records_do_not_read_the_order(self, f, count):
+        # (x^2 + 1)(x^2 + 2) and (x + 1)(x + 6)(x^2 + 2) count from their
+        # factors alone, as before
+        res = check_conjugate_22_split([squarefree_record(f, 7, None)], 7)
+        assert res.data["admissible_pairings"] == {"2": count}
 
 
 class TestPrimitivity:

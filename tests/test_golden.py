@@ -11,7 +11,9 @@ tests/symplectic.py disabled: the certificate's projective orders are taken
 in F_p[x], not from matrices.
 They must also come back from certify and the renderers with FFElement and
 Polynomial construction disabled: the certificate runs on ints and int
-tuples from specialize to the report.
+tuples from specialize to the report.  And certify raises nothing but a
+power of x to the p-th power: the conjugate-pair count reads the projective
+order, and the distinct-degree pass composes with x^p for x^(p^k), k >= 2.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import pytest
 import symplectic
 from cli_runner import invoke
 from field_polynomial import Polynomial
-from gspcert import eigen_data
+from gspcert import certifier, eigen_data, polynomial
 from gspcert.certifier import certify
 from gspcert.cli import ingest, render_json, render_text
 from gspcert.eigen_data import embedding_roots
@@ -80,3 +82,25 @@ def test_no_field_element_or_polynomial_on_the_certify_path(dataset, render, suf
     monkeypatch.setattr(Polynomial, "__init__", no_objects)
     report = render([certify(ds, 7, root) for root in roots])
     assert report.encode() == (GOLDEN / f"{dataset}.p7.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
+def test_certify_raises_only_powers_of_x_to_the_p(dataset, monkeypatch):
+    ds = ingest(DATASETS / f"{dataset}.dataset")
+    roots = [r.lift() for r in embedding_roots(ds.defining_poly, 7)]
+    eigen_data._residual_roots.cache_clear()  # so certify factors E again, spied on
+    calls = []
+    powmod = polynomial.fp_powmod
+
+    def spy(a, e, m, p):
+        calls.append((a, e, p))
+        return powmod(a, e, m, p)
+
+    # certifier too, so that a name imported there again is spied on as well
+    for module in (polynomial, certifier, eigen_data):
+        monkeypatch.setattr(module, "fp_powmod", spy, raising=False)
+    certs = [certify(ds, 7, root) for root in roots]
+    assert calls
+    for a, e, p in calls:  # x^j, never x^(p^(k-1)) mod f nor x^((p^2+1)(p-1))
+        assert e == p == 7 and a == (0,) * (len(a) - 1) + (1,), (a, e, p)
+    assert render_json(certs).encode() == (GOLDEN / f"{dataset}.p7.json").read_bytes()
