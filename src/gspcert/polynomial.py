@@ -2,16 +2,13 @@
 
 The fp_* kernel works on low-first tuples of ints in [0, p) with no trailing
 zero, and the certificate runs on it alone.  Products are only ever taken
-mod a polynomial, by one multiply-and-reduce step (_mulmod) that fp_powmod
-and fp_powers share; a bare product is left to the tests.  fp_factor
-makes one distinct-degree pass, carrying x^(p^k) on to the shrinking
-cofactor: one p-th power gives x^p, and each later step composes with it
-instead of raising to p again (fp_compose, a combination of the powers of
-x^p below deg f, which fp_powers takes once).  It reads the linear factors
-off the values at every c in F_p and splits equal-degree factors by the
-trace values of x, x^2, ... against every c, so the cost does not depend
-on where the factors lie.  Factorization holds its factors as tuples;
-fp_str prints a tuple high degree first.
+mod a polynomial, inside fp_powmod, by one multiply-and-reduce step
+(_mulmod); a bare product is left to the tests.  fp_factor makes one
+distinct-degree pass, carrying x^(p^k) on to the shrinking cofactor; it
+reads the linear factors off the values at every c in F_p and splits
+equal-degree factors by the trace values of x, x^2, ... against every c, so
+the cost does not depend on where the factors lie.  Factorization holds its
+factors as tuples; fp_str prints a tuple high degree first.
 fp_projective_order is the order of a quartic's companion matrix in
 PGL(4, p), read off the powers of x mod the quartic.
 """
@@ -128,26 +125,6 @@ def fp_powmod(a: FpPoly, e: int, m: FpPoly, p: int) -> FpPoly:
     return result
 
 
-def fp_powers(s: FpPoly, m: FpPoly, p: int) -> list[FpPoly]:
-    """[1, s, s^2, ..., s^(d - 1)] mod monic m of degree d >= 1: deg m - 2
-    products, after which fp_compose takes any r(s) mod m without one."""
-    pows = [(1,), fp_mod(s, m, p)]
-    while len(pows) < len(m) - 1:
-        pows.append(_mulmod(pows[-1], pows[1], m, p))
-    return pows[: len(m) - 1]
-
-
-def fp_compose(r: FpPoly, pows: Sequence[FpPoly], p: int) -> FpPoly:
-    """r(s) mod m for r of degree < deg m, from pows = fp_powers(s, m, p):
-    the combination of the powers of s with r's coefficients."""
-    out = [0] * len(pows)
-    for c, w in zip(r, pows):
-        if c:
-            for i, wi in enumerate(w):
-                out[i] += c * wi
-    return fp_trim([v % p for v in out])
-
-
 def fp_monic(a: FpPoly, p: int) -> FpPoly:
     if not a or a[-1] == 1:
         return a
@@ -203,22 +180,12 @@ def fp_factor(f: FpPoly, p: int) -> list[tuple[FpPoly, int]]:
     # One distinct-degree pass.  Entering step k, f has no factor of degree
     # < k and r = x^(p^(k-1)) modulo f or a multiple of f, so gcd(f,
     # x^(p^k) - x) is the product of the distinct degree-k factors; r stays
-    # valid for the cofactor left after dividing them out.  Step 1 raises x
-    # to the p-th power.  Step k >= 2 takes r^p = r(x^p) mod f instead (u^p
-    # = u(x^p) over F_p): step 2 takes the powers of x^p below deg f, deg f
-    # - 2 products whatever p is, and every step combines them with r's
-    # coefficients.  The powers and r stay mod the f of step 2, a multiple
-    # of every later cofactor.  Once 2k > deg f, f is 1 or irreducible.
+    # valid for the cofactor left after dividing them out (fp_powmod reduces
+    # it modulo the cofactor).  Once 2k > deg f, f is 1 or irreducible.
     pairs = []
     r, k = (0, 1), 1
     while 2 * k <= len(f) - 1:
-        if k == 1:
-            r = fp_powmod(r, p, f, p)
-        else:
-            if k == 2:
-                r = fp_mod(r, f, p)
-                xp_powers = fp_powers(r, f, p)
-            r = fp_compose(r, xp_powers, p)
+        r = fp_powmod(r, p, f, p)
         s = fp_gcd(fp_add(r, (0, p - 1), p), f, p)
         if len(s) > 1 and k == 1:
             for c in _roots(s, p):

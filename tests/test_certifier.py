@@ -261,11 +261,13 @@ class TestConjugatePairOrderRoute:
     """An irreducible record counts one pairing iff its projective order
     divides p^2 + 1: the same test as the exponentiation it replaces."""
 
-    @pytest.mark.parametrize("p, count", [(5, 150), (7, 588), (11, 3630), (13, 7098)])
+    # p = 7 is covered by test_exhaustive_p7_against_definitional_tally,
+    # whose irreducible records carry fp_projective_order's orders
+    @pytest.mark.parametrize("p, count", [(5, 150), (11, 3630), (13, 7098)])
     def test_every_irreducible_quartic(self, p, count):
         orders = irreducible_quartic_orders(p)
         assert len(orders) == count == (p**4 - p**2) // 4
-        if p <= 7:  # the orders are the records' own, and the descent's
+        if p == 5:  # the orders are the records' own, and the descent's
             for f, n in orders.items():
                 assert fp_projective_order(f, p) == n == irreducible_projective_order(f, p), f
         assert_order_route_matches_exponent_route(orders, p)
@@ -285,7 +287,8 @@ class TestConjugatePairOrderRoute:
         # with its order, 400 (not dividing 50) makes a witness and 25 does
         # not; without it: no TypeError, and never a witness
         p = 7
-        assert irreducible_quartic_orders(p)[f] == order
+        assert fp_factorization(f, p).factors == ((f, 1),)
+        assert fp_projective_order(f, p) == order
         with_order = check_conjugate_22_split([squarefree_record(f, p, order)], p)
         assert with_order.data["admissible_pairings"] == {"2": int(50 % order == 0)}
         res = check_conjugate_22_split([squarefree_record(f, p, None)], p)

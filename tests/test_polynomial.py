@@ -16,10 +16,6 @@ from field_polynomial import (
 )
 from gspcert.field_elements import make_field
 from gspcert.polynomial import (
-    fp_compose,
-    fp_factor,
-    fp_mod,
-    fp_powers,
     fp_powmod,
     fp_projective_order,
     fp_split_equal_degree,
@@ -152,8 +148,8 @@ KERNEL_PRIMES = [2, 3, 5, 7, 19, 101, 65537, 1000003]
 
 
 class TestFusedKernel:
-    """fp_powmod's fused multiply-and-reduce, fp_powers and fp_compose
-    against the full product and separate reduction of tests/oracles.py."""
+    """fp_powmod's fused multiply-and-reduce against the full product and
+    separate reduction of tests/oracles.py."""
 
     @pytest.mark.parametrize("p", KERNEL_PRIMES)
     def test_powmod_matches_reference(self, p):
@@ -167,33 +163,6 @@ class TestFusedKernel:
             for a in [(), (1,), poly(0), poly(rng.randrange(1, 3 * len(m) + 2))]:
                 for e in [0, 1, 2, p, rng.randrange(3, 400), rng.randrange(p**2 + 1)]:
                     assert fp_powmod(a, e, m, p) == reference_powmod(a, e, m, p), (a, e, m)
-
-    @pytest.mark.parametrize("p", KERNEL_PRIMES)
-    def test_compose_matches_reference_evaluation(self, p):
-        # r(s) mod m as sum r_i s^i, every power and product reduced in the
-        # reference; s need not be reduced mod m
-        rng = random.Random(5200 + p)
-        for _ in range(30):
-            m = tuple(rng.randrange(p) for _ in range(rng.randrange(1, 8))) + (1,)
-            r = fp_trim([rng.randrange(p) for _ in range(rng.randrange(0, len(m)))])
-            s = fp_trim([rng.randrange(p) for _ in range(rng.randrange(0, 12))])
-            pows = fp_powers(s, m, p)
-            assert pows == [reference_powmod(s, i, m, p) for i in range(len(m) - 1)], (s, m)
-            terms = [fp_mul((c,), reference_powmod(s, i, m, p), p) for i, c in enumerate(r)]
-            total = fp_trim([sum(col) % p for col in itertools.zip_longest(*terms, fillvalue=0)])
-            assert fp_compose(r, pows, p) == fp_mod(total, m, p), (r, s, m)
-
-    @pytest.mark.parametrize("p", KERNEL_PRIMES)
-    def test_composition_takes_frobenius_powers(self, p):
-        # x^(p^k) = r(x^p) for r = x^(p^(k-1)), modulo any f
-        rng = random.Random(5300 + p)
-        for _ in range(10):
-            f = tuple(rng.randrange(p) for _ in range(rng.randrange(4, 9))) + (1,)
-            r = fp_powmod((0, 1), p, f, p)
-            xp_powers = fp_powers(r, f, p)
-            for k in range(2, 5):
-                r = fp_compose(r, xp_powers, p)
-                assert r == fp_powmod((0, 1), p**k, f, p) == reference_powmod((0, 1), p**k, f, p)
 
 
 class TestSquarefree:
