@@ -24,10 +24,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import NoReturn, Sequence
 
 from .certifier import Certificate, CheckResult, certify, supported_table
-from .eigen_data import EigenformDataset, FrobeniusRecord, residual_roots
-# not called here: perfbench's library workloads look embedding_roots up in
-# this module, where its tracer rebinds it
-from .eigen_data import embedding_roots  # noqa: F401
+from .eigen_data import EigenformDataset, FrobeniusRecord, embedding_roots
 from .finite_field import is_prime
 from .polynomial import fp_str
 
@@ -357,9 +354,7 @@ def _certify_command(args: argparse.Namespace) -> int:
         table = supported_table(p)  # before any dataset work
         ds = ingest(args.input_path)
         if root is None:
-            roots = [
-                r for r, mult in residual_roots(ds.defining_poly, p).linear_roots() if mult == 1
-            ]
+            roots = embedding_roots(ds.defining_poly, p)
             if not roots:
                 return _fail(
                     f"no prime-field embedding: the defining polynomial "

@@ -10,23 +10,20 @@ characteristic polynomial of Frobenius at q is
 
 with every prime power q^e computed mod p after reducing e mod p-1.
 Residues are ints in [0, p) and polynomials the low-first int tuples of
-polynomial's F_p kernel, from specialize to the records; only
-embedding_roots hands out field elements.  The records are NamedTuples.
+polynomial's F_p kernel, from the embedding roots to the records.  The
+records are NamedTuples.
 """
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
 from math import isqrt
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .finite_field import is_prime
 from .polynomial import Factorization, FpPoly
 from .polynomial import fp_factorization as factor
 from .polynomial import fp_projective_order as projective_order
-
-if TYPE_CHECKING:
-    from .field_elements import FFElement
 
 KNOWN_ASSUMPTIONS = ("not_maass_spezialform", "conductor_one")
 
@@ -44,6 +41,11 @@ def _eigenvalue_base(index: int) -> int:
     if r >= 2 and r * r == index and is_prime(r):
         return r
     raise ValueError(f"eigenvalue index {index} is neither a prime nor a prime square")
+
+
+def _primes(indices: Iterable[int]) -> list[int]:
+    """The primes q with a_q or a_{q^2} among the eigenvalue indices."""
+    return sorted({_eigenvalue_base(i) for i in indices})
 
 
 class _EigenformFields(NamedTuple):
@@ -112,7 +114,7 @@ class EigenformDataset(_EigenformFields):
         return cls(*iterable)
 
     def primes(self) -> list[int]:
-        return sorted({_eigenvalue_base(i) for i in self.eigenvalues})
+        return _primes(self.eigenvalues)
 
     def digest(self) -> str:
         """Stable identity of the dataset contents (sha256 hex)."""
@@ -139,7 +141,7 @@ class ResidualDataset(NamedTuple):
     assumptions: frozenset[str]
 
     def primes(self) -> list[int]:
-        return sorted({_eigenvalue_base(i) for i in self.eigenvalues})
+        return _primes(self.eigenvalues)
 
 
 class FrobeniusRecord(NamedTuple):
@@ -169,25 +171,31 @@ def _residual_roots(defining_poly: tuple[int, ...], p: int) -> Factorization:
     return factor(tuple(c % p for c in defining_poly), p)
 
 
-def embedding_roots(defining_poly: Sequence[int], p: int) -> list[FFElement]:
-    """Simple roots of E mod p as elements of F_p (.lift() gives the int),
-    in the deterministic factor order: the linear roots of multiplicity 1
-    in residual_roots(defining_poly, p)."""
-    from .field_elements import make_field
+class Root(int):
+    """An embedding root: an int in [0, p) that keeps .lift() for older callers."""
 
-    F, fac = make_field(p, 1), residual_roots(defining_poly, p)
-    return [F.element(r) for r, mult in fac.linear_roots() if mult == 1]
+    __slots__ = ()
+    lift = int.__int__
+
+
+def embedding_roots(defining_poly: Sequence[int], p: int) -> list[Root]:
+    """Simple roots of E mod p as ints in [0, p), in the deterministic
+    factor order: the linear roots of multiplicity 1 in
+    residual_roots(defining_poly, p)."""
+    fac = residual_roots(defining_poly, p)
+    return [Root(r) for r, mult in fac.linear_roots() if mult == 1]
 
 
 def specialize(ds: EigenformDataset, p: int, root: int) -> ResidualDataset:
     """Evaluate every eigenvalue expression at the chosen residual root,
-    an int in [0, p).
+    an int in [0, p); a root from embedding_roots is taken as it is.
 
     Refuses roots that are absent mod p or non-simple (a repeated root
     changes the residue map; extending scalars is out of scope).
     """
-    if type(root) is not int:
+    if type(root) not in (int, Root):
         raise ValueError(f"root must be an int in [0, {p}), got {root!r}")
+    root = int(root)
     if not 0 <= root < p:
         raise ValueError(f"root must lie in [0, {p}), got {root}")
     mult = dict(residual_roots(ds.defining_poly, p).linear_roots()).get(root, 0)

@@ -1,6 +1,6 @@
 """Integer facts about F_p: primality, factoring small integers and the
-Legendre symbol.  Residues mod p are plain ints throughout; the field
-element objects live in field_elements.
+Legendre symbol.  Residues mod p are plain ints throughout; the package has
+no field-element type (the tests' reference one is tests/field_elements.py).
 """
 from __future__ import annotations
 

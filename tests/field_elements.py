@@ -1,12 +1,11 @@
 """Field elements: F_p and its extensions F_{p^2}, F_{p^4} as objects.
 
-The certificate runs on ints mod p and never builds these.  They remain for
-eigen_data.embedding_roots, which hands out prime-field elements (imported
-when it is called), and for the tests' reference routes, which cross-check
-the certificate over the splitting field.  An element is a dense
-coefficient vector over the canonical modulus of its field, found by
-polynomial's F_p kernel (fp_is_irreducible) and reduced eagerly after every
-operation; everything is plain integer arithmetic.
+The certificate runs on ints mod p and never builds these; they are not
+part of gspcert.  The tests' reference routes (field_polynomial, symplectic,
+oracles) use them to cross-check the certificate over the splitting field.
+An element is a dense coefficient vector over the canonical modulus of its
+field, found by gspcert's F_p kernel (fp_is_irreducible) and reduced
+eagerly after every operation; everything is plain integer arithmetic.
 """
 from __future__ import annotations
 
@@ -14,8 +13,8 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .finite_field import is_prime
-from .polynomial import fp_is_irreducible
+from gspcert.finite_field import is_prime
+from gspcert.polynomial import fp_is_irreducible
 
 SUPPORTED_DEGREES = (1, 2, 4)
 

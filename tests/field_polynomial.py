@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from gspcert.field_elements import FFElement, FieldSpec
+from field_elements import FFElement, FieldSpec
 from gspcert.polynomial import (
     Factorization,
     FpPoly,

@@ -4,7 +4,7 @@ The first two helpers are the F_p kernel's product and powmod as they
 were before the products were reduced on the fly.  The integer-list
 helpers work on plain coefficient lists, low degree first, with no
 dependency on the package under test.  The extension-field
-sections below run on FieldSpec (gspcert.field_elements) and Polynomial
+sections below run on FieldSpec (field_elements.py) and Polynomial
 (field_polynomial.py) arithmetic:
 the factoring route over F_{p^d} that factor took before it moved onto its
 F_p kernel, and the route the certificate used to take over F_{p^4}, which
@@ -21,10 +21,10 @@ import json
 from functools import lru_cache
 from math import gcd, lcm
 
+from field_elements import FFElement, FieldSpec, make_field
 from field_polynomial import Polynomial, is_squarefree
 from gspcert.certifier import Certificate
 from gspcert.cli import REPORT_FORMAT
-from gspcert.field_elements import FFElement, FieldSpec, make_field
 from gspcert.finite_field import factorize
 from gspcert.polynomial import fp_mod, fp_powmod, fp_str, fp_trim
 from symplectic import Matrix4, _mul_rows, _scalar_of_rows, order_cap

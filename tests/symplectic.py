@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from math import lcm, prod
 
+from field_elements import FFElement, FieldSpec
 from field_polynomial import Polynomial
-from gspcert.field_elements import FFElement, FieldSpec
 from gspcert.finite_field import factorize
 
 Rows = tuple[tuple[int, int, int, int], ...]

@@ -11,6 +11,7 @@ import time
 from importlib import resources
 from math import gcd
 
+from field_elements import make_field
 from field_polynomial import Polynomial, factor, is_irreducible
 from gspcert import (
     EigenformDataset,
@@ -23,7 +24,6 @@ from gspcert import (
 )
 from gspcert.certifier import check_conjugate_22_split
 from gspcert.eigen_data import FrobeniusRecord
-from gspcert.field_elements import make_field
 from gspcert.polynomial import fp_str
 from oracles import (
     conjugate_poly,

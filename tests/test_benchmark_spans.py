@@ -3,8 +3,9 @@
 perfbench/spans.py rebinds the layer functions in the modules that call
 them (gspcert.cli, .certifier, .eigen_data) and records a span per call.
 A refactor that calls a layer through another name, or drops the
-`.lift()` the library workloads use on embedding roots, hides that layer
-from the benchmark without failing anything else; this test fails instead.
+`.lift()` the library workloads still call on the int roots from
+embedding_roots, hides that layer from the benchmark without failing
+anything else; this test fails instead.
 The tracer's source is only read, never imported as a module, so nothing
 is written under perfbench/.
 """
@@ -44,9 +45,14 @@ READ_SPANS = {
 }
 
 
-def test_tracer_records_every_layer_the_benchmark_reads():
+def installed_tracer():
     tracer = runpy.run_path(str(SPANS))["Tracer"]()
     tracer.install()
+    return tracer
+
+
+def test_tracer_records_every_layer_the_benchmark_reads():
+    tracer = installed_tracer()
     try:
         # one library op, as the library workloads make it
         ds = cli.ingest(PAPER)
@@ -58,3 +64,15 @@ def test_tracer_records_every_layer_the_benchmark_reads():
         tracer.uninstall()
     assert res.exit_code == 0, res.stderr
     assert READ_SPANS <= {span.name for span in tracer.spans}
+
+
+def test_certify_command_takes_its_roots_through_the_traced_layer():
+    # the CLI workload's children see its choice of roots only through the
+    # eigen_data.embedding_roots span
+    tracer = installed_tracer()
+    try:
+        res = invoke(["certify", PAPER])
+    finally:
+        tracer.uninstall()
+    assert res.exit_code == 0, res.stderr
+    assert "eigen_data.embedding_roots" in {span.name for span in tracer.spans}

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from field_elements import make_field
 from field_polynomial import Polynomial, factor, is_squarefree
 from gspcert.certifier import (
     VERDICT_INCONCLUSIVE,
@@ -24,7 +25,6 @@ from gspcert.certifier import (
     rational_split_exponent,
 )
 from gspcert.eigen_data import EigenformDataset, FrobeniusRecord, specialize
-from gspcert.field_elements import make_field
 from gspcert.polynomial import Factorization, fp_factorization, fp_projective_order
 from oracles import (
     admissible_pairings,

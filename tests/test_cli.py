@@ -301,7 +301,7 @@ class TestErrorExits:
         def unreachable(*args):
             raise AssertionError("dataset-derived work ran")
 
-        monkeypatch.setattr("gspcert.cli.residual_roots", unreachable)
+        monkeypatch.setattr("gspcert.cli.embedding_roots", unreachable)
         monkeypatch.setattr("gspcert.certifier.build_records", unreachable)
         res = invoke(["certify", PAPER, "--prime", prime])
         assert res.exit_code == 1
@@ -473,12 +473,13 @@ class TestFreshInterpreter:
 
     @pytest.mark.parametrize("module", ["gspcert.cli", "gspcert"])
     def test_import_loads_no_click_dataclasses_or_reference_maths(self, module):
-        # the command's start-up: click, dataclasses (with inspect), the
-        # matrix route and the field-element module stay off the import path
+        # the command's start-up: click, dataclasses (with inspect) and the
+        # tests' reference maths stay off the import path
         res = run_python("-c", (
             f"import sys, {module}\n"
             "print(sorted(m for m in ('click', 'dataclasses', 'inspect', 'gspcert.symplectic',"
-            " 'gspcert.field_elements') if m in sys.modules))\n"
+            " 'field_elements', 'field_polynomial', 'symplectic', 'oracles')"
+            " if m in sys.modules))\n"
         ))
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[]\n"
@@ -526,20 +527,22 @@ class TestFreshInterpreter:
 
         assert cli.main is main
 
-    def test_certificates_build_only_the_prime_field(self):
+    def test_certificates_load_every_package_module_and_no_other(self):
+        # every module of the package is on the certify path: none is there
+        # for the tests alone
         res = run_python("-c", (
-            "from gspcert import certify, embedding_roots, ingest\n"
-            "from gspcert.field_elements import make_field\n"
+            "import sys\n"
+            "from gspcert import certify, embedding_roots, ingest, render_json, render_text\n"
             f"for path in {[PAPER, A3ZERO, SPLIT]!r}:\n"
             "    ds = ingest(path)\n"
-            "    for r in embedding_roots(ds.defining_poly, 7):\n"
-            "        certify(ds, 7, r.lift())\n"
-            "built = make_field.cache_info().currsize\n"
-            "make_field(7, 1)\n"
-            "print(built, make_field.cache_info().currsize)\n"
+            "    certs = [certify(ds, 7, r) for r in embedding_roots(ds.defining_poly, 7)]\n"
+            "    render_json(certs), render_text(certs)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gspcert'))\n"
         ))
         assert res.returncode == 0, res.stderr
-        assert res.stdout == "1 1\n"  # F_7 and nothing else
+        stems = {path.stem for path in Path(gspcert.__file__).parent.glob("*.py")} - {"__main__"}
+        expected = sorted("gspcert" if s == "__init__" else f"gspcert.{s}" for s in stems)
+        assert res.stdout == f"{expected!r}\n"
 
 
 class TestPublicApi:

@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from cli_runner import invoke
+from field_elements import make_field
 from gspcert import eigen_data
 from gspcert.eigen_data import (
     EigenformDataset,
@@ -15,7 +16,6 @@ from gspcert.eigen_data import (
     residual_roots,
     specialize,
 )
-from gspcert.field_elements import make_field
 from gspcert.polynomial import fp_str
 from oracles import validate_similitude_shape
 

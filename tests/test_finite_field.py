@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspcert.field_elements import make_field
+from field_elements import make_field
 from gspcert.finite_field import factorize, is_prime, legendre
 from oracles import frobenius, in_subfield, mult_order, naive_mult_order, smallest_irreducible
 

@@ -23,12 +23,12 @@ import pytest
 
 import symplectic
 from cli_runner import invoke
+from field_elements import FFElement
 from field_polynomial import Polynomial
 from gspcert import certifier, eigen_data, polynomial
 from gspcert.certifier import certify
 from gspcert.cli import ingest, render_json, render_text
 from gspcert.eigen_data import embedding_roots
-from gspcert.field_elements import FFElement
 
 DATASETS = resources.files("gspcert") / "datasets"
 GOLDEN = Path(__file__).parent / "golden"
@@ -81,6 +81,16 @@ def test_no_field_element_or_polynomial_on_the_certify_path(dataset, render, suf
     monkeypatch.setattr(Polynomial, "__init__", no_objects)
     report = render([certify(ds, 7, root) for root in roots])
     assert report.encode() == (GOLDEN / f"{dataset}.p7.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
+def test_embedding_roots_certify_as_plain_ints(dataset):
+    ds = ingest(DATASETS / f"{dataset}.dataset")
+    for r in embedding_roots(ds.defining_poly, 7):
+        cert, lifted = certify(ds, 7, r), certify(ds, 7, r.lift())
+        assert type(cert.root) is int
+        for render in (render_json, render_text):
+            assert render([cert]).encode() == render([lifted]).encode()
 
 
 @pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))

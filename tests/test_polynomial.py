@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from field_elements import make_field
 from field_polynomial import (
     Polynomial,
     factor,
@@ -14,7 +15,6 @@ from field_polynomial import (
     is_squarefree,
     poly_powmod,
 )
-from gspcert.field_elements import make_field
 from gspcert.polynomial import (
     fp_powmod,
     fp_projective_order,

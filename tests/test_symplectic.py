@@ -8,8 +8,8 @@ from math import lcm
 import pytest
 
 import symplectic
+from field_elements import make_field
 from field_polynomial import Polynomial, factor, is_irreducible
-from gspcert.field_elements import make_field
 from symplectic import (
     Matrix4,
     charpoly,
