@@ -21,7 +21,6 @@ from .eigen_data import (
     embedding_roots,
     hecke_charpoly,
     hecke_quartic,
-    residual_roots,
     specialize,
 )
 from .finite_field import legendre
@@ -64,7 +63,6 @@ __all__ = [
     "legendre",
     "render_json",
     "render_text",
-    "residual_roots",
     "specialize",
     "__version__",
 ]

@@ -1,6 +1,7 @@
-"""Integer facts about F_p: primality, factoring small integers and the
-Legendre symbol.  Residues mod p are plain ints throughout; the package has
-no field-element type (the tests' reference one is tests/field_elements.py).
+"""Integer facts about F_p: primality and the Legendre symbol.  Residues
+mod p are plain ints throughout; the package has no field-element type (the
+tests' reference one, with the integer factoring the tests' order
+computations use, is tests/field_elements.py).
 """
 from __future__ import annotations
 
@@ -34,22 +35,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (n stays small here)."""
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}")
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def legendre(a: int, p: int) -> int:

@@ -1,22 +1,21 @@
 """Univariate polynomials over F_p as int tuples.
 
 The fp_* kernel works on low-first tuples of ints in [0, p) with no trailing
-zero, and the certificate runs on it alone.  Products are only ever taken
-mod a polynomial, inside fp_powmod, by one multiply-and-reduce step
-(_mulmod); a bare product is left to the tests.  fp_factor makes one
-distinct-degree pass, carrying x^(p^k) on to the shrinking cofactor; it
-reads the linear factors off the values at every c in F_p and splits
-equal-degree factors by the trace values of x, x^2, ... against every c, so
-the cost does not depend on where the factors lie.  Factorization holds its
-factors as tuples; fp_str prints a tuple high degree first.
-fp_projective_order is the order of a quartic's companion matrix in
-PGL(4, p), read off the powers of x mod the quartic.
+zero, and the certificate runs on it alone; what only the tests use (a bare
+product, Rabin's irreducibility test) lives with them.  Products are only
+ever taken mod a polynomial, inside fp_powmod, by one multiply-and-reduce
+step (_mulmod).  fp_factor makes one distinct-degree pass, carrying
+x^(p^k) on to the shrinking cofactor; it reads the linear factors off the
+values at every c in F_p (_roots, which also finds eigen_data's embedding
+roots) and splits equal-degree factors by the trace values of x, x^2, ...
+against every c, so the cost does not depend on where the factors lie.
+Factorization holds its factors as tuples; fp_str prints a tuple high
+degree first.  fp_projective_order is the order of a quartic's companion
+matrix in PGL(4, p), read off the powers of x mod the quartic.
 """
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
-
-from .finite_field import factorize
 
 FpPoly = tuple[int, ...]
 
@@ -137,19 +136,6 @@ def fp_gcd(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
     while b:
         a, b = b, fp_mod(a, b, p)
     return fp_monic(a, p)
-
-
-def fp_is_irreducible(f: FpPoly, p: int) -> bool:
-    """Rabin's test for monic f of degree n >= 1: x^(p^n) = x mod f and
-    gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n."""
-    n = len(f) - 1
-    x = fp_mod((0, 1), f, p)
-    if fp_powmod(x, p**n, f, p) != x:
-        return False
-    return all(  # n >= 2 here, so x = (0, 1) and -x = (0, p - 1)
-        len(fp_gcd(fp_add(fp_powmod(x, p ** (n // ell), f, p), (0, p - 1), p), f, p)) == 1
-        for ell in factorize(n)
-    )
 
 
 def fp_projective_order(f: FpPoly, p: int) -> int:

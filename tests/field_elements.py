@@ -4,8 +4,11 @@ The certificate runs on ints mod p and never builds these; they are not
 part of gspcert.  The tests' reference routes (field_polynomial, symplectic,
 oracles) use them to cross-check the certificate over the splitting field.
 An element is a dense coefficient vector over the canonical modulus of its
-field, found by gspcert's F_p kernel (fp_is_irreducible) and reduced
-eagerly after every operation; everything is plain integer arithmetic.
+field, found by Rabin's test (fp_is_irreducible, on gspcert's F_p kernel)
+and reduced eagerly after every operation; everything is plain integer
+arithmetic.  This module sits under every other reference module, so it
+also holds the integer factoring (factorize) that Rabin's test and the
+order computations of symplectic and oracles share.
 """
 from __future__ import annotations
 
@@ -14,9 +17,38 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from gspcert.finite_field import is_prime
-from gspcert.polynomial import fp_is_irreducible
+from gspcert.polynomial import FpPoly, fp_add, fp_gcd, fp_mod, fp_powmod
 
 SUPPORTED_DEGREES = (1, 2, 4)
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization by trial division (n stays small here)."""
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}")
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def fp_is_irreducible(f: FpPoly, p: int) -> bool:
+    """Rabin's test for monic f of degree n >= 1: x^(p^n) = x mod f and
+    gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n."""
+    n = len(f) - 1
+    x = fp_mod((0, 1), f, p)
+    if fp_powmod(x, p**n, f, p) != x:
+        return False
+    return all(  # n >= 2 here, so x = (0, 1) and -x = (0, p - 1)
+        len(fp_gcd(fp_add(fp_powmod(x, p ** (n // ell), f, p), (0, p - 1), p), f, p)) == 1
+        for ell in factorize(n)
+    )
 
 
 def _smallest_irreducible(p: int, d: int) -> tuple[int, ...]:

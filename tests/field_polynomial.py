@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from field_elements import FFElement, FieldSpec
+from field_elements import FFElement, FieldSpec, fp_is_irreducible
 from gspcert.polynomial import (
     Factorization,
     FpPoly,
     fp_factorization,
     fp_gcd,
-    fp_is_irreducible,
     fp_monic,
     fp_powmod,
     fp_str,

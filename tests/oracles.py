@@ -21,11 +21,10 @@ import json
 from functools import lru_cache
 from math import gcd, lcm
 
-from field_elements import FFElement, FieldSpec, make_field
+from field_elements import FFElement, FieldSpec, factorize, make_field
 from field_polynomial import Polynomial, is_squarefree
 from gspcert.certifier import Certificate
 from gspcert.cli import REPORT_FORMAT
-from gspcert.finite_field import factorize
 from gspcert.polynomial import fp_mod, fp_powmod, fp_str, fp_trim
 from symplectic import Matrix4, _mul_rows, _scalar_of_rows, order_cap
 

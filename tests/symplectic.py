@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from math import lcm, prod
 
-from field_elements import FFElement, FieldSpec
+from field_elements import FFElement, FieldSpec, factorize
 from field_polynomial import Polynomial
-from gspcert.finite_field import factorize
 
 Rows = tuple[tuple[int, int, int, int], ...]
 

@@ -1,6 +1,7 @@
 """Tests for dataset ingestion and the certify command."""
 from __future__ import annotations
 
+import ast
 import errno
 import json
 import os
@@ -553,3 +554,29 @@ class TestPublicApi:
         listed = [name for item in items for name in re.findall(r"`([\w.]+)`", item)]
         assert sorted(listed) == sorted(gspcert.__all__)
         assert len(set(listed)) == len(listed)
+
+    def test_every_package_definition_has_a_use(self):
+        # code that only the tests use lives in tests/: each def and class in
+        # the package is referenced elsewhere in it, public or a dunder, or
+        # a hook that the standard library calls by name
+        hooks = {
+            "_make": "NamedTuple's _replace builds the edited copy through it",
+            "error": "argparse reports a usage error through it",
+        }
+        defined, referenced = [], set()
+        for path in sorted(Path(gspcert.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append(node.name)
+                elif isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name)
+        unused = {
+            name for name in defined
+            if name not in referenced and name not in gspcert.__all__
+            and not (name.startswith("__") and name.endswith("__"))
+        }
+        assert unused == set(hooks)

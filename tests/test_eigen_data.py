@@ -1,6 +1,7 @@
 """Tests for dataset modeling, embedding, and Frobenius data extraction."""
 from __future__ import annotations
 
+import random
 from importlib import resources
 
 import pytest
@@ -13,11 +14,10 @@ from gspcert.eigen_data import (
     embedding_roots,
     hecke_charpoly,
     hecke_quartic,
-    residual_roots,
     specialize,
 )
-from gspcert.polynomial import fp_str
-from oracles import validate_similitude_shape
+from gspcert.polynomial import fp_factorization, fp_str
+from oracles import fp_mul, monic_polys, validate_similitude_shape
 
 F7 = make_field(7, 1)
 
@@ -118,16 +118,11 @@ class TestDatasetValidation:
 
 
 class TestResidualRoots:
-    def test_defining_cubic_factorization_frozen(self):
-        fac = residual_roots(DEFINING, 7)
-        assert str(fac) == "(x + 3)(x + 4)(x + 6)"
-
     def test_embedding_roots_in_factor_order(self):
         assert [r.lift() for r in embedding_roots(DEFINING, 7)] == [4, 3, 1]
+        assert embedding_roots(list(DEFINING), 7) == [4, 3, 1]
 
     def test_irreducible_poly_gives_no_embeddings(self):
-        fac = residual_roots((1, 0, 1), 7)
-        assert len(fac.factors) == 1
         assert embedding_roots((1, 0, 1), 7) == []
 
     def test_repeated_root_is_not_an_embedding(self):
@@ -135,20 +130,18 @@ class TestResidualRoots:
         assert [r.lift() for r in embedding_roots((-2, 5, -4, 1), 7)] == [2]
 
     def test_p_must_be_prime(self):
-        with pytest.raises(ValueError):
-            residual_roots(DEFINING, 6)
+        with pytest.raises(ValueError, match="^6 is not prime$"):
+            embedding_roots(DEFINING, 6)
+        with pytest.raises(ValueError, match="^6 is not prime$"):
+            specialize(paper_dataset(), 6, 1)
 
     def test_p_must_not_kill_leading_coefficient(self):
-        with pytest.raises(ValueError):
-            residual_roots((1, 7), 7)
+        with pytest.raises(ValueError, match="leading coefficient of E vanishes mod 7"):
+            embedding_roots((1, 7), 7)
 
-    def test_list_input_shares_the_memoized_factorization(self):
-        assert residual_roots(list(DEFINING), 7) is residual_roots(DEFINING, 7)
-        assert [r.lift() for r in embedding_roots(list(DEFINING), 7)] == [4, 3, 1]
-
-    def test_defining_poly_factored_once_across_all_roots(self, monkeypatch):
-        # the CLI takes the roots from E's factorization and specialize checks
-        # each root against it: one factorization of E serves them all
+    def test_defining_poly_never_factored(self, monkeypatch):
+        # the CLI takes the roots from gcd(E, x^p - x) and specialize checks
+        # each root by evaluating E and E': only the charpolys are factored
         real_factor = eigen_data.factor
         factored = []
 
@@ -157,14 +150,75 @@ class TestResidualRoots:
             return real_factor(f, p)
 
         monkeypatch.setattr(eigen_data, "factor", counting_factor)
-        eigen_data._residual_roots.cache_clear()
         path = resources.files("gspcert") / "datasets" / "weight28_level1.dataset"
-        res = invoke(["certify", str(path)])
+        res = invoke(["certify", str(path), "--root", "all"])
         assert res.exit_code == 0
         assert "3 certificate(s)" in res.stdout
-        e = tuple(c % 7 for c in DEFINING)
-        assert sum(f == e for f in factored) == 1
-        assert len(factored) == 1 + 3 * 3  # E, then three charpolys per root
+        assert tuple(c % 7 for c in DEFINING) not in factored
+        assert len(factored) == 3 * 3  # three charpolys per root
+        assert all(len(f) == 5 for f in factored)
+
+
+def linear_roots(e, p: int) -> list[tuple[int, int]]:
+    """The oracle: (root, multiplicity) for the linear factors of E over
+    F_p, in factor order."""
+    return fp_factorization(tuple(c % p for c in e), p).linear_roots()
+
+
+def planted_poly(rng: random.Random, p: int, degree: int, cofactor_degree: int) -> list[int]:
+    """A degree-`degree` polynomial over Z, its leading coefficient a unit
+    mod p: linear factors x - r, some repeated, times a random cofactor of
+    degree at most cofactor_degree, each coefficient lifted by a random
+    multiple of p."""
+    f: tuple[int, ...] = (rng.randrange(1, p),)
+    cofactor = min(cofactor_degree, degree)
+    while len(f) - 1 < degree - cofactor:
+        r = rng.randrange(p)
+        for _ in range(min(rng.choice((1, 1, 1, 2, 3)), degree - cofactor - len(f) + 1)):
+            f = fp_mul(f, (-r % p, 1), p)
+    f = fp_mul(f, tuple(rng.randrange(p) for _ in range(degree - len(f) + 1)) + (1,), p)
+    return [c + p * rng.randrange(-3, 4) for c in f[:-1]] + [f[-1]]
+
+
+class TestEmbeddingRootsAgainstFactoring:
+    """embedding_roots reads the simple roots off gcd(E, x^p - x) and E';
+    the factorization of E it replaced is the oracle."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_every_monic_poly_of_degree_at_most_three(self, p):
+        for d in (1, 2, 3):
+            for e in monic_polys(p, d):
+                assert embedding_roots(e, p) == [r for r, m in linear_roots(e, p) if m == 1], e
+
+    # cofactor degree: the oracle's distinct-degree pass on the random part
+    # costs about deg^3 log p, so it shrinks as p grows
+    @pytest.mark.parametrize("p, cofactor_degree", [(19, 128), (103, 64), (10007, 24)])
+    def test_seeded_polys_with_repeated_roots(self, p, cofactor_degree):
+        rng = random.Random(p)
+        degrees = [rng.randint(1, 12) for _ in range(24)] + [rng.randint(13, 127) for _ in range(4)] + [128]
+        repeated = 0
+        for degree in degrees:
+            e = planted_poly(rng, p, degree, rng.randint(0, cofactor_degree))
+            assert len(e) == degree + 1 and e[-1] % p
+            pairs = linear_roots(e, p)
+            assert embedding_roots(e, p) == [r for r, m in pairs if m == 1], (p, e)
+            repeated += any(m > 1 for _, m in pairs)
+        assert repeated  # some E had a repeated root to leave out
+
+    def test_specialize_outcomes_for_every_root_at_p7(self):
+        for d in (1, 2, 3):
+            for e in monic_polys(7, d):
+                ds = paper_dataset(defining_poly=tuple(e), eigenvalues={2: (4,), 4: (5,)})
+                mult = dict(linear_roots(e, 7))
+                for r in range(7):
+                    if r not in mult:
+                        with pytest.raises(ValueError, match="is not a root of E mod 7"):
+                            specialize(ds, 7, r)
+                    elif mult[r] == 1:
+                        assert specialize(ds, 7, r).root == r
+                    else:
+                        with pytest.raises(ValueError, match="repeated root of E mod 7; refusing"):
+                            specialize(ds, 7, r)
 
 
 class TestSpecialize:

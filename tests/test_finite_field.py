@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from field_elements import make_field
-from gspcert.finite_field import factorize, is_prime, legendre
+from field_elements import factorize, make_field
+from gspcert.finite_field import is_prime, legendre
 from oracles import frobenius, in_subfield, mult_order, naive_mult_order, smallest_irreducible
 
 F7 = make_field(7, 1)

@@ -72,7 +72,6 @@ def test_no_matrix_product_on_the_certify_path(dataset, fmt, suffix, monkeypatch
 def test_no_field_element_or_polynomial_on_the_certify_path(dataset, render, suffix, monkeypatch):
     ds = ingest(DATASETS / f"{dataset}.dataset")
     roots = [r.lift() for r in embedding_roots(ds.defining_poly, 7)]
-    eigen_data._residual_roots.cache_clear()  # so certify factors E again, patched
 
     def no_objects(*args):
         raise AssertionError("an FFElement or a Polynomial was built while certifying")
