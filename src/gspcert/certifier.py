@@ -12,8 +12,7 @@ so the only verdicts are LARGE_IMAGE and INCONCLUSIVE.
 from __future__ import annotations
 
 from math import gcd as int_gcd
-from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .eigen_data import (
     EigenformDataset,
@@ -63,8 +62,10 @@ class ExceptionalTable(NamedTuple):
 def supported_table(p: int, table: ExceptionalTable | None = None) -> ExceptionalTable:
     """The exceptional table to certify with at p (the built-in one when
     table is None), after checking that the argument applies at p: p prime,
-    p >= 5 and p = 3 mod 4, and that a given table is for p and lists
-    (name, order) pairs of a str and an int.  Raises ValueError otherwise."""
+    p >= 5 and p = 3 mod 4, and that a given table is for p and lists at
+    least one (name, order) pair of a str and an int >= 1; with no entries
+    the exceptional check would pass on no evidence.  Raises ValueError
+    otherwise."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p < 5:
@@ -81,6 +82,10 @@ def supported_table(p: int, table: ExceptionalTable | None = None) -> Exceptiona
             and isinstance(entry[0], str) and type(entry[1]) is int  # not a bool
         ):
             raise ValueError(f"exceptional table entry {entry!r} is not a (str, int) pair")
+        if entry[1] < 1:
+            raise ValueError(f"exceptional table entry {entry!r} has an order below 1")
+    if not table.entries:
+        raise ValueError(f"exceptional table for p = {p} has no entries")
     return table
 
 
@@ -122,6 +127,16 @@ class Certificate(NamedTuple):
 # the six checks
 
 
+def _result(
+    name: str, ok: bool, witnesses: Sequence[int], passed: str, failed: str, data: dict
+) -> CheckResult:
+    """The outcome rule every check shares: it passes with its witnesses,
+    or fails with none, so no failed check names a prime as evidence."""
+    if ok:
+        return CheckResult(name, PASS, tuple(witnesses), passed, data)
+    return CheckResult(name, FAIL, (), failed, data)
+
+
 def check_linear_constituent(records: Sequence[FrobeniusRecord]) -> CheckResult:
     """Exclude a one-dimensional constituent (reducible cases with a line).
 
@@ -130,48 +145,47 @@ def check_linear_constituent(records: Sequence[FrobeniusRecord]) -> CheckResult:
     on every Frobenius characteristic polynomial.  One rootless polynomial
     refutes it; all rootless primes are recorded.
     """
-    counts: dict[str, int] = {}
-    witnesses = []
-    for rec in records:
-        n = sum(mult for _, mult in rec.factorization.linear_roots())
-        counts[str(rec.q)] = n
-        if n == 0:
-            witnesses.append(rec.q)
-    ok = bool(witnesses)
-    if ok:
-        just = (
-            f"characteristic polynomials at q in {{{', '.join(str(q) for q in witnesses)}}} "
-            "have no root in F_p, so no one-dimensional constituent exists; "
-            "rules out every reducible case with a linear piece"
-        )
-    else:
-        just = (
-            "every characteristic polynomial has a root in F_p, which is "
-            "consistent with a one-dimensional constituent; no exclusion"
-        )
-    return CheckResult(
-        name="linear_constituent",
-        status=PASS if ok else FAIL,
-        witnesses=tuple(witnesses),
-        justification=just,
-        data={"base_field_root_counts": counts},
+    counts = [(rec.q, sum(m for _, m in rec.factorization.linear_roots())) for rec in records]
+    witnesses = [q for q, n in counts if n == 0]
+    return _result(
+        "linear_constituent", bool(witnesses), witnesses,
+        f"characteristic polynomials at q in {{{', '.join(str(q) for q in witnesses)}}} "
+        "have no root in F_p, so no one-dimensional constituent exists; "
+        "rules out every reducible case with a linear piece",
+        "every characteristic polynomial has a root in F_p, which is "
+        "consistent with a one-dimensional constituent; no exclusion",
+        {"base_field_root_counts": {str(q): n for q, n in counts}},
     )
 
 
 def rational_split_exponent(p: int) -> int:
-    """2 * lcm(p(p-1), p^2-1, p-1): annihilates every projective element
-    order available inside the rational 2+2 stabilizer GL(2) wr S2."""
-    return 2 * lcm(p * (p - 1), p * p - 1, p - 1)
+    """E2 = 2p(p^2-1), which is 2 * lcm(p(p-1), p^2-1, p-1) for odd p:
+    annihilates every projective element order available inside the
+    rational 2+2 stabilizer GL(2) wr S2."""
+    return 2 * p * (p * p - 1)
 
 
-def _squarefree_orders(records: Sequence[FrobeniusRecord]) -> dict[int, int]:
-    """q -> projective order for each squarefree record, the only records
-    whose order is taken; the two order checks read their witnesses here."""
-    return {
+def _order_check(
+    name: str, records: Sequence[FrobeniusRecord], excluded: Callable[[int], bool],
+    exclusion: str, fit: str, data: dict,
+) -> CheckResult:
+    """The two order checks' shared scan over the squarefree records, the
+    only ones whose projective order is taken: the least q whose order n
+    has excluded(n) witnesses the check.  exclusion ends the text for that
+    q, fit the text for orders that all fit; data gains the orders."""
+    orders = {
         rec.q: rec.projective_order
         for rec in records
         if rec.squarefree and rec.projective_order is not None
     }
+    q = min((r for r, n in orders.items() if excluded(n)), default=None)
+    return _result(
+        name, q is not None, (q,),
+        f"projective Frobenius order {orders.get(q)} at q = {q} {exclusion}",
+        f"every computed projective order divides {fit}" if orders
+        else "no order witnesses available (no squarefree record); no exclusion",
+        {**data, "projective_orders": {str(r): n for r, n in orders.items()}},
+    )
 
 
 def check_rational_22_split(records: Sequence[FrobeniusRecord], p: int) -> CheckResult:
@@ -179,32 +193,17 @@ def check_rational_22_split(records: Sequence[FrobeniusRecord], p: int) -> Check
 
     Every projective element order in that stabilizer divides E2 =
     rational_split_exponent(p); a squarefree record whose companion has
-    projective order not dividing E2 cannot lie in it.
+    projective order not dividing E2 cannot lie in it.  A squarefree
+    Hecke quartic with a root in F_p or two quadratic factors has its roots
+    in F_{p^2}, so its order divides p^2 - 1 and hence E2: only irreducible
+    records can witness this check.
     """
     bound = rational_split_exponent(p)
-    orders = _squarefree_orders(records)
-    q = min((r for r, o in orders.items() if bound % o), default=None)
-    if q is not None:
-        just = (
-            f"projective Frobenius order {orders[q]} at q = {q} does not divide "
-            f"E2 = {bound}, the exponent of the rational plane-pair stabilizer"
-        )
-    elif orders:
-        just = (
-            f"every computed projective order divides E2 = {bound}; "
-            "consistent with the rational plane-pair stabilizer, no exclusion"
-        )
-    else:
-        just = "no order witnesses available (no squarefree record); no exclusion"
-    return CheckResult(
-        name="rational_22_split",
-        status=FAIL if q is None else PASS,
-        witnesses=() if q is None else (q,),
-        justification=just,
-        data={
-            "exponent_bound": bound,
-            "projective_orders": {str(r): o for r, o in orders.items()},
-        },
+    return _order_check(
+        "rational_22_split", records, lambda n: bound % n != 0,
+        f"does not divide E2 = {bound}, the exponent of the rational plane-pair stabilizer",
+        f"E2 = {bound}; consistent with the rational plane-pair stabilizer, no exclusion",
+        {"exponent_bound": bound},
     )
 
 
@@ -244,7 +243,7 @@ def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
     - With a cubic factor (3 + 1) the roots lie outside F_{p^4}; None
       marks the record as skipped.  So does an irreducible f whose record
       has no order (one built by hand; the order checks skip it too, in
-      _squarefree_orders): no witness rests on it.
+      _order_check): no witness rests on it.
     """
     p = rec.factorization.p
     factors = [g for g, _ in rec.factorization.factors]
@@ -270,38 +269,21 @@ def check_conjugate_22_split(records: Sequence[FrobeniusRecord], p: int) -> Chec
     polynomial as g * conjugate(g) with g quadratic over F_{p^2} and
     determinant-induced rational constant term.  For each squarefree record
     those factorizations are counted from its F_p factorization
-    (_conjugate_pairings); a record with none cannot arise that way.
+    (_conjugate_pairings); a record with none cannot arise that way.  An
+    irreducible Hecke quartic has projective order dividing p^2 + 1, so it
+    counts one pairing: only reducible records can witness this check.
     """
-    counts: dict[str, int] = {}
-    witnesses = []
-    for rec in records:
-        if not rec.squarefree:
-            continue
-        n = _conjugate_pairings(rec)
-        if n is None:
-            continue  # no cubic-factor quartic is similitude-shaped; be safe
-        counts[str(rec.q)] = n
-        if n == 0:
-            witnesses.append(rec.q)
-    witnesses.sort()
-    ok = bool(witnesses)
-    if ok:
-        just = (
-            f"no pairing of the Frobenius eigenvalues at q = {witnesses[0]} into "
-            "conjugate F_{p^2}-quadratics with rational constant term exists, "
-            "so the image preserves no conjugate plane pair"
-        )
-    else:
-        just = (
-            "every squarefree record admits a conjugate-quadratic pairing; "
-            "consistent with a scalar-extension structure, no exclusion"
-        )
-    return CheckResult(
-        name="conjugate_22_split",
-        status=PASS if ok else FAIL,
-        witnesses=(witnesses[0],) if ok else (),
-        justification=just,
-        data={"admissible_pairings": counts},
+    # None skips a record: no cubic-factor quartic is similitude-shaped; be safe
+    pairings = [(rec.q, _conjugate_pairings(rec)) for rec in records if rec.squarefree]
+    q = min((r for r, n in pairings if n == 0), default=None)
+    return _result(
+        "conjugate_22_split", q is not None, (q,),
+        f"no pairing of the Frobenius eigenvalues at q = {q} into "
+        "conjugate F_{p^2}-quadratics with rational constant term exists, "
+        "so the image preserves no conjugate plane pair",
+        "every squarefree record admits a conjugate-quadratic pairing; "
+        "consistent with a scalar-extension structure, no exclusion",
+        {"admissible_pairings": {str(r): n for r, n in pairings if n is not None}},
     )
 
 
@@ -317,29 +299,18 @@ def check_primitivity(rd: ResidualDataset) -> CheckResult:
     p = rd.p
     if p % 4 != 3:
         raise ValueError(f"primitivity argument needs p = 3 mod 4, got p = {p}")
-    inert = [q for q in rd.primes() if q != p and legendre(q, p) == -1]
-    traces = {str(q): rd.eigenvalues[q] for q in inert}
+    inert = [q for q in rd.primes() if legendre(q, p) == -1]
     zeros = [q for q in inert if rd.eigenvalues[q] == 0]
-    ok = bool(inert) and not zeros
-    if ok:
-        just = (
-            f"an image induced from Q(sqrt(-{p})) forces a_q = 0 at every inert "
-            f"prime; inert primes {{{', '.join(str(q) for q in inert)}}} all have "
-            "nonzero trace"
-        )
-    elif not inert:
-        just = "no prime inert in Q(sqrt(-p)) appears in the dataset; no exclusion"
-    else:
-        just = (
+    return _result(
+        "primitivity", bool(inert) and not zeros, inert,
+        f"an image induced from Q(sqrt(-{p})) forces a_q = 0 at every inert "
+        f"prime; inert primes {{{', '.join(str(q) for q in inert)}}} all have "
+        "nonzero trace",
+        (
             f"a_q = 0 at inert prime(s) {{{', '.join(str(q) for q in zeros)}}} is "
             "consistent with an induced image; no exclusion"
-        )
-    return CheckResult(
-        name="primitivity",
-        status=PASS if ok else FAIL,
-        witnesses=tuple(inert) if ok else (),
-        justification=just,
-        data={"inert_primes": inert, "traces": traces},
+        ) if inert else "no prime inert in Q(sqrt(-p)) appears in the dataset; no exclusion",
+        {"inert_primes": inert, "traces": {str(q): rd.eigenvalues[q] for q in inert}},
     )
 
 
@@ -351,32 +322,12 @@ def check_exceptional(
     occur inside any of them."""
     if table.p != p:
         raise ValueError(f"exceptional table is for p = {table.p}, not p = {p}")
-    orders = _squarefree_orders(records)
-    q = min(
-        (r for r, o in orders.items() if all(n % o for _, n in table.entries)), default=None
-    )
     groups = ", ".join(f"{name} (order {n})" for name, n in table.entries)
-    if q is not None:
-        just = (
-            f"projective Frobenius order {orders[q]} at q = {q} divides none "
-            f"of the exceptional subgroup orders [{groups}]"
-        )
-    elif orders:
-        just = (
-            "every computed projective order divides some exceptional subgroup "
-            f"order [{groups}]; no exclusion"
-        )
-    else:
-        just = "no order witnesses available (no squarefree record); no exclusion"
-    return CheckResult(
-        name="exceptional",
-        status=FAIL if q is None else PASS,
-        witnesses=() if q is None else (q,),
-        justification=just,
-        data={
-            "subgroup_orders": {name: n for name, n in table.entries},
-            "projective_orders": {str(r): o for r, o in orders.items()},
-        },
+    return _order_check(
+        "exceptional", records, lambda n: all(m % n for _, m in table.entries),
+        f"divides none of the exceptional subgroup orders [{groups}]",
+        f"some exceptional subgroup order [{groups}]; no exclusion",
+        {"subgroup_orders": {name: n for name, n in table.entries}},
     )
 
 
@@ -386,23 +337,13 @@ def check_multiplier_surjective(k: int, p: int) -> CheckResult:
     gcd(2k-3, p-1) = 1."""
     e = 2 * k - 3
     g = int_gcd(e, p - 1)
-    ok = g == 1
-    if ok:
-        just = (
-            f"the multiplier is the cyclotomic character to the power {e} and "
-            f"gcd({e}, {p - 1}) = 1, so it hits every scalar similitude class"
-        )
-    else:
-        just = (
-            f"gcd({e}, {p - 1}) = {g} > 1: the multiplier misses part of F_p^*; "
-            "no exclusion"
-        )
-    return CheckResult(
-        name="multiplier_surjective",
-        status=PASS if ok else FAIL,
-        witnesses=(),
-        justification=just,
-        data={"character_power": e, "unit_group_order": p - 1, "gcd": g},
+    return _result(
+        "multiplier_surjective", g == 1, (),
+        f"the multiplier is the cyclotomic character to the power {e} and "
+        f"gcd({e}, {p - 1}) = 1, so it hits every scalar similitude class",
+        f"gcd({e}, {p - 1}) = {g} > 1: the multiplier misses part of F_p^*; "
+        "no exclusion",
+        {"character_power": e, "unit_group_order": p - 1, "gcd": g},
     )
 
 

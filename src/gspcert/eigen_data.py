@@ -185,6 +185,8 @@ def embedding_roots(defining_poly: Sequence[int], p: int) -> list[Root]:
     factors (x - r sorted by -r mod p: 0 first, the rest descending)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if not defining_poly:
+        raise ValueError("E has no coefficients")
     if defining_poly[-1] % p == 0:
         raise ValueError(f"leading coefficient of E vanishes mod {p}")
     e = fp_monic(tuple(c % p for c in defining_poly), p)

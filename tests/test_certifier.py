@@ -23,8 +23,15 @@ from gspcert.certifier import (
     check_primitivity,
     check_rational_22_split,
     rational_split_exponent,
+    _conjugate_pairings,
 )
-from gspcert.eigen_data import EigenformDataset, FrobeniusRecord, specialize
+from gspcert.eigen_data import (
+    EigenformDataset,
+    FrobeniusRecord,
+    ResidualDataset,
+    hecke_charpoly,
+    specialize,
+)
 from gspcert.polynomial import Factorization, fp_factorization, fp_projective_order
 from oracles import (
     admissible_pairings,
@@ -106,6 +113,8 @@ class TestRational22Split:
     def test_exponent_bound_frozen(self):
         from math import lcm
         assert rational_split_exponent(7) == 2 * lcm(42, 48, 6) == 672
+        for p in range(3, 2000, 2):  # 2p(p^2 - 1) is the lcm form for every odd p
+            assert rational_split_exponent(p) == 2 * lcm(p * (p - 1), p * p - 1, p - 1), p
 
     def test_paper_records_pass_via_order_25(self):
         res = check_rational_22_split(paper_records(), 7)
@@ -125,6 +134,35 @@ class TestRational22Split:
         res = check_rational_22_split([rec], 7)
         assert not res.passed
         assert "no order witnesses available" in res.justification
+
+
+class TestHeckeQuarticConsequences:
+    """The similitude shape of a Hecke quartic (roots pair as r <-> nu/r)
+    decides which records can witness the two 2+2 checks; every
+    (a_q, a_{q^2}) at p = 7, 11, 19 with q in {2, 3, 5} and weight 28."""
+
+    def test_every_record_at_small_p(self):
+        squarefree = 0
+        for p, q in itertools.product((7, 11, 19), (2, 3, 5)):
+            bound = rational_split_exponent(p)
+            for a1, a2 in itertools.product(range(p), repeat=2):
+                rd = ResidualDataset(p, 0, 28, 1, {q: a1, q * q: a2}, frozenset())
+                rec = hecke_charpoly(rd, q)
+                degrees = sorted(len(g) - 1 for g, _ in rec.factorization.factors)
+                assert 3 not in degrees, (p, q, a1, a2)  # no (3,1) pattern
+                if not rec.squarefree:
+                    continue
+                squarefree += 1
+                n = rec.projective_order
+                if degrees == [4]:
+                    # so an irreducible record never witnesses conjugate_22_split
+                    assert (p * p + 1) % n == 0, (p, q, a1, a2)
+                    assert _conjugate_pairings(rec) == 1
+                else:
+                    # so only an irreducible record can witness rational_22_split
+                    assert (p * p - 1) % n == 0 and bound % n == 0, (p, q, a1, a2)
+                    assert not check_rational_22_split([rec], p).passed
+        assert squarefree == 1393
 
 
 class TestConjugate22Split:
@@ -450,11 +488,19 @@ class TestCertify:
             for value in range(7):
                 table = dict(EIGENVALUES)
                 table[index] = (value,)
-                cert = certify(paper_dataset(table), 7, 1)
+                ds = paper_dataset(table)
+                cert = certify(ds, 7, 1)
                 assert cert.verdict in (VERDICT_LARGE_IMAGE, VERDICT_INCONCLUSIVE)
                 assert (cert.verdict == VERDICT_LARGE_IMAGE) == all(
                     c.passed for c in cert.checks
                 )
+                # a check passes with its witnesses or fails with none
+                for c in cert.checks:
+                    if c.passed and c.name != "multiplier_surjective":
+                        assert c.witnesses, c
+                    else:
+                        assert c.witnesses == (), c
+                    assert set(c.witnesses) <= set(ds.primes()), c
 
     def test_explicit_table_matches_default(self):
         ds = paper_dataset()
@@ -484,6 +530,10 @@ class TestCertify:
             (3, None, "p >= 5"),
             (11, None, "table"),
             (19, builtin_exceptional_table(7), "table is for p = 7"),
+            # with no entries "divides none of the orders" holds vacuously
+            (7, ExceptionalTable(7, ()), "table for p = 7 has no entries"),
+            (7, ExceptionalTable(7, (("PGL(2,7)", 0),)), "has an order below 1"),
+            (7, ExceptionalTable(7, (("PGL(2,7)", 336), ("A7.2", -5040))), "order below 1"),
         ],
     )
     def test_unsupported_prime_rejected_before_specialize(self, monkeypatch, p, table, message):

@@ -138,6 +138,8 @@ class TestResidualRoots:
     def test_p_must_not_kill_leading_coefficient(self):
         with pytest.raises(ValueError, match="leading coefficient of E vanishes mod 7"):
             embedding_roots((1, 7), 7)
+        with pytest.raises(ValueError, match="^E has no coefficients$"):
+            embedding_roots([], 7)
 
     def test_defining_poly_never_factored(self, monkeypatch):
         # the CLI takes the roots from gcd(E, x^p - x) and specialize checks
