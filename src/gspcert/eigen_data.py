@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .finite_field import is_prime
 from .polynomial import Factorization, FpPoly, _roots, fp_add, fp_gcd, fp_monic, fp_powmod
-from .polynomial import fp_factorization as factor
+from .polynomial import fp_hecke_factorization as factor
 from .polynomial import fp_projective_order as projective_order
 
 KNOWN_ASSUMPTIONS = ("not_maass_spezialform", "conductor_one")
@@ -251,15 +251,16 @@ def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
 
     The projective order (squarefree charpolys only) is the order of the
     companion matrix in PGL(4, p), read off F_p[x]/(f) as the least n with
-    x^n constant (polynomial.fp_projective_order); no matrix is built."""
+    x^n constant (polynomial.fp_projective_order); no matrix is built.
+    The factorization (polynomial.fp_hecke_factorization) needs p odd."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if q == rd.p:
         raise ValueError(f"q = p = {q} carries no Frobenius characteristic polynomial")
     if q not in rd.eigenvalues or q * q not in rd.eigenvalues:
         raise ValueError(f"missing eigenvalues a_{q} / a_{q*q}")
-    p, k = rd.p, rd.weight
-    f = hecke_quartic(rd.eigenvalues[q], rd.eigenvalues[q * q], q, k, p)
+    p, a1, a2 = rd.p, rd.eigenvalues[q], rd.eigenvalues[q * q]
+    f = hecke_quartic(a1, a2, q, rd.weight, p)
     fac = factor(f, p)
     sqfree = fac.is_squarefree()
     return FrobeniusRecord(
@@ -268,6 +269,7 @@ def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
         factorization=fac,
         squarefree=sqfree,
         projective_order=projective_order(f, p) if sqfree else None,
-        similitude=_power_mod(q, 2 * k - 3, p),
+        # nu = q^(2k-3) = q * q^(2k-4), read back off f's x^2 coefficient
+        similitude=q * (a1 * a1 - a2 - f[2]) % p,
     )
 

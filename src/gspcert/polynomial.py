@@ -2,16 +2,16 @@
 
 The fp_* kernel works on low-first tuples of ints in [0, p) with no trailing
 zero, and the certificate runs on it alone; what only the tests use (a bare
-product, Rabin's irreducibility test) lives with them.  Products are only
-ever taken mod a polynomial, inside fp_powmod, by one multiply-and-reduce
-step (_mulmod).  fp_factor makes one distinct-degree pass, carrying
-x^(p^k) on to the shrinking cofactor; it reads the linear factors off the
-values at every c in F_p (_roots, which also finds eigen_data's embedding
-roots) and splits equal-degree factors by the trace values of x, x^2, ...
-against every c, so the cost does not depend on where the factors lie.
-Factorization holds its factors as tuples; fp_str prints a tuple high
-degree first.  fp_projective_order is the order of a quartic's companion
-matrix in PGL(4, p), read off the powers of x mod the quartic.
+product, Rabin's irreducibility test, the general factorizer) lives with
+them.  Products are only ever taken mod a polynomial, inside fp_powmod, by
+one multiply-and-reduce step (_mulmod).  fp_hecke_factorization factors a
+Hecke quartic, whose roots pair as r <-> nu/r, through y = x + nu/x: a
+quadratic in y and quadratics in x, solved by square roots in F_p
+(Tonelli 1891; Shanks 1973), with no gcd and no scan over F_p.  _roots
+scans F_p for eigen_data's embedding roots.  Factorization holds its
+factors as tuples; fp_str prints a tuple high degree first.
+fp_projective_order is the order of a quartic's companion matrix in
+PGL(4, p), read off the powers of x mod the quartic.
 """
 from __future__ import annotations
 
@@ -56,21 +56,6 @@ def fp_add(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
     return fp_trim(out)
 
 
-def fp_divmod(a: FpPoly, b: FpPoly, p: int) -> tuple[FpPoly, FpPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    rem = list(a)
-    quot = [0] * max(len(a) - db, 0)
-    for shift in range(len(quot) - 1, -1, -1):
-        c = quot[shift] = rem[shift + db] * inv % p
-        if c:
-            for j in range(db):
-                rem[shift + j] = (rem[shift + j] - c * b[j]) % p
-    return fp_trim(quot), fp_trim(rem[:db])
-
-
 def fp_mod(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
     """a mod b, without building the quotient."""
     if not b:
@@ -87,17 +72,23 @@ def fp_mod(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
     return fp_trim(rem[:db])
 
 
+def _product(a: FpPoly, b: FpPoly) -> list[int]:
+    """a * b for nonzero a and b, its coefficients summed but not reduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
+
+
 def _mulmod(a: FpPoly, b: FpPoly, m: FpPoly, p: int) -> FpPoly:
     """a * b mod m for monic m, in one list: the product's coefficients are
     summed unreduced, its top is folded down by m, and only the deg m
     coefficients left are reduced mod p."""
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                out[j] += ai * bj
+    out = _product(a, b)
     dm = len(m) - 1
     for top in range(len(out) - 1, dm - 1, -1):
         t = out[top] % p
@@ -160,39 +151,6 @@ def fp_projective_order(f: FpPoly, p: int) -> int:
     return n
 
 
-def fp_factor(f: FpPoly, p: int) -> list[tuple[FpPoly, int]]:
-    """Monic irreducible factors of monic f with multiplicity, sorted by
-    degree and then by coefficients, high degree first."""
-    # One distinct-degree pass.  Entering step k, f has no factor of degree
-    # < k and r = x^(p^(k-1)) modulo f or a multiple of f, so gcd(f,
-    # x^(p^k) - x) is the product of the distinct degree-k factors; r stays
-    # valid for the cofactor left after dividing them out (fp_powmod reduces
-    # it modulo the cofactor).  Once 2k > deg f, f is 1 or irreducible.
-    pairs = []
-    r, k = (0, 1), 1
-    while 2 * k <= len(f) - 1:
-        r = fp_powmod(r, p, f, p)
-        s = fp_gcd(fp_add(r, (0, p - 1), p), f, p)
-        if len(s) > 1 and k == 1:
-            for c in _roots(s, p):
-                f, mult = _divide_out_root(f, c, p)
-                pairs.append(((-c % p, 1), mult))
-        elif len(s) > 1:
-            for g in fp_split_equal_degree(s, k, p):
-                mult = 0
-                while True:
-                    q, rem = fp_divmod(f, g, p)
-                    if rem:
-                        break
-                    f, mult = q, mult + 1
-                pairs.append((g, mult))
-        k += 1
-    if len(f) > 1:
-        pairs.append((f, 1))
-    pairs.sort(key=lambda pair: (len(pair[0]), pair[0][::-1]))
-    return pairs
-
-
 def _roots(s: FpPoly, p: int) -> list[int]:
     # s is a product of distinct monic linear factors: its roots c, found by
     # evaluating s at c = 0, 1, ... until deg s roots are in
@@ -206,60 +164,6 @@ def _roots(s: FpPoly, p: int) -> list[int]:
             if len(out) == len(s) - 1:
                 return out
     raise RuntimeError(f"{s} is not a product of distinct linear factors")
-
-
-def _divide_out_root(f: FpPoly, c: int, p: int) -> tuple[FpPoly, int]:
-    """(f / (x - c)^m, m) for the multiplicity m of the root c of f != 0."""
-    for mult in range(len(f)):  # m <= deg f
-        # synthetic division: Horner's partial sums, high first, are the
-        # quotient's coefficients, and the last one is the remainder f(c)
-        v, sums = 0, []
-        for a in reversed(f):
-            v = (v * c + a) % p
-            sums.append(v)
-        if v:
-            return f, mult
-        f = tuple(sums[-2::-1])
-    raise RuntimeError(f"x - {c} divides {f} more than its degree allows")
-
-
-def fp_split_equal_degree(s: FpPoly, k: int, p: int) -> list[FpPoly]:
-    """The monic irreducible factors of s, a product of distinct monic
-    irreducibles g_i of degree k; RuntimeError if s is not one."""
-    # For u in F_p[x], t = u + u^p + ... + u^(p^(k-1)) mod s is the constant
-    # Tr(u(root of g_i)) mod each g_i, so gcd(h, t - c) over every c in F_p
-    # partitions a part h.  Some u = x^j, 0 < j < deg s, separates any two
-    # g_i: else every u of degree < deg s would have equal traces, yet by CRT
-    # one such u is 0 mod one g_i and of nonzero trace mod the other.  The
-    # gcds for distinct c are coprime, so the scan over c stops once they
-    # cover h.
-    parts = [s]
-    for j in range(1, len(s) - 1):
-        if all(len(h) == k + 1 for h in parts):
-            break
-        t = w = (0,) * j + (1,)
-        for _ in range(k - 1):
-            w = fp_powmod(w, p, s, p)
-            t = fp_add(t, w, p)
-        split = []
-        for h in parts:
-            if len(h) == k + 1:
-                split.append(h)
-                continue
-            gs = []
-            for c in range(p):
-                g = fp_gcd(h, fp_add(t, (-c % p,), p), p)
-                if len(g) > 1:
-                    gs.append(g)
-                    if sum(len(g) - 1 for g in gs) == len(h) - 1:
-                        break
-            else:
-                raise RuntimeError(f"{h} is not squarefree: the trace split lost a factor")
-            split += gs
-        parts = split
-    if any(len(h) != k + 1 for h in parts):
-        raise RuntimeError(f"x^j, 0 < j < {len(s) - 1}, left {parts} unsplit")
-    return parts
 
 
 class Factorization(NamedTuple):
@@ -288,8 +192,99 @@ class Factorization(NamedTuple):
         return "".join(parts)
 
 
-def fp_factorization(f: FpPoly, p: int) -> Factorization:
-    """Complete factorization of f != 0 over F_p, with multiplicities."""
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    return Factorization(p, f[-1], tuple(fp_factor(fp_monic(f, p), p)))
+def _sqrt(a: int, p: int) -> int | None:
+    """A square root of a mod the odd prime p, or None when a is not a
+    square: Tonelli-Shanks, which for p = 3 mod 4 is a^((p+1)/4) alone.
+    RuntimeError if the root does not square to a."""
+    a %= p
+    q, m = p - 1, 0
+    while not q & 1:
+        q, m = q >> 1, m + 1
+    # p - 1 = q 2^m with q odd, and r^2 = a t throughout; t has order 2^i
+    # with i < m iff a is a square (Euler's criterion), and each round
+    # lowers i by multiplying t by a power of c, an element of order 2^m
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    z = next((z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1), 0) if m > 1 else 0
+    c = pow(z, q, p)
+    while t > 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1 and i < m:
+            i, t2 = i + 1, t2 * t2 % p
+        if i == m:
+            return None
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    if r * r % p != a:
+        raise RuntimeError(f"{r}^2 is not {a} mod {p}: is {p} an odd prime?")
+    return r
+
+
+def _reciprocal_quadratic(y: int, nu: int, p: int) -> list[FpPoly]:
+    """Monic irreducible factors of x^2 - y x + nu, a repeated one twice."""
+    r = _sqrt(y * y - 4 * nu, p)
+    if r is None:
+        return [(nu, -y % p, 1)]
+    h = (p + 1) // 2
+    return [(-(y + r) * h % p, 1), (-(y - r) * h % p, 1)]
+
+
+def fp_hecke_factorization(f: FpPoly, p: int) -> Factorization:
+    """Factorization over F_p, p odd, of a monic quartic whose roots pair
+    as r <-> nu/r: f = x^4 + f3 x^3 + f2 x^2 + f1 x + f0 with f1 = nu f3 and
+    f0 = nu^2 != 0, as eigen_data.hecke_quartic builds it.  nu is f1/f3, or
+    a square root of f0 when f3 = f1 = 0 (f is then reciprocal for both).
+    ValueError for any other f and for p = 2; RuntimeError, never a wrong
+    answer, if the factors do not multiply back to f.
+
+    f = x^2 g(x + nu/x) for g(y) = y^2 - a y + e, a = -f3, e = f2 - 2 nu:
+    each root y of g gives the factor x^2 - y x + nu.  If the discriminant D
+    of g is no square, the roots are y1 = (a + w)/2 and its conjugate, w^2 =
+    D, and x^2 - y1 x + nu has a root r in F_p(w) iff delta = y1^2 - 4 nu =
+    alpha + beta w is a square there, iff N = alpha^2 - D beta^2 is one in
+    F_p.  Without r, f is irreducible; with r, f = u u' for u = (x - r)(x -
+    r^p) = x^2 - s x + n and u' = x^2 - (nu s/n) x + nu^2/n.  A root x0 + y0
+    w of delta has x0^2 = (alpha +- sqrt N)/2 and 2 x0 y0 = beta, or x0 = 0.
+    """
+    if p == 2:
+        raise ValueError("the Hecke quartic route divides by 2: p must be odd, got 2")
+    if len(f) != 5 or f[4] != 1:
+        raise ValueError(f"expected a monic quartic, got {f}")
+    f0, f1, f2, f3 = f[:4]
+    if f3:
+        nu = f1 * pow(f3, -1, p) % p
+    elif f1:
+        raise ValueError(f"{fp_str(f)} has no x^3 term but an x term: its roots do not pair")
+    else:
+        nu = _sqrt(f0, p)
+    if not f0 or nu is None or nu * nu % p != f0:
+        raise ValueError(f"{fp_str(f)}: its constant term is not nu^2 != 0, nu = f1/f3")
+    h = (p + 1) // 2
+    a, e = -f3 % p, (f2 - 2 * nu) % p
+    disc = (a * a - 4 * e) % p
+    alpha, beta = (a * a * h - e - 4 * nu) % p, a * h % p
+    if (d := _sqrt(disc, p)) is not None:
+        factors = _reciprocal_quadratic((a + d) * h % p, nu, p)
+        factors += _reciprocal_quadratic((a - d) * h % p, nu, p)
+    elif (root_norm := _sqrt(alpha * alpha - disc * beta * beta, p)) is None:
+        factors = [f]
+    else:
+        for t in ((alpha + root_norm) * h, (alpha - root_norm) * h):
+            x0 = _sqrt(t, p)
+            if x0:
+                y0 = beta * h * pow(x0, -1, p) % p
+                break
+        else:  # alpha / D is a square; were it not, the check below would fail
+            x0, y0 = 0, _sqrt(alpha * pow(disc, -1, p), p) or 0
+        # r = (y1 + x0 + y0 w)/2 = re + im w: s = 2 re, n = re^2 - D im^2
+        re, im = (a * h + x0) * h % p, (h + y0) * h % p
+        s, n = 2 * re % p, (re * re - disc * im * im) % p
+        n_inv = pow(n, -1, p)
+        factors = [(n, -s % p, 1), (nu * nu * n_inv % p, -nu * s * n_inv % p, 1)]
+    product = (1,)
+    for g in factors:
+        product = tuple(c % p for c in _product(product, g))
+    if product != f:
+        raise RuntimeError(f"the factors {factors} of {fp_str(f)} do not multiply back to it")
+    distinct = sorted(set(factors), key=lambda g: (len(g), g[::-1]))
+    return Factorization(p, 1, tuple((g, factors.count(g)) for g in distinct))

@@ -5,7 +5,8 @@ reference routes in oracles.py and symplectic.py can compute over F_{p^2}
 and F_{p^4} as well as F_p.  The certificate never builds one: it runs on
 the int tuples of gspcert.polynomial.  factor, gcd, poly_powmod,
 is_squarefree and is_irreducible take a Polynomial over F_p only
-(ValueError otherwise) and run on that F_p kernel.
+(ValueError otherwise) and run on that F_p kernel; factor runs on the
+general factorizer that oracles.py builds on it.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from field_elements import FFElement, FieldSpec, fp_is_irreducible
 from gspcert.polynomial import (
     Factorization,
     FpPoly,
-    fp_factorization,
     fp_gcd,
     fp_monic,
     fp_powmod,
@@ -223,5 +223,7 @@ def is_irreducible(f: Polynomial) -> bool:
 
 
 def factor(f: Polynomial) -> Factorization:
-    """fp_factorization of a Polynomial over F_p."""
+    """fp_factorization (oracles.py) of a Polynomial over F_p."""
+    from oracles import fp_factorization  # oracles imports this module
+
     return fp_factorization(_fp(f), f.field.p)

@@ -1,7 +1,11 @@
 """Hand-rolled reference implementations used as independent oracles.
 
 The first two helpers are the F_p kernel's product and powmod as they
-were before the products were reduced on the fly.  The integer-list
+were before the products were reduced on the fly.  Next comes the general
+F_p factorizer (fp_factor, fp_factorization) that factored the Hecke
+charpolys before they were factored through y = x + nu/x: one
+distinct-degree pass on the kernel, with every-c scans for the roots and
+the equal-degree parts.  The integer-list
 helpers work on plain coefficient lists, low degree first, with no
 dependency on the package under test.  The extension-field
 sections below run on FieldSpec (field_elements.py) and Polynomial
@@ -25,7 +29,18 @@ from field_elements import FFElement, FieldSpec, factorize, make_field
 from field_polynomial import Polynomial, is_squarefree
 from gspcert.certifier import Certificate
 from gspcert.cli import REPORT_FORMAT
-from gspcert.polynomial import fp_mod, fp_powmod, fp_str, fp_trim
+from gspcert.polynomial import (
+    Factorization,
+    FpPoly,
+    _roots,
+    fp_add,
+    fp_gcd,
+    fp_mod,
+    fp_monic,
+    fp_powmod,
+    fp_str,
+    fp_trim,
+)
 from symplectic import Matrix4, _mul_rows, _scalar_of_rows, order_cap
 
 
@@ -54,6 +69,125 @@ def reference_powmod(a: tuple[int, ...], e: int, m: tuple[int, ...], p: int) -> 
         if e:
             acc = fp_mod(fp_mul(acc, acc, p), m, p)
     return result
+
+
+# ---------------------------------------------------------------------------
+# the general factorizer over F_p, on the kernel's int tuples: one
+# distinct-degree pass, roots by scanning F_p, equal-degree parts split by
+# trace values against every c in F_p
+
+
+def fp_divmod(a: FpPoly, b: FpPoly, p: int) -> tuple[FpPoly, FpPoly]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quot = [0] * max(len(a) - db, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = rem[shift + db] * inv % p
+        if c:
+            for j in range(db):
+                rem[shift + j] = (rem[shift + j] - c * b[j]) % p
+    return fp_trim(quot), fp_trim(rem[:db])
+
+
+def fp_factor(f: FpPoly, p: int) -> list[tuple[FpPoly, int]]:
+    """Monic irreducible factors of monic f with multiplicity, sorted by
+    degree and then by coefficients, high degree first."""
+    # One distinct-degree pass.  Entering step k, f has no factor of degree
+    # < k and r = x^(p^(k-1)) modulo f or a multiple of f, so gcd(f,
+    # x^(p^k) - x) is the product of the distinct degree-k factors; r stays
+    # valid for the cofactor left after dividing them out (fp_powmod reduces
+    # it modulo the cofactor).  Once 2k > deg f, f is 1 or irreducible.
+    pairs = []
+    r, k = (0, 1), 1
+    while 2 * k <= len(f) - 1:
+        r = fp_powmod(r, p, f, p)
+        s = fp_gcd(fp_add(r, (0, p - 1), p), f, p)
+        if len(s) > 1 and k == 1:
+            for c in _roots(s, p):
+                f, mult = _divide_out_root(f, c, p)
+                pairs.append(((-c % p, 1), mult))
+        elif len(s) > 1:
+            for g in fp_split_equal_degree(s, k, p):
+                mult = 0
+                while True:
+                    q, rem = fp_divmod(f, g, p)
+                    if rem:
+                        break
+                    f, mult = q, mult + 1
+                pairs.append((g, mult))
+        k += 1
+    if len(f) > 1:
+        pairs.append((f, 1))
+    pairs.sort(key=lambda pair: (len(pair[0]), pair[0][::-1]))
+    return pairs
+
+
+def _divide_out_root(f: FpPoly, c: int, p: int) -> tuple[FpPoly, int]:
+    """(f / (x - c)^m, m) for the multiplicity m of the root c of f != 0."""
+    for mult in range(len(f)):  # m <= deg f
+        # synthetic division: Horner's partial sums, high first, are the
+        # quotient's coefficients, and the last one is the remainder f(c)
+        v, sums = 0, []
+        for a in reversed(f):
+            v = (v * c + a) % p
+            sums.append(v)
+        if v:
+            return f, mult
+        f = tuple(sums[-2::-1])
+    raise RuntimeError(f"x - {c} divides {f} more than its degree allows")
+
+
+def fp_split_equal_degree(s: FpPoly, k: int, p: int) -> list[FpPoly]:
+    """The monic irreducible factors of s, a product of distinct monic
+    irreducibles g_i of degree k; RuntimeError if s is not one."""
+    # For u in F_p[x], t = u + u^p + ... + u^(p^(k-1)) mod s is the constant
+    # Tr(u(root of g_i)) mod each g_i, so gcd(h, t - c) over every c in F_p
+    # partitions a part h.  Some u = x^j, 0 < j < deg s, separates any two
+    # g_i: else every u of degree < deg s would have equal traces, yet by CRT
+    # one such u is 0 mod one g_i and of nonzero trace mod the other.  The
+    # gcds for distinct c are coprime, so the scan over c stops once they
+    # cover h.
+    parts = [s]
+    for j in range(1, len(s) - 1):
+        if all(len(h) == k + 1 for h in parts):
+            break
+        t = w = (0,) * j + (1,)
+        for _ in range(k - 1):
+            w = fp_powmod(w, p, s, p)
+            t = fp_add(t, w, p)
+        split = []
+        for h in parts:
+            if len(h) == k + 1:
+                split.append(h)
+                continue
+            gs = []
+            for c in range(p):
+                g = fp_gcd(h, fp_add(t, (-c % p,), p), p)
+                if len(g) > 1:
+                    gs.append(g)
+                    if sum(len(g) - 1 for g in gs) == len(h) - 1:
+                        break
+            else:
+                raise RuntimeError(f"{h} is not squarefree: the trace split lost a factor")
+            split += gs
+        parts = split
+    if any(len(h) != k + 1 for h in parts):
+        raise RuntimeError(f"x^j, 0 < j < {len(s) - 1}, left {parts} unsplit")
+    return parts
+
+
+def fp_factorization(f: FpPoly, p: int) -> Factorization:
+    """Complete factorization of f != 0 over F_p, with multiplicities."""
+    if not f:
+        raise ValueError("cannot factor the zero polynomial")
+    return Factorization(p, f[-1], tuple(fp_factor(fp_monic(f, p), p)))
+
+
+# ---------------------------------------------------------------------------
+# plain coefficient lists, low degree first, without the package's kernel
 
 
 def ptrim(a: list[int]) -> list[int]:

@@ -32,10 +32,11 @@ from gspcert.eigen_data import (
     hecke_charpoly,
     specialize,
 )
-from gspcert.polynomial import Factorization, fp_factorization, fp_projective_order
+from gspcert.polynomial import Factorization, fp_projective_order
 from oracles import (
     admissible_pairings,
     conjugate_poly,
+    fp_factorization,
     in_subfield,
     irreducible_projective_order,
     irreducible_quartic_orders,

@@ -1,6 +1,7 @@
 """Tests for dataset modeling, embedding, and Frobenius data extraction."""
 from __future__ import annotations
 
+import itertools
 import random
 from importlib import resources
 
@@ -16,8 +17,8 @@ from gspcert.eigen_data import (
     hecke_quartic,
     specialize,
 )
-from gspcert.polynomial import fp_factorization, fp_str
-from oracles import fp_mul, monic_polys, validate_similitude_shape
+from gspcert.polynomial import fp_str
+from oracles import fp_factorization, fp_mul, monic_polys, validate_similitude_shape
 
 F7 = make_field(7, 1)
 
@@ -327,6 +328,25 @@ class TestHeckeCharpoly:
         rd = specialize(paper_dataset(), 7, 1)
         with pytest.raises(ValueError, match="a_11"):
             hecke_charpoly(rd, 11)
+
+    def test_p2_refused_with_one_line(self):
+        # the charpoly is factored through y = x + nu/x, which divides by 2
+        rd = specialize(paper_dataset(), 2, 1)
+        with pytest.raises(ValueError, match="p must be odd") as err:
+            hecke_charpoly(rd, 3)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("p", [7, 11, 19])
+    def test_similitude_is_the_nu_of_the_charpoly(self, p):
+        # the record's similitude is q^(2k-3), the nu that hecke_quartic puts
+        # into f0 = nu^2 and f1 = -a_q nu
+        for q in (2, 3, 5):
+            for k, a1, a2 in itertools.product((4, 28), range(p), range(p)):
+                rd = eigen_data.ResidualDataset(p, 0, k, 1, {q: a1, q * q: a2}, frozenset())
+                rec = hecke_charpoly(rd, q)
+                nu = pow(q, 2 * k - 3, p)
+                assert rec.similitude == nu
+                assert rec.charpoly[:2] == (nu * nu % p, -a1 * nu % p)
 
     def test_quartic_formula_against_integer_arithmetic(self):
         for a, b, q, k in ((4, 5, 2, 28), (3, 2, 3, 28), (1, 2, 5, 28), (6, 0, 11, 9)):

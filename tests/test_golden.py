@@ -11,8 +11,9 @@ tests/symplectic.py disabled: the certificate's projective orders are taken
 in F_p[x], not from matrices.
 They must also come back from certify and the renderers with FFElement and
 Polynomial construction disabled: the certificate runs on ints and int
-tuples from specialize to the report.  And certify never raises x to the
-power (p^2 + 1)(p - 1): the conjugate-pair count reads the projective order.
+tuples from specialize to the report.  And certify raises x to no power
+at all: the conjugate-pair count reads the projective order, and the
+charpolys are factored through y = x + nu/x without powers of x.
 """
 from __future__ import annotations
 
@@ -95,7 +96,6 @@ def test_embedding_roots_certify_as_plain_ints(dataset):
 @pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
 def test_conjugate_pair_count_takes_no_power(dataset, monkeypatch):
     ds = ingest(DATASETS / f"{dataset}.dataset")
-    roots = [r.lift() for r in embedding_roots(ds.defining_poly, 7)]
     exponents = []
     powmod = polynomial.fp_powmod
 
@@ -106,7 +106,8 @@ def test_conjugate_pair_count_takes_no_power(dataset, monkeypatch):
     # certifier too, so that a name imported there again is spied on as well
     for module in (polynomial, certifier, eigen_data):
         monkeypatch.setattr(module, "fp_powmod", spy, raising=False)
+    roots = [r.lift() for r in embedding_roots(ds.defining_poly, 7)]
+    assert exponents == [7]  # the spy is live: x^p mod E for the roots
     certs = [certify(ds, 7, root) for root in roots]
-    assert exponents  # the spy sees the charpolys being factored
-    assert (7 * 7 + 1) * (7 - 1) not in exponents
+    assert exponents == [7]  # certifying raises x to no power at all
     assert render_json(certs).encode() == (GOLDEN / f"{dataset}.p7.json").read_bytes()

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from field_elements import make_field
+from field_elements import fp_is_irreducible, make_field
 from field_polynomial import (
     Polynomial,
     factor,
@@ -15,10 +15,14 @@ from field_polynomial import (
     is_squarefree,
     poly_powmod,
 )
+from gspcert import polynomial
+from gspcert.eigen_data import hecke_quartic
+from gspcert.finite_field import legendre
 from gspcert.polynomial import (
+    _sqrt,
+    fp_hecke_factorization,
     fp_powmod,
     fp_projective_order,
-    fp_split_equal_degree,
     fp_str,
     fp_trim,
 )
@@ -27,7 +31,9 @@ from oracles import (
     expand,
     ext_factor,
     ext_is_irreducible,
+    fp_factorization,
     fp_mul,
+    fp_split_equal_degree,
     frobenius,
     lift,
     monic_polys,
@@ -477,6 +483,75 @@ class TestFactor:
             for d in pattern:
                 f = f * random_irreducible(d)
             assert len(roots_in(f, 4)) == 4
+
+
+class TestHeckeFactorization:
+    """fp_hecke_factorization, the certificate's factorizer, against the
+    general F_p route of tests/oracles.py."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 19])
+    def test_every_hecke_quartic_matches_general_route(self, p):
+        # every (a_q, a_{q^2}) for q in {2, 3, 5, 7} other than p and
+        # weights 4 and 28; p = 5 and 13 take the Tonelli-Shanks roots
+        for q in {2, 3, 5, 7} - {p}:
+            for k, a1, a2 in itertools.product((4, 28), range(p), range(p)):
+                f = hecke_quartic(a1, a2, q, k, p)
+                assert fp_hecke_factorization(f, p) == fp_factorization(f, p), (q, k, f)
+
+    def test_seeded_quartics_match_general_route_p103(self):
+        rng = random.Random(103)
+        for _ in range(300):
+            q, k = rng.choice((2, 3, 5, 7, 11)), rng.randrange(2, 40)
+            f = hecke_quartic(rng.randrange(103), rng.randrange(103), q, k, 103)
+            assert fp_hecke_factorization(f, 103) == fp_factorization(f, 103), (q, k, f)
+
+    @pytest.mark.parametrize("p", [10007, 1000003])
+    def test_large_p_factors_multiply_back_and_are_irreducible(self, p):
+        rng = random.Random(p)
+        for _ in range(40):
+            f = hecke_quartic(rng.randrange(p), rng.randrange(p), rng.choice((2, 3, 5)), 28, p)
+            fac = fp_hecke_factorization(f, p)
+            assert tuple(expand(fac)) == f
+            assert all(fp_is_irreducible(g, p) for g, _ in fac.factors), f
+
+    def test_no_scan_over_f_p(self, monkeypatch):
+        # the route takes square roots in F_p: no root scan and no gcd
+        def scan(*args):
+            raise AssertionError("factoring a Hecke quartic scanned F_p")
+
+        monkeypatch.setattr(polynomial, "_roots", scan)
+        monkeypatch.setattr(polynomial, "fp_gcd", scan)
+        rng = random.Random(6)
+        for _ in range(40):
+            f = hecke_quartic(rng.randrange(1000003), rng.randrange(1000003), 3, 28, 1000003)
+            fp_hecke_factorization(f, 1000003)
+
+    @pytest.mark.parametrize("f", [
+        (1, 0, 1),  # not a quartic
+        (2, 4, 4, 6, 2),  # not monic
+        (0, 0, 3, 1, 1),  # f0 = 0 with f3 != 0
+        (0, 0, 3, 0, 1),  # f0 = 0 with f3 = f1 = 0
+        (1, 6, 4, 3, 1),  # nu = f1/f3 = 2, but f0 != 4
+        (4, 1, 4, 0, 1),  # f3 = 0 with f1 != 0
+        (3, 0, 4, 0, 1),  # f3 = f1 = 0 and f0 = 3 is not a square mod 7
+    ])
+    def test_malformed_quartic_refused_with_one_line(self, f):
+        with pytest.raises(ValueError) as err:
+            fp_hecke_factorization(f, 7)
+        assert "\n" not in str(err.value)
+
+    def test_p2_refused_with_one_line(self):
+        with pytest.raises(ValueError, match="p must be odd") as err:
+            fp_hecke_factorization((1, 1, 0, 1, 1), 2)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 10009])
+    def test_square_roots_against_legendre(self, p):
+        # 17, 41, 97 and 10009 = 1 mod 8 take more than one Tonelli-Shanks round
+        for a in range(p) if p < 100 else random.Random(p).sample(range(p), 300):
+            r = _sqrt(a, p)
+            assert (r is None) == (legendre(a, p) == -1), a
+            assert r is None or r * r % p == a
 
 
 def matrix_projective_order(f: tuple[int, ...], p: int) -> int:
