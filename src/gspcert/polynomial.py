@@ -167,12 +167,11 @@ def _roots(s: FpPoly, p: int) -> list[int]:
 
 
 class Factorization(NamedTuple):
-    """unit * product(factor^multiplicity) over F_p; the factors are monic
-    irreducible int tuples, sorted by degree then by coefficient sequence,
-    high degree first."""
+    """product(factor^multiplicity) of a monic polynomial over F_p; the
+    factors are monic irreducible int tuples, sorted by degree then by
+    coefficient sequence, high degree first."""
 
     p: int
-    unit: int
     factors: tuple[tuple[FpPoly, int], ...]
 
     def linear_roots(self) -> list[tuple[int, int]]:
@@ -184,12 +183,10 @@ class Factorization(NamedTuple):
 
     def __str__(self) -> str:
         parts = []
-        if self.unit != 1 or not self.factors:
-            parts.append(str(self.unit))
         for fac, mult in self.factors:
             head = f"({fp_str(fac)})"
             parts.append(head if mult == 1 else f"{head}^{mult}")
-        return "".join(parts)
+        return "".join(parts) or "1"
 
 
 def _sqrt(a: int, p: int) -> int | None:
@@ -287,4 +284,4 @@ def fp_hecke_factorization(f: FpPoly, p: int) -> Factorization:
     if product != f:
         raise RuntimeError(f"the factors {factors} of {fp_str(f)} do not multiply back to it")
     distinct = sorted(set(factors), key=lambda g: (len(g), g[::-1]))
-    return Factorization(p, 1, tuple((g, factors.count(g)) for g in distinct))
+    return Factorization(p, tuple((g, factors.count(g)) for g in distinct))

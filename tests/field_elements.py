@@ -1,8 +1,8 @@
 """Field elements: F_p and its extensions F_{p^2}, F_{p^4} as objects.
 
 The certificate runs on ints mod p and never builds these; they are not
-part of gspcert.  The tests' reference routes (field_polynomial, symplectic,
-oracles) use them to cross-check the certificate over the splitting field.
+part of gspcert.  The tests' reference routes (field_polynomial, oracles)
+use them to cross-check the certificate over the splitting field.
 An element is a dense coefficient vector over the canonical modulus of its
 field, found by Rabin's test (fp_is_irreducible, on gspcert's F_p kernel)
 and reduced eagerly after every operation; everything is plain integer

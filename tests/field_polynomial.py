@@ -1,12 +1,12 @@
 """Polynomials with field-element coefficients: the reference type.
 
 Polynomial holds FFElement coefficients over any FieldSpec, so the
-reference routes in oracles.py and symplectic.py can compute over F_{p^2}
-and F_{p^4} as well as F_p.  The certificate never builds one: it runs on
-the int tuples of gspcert.polynomial.  factor, gcd, poly_powmod,
-is_squarefree and is_irreducible take a Polynomial over F_p only
-(ValueError otherwise) and run on that F_p kernel; factor runs on the
-general factorizer that oracles.py builds on it.
+reference routes in oracles.py can compute over F_{p^2} and F_{p^4} as
+well as F_p.  The certificate never builds one: it runs on
+the int tuples of gspcert.polynomial.  gcd, poly_powmod, is_squarefree
+and is_irreducible take a Polynomial over F_p only (ValueError otherwise)
+and run on that F_p kernel; oracles.factor runs the general factorizer
+on one.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 from field_elements import FFElement, FieldSpec, fp_is_irreducible
 from gspcert.polynomial import (
-    Factorization,
     FpPoly,
     fp_gcd,
     fp_monic,
@@ -43,10 +42,6 @@ class Polynomial:
     @classmethod
     def from_ints(cls, field: FieldSpec, ints: Sequence[int]) -> Polynomial:
         return cls(field, (field.element(c) for c in ints))
-
-    @classmethod
-    def x(cls, field: FieldSpec) -> Polynomial:
-        return cls(field, (field.zero(), field.one()))
 
     @classmethod
     def constant(cls, field: FieldSpec, c: int | FFElement) -> Polynomial:
@@ -138,9 +133,6 @@ class Polynomial:
                     rem[shift + j] = rem[shift + j] - c * b
         return Polynomial(self.field, quot), Polynomial(self.field, rem[: other.degree])
 
-    def __floordiv__(self, other: Polynomial) -> Polynomial:
-        return divmod(self, other)[0]
-
     def __mod__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[1]
 
@@ -151,12 +143,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def derivative(self) -> Polynomial:
-        return Polynomial(
-            self.field,
-            (c * i for i, c in enumerate(self.coeffs) if i > 0),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -220,10 +206,3 @@ def is_irreducible(f: Polynomial) -> bool:
     if f.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
     return fp_is_irreducible(fp_monic(_fp(f), f.field.p), f.field.p)
-
-
-def factor(f: Polynomial) -> Factorization:
-    """fp_factorization (oracles.py) of a Polynomial over F_p."""
-    from oracles import fp_factorization  # oracles imports this module
-
-    return fp_factorization(_fp(f), f.field.p)

@@ -2,31 +2,28 @@
 
 The first two helpers are the F_p kernel's product and powmod as they
 were before the products were reduced on the fly.  Next comes the general
-F_p factorizer (fp_factor, fp_factorization) that factored the Hecke
-charpolys before they were factored through y = x + nu/x: one
-distinct-degree pass on the kernel, with every-c scans for the roots and
-the equal-degree parts.  The integer-list
-helpers work on plain coefficient lists, low degree first, with no
-dependency on the package under test.  The extension-field
-sections below run on FieldSpec (field_elements.py) and Polynomial
-(field_polynomial.py) arithmetic:
-the factoring route over F_{p^d} that factor took before it moved onto its
-F_p kernel, and the route the certificate used to take over F_{p^4}, which
-finds the roots of a quartic by scanning the splitting field and pairs them
-up directly.  The last sections hold the projective order of a matrix by
-stepping through its powers, the projective orders of irreducible quartics
-from a primitive element and by descent, and the JSON report as
-json.dumps writes it.
+F_p factorizer (fp_factor, fp_factorization, and factor on a Polynomial)
+that factored the Hecke charpolys before they were factored through
+y = x + nu/x: one distinct-degree pass on the kernel, with every-c scans
+for the roots and the equal-degree parts.  The integer-list helpers work
+on plain coefficient lists, low degree first, with no dependency on the
+package under test.  The F_{p^4} section runs on FieldSpec
+(field_elements.py) and Polynomial (field_polynomial.py) arithmetic: the
+route the certificate used to take, which finds the roots of a quartic by
+scanning the splitting field and pairs them up directly.  The last
+sections hold the projective order of a matrix by stepping through its
+powers, the projective orders of irreducible quartics from a primitive
+element and by descent, and the JSON report as json.dumps writes it.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from field_elements import FFElement, FieldSpec, factorize, make_field
-from field_polynomial import Polynomial, is_squarefree
+from field_polynomial import Polynomial, _fp
 from gspcert.certifier import Certificate
 from gspcert.cli import REPORT_FORMAT
 from gspcert.polynomial import (
@@ -36,12 +33,11 @@ from gspcert.polynomial import (
     fp_add,
     fp_gcd,
     fp_mod,
-    fp_monic,
     fp_powmod,
     fp_str,
     fp_trim,
 )
-from symplectic import Matrix4, _mul_rows, _scalar_of_rows, order_cap
+from symplectic import Rows, _mul_rows, _scalar_of_rows, order_cap
 
 
 def fp_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -180,10 +176,15 @@ def fp_split_equal_degree(s: FpPoly, k: int, p: int) -> list[FpPoly]:
 
 
 def fp_factorization(f: FpPoly, p: int) -> Factorization:
-    """Complete factorization of f != 0 over F_p, with multiplicities."""
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    return Factorization(p, f[-1], tuple(fp_factor(fp_monic(f, p), p)))
+    """Complete factorization of monic f over F_p, with multiplicities."""
+    if not f or f[-1] != 1:
+        raise ValueError(f"expected a monic polynomial, got {f}")
+    return Factorization(p, tuple(fp_factor(f, p)))
+
+
+def factor(f: Polynomial) -> Factorization:
+    """fp_factorization of a monic Polynomial over F_p."""
+    return fp_factorization(_fp(f), f.field.p)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +266,8 @@ def naive_factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
 
 
 def expand(fac) -> list[int]:
-    """unit * product(factor^multiplicity) of a Factorization."""
-    out = [fac.unit]
+    """product(factor^multiplicity) of a Factorization."""
+    out = [1]
     for g, mult in fac.factors:
         for _ in range(mult):
             out = pmul(out, list(g), fac.p)
@@ -324,94 +325,6 @@ def naive_mult_order(x, one, bound: int = 10000) -> int:
         if n > bound:
             raise AssertionError("order search exceeded bound")
     return n
-
-
-# ---------------------------------------------------------------------------
-# factoring over F_{p^d} on FFElement coefficients, any d
-
-
-def ext_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    """base^e reduced mod `mod`, square-and-multiply on the exponent bits."""
-    result = Polynomial.constant(base.field, 1) % mod
-    acc = base % mod
-    while e:
-        if e & 1:
-            result = (result * acc) % mod
-        acc = (acc * acc) % mod
-        e >>= 1
-    return result
-
-
-def ext_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm; gcd(f, 0) is the monic copy of f."""
-    while not g.is_zero():
-        f, g = g, f % g
-    return f if f.is_zero() else f.monic()
-
-
-def ext_is_irreducible(f: Polynomial) -> bool:
-    """The derandomized Rabin criterion."""
-    fm = f.monic()
-    q, n = f.field.order, f.degree
-    x = Polynomial.x(f.field)
-    if ext_powmod(x, q**n, fm) != x % fm:
-        return False
-    return all(
-        ext_gcd(ext_powmod(x, q ** (n // ell), fm) - x, fm).degree <= 0 for ell in factorize(n)
-    )
-
-
-def ext_factor(f: Polynomial) -> tuple[tuple[Polynomial, int], ...]:
-    """Monic irreducible factors with multiplicity, in factor's order."""
-    g = f.monic()
-    pairs: list[tuple[Polynomial, int]] = []
-    while g.degree > 0:
-        for h in lowest_degree_factors(g):
-            mult = 0
-            while True:
-                q, rem = divmod(g, h)
-                if not rem.is_zero():
-                    break
-                g = q
-                mult += 1
-            pairs.append((h, mult))
-    idx = f.field.index
-    pairs.sort(key=lambda pair: (pair[0].degree, tuple(idx(c) for c in reversed(pair[0].coeffs))))
-    return tuple(pairs)
-
-
-def lowest_degree_factors(g: Polynomial) -> list[Polynomial]:
-    """Every irreducible factor of g of the lowest degree, by the
-    distinct-degree sieve gcd(g, x^(q^k) - x), k = 1, 2, ..."""
-    F = g.field
-    x = Polynomial.x(F)
-    r = x % g
-    k = 0
-    while k < g.degree // 2:
-        k += 1
-        r = ext_powmod(r, F.order, g)
-        s = ext_gcd(r - x, g)
-        if s.degree > 0:
-            return equal_degree_split(s, k)
-    return [g]
-
-
-def equal_degree_split(s: Polynomial, k: int) -> list[Polynomial]:
-    """The factors of s, a product of distinct monic irreducibles of degree
-    k: gcd(h, Tr(x^j) - c) for every c in F_q, j = 1, 2, ..."""
-    F = s.field
-    parts = [s]
-    u = Polynomial.constant(F, 1)
-    while any(h.degree > k for h in parts):
-        u = u * Polynomial.x(F) % s
-        t = w = u
-        for _ in range(k - 1):
-            w = ext_powmod(w, F.order, s)
-            t = t + w
-        split = [[h] if h.degree == k else
-                 [ext_gcd(h, t - Polynomial.constant(F, c)) for c in F.elements()] for h in parts]
-        parts = [g for gs in split for g in gs if g.degree > 0]
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -546,41 +459,18 @@ def admissible_pairings(f: Polynomial) -> int | None:
     return count
 
 
-def eigen_projective_order(f: Polynomial) -> int:
-    """Projective order of the companion matrix of a squarefree quartic,
-    from its eigenvalues: the least n with r1^n = r2^n = r3^n = r4^n over
-    F_{p^4}.  Needs all four roots in F_{p^4} and a nonzero constant term."""
-    if f.degree != 4:
-        raise ValueError(f"expected a quartic, got degree {f.degree}")
-    if not is_squarefree(f):
-        raise ValueError("eigenvalue route needs a squarefree quartic")
-    if f.coeffs[0].is_zero():
-        raise ValueError("zero eigenvalue: companion matrix is singular")
-    roots = roots_in(f, 4)
-    if len(roots) != 4:
-        raise ValueError("quartic does not split over F_{p^4}")
-    base = roots[0]
-    n = 1
-    for r in roots[1:]:
-        ratio = r / base
-        if ratio != base.field.one():
-            n = lcm(n, mult_order(ratio))
-    return n
-
-
 # ---------------------------------------------------------------------------
 # projective order by stepping: symplectic.projective_order before it took
 # the order by descent
 
 
-def stepped_projective_order(m: Matrix4) -> int:
+def stepped_projective_order(m: Rows, p: int) -> int:
     """Least n >= 1 with m^n scalar, multiplying by m until it is."""
-    p = m.field.p
-    power, n = m.rows, 1
+    power, n = m, 1
     while _scalar_of_rows(power) is None:
         if n == order_cap(p):
             raise RuntimeError("projective order exceeded the GL(4, p) bound")
-        power, n = _mul_rows(power, m.rows, p), n + 1
+        power, n = _mul_rows(power, m, p), n + 1
     return n
 
 

@@ -1,24 +1,24 @@
-"""4x4 matrices over F_p: the reference route for the order arguments.
+"""4x4 matrices over F_p: the reference route for the projective orders.
 
 The certificate does not use this module: its projective orders come from
 gspcert.polynomial.fp_projective_order, the least n with x^n constant mod the
 charpoly.  Here the same orders are taken literally, as orders of the
-companion matrix, and the tests compare the two.
+companion matrix in PGL(4, p), and the tests compare the two.
 
-Matrices wrap prime-field residues directly (entries stay ints internally;
-charpoly and similitude hand back field elements).  Every element order in
-GL(4, p), p >= 5, divides order_cap(p) = p * lcm(p-1, p^2-1, p^3-1,
-p^4-1), which is 957600 for p = 7: matrix_order iterates up to it, and
-projective_order descends from it by matrix powering, one prime at a time.
+A matrix is a tuple of four rows of four ints in [0, p).  Every element
+order in GL(4, p), p >= 5, divides order_cap(p) = p * lcm(p-1, p^2-1,
+p^3-1, p^4-1), which is 957600 for p = 7: projective_order descends from
+it by matrix powering, one prime at a time.
 """
 from __future__ import annotations
 
 from math import lcm, prod
 
-from field_elements import FFElement, FieldSpec, factorize
-from field_polynomial import Polynomial
+from field_elements import factorize
 
 Rows = tuple[tuple[int, int, int, int], ...]
+
+IDENTITY: Rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _mul_rows(a: Rows, b: Rows, p: int) -> Rows:
@@ -38,167 +38,40 @@ def _mul_rows(a: Rows, b: Rows, p: int) -> Rows:
     return tuple(out)
 
 
-class Matrix4:
-    """Immutable 4x4 matrix over a prime field."""
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field: FieldSpec, rows):
-        if field.d != 1:
-            raise ValueError("matrices are over the prime field only")
-        rows = tuple(tuple(int(e) % field.p for e in row) for row in rows)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise ValueError("expected a 4x4 matrix")
-        self.field = field
-        self.rows: Rows = rows
-
-    @classmethod
-    def identity(cls, field: FieldSpec) -> Matrix4:
-        return cls(field, tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4)))
-
-    @classmethod
-    def _raw(cls, field: FieldSpec, rows: Rows) -> Matrix4:
-        # trusted constructor for already-reduced rows (hot loops)
-        m = object.__new__(cls)
-        m.field = field
-        m.rows = rows
-        return m
-
-    def __mul__(self, other: Matrix4) -> Matrix4:
-        if not isinstance(other, Matrix4):
-            return NotImplemented
-        if other.field != self.field:
-            raise ValueError("field mismatch in matrix product")
-        return Matrix4._raw(self.field, _mul_rows(self.rows, other.rows, self.field.p))
-
-    def transpose(self) -> Matrix4:
-        return Matrix4(self.field, tuple(zip(*self.rows)))
-
-    def scale(self, c: int) -> Matrix4:
-        p = self.field.p
-        return Matrix4(self.field, tuple(tuple(e * c % p for e in row) for row in self.rows))
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(4)) % self.field.p
-
-    def scalar_value(self) -> int | None:
-        """c with self == c*I, if the matrix is scalar; else None."""
-        return _scalar_of_rows(self.rows)
-
-    def is_identity(self) -> bool:
-        return self.scalar_value() == 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix4):
-            return NotImplemented
-        return self.field == other.field and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.rows))
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
-        return f"Matrix4({self.field!r}, [{body}])"
+def companion(f: tuple[int, ...], p: int) -> Rows:
+    """Companion matrix of a monic quartic f over F_p, given as the
+    kernel's low-first int tuple: ones below the diagonal and -f0, ..., -f3
+    down the last column."""
+    if len(f) != 5 or f[4] != 1:
+        raise ValueError(f"expected a monic quartic, got {f}")
+    return tuple(tuple(int(j == i - 1) for j in range(3)) + (-f[i] % p,) for i in range(4))
 
 
-def standard_form(field: FieldSpec) -> Matrix4:
-    """The alternating form [[0, I2], [-I2, 0]] fixed throughout."""
-    p = field.p
-    return Matrix4(
-        field,
-        (
-            (0, 0, 1, 0),
-            (0, 0, 0, 1),
-            (p - 1, 0, 0, 0),
-            (0, p - 1, 0, 0),
-        ),
-    )
-
-
-def similitude(m: Matrix4) -> FFElement | None:
-    """The scalar nu with m^T J m = nu J, or None if no scalar works.
-
-    nu is necessarily nonzero when m is invertible; singular m can only
-    return 0 (with m^T J m = 0).
-    """
-    j = standard_form(m.field)
-    t = m.transpose() * j * m
-    nu = t.rows[0][2]  # J has a 1 there
-    p = m.field.p
-    for i in range(4):
-        for k in range(4):
-            if t.rows[i][k] != j.rows[i][k] * nu % p:
-                return None
-    return m.field.element(nu)
-
-
-def companion(f: Polynomial) -> Matrix4:
-    """Companion matrix of a monic quartic over F_p."""
-    if f.field.d != 1:
-        raise ValueError("companion matrices are taken over the prime field")
-    if f.degree != 4 or not f.is_monic():
-        raise ValueError(f"expected a monic quartic, got degree {f.degree}")
-    p = f.field.p
-    c = [coef.coeffs[0] for coef in f.coeffs]  # c0..c3, x^4 coefficient implied
-    rows = [[0] * 4 for _ in range(4)]
-    for i in range(3):
-        rows[i + 1][i] = 1
-    for i in range(4):
-        rows[i][3] = -c[i] % p
-    return Matrix4(f.field, rows)
-
-
-def charpoly(m: Matrix4) -> Polynomial:
-    """Characteristic polynomial det(xI - m) by Faddeev-LeVerrier.
+def charpoly(m: Rows, p: int) -> tuple[int, ...]:
+    """Characteristic polynomial det(xI - m), low degree first, by
+    Faddeev-LeVerrier.
 
     The recursion divides by 1..4, so the field characteristic must
     exceed 4 (true for every p this artifact touches).
     """
-    field = m.field
-    p = field.p
     if p <= 4:
         raise ValueError("Faddeev-LeVerrier needs characteristic > 4")
-    coeffs = {4: 1}
+    coeffs = [0, 0, 0, 0, 1]
     mk = m
-    a = -mk.trace() % p
-    coeffs[3] = a
-    for k in range(2, 5):
-        mk = m * Matrix4(
-            field,
-            tuple(
-                tuple((mk.rows[i][j] + (coeffs[5 - k] if i == j else 0)) % p for j in range(4))
-                for i in range(4)
-            ),
-        )
-        coeffs[4 - k] = -mk.trace() * pow(k, p - 2, p) % p
-    return Polynomial.from_ints(field, [coeffs[i] for i in range(5)])
-
-
-def det(m: Matrix4) -> int:
-    """det m, read off the characteristic polynomial at 0."""
-    cp = charpoly(m)
-    return cp.coeffs[0].coeffs[0] if cp.coeffs else 0
+    for k in range(1, 5):
+        if k > 1:  # m (M_{k-1} + c_{5-k} I)
+            shifted = tuple(
+                tuple((e + coeffs[5 - k]) % p if i == j else e for j, e in enumerate(row))
+                for i, row in enumerate(mk)
+            )
+            mk = _mul_rows(m, shifted, p)
+        coeffs[4 - k] = -sum(mk[i][i] for i in range(4)) * pow(k, -1, p) % p
+    return tuple(coeffs)
 
 
 def order_cap(p: int) -> int:
     """Upper bound on element orders in GL(4, p)."""
     return p * lcm(p - 1, p**2 - 1, p**3 - 1, p**4 - 1)
-
-
-def matrix_order(m: Matrix4) -> int:
-    """Least n >= 1 with m^n = I, by iterated multiplication."""
-    cp = charpoly(m)
-    if cp.coeffs[0].is_zero():
-        raise ValueError("singular matrix has no multiplicative order")
-    p = m.field.p
-    ident = Matrix4.identity(m.field).rows
-    cap = order_cap(p)
-    power = m.rows
-    for n in range(1, cap + 1):
-        if power == ident:
-            return n
-        power = _mul_rows(power, m.rows, p)
-    raise RuntimeError("order exceeded the GL(4, p) bound")  # unreachable
 
 
 def _scalar_of_rows(rows: Rows) -> int | None:
@@ -217,7 +90,7 @@ def _scalar_of_rows(rows: Rows) -> int | None:
 
 def _pow_rows(rows: Rows, e: int, p: int) -> Rows:
     """rows^e for e >= 0, by square-and-multiply."""
-    result: Rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    result = IDENTITY
     while e:
         if e & 1:
             result = _mul_rows(result, rows, p)
@@ -227,17 +100,15 @@ def _pow_rows(rows: Rows, e: int, p: int) -> Rows:
     return result
 
 
-def projective_order(m: Matrix4) -> int:
+def projective_order(m: Rows, p: int) -> int:
     """Least n >= 1 with m^n scalar: the order of m in PGL(4, p).
 
     The n with m^n scalar form a subgroup of Z that holds order_cap(p), so
     the order is found by descent from it (_scalar_order).
     """
-    cp = charpoly(m)
-    if cp.coeffs[0].is_zero():
+    if charpoly(m, p)[0] == 0:
         raise ValueError("singular matrix has no projective order")
-    p = m.field.p
-    return _scalar_order(m.rows, list(factorize(order_cap(p)).items()), p)
+    return _scalar_order(m, list(factorize(order_cap(p)).items()), p)
 
 
 def _scalar_order(b: Rows, parts: list[tuple[int, int]], p: int) -> int:

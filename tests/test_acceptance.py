@@ -12,10 +12,11 @@ from importlib import resources
 from math import gcd
 
 from field_elements import make_field
-from field_polynomial import Polynomial, factor, is_irreducible
+from field_polynomial import Polynomial, is_irreducible
 from gspcert import (
     EigenformDataset,
     certify,
+    embedding_roots,
     hecke_charpoly,
     hecke_quartic,
     ingest,
@@ -24,12 +25,13 @@ from gspcert import (
 )
 from gspcert.certifier import check_conjugate_22_split
 from gspcert.eigen_data import FrobeniusRecord
-from gspcert.polynomial import fp_str
+from gspcert.polynomial import fp_projective_order, fp_str
 from oracles import (
     conjugate_poly,
-    eigen_projective_order,
+    factor,
     in_subfield,
     mult_order,
+    naive_mult_order,
     roots_in,
     validate_similitude_shape,
 )
@@ -53,11 +55,13 @@ def report(criterion: int, detail: str) -> None:
 
 def test_criterion_1_defining_cubic_splits():
     started = time.perf_counter()
-    fac = factor(DEFINING)
+    roots = embedding_roots(tuple(c.lift() for c in DEFINING.coeffs), 7)
     elapsed_ms = (time.perf_counter() - started) * 1000
+    assert roots == [4, 3, 1]
+    fac = factor(DEFINING)  # the reference
     assert str(fac) == "(x + 3)(x + 4)(x + 6)"
-    assert fac.linear_roots() == [(4, 1), (3, 1), (1, 1)]
-    report(1, f"defining cubic factors as {fac} in {elapsed_ms:.3f} ms")
+    assert fac.linear_roots() == [(r, 1) for r in roots]
+    report(1, f"embedding roots {roots} in {elapsed_ms:.3f} ms; the cubic factors as {fac}")
 
 
 def test_criterion_2_frobenius_charpolys():
@@ -73,24 +77,25 @@ def test_criterion_2_frobenius_charpolys():
 
 def test_criterion_3_projective_order_25():
     rd = specialize(ingest(PAPER), 7, 1)
-    f = Polynomial.from_ints(F7, hecke_charpoly(rd, 2).charpoly)
     started = time.perf_counter()
-    via_matrix = projective_order(companion(f))
-    via_roots = eigen_projective_order(f)
+    rec = hecke_charpoly(rd, 2)
     elapsed_ms = (time.perf_counter() - started) * 1000
-    assert via_matrix == 25
-    assert via_roots == 25
-    report(3, f"both order routes give 25 in {elapsed_ms:.3f} ms")
+    via_matrix = projective_order(companion(rec.charpoly, 7), 7)  # the reference
+    assert rec.projective_order == 25 == via_matrix
+    report(3, f"the q = 2 record has order 25 in {elapsed_ms:.3f} ms, as its companion matrix")
 
 
 def test_criterion_4_base_field_root_counts():
     rd = specialize(ingest(PAPER), 7, 1)
-    roots = {
-        q: roots_in(Polynomial.from_ints(F7, hecke_charpoly(rd, q).charpoly), 1) for q in (2, 3, 5)
-    }
+    roots = {}
+    for q in (2, 3, 5):
+        rec = hecke_charpoly(rd, q)
+        roots[q] = sorted(r for r, m in rec.factorization.linear_roots() for _ in range(m))
+        reference = roots_in(Polynomial.from_ints(F7, rec.charpoly), 1)
+        assert roots[q] == [r.lift() for r in reference], q
     assert roots[2] == []
     assert roots[5] == []
-    assert sorted(r.lift() for r in roots[3]) == [3, 4]
+    assert roots[3] == [3, 4]
     report(4, "q = 2, 5 are rootless mod 7 and q = 3 has roots exactly {3, 4}")
 
 
@@ -153,7 +158,7 @@ def test_criterion_8_randomized_oracles():
         coeffs = [F7.element(rng.randrange(7)) for _ in range(degree)] + [F7.one()]
         f = Polynomial(F7, tuple(coeffs))
         fac = factor(f)
-        rebuilt = Polynomial.from_ints(F7, (fac.unit,))
+        rebuilt = Polynomial.constant(F7, 1)
         for g, multiplicity in ((Polynomial.from_ints(F7, g), m) for g, m in fac.factors):
             assert is_irreducible(g)
             assert g.coeffs[-1] == F7.one()
@@ -166,7 +171,7 @@ def test_criterion_8_randomized_oracles():
         ]
         assert keys == sorted(keys)
 
-    # (ii) the root-based projective order agrees with the matrix route
+    # (ii) the certificate's projective order agrees with the matrix route
     accepted = 0
     while accepted < 200:
         coeffs = [F7.element(rng.randrange(7)) for _ in range(4)] + [F7.one()]
@@ -179,7 +184,8 @@ def test_criterion_8_randomized_oracles():
         if any(len(g) == 4 for g, _ in fac.factors):
             continue
         accepted += 1
-        assert eigen_projective_order(f) == projective_order(companion(f))
+        charpoly = tuple(c.lift() for c in f.coeffs)
+        assert fp_projective_order(charpoly, 7) == projective_order(companion(charpoly, 7), 7)
 
     # (iii) every generated quartic has the reciprocal similitude shape
     cases = 0
@@ -193,20 +199,12 @@ def test_criterion_8_randomized_oracles():
     assert cases == 5684
 
     # (iv) group-theoretic order descent against naive iteration
-    def naive_order(x):
-        power = x
-        for n in range(1, 10000):
-            if power == x.field.one():
-                return n
-            power = power * x
-        raise AssertionError("order not found")
-
     for n in range(1, 7):
-        assert mult_order(F7.element(n)) == naive_order(F7.element(n))
+        assert mult_order(F7.element(n)) == naive_mult_order(F7.element(n), F7.one())
     for field, group_order in ((F49, 48), (F2401, 2400)):
         for _ in range(100):
             x = field.element_from_index(rng.randrange(1, field.order))
-            assert mult_order(x) == naive_order(x)
+            assert mult_order(x) == naive_mult_order(x, field.one())
             assert group_order % mult_order(x) == 0
     report(8, "500 factorizations, 200 order agreements, 5684 shape checks, "
               "206 order descents all verified")

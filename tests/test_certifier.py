@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from field_elements import make_field
-from field_polynomial import Polynomial, factor, is_squarefree
+from field_polynomial import Polynomial, is_squarefree
 from gspcert.certifier import (
     VERDICT_INCONCLUSIVE,
     VERDICT_LARGE_IMAGE,
@@ -36,6 +36,7 @@ from gspcert.polynomial import Factorization, fp_projective_order
 from oracles import (
     admissible_pairings,
     conjugate_poly,
+    factor,
     fp_factorization,
     in_subfield,
     irreducible_projective_order,
@@ -276,7 +277,7 @@ def squarefree_record(
     return FrobeniusRecord(
         q=2,
         charpoly=f,
-        factorization=Factorization(p, 1, ((f, 1),)) if irreducible else fp_factorization(f, p),
+        factorization=Factorization(p, ((f, 1),)) if irreducible else fp_factorization(f, p),
         squarefree=True,
         projective_order=order,
         similitude=1,

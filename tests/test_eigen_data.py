@@ -17,7 +17,7 @@ from gspcert.eigen_data import (
     hecke_quartic,
     specialize,
 )
-from gspcert.polynomial import fp_str
+from gspcert.polynomial import fp_monic, fp_str
 from oracles import fp_factorization, fp_mul, monic_polys, validate_similitude_shape
 
 F7 = make_field(7, 1)
@@ -165,7 +165,7 @@ class TestResidualRoots:
 def linear_roots(e, p: int) -> list[tuple[int, int]]:
     """The oracle: (root, multiplicity) for the linear factors of E over
     F_p, in factor order."""
-    return fp_factorization(tuple(c % p for c in e), p).linear_roots()
+    return fp_factorization(fp_monic(tuple(c % p for c in e), p), p).linear_roots()
 
 
 def planted_poly(rng: random.Random, p: int, degree: int, cofactor_degree: int) -> list[int]:

@@ -1,4 +1,7 @@
-"""Tests for 4x4 matrix arithmetic over F_p and the similitude machinery."""
+"""Tests for the 4x4 matrix route to projective orders over F_p, and for
+the live F_p routes on the charpolys of matrices built here: GSp(4, p)
+similitudes for fp_hecke_factorization, and eigenvalue ratios in F_{7^4}
+for fp_projective_order."""
 from __future__ import annotations
 
 import itertools
@@ -8,219 +11,185 @@ from math import lcm
 import pytest
 
 import symplectic
-from field_elements import make_field
-from field_polynomial import Polynomial, factor, is_irreducible
+from field_elements import factorize, make_field
+from field_polynomial import Polynomial
+from gspcert.polynomial import fp_hecke_factorization, fp_projective_order
 from symplectic import (
-    Matrix4,
+    IDENTITY,
+    Rows,
+    _mul_rows,
+    _pow_rows,
+    _scalar_of_rows,
     charpoly,
     companion,
-    det,
-    matrix_order,
     order_cap,
     projective_order,
-    similitude,
-    standard_form,
 )
-from oracles import eigen_projective_order, mult_order, stepped_projective_order
+from oracles import fp_factorization, mult_order, roots_in, stepped_projective_order
 
 F7 = make_field(7, 1)
 
-POL2 = Polynomial.from_ints(F7, (2, 5, 2, 3, 1))
-POL3 = Polynomial.from_ints(F7, (4, 6, 3, 4, 1))
-POL5 = Polynomial.from_ints(F7, (2, 4, 4, 6, 1))
+POL2 = (2, 5, 2, 3, 1)
+POL3 = (4, 6, 3, 4, 1)
+POL5 = (2, 4, 4, 6, 1)
 
 
-def diag(*entries: int) -> Matrix4:
-    return Matrix4(F7, [[entries[i] if i == j else 0 for j in range(4)] for i in range(4)])
+def diag(*entries: int) -> Rows:
+    return tuple(tuple(entries[i] if i == j else 0 for j in range(4)) for i in range(4))
 
 
-def block(a, b, c, d) -> Matrix4:
+def scale(m: Rows, c: int, p: int) -> Rows:
+    return tuple(tuple(e * c % p for e in row) for row in m)
+
+
+def transpose(m: Rows) -> Rows:
+    return tuple(zip(*m))
+
+
+def block(a, b, c, d, p: int) -> Rows:
     """Assemble a 4x4 from four 2x2 integer blocks."""
-    rows = []
-    for i in range(2):
-        rows.append(list(a[i]) + list(b[i]))
-    for i in range(2):
-        rows.append(list(c[i]) + list(d[i]))
-    return Matrix4(F7, rows)
+    top = [tuple(x % p for x in a[i] + b[i]) for i in range(2)]
+    return tuple(top + [tuple(x % p for x in c[i] + d[i]) for i in range(2)])
 
 
-def random_gl2(rng: random.Random):
+def standard_form(p: int) -> Rows:
+    """J = [[0, I], [-I, 0]], the alternating form GSp(4, p) preserves up to
+    the multiplier."""
+    return block(((0, 0), (0, 0)), ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, 0), (0, 0)), p)
+
+
+def multiplier(m: Rows, p: int) -> int | None:
+    """nu with m^T J m = nu J, or None when m is no similitude of J."""
+    j = standard_form(p)
+    form = _mul_rows(_mul_rows(transpose(m), j, p), m, p)
+    nu = form[0][2]
+    return nu if form == scale(j, nu, p) else None
+
+
+def random_gl2(rng: random.Random, p: int):
     while True:
-        m = [[rng.randrange(7), rng.randrange(7)], [rng.randrange(7), rng.randrange(7)]]
-        if (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % 7:
-            return m
+        a = ((rng.randrange(p), rng.randrange(p)), (rng.randrange(p), rng.randrange(p)))
+        if (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % p:
+            return a
 
 
-def random_similitude(rng: random.Random) -> tuple[Matrix4, int]:
-    """A random element of GSp(4, 7) with its multiplier, built from
-    generators of the three standard kinds plus a multiplier twist."""
-    zero2 = [[0, 0], [0, 0]]
-    ident2 = [[1, 0], [0, 1]]
-    m = Matrix4.identity(F7)
-    nu = 1
+def random_similitude(rng: random.Random, p: int) -> tuple[Rows, int]:
+    """A random element of GSp(4, p) with its multiplier, a product of
+    generators of the three standard kinds and of multiplier twists."""
+    zero2, ident2 = ((0, 0), (0, 0)), ((1, 0), (0, 1))
+    m, nu = IDENTITY, 1
     for _ in range(rng.randrange(2, 6)):
         kind = rng.randrange(4)
         if kind == 0:
-            m = m * standard_form(F7)
-        elif kind == 1:
-            s01 = rng.randrange(7)
-            s = [[rng.randrange(7), s01], [s01, rng.randrange(7)]]
-            m = m * block(ident2, s, zero2, ident2)
-        elif kind == 2:
-            a = random_gl2(rng)
-            delta = (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % 7
-            inv = pow(delta, 5, 7)
-            bt = [[a[1][1] * inv % 7, -a[1][0] * inv % 7],
-                  [-a[0][1] * inv % 7, a[0][0] * inv % 7]]
-            m = m * block(a, zero2, zero2, bt)
+            g = standard_form(p)
+        elif kind == 1:  # [[I, S], [0, I]] with S symmetric
+            s01 = rng.randrange(p)
+            g = block(ident2, ((rng.randrange(p), s01), (s01, rng.randrange(p))), zero2, ident2, p)
+        elif kind == 2:  # [[A, 0], [0, (A^T)^-1]]
+            a = random_gl2(rng, p)
+            inv = pow(a[0][0] * a[1][1] - a[0][1] * a[1][0], -1, p)
+            bt = ((a[1][1] * inv, -a[1][0] * inv), (-a[0][1] * inv, a[0][0] * inv))
+            g = block(a, zero2, zero2, bt, p)
         else:
-            c = rng.randrange(1, 7)
-            m = m * diag(1, 1, c, c)
-            nu = nu * c % 7
+            c = rng.randrange(1, p)
+            g, nu = diag(1, 1, c, c), nu * c % p
+        m = _mul_rows(m, g, p)
     return m, nu
 
 
-class TestSimilitude:
-    def test_identity(self):
-        assert similitude(Matrix4.identity(F7)) == F7.one()
-
-    def test_scalar_squares(self):
-        for lam in range(1, 7):
-            assert similitude(diag(lam, lam, lam, lam)) == F7.element(lam * lam)
-
-    def test_standard_form_itself(self):
-        assert similitude(standard_form(F7)) == F7.one()
-
-    def test_non_similitude_matrix(self):
-        assert similitude(diag(1, 1, 1, 2)) is None
-
-    def test_random_elements_verify_entrywise(self):
-        rng = random.Random(21)
-        j = standard_form(F7)
-        for _ in range(40):
-            m, nu = random_similitude(rng)
-            got = similitude(m)
-            assert got == F7.element(nu)
-            assert m.transpose() * j * m == j.scale(nu)
-
-    def test_multiplicative(self):
-        rng = random.Random(22)
-        for _ in range(25):
-            m, _ = random_similitude(rng)
-            n, _ = random_similitude(rng)
-            assert similitude(m * n) == similitude(m) * similitude(n)
+def leibniz_det(m: Rows) -> int:
+    total = 0
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
+        term = (-1) ** inversions
+        for i in range(4):
+            term *= m[i][perm[i]]
+        total += term
+    return total
 
 
 class TestCompanionAndCharpoly:
     def test_x4_companion_is_nilpotent_shift(self):
-        c = companion(Polynomial.from_ints(F7, (0, 0, 0, 0, 1)))
-        assert (c * c * c * c).rows == tuple((0,) * 4 for _ in range(4))
+        c = companion((0, 0, 0, 0, 1), 7)
+        assert _pow_rows(c, 4, 7) == tuple((0,) * 4 for _ in range(4))
 
     def test_charpoly_of_companion_is_f(self):
-        assert charpoly(companion(POL2)) == POL2
+        assert charpoly(companion(POL2, 7), 7) == POL2
 
     def test_charpoly_identity(self):
-        f = Polynomial.from_ints(F7, (-1, 1))
-        assert charpoly(Matrix4.identity(F7)) == f * f * f * f
+        # (x - 1)^4 = x^4 - 4x^3 + 6x^2 - 4x + 1
+        assert charpoly(IDENTITY, 7) == (1, 3, 6, 3, 1)
 
     def test_charpoly_diagonal(self):
-        m = diag(1, 2, 3, 4)
-        expected = Polynomial.constant(F7, 1)
-        for c in (1, 2, 3, 4):
-            expected = expected * Polynomial.from_ints(F7, (-c, 1))
-        assert charpoly(m) == expected
+        # (x - 1)(x - 2)(x - 3)(x - 4) = x^4 - 10x^3 + 35x^2 - 50x + 24
+        assert charpoly(diag(1, 2, 3, 4), 7) == (24 % 7, -50 % 7, 35 % 7, -10 % 7, 1)
 
     def test_roundtrip_random_quartics(self):
         rng = random.Random(23)
         for _ in range(60):
-            f = Polynomial.from_ints(
-                F7, [rng.randrange(7) for _ in range(4)] + [1]
-            )
-            assert charpoly(companion(f)) == f
+            f = tuple(rng.randrange(7) for _ in range(4)) + (1,)
+            assert charpoly(companion(f, 7), 7) == f
 
     def test_companion_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            companion(Polynomial.from_ints(F7, (1, 1)))
+            companion((1, 1), 7)
         with pytest.raises(ValueError):
-            companion(Polynomial.from_ints(F7, (2, 0, 0, 0, 3)))
+            companion((2, 0, 0, 0, 3), 7)
 
     def test_charpoly_needs_large_characteristic(self):
-        f3 = make_field(3, 1)
         with pytest.raises(ValueError):
-            charpoly(Matrix4.identity(f3))
+            charpoly(IDENTITY, 3)
 
     def test_det_is_constant_term(self):
-        assert det(companion(POL2)) == 2
-        assert det(Matrix4.identity(F7)) == 1
+        # det(xI - m) at x = 0 is det(-m) = det(m): projective_order refuses
+        # a singular matrix on this coefficient
+        assert charpoly(companion(POL2, 7), 7)[0] == 2
+        assert charpoly(IDENTITY, 7)[0] == 1
         rng = random.Random(24)
-        for _ in range(20):
-            f = Polynomial.from_ints(F7, [rng.randrange(7) for _ in range(4)] + [1])
-            assert det(companion(f)) == f.coeffs[0].lift()
-
-    def test_det_takes_one_charpoly(self, monkeypatch):
-        taken = []
-        real_charpoly = symplectic.charpoly
-
-        def counting_charpoly(m):
-            taken.append(m)
-            return real_charpoly(m)
-
-        monkeypatch.setattr(symplectic, "charpoly", counting_charpoly)
-        assert det(companion(POL3)) == 4
-        assert len(taken) == 1
-
-    def test_matrix_constructor_validation(self):
-        with pytest.raises(ValueError):
-            Matrix4(F7, [[1, 2], [3, 4]])
-        with pytest.raises(ValueError):
-            Matrix4(make_field(7, 2), [[0] * 4] * 4)
+        for _ in range(40):
+            m = tuple(tuple(rng.randrange(7) for _ in range(4)) for _ in range(4))
+            assert charpoly(m, 7)[0] == leibniz_det(m) % 7, m
 
 
 class TestOrders:
     def test_identity_order_one(self):
-        assert matrix_order(Matrix4.identity(F7)) == 1
-        assert projective_order(Matrix4.identity(F7)) == 1
+        assert projective_order(IDENTITY, 7) == 1
 
     def test_scalar_orders(self):
-        m = diag(3, 3, 3, 3)
-        assert matrix_order(m) == 6
-        assert projective_order(m) == 1
+        assert projective_order(diag(3, 3, 3, 3), 7) == 1
 
     def test_unipotent_order_is_p(self):
-        f = Polynomial.from_ints(F7, (-1, 1))
-        unipotent = companion(f * f * f * f)
-        assert matrix_order(unipotent) == 7
+        # (x - 1)^4: m^n has the one eigenvalue 1, so it is scalar only at n = 7
+        assert projective_order(companion((1, 3, 6, 3, 1), 7), 7) == 7
 
     def test_standard_form_orders(self):
-        j = standard_form(F7)
-        assert matrix_order(j) == 4
-        assert projective_order(j) == 2
+        j = standard_form(7)
+        assert _pow_rows(j, 2, 7) == diag(6, 6, 6, 6)
+        assert _pow_rows(j, 4, 7) == IDENTITY
+        assert projective_order(j, 7) == 2 == stepped_projective_order(j, 7)
 
     def test_projective_orders_frozen(self):
-        assert projective_order(companion(POL2)) == 25
-        assert projective_order(companion(POL3)) == 16
-        assert projective_order(companion(POL5)) == 8
+        assert projective_order(companion(POL2, 7), 7) == 25
+        assert projective_order(companion(POL3, 7), 7) == 16
+        assert projective_order(companion(POL5, 7), 7) == 8
 
     def test_singular_rejected(self):
-        nilpotent = companion(Polynomial.from_ints(F7, (0, 0, 0, 0, 1)))
         with pytest.raises(ValueError):
-            matrix_order(nilpotent)
-        with pytest.raises(ValueError):
-            projective_order(nilpotent)
+            projective_order(companion((0, 0, 0, 0, 1), 7), 7)
 
     def test_descent_matches_stepping_on_every_invertible_companion_p7(self):
         # all 6 * 7^3 = 2,058 monic quartics with f(0) != 0, squarefree or not
         count = 0
         for c in itertools.product(range(1, 7), range(7), range(7), range(7)):
-            m = companion(Polynomial.from_ints(F7, c + (1,)))
-            assert projective_order(m) == stepped_projective_order(m), c
+            m = companion(c + (1,), 7)
+            assert projective_order(m, 7) == stepped_projective_order(m, 7), c
             count += 1
         assert count == 2058
 
     def test_descent_refuses_a_bound_the_order_does_not_divide(self):
         # order_cap(p) holds every projective order for p >= 5; against a
         # smaller bound the descent raises instead of returning a divisor
-        rows = companion(POL2).rows  # projective order 25
+        rows = companion(POL2, 7)  # projective order 25
         assert symplectic._scalar_order(rows, [(5, 2)], 7) == 25
         assert symplectic._scalar_order(rows, [(2, 1), (5, 3)], 7) == 25
         with pytest.raises(RuntimeError):
@@ -233,68 +202,134 @@ class TestOrders:
         assert order_cap(7) == 957600
 
     def test_projective_divides_full_order(self):
+        # m^n = c I at the projective order n, so the order of m is n times
+        # the order of c in F_7^*, a divisor of 6
         rng = random.Random(25)
         for _ in range(20):
-            m, _ = random_similitude(rng)
-            if det(m) == 0:
-                continue
-            full = matrix_order(m)
-            proj = projective_order(m)
-            assert full % proj == 0
+            m, _ = random_similitude(rng, 7)
+            proj = projective_order(m, 7)
+            full = proj * mult_order(F7.element(_scalar_of_rows(_pow_rows(m, proj, 7))))
+            assert _pow_rows(m, full, 7) == IDENTITY
+            assert all(_pow_rows(m, full // ell, 7) != IDENTITY for ell in factorize(full))
             assert 6 % (full // proj) == 0
 
+    def test_order_is_read_off_a_squarefree_charpoly(self):
+        # distinct eigenvalues make m similar to the companion of its
+        # charpoly f, so fp_projective_order(f) is the order of m itself
+        rng = random.Random(27)
+        checked = 0
+        while checked < 30:
+            m, _ = random_similitude(rng, 7)
+            f = charpoly(m, 7)
+            if fp_factorization(f, 7).is_squarefree():
+                assert projective_order(m, 7) == fp_projective_order(f, 7), m
+                checked += 1
 
-def eligible_random_quartic(rng: random.Random) -> Polynomial:
+
+class TestSimilitude:
+    """fp_hecke_factorization reads nu off f1 = nu f3 and f0 = nu^2, the
+    shape of the charpoly of a similitude with multiplier nu: here on
+    matrices of GSp(4, p) rather than on eigen_data.hecke_quartic's output."""
+
+    def test_identity(self):
+        assert multiplier(IDENTITY, 7) == 1
+        f = charpoly(IDENTITY, 7)
+        assert fp_hecke_factorization(f, 7) == fp_factorization(f, 7)
+
+    def test_scalar_squares(self):
+        for lam in range(1, 7):
+            m = diag(lam, lam, lam, lam)
+            assert multiplier(m, 7) == lam * lam % 7
+            assert fp_hecke_factorization(charpoly(m, 7), 7).factors == (((-lam % 7, 1), 4),)
+
+    def test_standard_form_itself(self):
+        j = standard_form(7)
+        assert multiplier(j, 7) == 1
+        # (x^2 + 1)^2 has no x^3 or x term: the route takes nu = sqrt(f0)
+        assert charpoly(j, 7) == (1, 0, 2, 0, 1)
+        assert fp_hecke_factorization(charpoly(j, 7), 7).factors == (((1, 0, 1), 2),)
+
+    def test_non_similitude_matrix(self):
+        m = diag(1, 1, 1, 2)
+        assert multiplier(m, 7) is None
+        # (x - 1)^3 (x - 2) = x^4 + 2x^3 + 2x^2 + 2: nu = f1/f3 = 0
+        assert charpoly(m, 7) == (2, 0, 2, 2, 1)
+        with pytest.raises(ValueError):
+            fp_hecke_factorization(charpoly(m, 7), 7)
+
+    def test_random_elements_verify_entrywise(self):
+        rng = random.Random(21)
+        j = standard_form(7)
+        for _ in range(40):
+            m, nu = random_similitude(rng, 7)
+            assert _mul_rows(_mul_rows(transpose(m), j, 7), m, 7) == scale(j, nu, 7)
+            assert multiplier(m, 7) == nu
+            f0, f1, _, f3, _ = charpoly(m, 7)
+            assert (f0, f1) == (nu * nu % 7, nu * f3 % 7), m
+
+    def test_multiplicative(self):
+        rng = random.Random(22)
+        for _ in range(25):
+            (m, mu), (n, nu) = random_similitude(rng, 7), random_similitude(rng, 7)
+            assert multiplier(_mul_rows(m, n, 7), 7) == mu * nu % 7
+
+    @pytest.mark.parametrize("p", [7, 13, 29])
+    def test_hecke_route_matches_general_route_on_similitudes(self, p):
+        # p = 13 and 29 are 1 mod 4, where _sqrt runs Tonelli-Shanks rounds
+        rng = random.Random(f"gsp:{p}")
+        for _ in range(40):
+            m, _ = random_similitude(rng, p)
+            f = charpoly(m, p)
+            assert fp_hecke_factorization(f, p) == fp_factorization(f, p), f
+
+
+def ratio_order(f: tuple[int, ...]) -> int:
+    """lcm of the orders of r / r0 over the roots r of f in F_{7^4}: the
+    least n with r^n the same for every root.  For a squarefree f with its
+    four roots there, the companion matrix is diagonal over F_{7^4} with
+    these eigenvalues, so this is its projective order."""
+    roots = roots_in(Polynomial.from_ints(F7, f), 4)
+    assert len(roots) == 4, f
+    return lcm(*(mult_order(r / roots[0]) for r in roots[1:]))
+
+
+def eligible_random_quartic(rng: random.Random) -> tuple[int, ...]:
     """Random monic squarefree quartic with nonzero constant term and no
     irreducible cubic factor, so all four roots land in F_{7^4}."""
     while True:
-        f = Polynomial.from_ints(
-            F7, [rng.randrange(1, 7)] + [rng.randrange(7) for _ in range(3)] + [1]
-        )
-        fac = factor(f)
-        if not fac.is_squarefree():
-            continue
-        if any(len(g) == 4 for g, _ in fac.factors):
-            continue
-        return f
+        f = (rng.randrange(1, 7),) + tuple(rng.randrange(7) for _ in range(3)) + (1,)
+        fac = fp_factorization(f, 7)
+        if fac.is_squarefree() and all(len(g) != 4 for g, _ in fac.factors):
+            return f
 
 
 class TestEigenProjectiveOrder:
+    """fp_projective_order against the eigenvalues of the companion matrix."""
+
     def test_pol2_frozen(self):
-        assert eigen_projective_order(POL2) == 25
+        assert ratio_order(POL2) == 25 == fp_projective_order(POL2, 7)
 
     def test_split_quartic(self):
-        f = Polynomial.constant(F7, 1)
-        for c in (1, 2, 3, 4):
-            f = f * Polynomial.from_ints(F7, (-c, 1))
-        assert eigen_projective_order(f) == 6
-        assert projective_order(companion(f)) == 6
+        f = charpoly(diag(1, 2, 3, 4), 7)  # (x - 1)(x - 2)(x - 3)(x - 4)
+        assert ratio_order(f) == 6
+        assert fp_projective_order(f, 7) == 6
+        assert projective_order(companion(f, 7), 7) == 6
 
     def test_split_quartic_matches_ratio_orders(self):
         # least n with 1^n = 2^n = 3^n = 4^n is the lcm of the ratio orders
-        ratios = [F7.element(2), F7.element(3), F7.element(4)]
-        assert lcm(*(mult_order(r) for r in ratios)) == 6
+        assert lcm(*(mult_order(F7.element(r)) for r in (2, 3, 4))) == 6
 
     def test_agrees_with_companion_route(self):
         rng = random.Random(26)
         for _ in range(30):
             f = eligible_random_quartic(rng)
-            assert eigen_projective_order(f) == projective_order(companion(f))
+            assert ratio_order(f) == fp_projective_order(f, 7) == projective_order(companion(f, 7), 7), f
 
-    def test_non_squarefree_rejected(self):
-        g = Polynomial.from_ints(F7, (3, 1))
-        f = g * g * Polynomial.from_ints(F7, (1, 2, 1))
-        with pytest.raises(ValueError):
-            eigen_projective_order(f)
-
-    def test_cubic_factor_rejected(self):
-        cubic = Polynomial.from_ints(F7, (5, 0, 0, 1))
-        assert is_irreducible(cubic)
-        f = cubic * Polynomial.from_ints(F7, (1, 1))
-        with pytest.raises(ValueError):
-            eigen_projective_order(f)
-
-    def test_zero_constant_rejected(self):
-        f = Polynomial.from_ints(F7, (0, 1, 2, 3, 1))
-        with pytest.raises(ValueError):
-            eigen_projective_order(f)
+    def test_repeated_root_breaks_the_eigenvalue_count(self):
+        # (x + 3)^2 (x + 1)^2: the ratio 4/6 = 3 has order 6, but each
+        # 2x2 Jordan block needs 7 | n as well, so x^n is constant mod f
+        # only at multiples of 42
+        f = (2, 3, 1, 1, 1)
+        assert fp_factorization(f, 7).factors == (((1, 1), 2), ((3, 1), 2))
+        assert ratio_order(f) == 6
+        assert fp_projective_order(f, 7) == 42 == projective_order(companion(f, 7), 7)
