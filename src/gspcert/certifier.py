@@ -60,12 +60,11 @@ class ExceptionalTable(NamedTuple):
 
 
 def supported_table(p: int, table: ExceptionalTable | None = None) -> ExceptionalTable:
-    """The exceptional table to certify with at p (the built-in one when
-    table is None), after checking that the argument applies at p: p prime,
-    p >= 5 and p = 3 mod 4, and that a given table is for p and lists at
-    least one (name, order) pair of a str and an int >= 1; with no entries
-    the exceptional check would pass on no evidence.  Raises ValueError
-    otherwise."""
+    """The exceptional table to certify with at p, the built-in one when
+    table is None.  Raises ValueError unless p is a prime >= 5 with p = 3
+    mod 4 and a given table is an ExceptionalTable for p whose entries are
+    a tuple of one or more (name, order) pairs of a str and an int >= 1:
+    with no entries the exceptional check would pass on no evidence."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p < 5:
@@ -74,6 +73,8 @@ def supported_table(p: int, table: ExceptionalTable | None = None) -> Exceptiona
         raise ValueError(f"primitivity argument needs p = 3 mod 4, got p = {p}")
     if table is None:
         return builtin_exceptional_table(p)
+    if not (isinstance(table, ExceptionalTable) and isinstance(table.entries, tuple)):
+        raise ValueError("exceptional table must be an ExceptionalTable with a tuple of entries")
     if table.p != p:
         raise ValueError(f"exceptional table is for p = {table.p}, not p = {p}")
     for entry in table.entries:
@@ -169,15 +170,11 @@ def _order_check(
     name: str, records: Sequence[FrobeniusRecord], excluded: Callable[[int], bool],
     exclusion: str, fit: str, data: dict,
 ) -> CheckResult:
-    """The two order checks' shared scan over the squarefree records, the
-    only ones whose projective order is taken: the least q whose order n
-    has excluded(n) witnesses the check.  exclusion ends the text for that
-    q, fit the text for orders that all fit; data gains the orders."""
-    orders = {
-        rec.q: rec.projective_order
-        for rec in records
-        if rec.squarefree and rec.projective_order is not None
-    }
+    """The two order checks' shared scan over the squarefree records, whose
+    projective orders are taken: the least q whose order n has excluded(n)
+    witnesses the check.  exclusion ends the text for that q, fit the text
+    for orders that all fit; data gains the orders."""
+    orders = {rec.q: rec.projective_order for rec in records if rec.squarefree}
     q = min((r for r, n in orders.items() if excluded(n)), default=None)
     return _result(
         name, q is not None, (q,),
@@ -207,11 +204,10 @@ def check_rational_22_split(records: Sequence[FrobeniusRecord], p: int) -> Check
     )
 
 
-def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
-    """Number of ways to write a squarefree quartic f as g * conj(g), with g
-    a monic quadratic over F_{p^2} whose constant term lies in F_p and conj
-    the Frobenius sigma: x -> x^p on coefficients; None for a cubic factor
-    or an irreducible f whose record has no projective order.
+def _conjugate_pairings(rec: FrobeniusRecord) -> int:
+    """Number of ways to write a squarefree Hecke quartic f as g * conj(g),
+    with g a monic quadratic over F_{p^2} whose constant term lies in F_p
+    and conj the Frobenius sigma: x -> x^p on coefficients.
 
     Such a g takes two of the four roots of f, so this counts the pairings
     {a, b} | {c, d} of the roots with sigma{a, b} = {c, d} and ab in F_p.
@@ -220,15 +216,11 @@ def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
     - A root r in F_p is fixed by sigma, so the pair holding r meets its
       own image: every pattern with a linear factor counts 0.
     - f irreducible with root r: sigma cycles r, r^p, r^(p^2), r^(p^3), and
-      only {r, r^(p^2)} maps onto its complement.  It counts when
-      r^(1 + p^2) lies in F_p, which is read off the record's projective
-      order n, the least n >= 1 with x^n constant mod f: it counts iff
-      n | p^2 + 1.  For x -> r identifies F_p[x]/(f) with F_{p^4}, and
-      the m with r^m in F_p^* are the preimage of a subgroup under
-      m -> r^m, a subgroup of Z, so they are the multiples of n.  This is
-      the same test as r^((p^2 + 1)(p - 1)) = 1, i.e.
-      x^((p^2 + 1)(p - 1)) = 1 mod f, as F_p^* is the set of z with
-      z^(p - 1) = 1.
+      only {r, r^(p^2)} maps onto its complement.  The roots pair as
+      r <-> nu/r, nu in F_p (fp_hecke_factorization refuses any other f):
+      an involution with no fixed point (r^2 = nu would put r in F_{p^2})
+      commuting with the 4-cycle sigma, so a power of it, sigma^2.  Thus
+      r^(1 + p^2) = nu lies in F_p, and f counts 1.
     - f = (x^2 - s_1 x + n_1)(x^2 - s_2 x + n_2) with roots u, u^p and
       v, v^p: {u, u^p} is its own image, while {u, v} and {u, v^p} map
       onto their complements and count when uv, resp. uv^p, lies in F_p.
@@ -240,25 +232,15 @@ def _conjugate_pairings(rec: FrobeniusRecord) -> int | None:
       at least one counts iff the left side vanishes.  Both count iff
       u/u^p = v^p/v = v/v^p, i.e. v^p = -v and then u^p = -u (roots of a
       squarefree f are distinct): s_1 = s_2 = 0.
-    - With a cubic factor (3 + 1) the roots lie outside F_{p^4}; None
-      marks the record as skipped.  So does an irreducible f whose record
-      has no order (one built by hand; the order checks skip it too, in
-      _order_check): no witness rests on it.
     """
-    p = rec.factorization.p
-    factors = [g for g, _ in rec.factorization.factors]
-    degrees = [len(g) - 1 for g in factors]
-    if 3 in degrees:
-        return None
-    if degrees == [4]:
-        n = rec.projective_order
-        return None if n is None else int((p * p + 1) % n == 0)
-    if degrees == [2, 2]:
-        (n1, s1), (n2, s2) = ((g[0], -g[1] % p) for g in factors)
-        if (s1 * s1 - 2 * n1) * n2 % p != (s2 * s2 - 2 * n2) * n1 % p:
-            return 0
-        return 2 if s1 == s2 == 0 else 1
-    return 0
+    p, factors = rec.factorization.p, rec.factorization.factors
+    degrees = [len(g) - 1 for g, _ in factors]
+    if degrees != [2, 2]:
+        return int(degrees == [4])
+    (n1, s1), (n2, s2) = ((g[0], -g[1] % p) for g, _ in factors)
+    if (s1 * s1 - 2 * n1) * n2 % p != (s2 * s2 - 2 * n2) * n1 % p:
+        return 0
+    return 2 if s1 == s2 == 0 else 1
 
 
 def check_conjugate_22_split(records: Sequence[FrobeniusRecord], p: int) -> CheckResult:
@@ -270,10 +252,8 @@ def check_conjugate_22_split(records: Sequence[FrobeniusRecord], p: int) -> Chec
     determinant-induced rational constant term.  For each squarefree record
     those factorizations are counted from its F_p factorization
     (_conjugate_pairings); a record with none cannot arise that way.  An
-    irreducible Hecke quartic has projective order dividing p^2 + 1, so it
-    counts one pairing: only reducible records can witness this check.
+    irreducible record counts one: only reducible records can witness it.
     """
-    # None skips a record: no cubic-factor quartic is similitude-shaped; be safe
     pairings = [(rec.q, _conjugate_pairings(rec)) for rec in records if rec.squarefree]
     q = min((r for r, n in pairings if n == 0), default=None)
     return _result(
@@ -283,7 +263,7 @@ def check_conjugate_22_split(records: Sequence[FrobeniusRecord], p: int) -> Chec
         "so the image preserves no conjugate plane pair",
         "every squarefree record admits a conjugate-quadratic pairing; "
         "consistent with a scalar-extension structure, no exclusion",
-        {"admissible_pairings": {str(r): n for r, n in pairings if n is not None}},
+        {"admissible_pairings": {str(r): n for r, n in pairings}},
     )
 
 

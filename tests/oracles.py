@@ -9,18 +9,17 @@ for the roots and the equal-degree parts.  The integer-list helpers work
 on plain coefficient lists, low degree first, with no dependency on the
 package under test.  The F_{p^4} section runs on FieldSpec
 (field_elements.py) and Polynomial (field_polynomial.py) arithmetic: the
-route the certificate used to take, which finds the roots of a quartic by
-scanning the splitting field and pairs them up directly.  The last
-sections hold the projective order of a matrix by stepping through its
-powers, the projective orders of irreducible quartics from a primitive
-element and by descent, and the JSON report as json.dumps writes it.
+Frobenius, subfields, multiplicative orders, and the roots of a polynomial
+found by scanning an extension field.  The last sections hold the
+projective order of a matrix by stepping through its powers, the
+projective order of an irreducible quartic by descent, and the JSON
+report as json.dumps writes it.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from functools import lru_cache
-from math import gcd
 
 from field_elements import FFElement, FieldSpec, factorize, make_field
 from field_polynomial import Polynomial, _fp
@@ -419,44 +418,9 @@ def scan_distinct_roots(g: Polynomial) -> list[FFElement]:
     roots = [F.zero()] if g.coeffs[0].is_zero() else []
     terms = [(i, log[c.coeffs]) for i, c in enumerate(g.coeffs) if not c.is_zero()]
     for j in range(m):
-        if F.d == 4:  # unrolled: F_{p^4} sweeps dominate the oracle's cost
-            s0 = s1 = s2 = s3 = 0
-            for i, lc in terms:
-                c0, c1, c2, c3 = exp[(lc + i * j) % m]
-                s0 += c0
-                s1 += c1
-                s2 += c2
-                s3 += c3
-            hit = not (s0 % p or s1 % p or s2 % p or s3 % p)
-        else:
-            hit = not any(sum(col) % p for col in zip(*(exp[(lc + i * j) % m] for i, lc in terms)))
-        if hit:
+        if not any(sum(col) % p for col in zip(*(exp[(lc + i * j) % m] for i, lc in terms))):
             roots.append(FFElement(F, exp[j]))
     return sorted(roots, key=F.index)
-
-
-def admissible_pairings(f: Polynomial) -> int | None:
-    """Number of ways to split the roots of a squarefree quartic into a
-    conjugate pair of F_{p^2}-rational quadratics with rational constant
-    term; None when the quartic does not split over F_{p^4}."""
-    field4 = make_field(f.field.p, 4)
-    roots = roots_in(f, 4)
-    if len(roots) != 4:
-        return None
-    one = field4.one()
-    count = 0
-    for first, second in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        ra, rb = roots[first[0]], roots[first[1]]
-        rc, rd = roots[second[0]], roots[second[1]]
-        g = Polynomial(field4, (ra * rb, -(ra + rb), one))
-        if not all(in_subfield(c, 2) for c in g.coeffs):
-            continue
-        if not in_subfield(g.coeffs[0], 1):
-            continue
-        partner = Polynomial(field4, (rc * rd, -(rc + rd), one))
-        if partner == conjugate_poly(g):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -475,46 +439,7 @@ def stepped_projective_order(m: Rows, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# projective orders of irreducible quartics, without stepping: the F_p order
-# route of _conjugate_pairings is checked against x^((p^2+1)(p-1)) = 1 on them
-
-
-def irreducible_quartic_orders(p: int) -> dict[tuple[int, ...], int]:
-    """Every monic irreducible quartic over F_p, mapped to the projective
-    order of its companion matrix, from a primitive element g of
-    F_{p^4} = F_p[x]/(f0): the quartics are the minimal polynomials
-    prod_k (X - g^(j p^k)) of the g^j of degree 4, and F_{p^4}^*/F_p^* is
-    cyclic of order N = (p^4 - 1)/(p - 1), generated by g, so the order of
-    g^j there is N / gcd(j, N)."""
-    m = p**4 - 1
-    # x has order m mod f0, so F_p[x]/(f0) has m units: it is a field; and
-    # f0(0) is the norm of x, a primitive root mod p
-    c0, c1, c2, c3, _ = next(
-        f + (1,) for f in itertools.product(range(1, p), range(p), range(p), range(p))
-        if all(pow(f[0], (p - 1) // ell, p) != 1 for ell in factorize(p - 1))
-        and reference_powmod((0, 1), m, f + (1,), p) == (1,)
-        and all(reference_powmod((0, 1), m // ell, f + (1,), p) != (1,) for ell in factorize(m))
-    )
-    exp = [(1, 0, 0, 0)]  # exp[j] = x^j mod f0, low first
-    for _ in range(m - 1):
-        a0, a1, a2, a3 = exp[-1]
-        exp.append((-a3 * c0 % p, (a0 - a3 * c1) % p, (a1 - a3 * c2) % p, (a2 - a3 * c3) % p))
-
-    def coefficient(exponents) -> int:
-        # the sum of the g^e, which lies in F_p
-        total = [sum(col) % p for col in zip(*(exp[e % m] for e in exponents))]
-        assert not any(total[1:]), total
-        return total[0]
-
-    n = m // (p - 1)
-    orders = {}
-    for j in range(1, m):
-        js = [j * p**k % m for k in range(4)]
-        if min(js) != j or js[2] == j:  # one j per orbit, none in F_{p^2}
-            continue
-        e = [coefficient(map(sum, itertools.combinations(js, i))) for i in range(1, 5)]
-        orders[(e[3], -e[2] % p, e[1], -e[0] % p, 1)] = n // gcd(j, n)
-    return orders
+# the projective order of an irreducible quartic by descent, without stepping
 
 
 def irreducible_projective_order(f: tuple[int, ...], p: int) -> int:

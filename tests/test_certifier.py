@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from field_elements import make_field
-from field_polynomial import Polynomial, is_squarefree
+from field_polynomial import Polynomial
 from gspcert.certifier import (
     VERDICT_INCONCLUSIVE,
     VERDICT_LARGE_IMAGE,
@@ -23,7 +23,6 @@ from gspcert.certifier import (
     check_primitivity,
     check_rational_22_split,
     rational_split_exponent,
-    _conjugate_pairings,
 )
 from gspcert.eigen_data import (
     EigenformDataset,
@@ -32,18 +31,8 @@ from gspcert.eigen_data import (
     hecke_charpoly,
     specialize,
 )
-from gspcert.polynomial import Factorization, fp_projective_order
-from oracles import (
-    admissible_pairings,
-    conjugate_poly,
-    factor,
-    fp_factorization,
-    in_subfield,
-    irreducible_projective_order,
-    irreducible_quartic_orders,
-    reference_powmod,
-    roots_in,
-)
+from gspcert.polynomial import fp_powmod
+from oracles import conjugate_poly, factor, in_subfield, roots_in, validate_similitude_shape
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)
@@ -67,19 +56,15 @@ def paper_records():
     return build_records(specialize(paper_dataset(), 7, 1))
 
 
-def synthetic_record(q: int, f: Polynomial, order=None, squarefree=None) -> FrobeniusRecord:
-    """A record for the monic quartic f; a squarefree one without a given
-    order gets fp_projective_order's, as hecke_charpoly fills it in."""
+def synthetic_record(q: int, f: Polynomial, order=None) -> FrobeniusRecord:
+    """A record for the monic quartic f with the given projective order;
+    the root and pairing counts do not read it."""
     fac = factor(f)
-    charpoly = tuple(c.lift() for c in f.coeffs)
-    squarefree = fac.is_squarefree() if squarefree is None else squarefree
-    if squarefree and order is None:
-        order = fp_projective_order(charpoly, f.field.p)
     return FrobeniusRecord(
         q=q,
-        charpoly=charpoly,
+        charpoly=tuple(c.lift() for c in f.coeffs),
         factorization=fac,
-        squarefree=squarefree,
+        squarefree=fac.is_squarefree(),
         projective_order=order,
         similitude=1,
     )
@@ -157,9 +142,12 @@ class TestHeckeQuarticConsequences:
                 squarefree += 1
                 n = rec.projective_order
                 if degrees == [4]:
-                    # so an irreducible record never witnesses conjugate_22_split
+                    # r^(1 + p^2) = nu for every root r: the pairing
+                    # r <-> nu/r is r <-> r^(p^2), so the record counts one
+                    # conjugate pairing, and its order divides p^2 + 1
+                    x_norm = fp_powmod((0, 1), p * p + 1, rec.charpoly, p)
+                    assert x_norm == (rec.similitude,), (p, q, a1, a2)
                     assert (p * p + 1) % n == 0, (p, q, a1, a2)
-                    assert _conjugate_pairings(rec) == 1
                 else:
                     # so only an irreducible record can witness rational_22_split
                     assert (p * p - 1) % n == 0 and bound % n == 0, (p, q, a1, a2)
@@ -201,21 +189,23 @@ class TestConjugate22Split:
             res = check_conjugate_22_split([rec], 7)
             assert not res.passed, str(f)
 
+    @pytest.mark.parametrize(
+        "f, count", [((2, 0, 3, 0, 1), 2), ((5, 0, 1, 0, 1), 0), ((2, 5, 2, 3, 1), 1)]
+    )
+    def test_count_reads_the_factors_not_the_order(self, f, count):
+        # (x^2 + 1)(x^2 + 2), (x + 1)(x + 6)(x^2 + 2) and the paper's
+        # irreducible q = 2 charpoly, each in a record without an order
+        rec = synthetic_record(2, Polynomial.from_ints(F7, f))
+        res = check_conjugate_22_split([rec], 7)
+        assert res.data["admissible_pairings"] == {"2": count}
+        assert res.witnesses == (() if count else (2,))
+
     def test_non_squarefree_records_are_skipped(self):
         g = Polynomial.from_ints(F7, (1, 4, 1))
         rec = synthetic_record(2, g * g)
         res = check_conjugate_22_split([rec], 7)
         assert not res.passed
         assert "2" not in res.data["admissible_pairings"]
-
-
-def recorded_counts(f: Polynomial) -> tuple[int, int | None]:
-    """The F_p root count (with multiplicity) and the admissible-pairing
-    count the certificate records for f at q = 2; None when skipped."""
-    rec = synthetic_record(2, f)
-    linear = check_linear_constituent([rec]).data["base_field_root_counts"]["2"]
-    pairings = check_conjugate_22_split([rec], f.field.p).data["admissible_pairings"]
-    return linear, pairings.get("2")
 
 
 def conjugate_product(beta, gamma: int) -> Polynomial:
@@ -227,121 +217,82 @@ def conjugate_product(beta, gamma: int) -> Polynomial:
     return Polynomial.from_ints(make_field(F2.p, 1), [c.coeffs[0] for c in product.coeffs])
 
 
+def conjugate_tally(p: int) -> Counter:
+    """How many g = x^2 + beta x + gamma, beta in F_{p^2} and gamma in
+    F_p^*, give each product g * conj(g): by definition, twice the number
+    of admissible pairings of a squarefree product, one pair {g, conj(g)}
+    with g != conj(g) each."""
+    F2 = make_field(p, 2)
+    return Counter(conjugate_product(beta, gamma) for beta in F2.elements() for gamma in range(1, p))
+
+
+def hecke_shaped(f: Polynomial) -> bool:
+    """Whether the roots of f pair as r <-> nu/r for some nu in F_p^*; with
+    k = 2, validate_similitude_shape takes nu = q^(2k-3) = q."""
+    p = f.field.p
+    coeffs = tuple(c.lift() for c in f.coeffs)
+    return any(validate_similitude_shape(coeffs, nu, 2, p) for nu in range(1, p))
+
+
+def checked_kind(f: Polynomial, tally: Counter) -> str | None:
+    """Check the counts the certificate records for the monic quartic f at
+    q = 2: its F_p roots against a scan of F_p and, if f is squarefree, its
+    pairing count n against the tally.  A recorded 0 (a witness) needs a
+    tally of 0 on every f, and n is exact on every reducible f and on every
+    Hecke-shaped irreducible one.  Returns the kind of f, None if it has a
+    repeated factor."""
+    rec = synthetic_record(2, f)
+    linear = check_linear_constituent([rec]).data["base_field_root_counts"]["2"]
+    assert linear == len(roots_in(f, 1)), str(f)
+    pairings = check_conjugate_22_split([rec], f.field.p).data["admissible_pairings"]
+    if not rec.squarefree:
+        assert pairings == {}, str(f)
+        return None
+    n = pairings["2"]
+    assert n in (0, 1, 2), str(f)
+    if n == 0:
+        assert tally[f] == 0, str(f)
+    if len(rec.factorization.factors) > 1:
+        kind = "reducible"
+    else:
+        kind = "irreducible Hecke" if hecke_shaped(f) else "irreducible other"
+    if kind != "irreducible other":
+        assert 2 * n == tally[f], str(f)
+    return kind
+
+
 class TestPairingCountOracles:
-    """The F_p pairing count against the definition and the F_{p^4} route."""
+    """The F_p pairing count against the definition: one-sided on every
+    squarefree quartic, exact on the Hecke-shaped ones and the reducible."""
 
     def test_exhaustive_p7_against_definitional_tally(self):
-        # each admissible pairing is one pair {g, conj(g)} with g != conj(g)
-        F49 = make_field(7, 2)
-        tally = Counter(
-            conjugate_product(beta, gamma) for beta in F49.elements() for gamma in range(1, 7)
+        tally = conjugate_tally(7)
+        kinds = Counter(
+            checked_kind(Polynomial.from_ints(F7, tail + (1,)), tally)
+            for tail in itertools.product(range(1, 7), range(7), range(7), range(7))
         )
-        covered = 0
-        for tail in itertools.product(range(7), repeat=4):
-            if tail[0] == 0:
-                continue
-            f = Polynomial.from_ints(F7, tail + (1,))
-            linear, n = recorded_counts(f)
-            assert linear == len(roots_in(f, 1)), str(f)
-            if n is None:  # repeated root or a cubic factor
-                continue
-            covered += 1
-            assert 2 * n == tally[f], str(f)
-        assert covered == 1128
+        # all 1,800 squarefree quartics with f(0) != 0, the 672 with a cubic
+        # factor among them, and (7^4 - 7^2)/4 = 588 of them irreducible
+        del kinds[None]
+        assert kinds == {"reducible": 1212, "irreducible Hecke": 72, "irreducible other": 516}
 
-    @pytest.mark.parametrize("p", [7, 11])
-    def test_seeded_sample_against_f_p4_route(self, p):
+    def test_seeded_sample_p11_against_definitional_tally(self):
+        p = 11
+        tally = conjugate_tally(p)
         F2 = make_field(p, 2)
         rng = random.Random(4 * p + 1)
-        sampled = 0
-        while sampled < 100:
-            if sampled % 2:
+        kinds = Counter()
+        while sum(kinds.values()) < 100:
+            if sum(kinds.values()) % 2:
                 tail = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(3)]
                 f = Polynomial.from_ints(make_field(p, 1), tail + [1])
             else:
                 beta = F2.element_from_index(rng.randrange(F2.order))
                 f = conjugate_product(beta, rng.randrange(1, p))
-            linear, n = recorded_counts(f)
-            assert linear == len(roots_in(f, 1)), str(f)
-            if not is_squarefree(f):
-                continue
-            sampled += 1
-            assert n == admissible_pairings(f), str(f)
-
-
-def squarefree_record(
-    f: tuple[int, ...], p: int, order: int | None, irreducible=False
-) -> FrobeniusRecord:
-    """A record for the squarefree monic quartic f at q = 2, order as given;
-    an irreducible f is not factored again."""
-    return FrobeniusRecord(
-        q=2,
-        charpoly=f,
-        factorization=Factorization(p, ((f, 1),)) if irreducible else fp_factorization(f, p),
-        squarefree=True,
-        projective_order=order,
-        similitude=1,
-    )
-
-
-def assert_order_route_matches_exponent_route(orders: dict, p: int) -> None:
-    """The pairing count of each irreducible quartic's record, which reads
-    its projective order, against x^((p^2 + 1)(p - 1)) = 1 mod f."""
-    counted = Counter()
-    for f, n in orders.items():
-        res = check_conjugate_22_split([squarefree_record(f, p, n, irreducible=True)], p)
-        expected = int(reference_powmod((0, 1), (p * p + 1) * (p - 1), f, p) == (1,))
-        assert res.data["admissible_pairings"] == {"2": expected}, (f, n)
-        assert res.witnesses == (() if expected else (2,))
-        counted[expected] += 1
-    assert counted[0] and counted[1]  # both outcomes occur
-
-
-class TestConjugatePairOrderRoute:
-    """An irreducible record counts one pairing iff its projective order
-    divides p^2 + 1: the same test as the exponentiation it replaces."""
-
-    # p = 7 is covered by test_exhaustive_p7_against_definitional_tally,
-    # whose irreducible records carry fp_projective_order's orders
-    @pytest.mark.parametrize("p, count", [(5, 150), (11, 3630), (13, 7098)])
-    def test_every_irreducible_quartic(self, p, count):
-        orders = irreducible_quartic_orders(p)
-        assert len(orders) == count == (p**4 - p**2) // 4
-        if p == 5:  # the orders are the records' own, and the descent's
-            for f, n in orders.items():
-                assert fp_projective_order(f, p) == n == irreducible_projective_order(f, p), f
-        assert_order_route_matches_exponent_route(orders, p)
-
-    @pytest.mark.parametrize("p", [19, 23, 31, 103])
-    def test_seeded_irreducible_quartics(self, p):
-        rng = random.Random(9000 + p)
-        orders = {}
-        while len(orders) < 500:
-            f = tuple(rng.randrange(p) for _ in range(4)) + (1,)
-            if f not in orders and fp_factorization(f, p).factors == ((f, 1),):
-                orders[f] = irreducible_projective_order(f, p)
-        assert_order_route_matches_exponent_route(orders, p)
-
-    @pytest.mark.parametrize("f, order", [((3, 0, 1, 1, 1), 400), ((2, 5, 2, 3, 1), 25)])
-    def test_irreducible_record_without_an_order_is_skipped(self, f, order):
-        # with its order, 400 (not dividing 50) makes a witness and 25 does
-        # not; without it: no TypeError, and never a witness
-        p = 7
-        assert fp_factorization(f, p).factors == ((f, 1),)
-        assert fp_projective_order(f, p) == order
-        with_order = check_conjugate_22_split([squarefree_record(f, p, order)], p)
-        assert with_order.data["admissible_pairings"] == {"2": int(50 % order == 0)}
-        res = check_conjugate_22_split([squarefree_record(f, p, None)], p)
-        assert not res.passed
-        assert res.witnesses == ()
-        assert res.data["admissible_pairings"] == {}
-
-    @pytest.mark.parametrize("f, count", [((2, 0, 3, 0, 1), 2), ((5, 0, 1, 0, 1), 0)])
-    def test_split_records_do_not_read_the_order(self, f, count):
-        # (x^2 + 1)(x^2 + 2) and (x + 1)(x + 6)(x^2 + 2) count from their
-        # factors alone, as before
-        res = check_conjugate_22_split([squarefree_record(f, 7, None)], 7)
-        assert res.data["admissible_pairings"] == {"2": count}
+            kind = checked_kind(f, tally)
+            if kind:
+                kinds[kind] += 1
+        assert kinds["irreducible Hecke"] and kinds["irreducible other"]
 
 
 class TestPrimitivity:
@@ -536,6 +487,12 @@ class TestCertify:
             (7, ExceptionalTable(7, ()), "table for p = 7 has no entries"),
             (7, ExceptionalTable(7, (("PGL(2,7)", 0),)), "has an order below 1"),
             (7, ExceptionalTable(7, (("PGL(2,7)", 336), ("A7.2", -5040))), "order below 1"),
+            # neither a TypeError nor an AttributeError, and no generator,
+            # which the checks of its entries would use up
+            (7, ExceptionalTable(7, None), "ExceptionalTable with a tuple of entries"),
+            (7, ExceptionalTable(7, iter((("PGL(2,7)", 336),))), "with a tuple of entries"),
+            (7, ExceptionalTable(7, 5), "ExceptionalTable with a tuple of entries"),
+            (7, (7, (("X", 5),)), "ExceptionalTable with a tuple of entries"),
         ],
     )
     def test_unsupported_prime_rejected_before_specialize(self, monkeypatch, p, table, message):
@@ -543,8 +500,9 @@ class TestCertify:
             raise AssertionError("specialize ran")
 
         monkeypatch.setattr("gspcert.certifier.specialize", unreachable)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as err:
             certify(paper_dataset(), p, 0, table=table)
+        assert "\n" not in str(err.value)
 
     def test_other_prime_with_user_table(self):
         ds = EigenformDataset(

@@ -33,6 +33,7 @@ from oracles import (
     fp_mul,
     fp_split_equal_degree,
     frobenius,
+    irreducible_projective_order,
     lift,
     monic_polys,
     naive_factor,
@@ -570,6 +571,23 @@ class TestProjectiveOrder:
         for _ in range(500):
             f = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(3)) + (1,)
             assert fp_projective_order(f, p) == matrix_projective_order(f, p), f
+
+    def test_every_irreducible_quartic_p5_matches_descent(self):
+        # the descent from (p + 1)(p^2 + 1) is the reference for irreducibles
+        quartics = (c + (1,) for c in itertools.product(range(5), repeat=4))
+        irreducible = [f for f in quartics if fp_factorization(f, 5).factors == ((f, 1),)]
+        assert len(irreducible) == (5**4 - 5**2) // 4 == 150
+        for f in irreducible:
+            assert fp_projective_order(f, 5) == irreducible_projective_order(f, 5), f
+
+    def test_seeded_irreducible_quartics_p19_match_descent(self):
+        rng = random.Random(9019)
+        checked = set()
+        while len(checked) < 200:
+            f = tuple(rng.randrange(19) for _ in range(4)) + (1,)
+            if f not in checked and fp_factorization(f, 19).factors == ((f, 1),):
+                assert fp_projective_order(f, 19) == irreducible_projective_order(f, 19), f
+                checked.add(f)
 
     def test_frozen_paper_orders(self):
         assert fp_projective_order((2, 5, 2, 3, 1), 7) == 25

@@ -1,9 +1,9 @@
 """The tests' reference maths keeps only what the tests use.
 
 The four reference modules hold the slow routes that the certificate's own
-code is compared against.  Each definition there must be used by some
-test or by another reference, and the modules import one another at
-module level only, without a cycle.
+code is compared against.  Each definition there must be used by a test
+module, directly or through other definitions that one uses, and the
+modules import one another at module level only, without a cycle.
 """
 from __future__ import annotations
 
@@ -18,29 +18,90 @@ def parse(stem: str) -> ast.Module:
     return ast.parse((TESTS / f"{stem}.py").read_text())
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def names_used(node: ast.AST, whole: bool = False) -> set[str]:
+    """The names, attributes and imported names that node uses.  Unless
+    whole, a def or class nested in it counts only once it is used itself,
+    all but a class's dunders, which come with the class."""
+    used = set()
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        if not whole and isinstance(child, DEFINITIONS) and not is_dunder(child.name):
+            continue
+        if isinstance(child, ast.Name):
+            used.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            used.add(child.attr)
+        elif isinstance(child, ast.alias):
+            used.add(child.name)
+        stack.extend(ast.iter_child_nodes(child))
+    return used
+
+
+def unused_definitions(references: dict[str, str], tests: list[str]) -> set[tuple[str, str]]:
+    """(module, name) for each def and class of the reference sources that
+    the test sources do not use, directly or through definitions they use.
+    Names are matched bare, whichever module or class they come from."""
+    defined, bodies = set(), {}
+    for stem, source in references.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, DEFINITIONS):
+                defined.add((stem, node.name))
+                bodies.setdefault(node.name, []).append(node)
+    used = set().union(*(names_used(ast.parse(source), whole=True) for source in tests))
+    frontier = list(used)
+    while frontier:
+        for node in bodies.get(frontier.pop(), ()):
+            new = names_used(node) - used
+            used |= new
+            frontier += new
+    return {(stem, name) for stem, name in defined if name not in used and not is_dunder(name)}
+
+
 def test_every_reference_definition_has_a_use():
     # mirrors the package's own rule (test_every_package_definition_has_a_use):
-    # each def and class is referenced somewhere in tests/, or is a dunder
-    defined = {
-        (stem, node.name)
-        for stem in REFERENCE_MODULES
-        for node in ast.walk(parse(stem))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    # each def and class is used by a test module, or by a definition that
+    # one uses, and so on; dunders are exempt
+    references = {stem: (TESTS / f"{stem}.py").read_text() for stem in REFERENCE_MODULES}
+    tests = [path.read_text() for path in sorted(TESTS.glob("test_*.py"))]
+    assert unused_definitions(references, tests) == set()
+
+
+def test_a_helper_used_only_by_an_unused_helper_is_unused():
+    reference = """
+def used(x):
+    return Kept(x).value()
+
+class Kept:
+    def __init__(self, x):
+        self.x = helper_of_init(x)
+
+    def value(self):
+        return self.x
+
+    def unused_method(self):
+        return inner_helper(self.x)
+
+def helper_of_init(x):
+    return x
+
+def orphan(x):
+    return inner_helper(x)
+
+def inner_helper(x):
+    return x
+"""
+    test = "from ref import used\n\ndef test_it():\n    assert used(1) == 1\n"
+    assert unused_definitions({"ref": reference}, [test]) == {
+        ("ref", "unused_method"), ("ref", "orphan"), ("ref", "inner_helper"),
     }
-    referenced = set()
-    for path in TESTS.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
-    unused = {
-        (stem, name) for stem, name in defined
-        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
-    }
-    assert unused == set()
 
 
 def test_reference_imports_sit_at_module_level_without_a_cycle():
