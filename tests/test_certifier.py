@@ -276,8 +276,8 @@ class TestPairingCountOracles:
         del kinds[None]
         assert kinds == {"reducible": 1212, "irreducible Hecke": 72, "irreducible other": 516}
 
-    def test_seeded_sample_p11_against_definitional_tally(self):
-        p = 11
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_seeded_sample_against_definitional_tally(self, p):
         tally = conjugate_tally(p)
         F2 = make_field(p, 2)
         rng = random.Random(4 * p + 1)

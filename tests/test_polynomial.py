@@ -580,13 +580,14 @@ class TestProjectiveOrder:
         for f in irreducible:
             assert fp_projective_order(f, 5) == irreducible_projective_order(f, 5), f
 
-    def test_seeded_irreducible_quartics_p19_match_descent(self):
-        rng = random.Random(9019)
+    @pytest.mark.parametrize("p", [19, 23])
+    def test_seeded_irreducible_quartics_match_descent(self, p):
+        rng = random.Random(9000 + p)
         checked = set()
         while len(checked) < 200:
-            f = tuple(rng.randrange(19) for _ in range(4)) + (1,)
-            if f not in checked and fp_factorization(f, 19).factors == ((f, 1),):
-                assert fp_projective_order(f, 19) == irreducible_projective_order(f, 19), f
+            f = tuple(rng.randrange(p) for _ in range(4)) + (1,)
+            if f not in checked and fp_factorization(f, p).factors == ((f, 1),):
+                assert fp_projective_order(f, p) == irreducible_projective_order(f, p), f
                 checked.add(f)
 
     def test_frozen_paper_orders(self):
