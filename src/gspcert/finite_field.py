@@ -13,7 +13,10 @@ MILLER_RABIN_BOUND = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Trial division by SMALL_PRIMES, then deterministic Miller-Rabin;
-    ValueError for n >= MILLER_RABIN_BOUND with no factor in SMALL_PRIMES."""
+    ValueError for an n that is not an int (7.0 would pass the trial
+    division) and for n >= MILLER_RABIN_BOUND with no factor in SMALL_PRIMES."""
+    if not isinstance(n, int):
+        raise ValueError(f"{n!r} is not an int")
     if n < 2:
         return False
     for q in SMALL_PRIMES:

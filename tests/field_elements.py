@@ -1,8 +1,8 @@
 """Field elements: F_p and its extensions F_{p^2}, F_{p^4} as objects.
 
 The certificate runs on ints mod p and never builds these; they are not
-part of gspcert.  The tests' reference routes (field_polynomial, oracles)
-use them to cross-check the certificate over the splitting field.
+part of gspcert.  The tests' reference routes (oracles) use them to
+cross-check the certificate over the splitting field.
 An element is a dense coefficient vector over the canonical modulus of its
 field, found by Rabin's test (fp_is_irreducible, on gspcert's F_p kernel)
 and reduced eagerly after every operation; everything is plain integer
@@ -42,6 +42,8 @@ def fp_is_irreducible(f: FpPoly, p: int) -> bool:
     """Rabin's test for monic f of degree n >= 1: x^(p^n) = x mod f and
     gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n."""
     n = len(f) - 1
+    if n < 1:
+        raise ValueError("irreducibility needs degree >= 1")
     x = fp_mod((0, 1), f, p)
     if fp_powmod(x, p**n, f, p) != x:
         return False

@@ -2,15 +2,17 @@
 
 The first two helpers are the F_p kernel's product and powmod as they
 were before the products were reduced on the fly.  Next comes the general
-F_p factorizer (fp_factor, fp_factorization, and factor on a Polynomial)
-that factored the Hecke charpolys before they were factored through
-y = x + nu/x: one distinct-degree pass on the kernel, with every-c scans
-for the roots and the equal-degree parts.  The integer-list helpers work
-on plain coefficient lists, low degree first, with no dependency on the
-package under test.  The F_{p^4} section runs on FieldSpec
-(field_elements.py) and Polynomial (field_polynomial.py) arithmetic: the
-Frobenius, subfields, multiplicative orders, and the roots of a polynomial
-found by scanning an extension field.  The last sections hold the
+F_p factorizer (fp_factor, fp_factorization) that factored the Hecke
+charpolys before they were factored through y = x + nu/x: one
+distinct-degree pass on the kernel, with every-c scans for the roots and
+the equal-degree parts.  The integer-list helpers work on plain
+coefficient lists, low degree first, with no dependency on the package
+under test.  Every F_p polynomial here is the kernel's low-first int
+tuple; the F_{p^4} section takes FFElements (field_elements.py) only
+where a value lies in F_{p^2} or F_{p^4}: the Frobenius, subfields,
+multiplicative orders, the roots of an F_p polynomial found by scanning
+an extension field, and g * conj(g) for g over F_{p^2}.  The last
+sections hold the
 projective order of a matrix by stepping through its powers, the
 projective order of an irreducible quartic by descent, and the JSON
 report as json.dumps writes it.
@@ -22,7 +24,6 @@ import json
 from functools import lru_cache
 
 from field_elements import FFElement, FieldSpec, factorize, make_field
-from field_polynomial import Polynomial, _fp
 from gspcert.certifier import Certificate
 from gspcert.cli import REPORT_FORMAT
 from gspcert.polynomial import (
@@ -179,11 +180,6 @@ def fp_factorization(f: FpPoly, p: int) -> Factorization:
     if not f or f[-1] != 1:
         raise ValueError(f"expected a monic polynomial, got {f}")
     return Factorization(p, tuple(fp_factor(f, p)))
-
-
-def factor(f: Polynomial) -> Factorization:
-    """fp_factorization of a monic Polynomial over F_p."""
-    return fp_factorization(_fp(f), f.field.p)
 
 
 # ---------------------------------------------------------------------------
@@ -369,54 +365,52 @@ def exp_log_tables(field: FieldSpec) -> tuple[list[tuple[int, ...]], dict[tuple[
     return exp, {c: j for j, c in enumerate(exp)}
 
 
-def conjugate_poly(f: Polynomial) -> Polynomial:
-    """Apply the Frobenius x -> x^p to every coefficient."""
-    return Polynomial(f.field, (frobenius(c) for c in f.coeffs))
+def conjugate_product(g: list[FFElement]) -> FpPoly:
+    """g * conj(g) for g over F_{p^2}, coefficients low first, where conj
+    applies the Frobenius to each coefficient: a polynomial over F_p, as
+    the kernel's int tuple.  AssertionError if a coefficient is not in F_p."""
+    zero = g[0].field.zero()
+    out = [zero] * (2 * len(g) - 1)
+    for j, b in enumerate(map(frobenius, g)):
+        for i, a in enumerate(g, j):
+            out[i] = out[i] + a * b
+    assert all(in_subfield(c, 1) for c in out), out
+    return fp_trim([c.coeffs[0] for c in out])
 
 
-def lift(f: Polynomial, target: FieldSpec) -> Polynomial:
-    """Re-read a prime-field polynomial over an extension of the same p."""
-    if f.field.d != 1:
-        raise ValueError("lift starts from a prime-field polynomial")
-    return Polynomial(target, (target.element(c.coeffs[0]) for c in f.coeffs))
-
-
-def roots_in(f: Polynomial, e: int) -> list[FFElement]:
-    """Roots of f lying in F_{p^e}, with multiplicity, by evaluating f at
-    every element of the target field.  f must be over F_p or over F_{p^e}
-    itself; roots come back sorted in canonical element order."""
-    if f.is_zero():
+def roots_in(f: FpPoly, p: int, e: int) -> list[FFElement]:
+    """Roots in F_{p^e} of f over F_p, with multiplicity, by evaluating f
+    at every element of F_{p^e} and dividing out x - r while it divides;
+    roots come back sorted in canonical element order."""
+    if not f:
         raise ValueError("the zero polynomial has every root")
-    target = make_field(f.field.p, e)
-    if f.field.d == e:
-        g = f
-    elif f.field.d == 1:
-        g = lift(f, target)
-    else:
-        raise ValueError(f"no canonical embedding of {f.field!r} into {target!r}")
-    if g.degree < 1:
-        return []
+    target = make_field(p, e)
     out: list[FFElement] = []
-    for r in scan_distinct_roots(g):
-        linear = Polynomial(target, (-r, target.one()))
-        h = g
+    for r in scan_distinct_roots(f, p, e):
+        h = [target.element(c) for c in f]
         while True:
-            q, rem = divmod(h, linear)
-            if not rem.is_zero():
+            # synthetic division by x - r: Horner's partial sums, high
+            # first, are the quotient's coefficients and the last is h(r)
+            v, sums = target.zero(), []
+            for c in reversed(h):
+                v = v * r + c
+                sums.append(v)
+            if not v.is_zero():
                 break
-            h = q
+            h = sums[-2::-1]
             out.append(r)
     return sorted(out, key=target.index)
 
 
-def scan_distinct_roots(g: Polynomial) -> list[FFElement]:
-    """Evaluate g at 0 and at every power of the table generator; each term
-    value is a table lookup."""
-    F = g.field
-    p, m = F.p, F.order - 1
+def scan_distinct_roots(g: FpPoly, p: int, e: int) -> list[FFElement]:
+    """The distinct roots in F_{p^e} of g != 0 over F_p: evaluate g at 0
+    and at every power of the table generator, each term value a table
+    lookup; sorted in canonical element order."""
+    F = make_field(p, e)
+    m = F.order - 1
     exp, log = exp_log_tables(F)
-    roots = [F.zero()] if g.coeffs[0].is_zero() else []
-    terms = [(i, log[c.coeffs]) for i, c in enumerate(g.coeffs) if not c.is_zero()]
+    roots = [F.zero()] if g[0] % p == 0 else []
+    terms = [(i, log[F.element(c).coeffs]) for i, c in enumerate(g) if c % p]
     for j in range(m):
         if not any(sum(col) % p for col in zip(*(exp[(lc + i * j) % m] for i, lc in terms))):
             roots.append(FFElement(F, exp[j]))

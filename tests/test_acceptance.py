@@ -6,13 +6,13 @@ never asserted.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from importlib import resources
 from math import gcd
 
-from field_elements import make_field
-from field_polynomial import Polynomial, is_irreducible
+from field_elements import fp_is_irreducible, make_field
 from gspcert import (
     EigenformDataset,
     certify,
@@ -25,28 +25,25 @@ from gspcert import (
 )
 from gspcert.certifier import check_conjugate_22_split
 from gspcert.eigen_data import FrobeniusRecord
-from gspcert.polynomial import fp_projective_order, fp_str
+from gspcert.polynomial import fp_hecke_factorization, fp_projective_order, fp_str
 from oracles import (
-    conjugate_poly,
-    factor,
-    in_subfield,
-    mult_order,
-    naive_mult_order,
+    conjugate_product,
+    expand,
+    fp_factorization,
+    irreducible_projective_order,
     roots_in,
     validate_similitude_shape,
 )
 from symplectic import companion, projective_order
 
-F7 = make_field(7, 1)
 F49 = make_field(7, 2)
-F2401 = make_field(7, 4)
 
 DATASETS = resources.files("gspcert") / "datasets"
 PAPER = str(DATASETS / "weight28_level1.dataset")
 A3ZERO = str(DATASETS / "weight28_level1_a3zero.dataset")
 SPLIT = str(DATASETS / "weight28_level1_fully_split.dataset")
 
-DEFINING = Polynomial.from_ints(F7, (-59412960, -294086, -1, 1))
+DEFINING = (-59412960, -294086, -1, 1)
 
 
 def report(criterion: int, detail: str) -> None:
@@ -55,10 +52,10 @@ def report(criterion: int, detail: str) -> None:
 
 def test_criterion_1_defining_cubic_splits():
     started = time.perf_counter()
-    roots = embedding_roots(tuple(c.lift() for c in DEFINING.coeffs), 7)
+    roots = embedding_roots(DEFINING, 7)
     elapsed_ms = (time.perf_counter() - started) * 1000
     assert roots == [4, 3, 1]
-    fac = factor(DEFINING)  # the reference
+    fac = fp_factorization(tuple(c % 7 for c in DEFINING), 7)  # the reference
     assert str(fac) == "(x + 3)(x + 4)(x + 6)"
     assert fac.linear_roots() == [(r, 1) for r in roots]
     report(1, f"embedding roots {roots} in {elapsed_ms:.3f} ms; the cubic factors as {fac}")
@@ -91,7 +88,7 @@ def test_criterion_4_base_field_root_counts():
     for q in (2, 3, 5):
         rec = hecke_charpoly(rd, q)
         roots[q] = sorted(r for r, m in rec.factorization.linear_roots() for _ in range(m))
-        reference = roots_in(Polynomial.from_ints(F7, rec.charpoly), 1)
+        reference = roots_in(rec.charpoly, 7, 1)
         assert roots[q] == [r.lift() for r in reference], q
     assert roots[2] == []
     assert roots[5] == []
@@ -128,14 +125,10 @@ def test_criterion_7_negative_controls():
 
     # (ii) a product g * conjugate(g) with coefficients in F_7 is a shape the
     # conjugate-pair check must recognize, hence never exclude
-    t = F49.gen()
-    g = Polynomial(F49, (F49.element(3), t, F49.one()))
-    product = g * conjugate_poly(g)
-    assert all(in_subfield(c, 1) for c in product.coeffs)
-    f = Polynomial.from_ints(F7, [c.coeffs[0] for c in product.coeffs])
-    fac = factor(f)
+    f = conjugate_product([F49.element(3), F49.gen(), F49.one()])  # asserts f is over F_7
+    fac = fp_factorization(f, 7)
     rec = FrobeniusRecord(
-        q=2, charpoly=tuple(c.lift() for c in f.coeffs), factorization=fac,
+        q=2, charpoly=f, factorization=fac,
         squarefree=fac.is_squarefree(), projective_order=None, similitude=1,
     )
     res = check_conjugate_22_split([rec], 7)
@@ -152,24 +145,18 @@ def test_criterion_7_negative_controls():
 def test_criterion_8_randomized_oracles():
     rng = random.Random(20260819)
 
-    # (i) factor / expand roundtrips
+    # (i) the certificate's factorizer on seeded Hecke quartics: monic
+    # irreducible factors, sorted by degree and then high coefficients
+    # first, whose product is the quartic
     for _ in range(500):
-        degree = rng.randrange(1, 7)
-        coeffs = [F7.element(rng.randrange(7)) for _ in range(degree)] + [F7.one()]
-        f = Polynomial(F7, tuple(coeffs))
-        fac = factor(f)
-        rebuilt = Polynomial.constant(F7, 1)
-        for g, multiplicity in ((Polynomial.from_ints(F7, g), m) for g, m in fac.factors):
-            assert is_irreducible(g)
-            assert g.coeffs[-1] == F7.one()
-            for _ in range(multiplicity):
-                rebuilt = rebuilt * g
-        assert rebuilt == f
-        keys = [
-            (g.degree, tuple(F7.index(c) for c in reversed(g.coeffs)))
-            for g in (Polynomial.from_ints(F7, g) for g, _ in fac.factors)
-        ]
-        assert keys == sorted(keys)
+        q, k = rng.choice((2, 3, 5, 11)), rng.randrange(2, 31)
+        f = hecke_quartic(rng.randrange(7), rng.randrange(7), q, k, 7)
+        fac = fp_hecke_factorization(f, 7)
+        for g, _ in fac.factors:
+            assert g[-1] == 1 and fp_is_irreducible(g, 7), (f, g)
+        keys = [(len(g), g[::-1]) for g, _ in fac.factors]
+        assert keys == sorted(keys), f
+        assert tuple(expand(fac)) == f
 
     # (ii) the certificate's projective order agrees with the matrix route on
     # monic quartics with f(0) != 0, all that either route needs
@@ -188,16 +175,17 @@ def test_criterion_8_randomized_oracles():
                     cases += 1
     assert cases == 5684
 
-    # (iv) group-theoretic order descent against naive iteration
-    for n in range(1, 7):
-        assert mult_order(F7.element(n)) == naive_mult_order(F7.element(n), F7.one())
-    for field, group_order in ((F49, 48), (F2401, 2400)):
-        for _ in range(100):
-            x = field.element_from_index(rng.randrange(1, field.order))
-            assert mult_order(x) == naive_mult_order(x, field.one())
-            assert group_order % mult_order(x) == 0
-    report(8, "500 factorizations, 200 order agreements, 5684 shape checks, "
-              "206 order descents all verified")
+    # (iv) the certificate's projective order against the descent from
+    # (p + 1)(p^2 + 1) on every monic irreducible quartic over F_7
+    irreducible = 0
+    for tail in itertools.product(range(7), repeat=4):
+        f = tail + (1,)
+        if fp_is_irreducible(f, 7):
+            assert fp_projective_order(f, 7) == irreducible_projective_order(f, 7), f
+            irreducible += 1
+    assert irreducible == (7**4 - 7**2) // 4 == 588
+    report(8, "500 Hecke factorizations, 200 order agreements, 5684 shape checks, "
+              "588 irreducible orders all verified")
 
 
 def test_criterion_9_deterministic_certificates():

@@ -8,7 +8,6 @@ from collections import Counter
 import pytest
 
 from field_elements import make_field
-from field_polynomial import Polynomial
 from gspcert.certifier import (
     VERDICT_INCONCLUSIVE,
     VERDICT_LARGE_IMAGE,
@@ -32,9 +31,15 @@ from gspcert.eigen_data import (
     specialize,
 )
 from gspcert.polynomial import fp_powmod
-from oracles import conjugate_poly, factor, in_subfield, roots_in, validate_similitude_shape
+from oracles import (
+    conjugate_product,
+    fp_factorization,
+    fp_mul,
+    in_subfield,
+    roots_in,
+    validate_similitude_shape,
+)
 
-F7 = make_field(7, 1)
 F49 = make_field(7, 2)
 
 DEFINING = (-59412960, -294086, -1, 1)
@@ -56,23 +61,18 @@ def paper_records():
     return build_records(specialize(paper_dataset(), 7, 1))
 
 
-def synthetic_record(q: int, f: Polynomial, order=None) -> FrobeniusRecord:
-    """A record for the monic quartic f with the given projective order;
-    the root and pairing counts do not read it."""
-    fac = factor(f)
+def synthetic_record(q: int, f: tuple[int, ...], p: int = 7, order=None) -> FrobeniusRecord:
+    """A record for the monic quartic f over F_p with the given projective
+    order; the root and pairing counts do not read it."""
+    fac = fp_factorization(f, p)
     return FrobeniusRecord(
         q=q,
-        charpoly=tuple(c.lift() for c in f.coeffs),
+        charpoly=f,
         factorization=fac,
         squarefree=fac.is_squarefree(),
         projective_order=order,
         similitude=1,
     )
-
-
-def prime_subfield_poly(f: Polynomial) -> Polynomial:
-    assert all(in_subfield(c, 1) for c in f.coeffs)
-    return Polynomial.from_ints(F7, [c.coeffs[0] for c in f.coeffs])
 
 
 class TestLinearConstituent:
@@ -116,8 +116,8 @@ class TestRational22Split:
         assert not res.passed
 
     def test_no_squarefree_records_fail_with_explanation(self):
-        g = Polynomial.from_ints(F7, (3, 1))
-        rec = synthetic_record(2, g * g * g * g)
+        g = fp_mul((3, 1), (3, 1), 7)
+        rec = synthetic_record(2, fp_mul(g, g, 7))
         res = check_rational_22_split([rec], 7)
         assert not res.passed
         assert "no order witnesses available" in res.justification
@@ -163,10 +163,7 @@ class TestConjugate22Split:
         assert res.data["admissible_pairings"] == {"2": 1, "3": 0, "5": 0}
 
     def test_constructed_conjugate_product_is_not_excluded(self):
-        t = F49.gen()
-        g = Polynomial(F49, (F49.element(3), t, F49.one()))
-        f = prime_subfield_poly(g * conjugate_poly(g))
-        rec = synthetic_record(2, f)
+        rec = synthetic_record(2, conjugate_product([F49.element(3), F49.gen(), F49.one()]))
         assert rec.squarefree
         res = check_conjugate_22_split([rec], 7)
         assert not res.passed
@@ -179,15 +176,13 @@ class TestConjugate22Split:
             beta = F49.element_from_index(rng.randrange(49))
             if in_subfield(beta, 1):
                 continue
-            gamma = F49.element(rng.randrange(1, 7))
-            g = Polynomial(F49, (gamma, beta, F49.one()))
-            f = prime_subfield_poly(g * conjugate_poly(g))
+            f = conjugate_product([F49.element(rng.randrange(1, 7)), beta, F49.one()])
             rec = synthetic_record(2, f)
             if not rec.squarefree:
                 continue
             tried += 1
             res = check_conjugate_22_split([rec], 7)
-            assert not res.passed, str(f)
+            assert not res.passed, f
 
     @pytest.mark.parametrize(
         "f, count", [((2, 0, 3, 0, 1), 2), ((5, 0, 1, 0, 1), 0), ((2, 5, 2, 3, 1), 1)]
@@ -195,26 +190,16 @@ class TestConjugate22Split:
     def test_count_reads_the_factors_not_the_order(self, f, count):
         # (x^2 + 1)(x^2 + 2), (x + 1)(x + 6)(x^2 + 2) and the paper's
         # irreducible q = 2 charpoly, each in a record without an order
-        rec = synthetic_record(2, Polynomial.from_ints(F7, f))
+        rec = synthetic_record(2, f)
         res = check_conjugate_22_split([rec], 7)
         assert res.data["admissible_pairings"] == {"2": count}
         assert res.witnesses == (() if count else (2,))
 
     def test_non_squarefree_records_are_skipped(self):
-        g = Polynomial.from_ints(F7, (1, 4, 1))
-        rec = synthetic_record(2, g * g)
+        rec = synthetic_record(2, fp_mul((1, 4, 1), (1, 4, 1), 7))
         res = check_conjugate_22_split([rec], 7)
         assert not res.passed
         assert "2" not in res.data["admissible_pairings"]
-
-
-def conjugate_product(beta, gamma: int) -> Polynomial:
-    """g * conj(g) for g = x^2 + beta x + gamma, read over F_p."""
-    F2 = beta.field
-    g = Polynomial(F2, (F2.element(gamma), beta, F2.one()))
-    product = g * conjugate_poly(g)
-    assert all(in_subfield(c, 1) for c in product.coeffs)
-    return Polynomial.from_ints(make_field(F2.p, 1), [c.coeffs[0] for c in product.coeffs])
 
 
 def conjugate_tally(p: int) -> Counter:
@@ -223,41 +208,42 @@ def conjugate_tally(p: int) -> Counter:
     of admissible pairings of a squarefree product, one pair {g, conj(g)}
     with g != conj(g) each."""
     F2 = make_field(p, 2)
-    return Counter(conjugate_product(beta, gamma) for beta in F2.elements() for gamma in range(1, p))
+    return Counter(
+        conjugate_product([F2.element(gamma), beta, F2.one()])
+        for beta in F2.elements() for gamma in range(1, p)
+    )
 
 
-def hecke_shaped(f: Polynomial) -> bool:
+def hecke_shaped(f: tuple[int, ...], p: int) -> bool:
     """Whether the roots of f pair as r <-> nu/r for some nu in F_p^*; with
     k = 2, validate_similitude_shape takes nu = q^(2k-3) = q."""
-    p = f.field.p
-    coeffs = tuple(c.lift() for c in f.coeffs)
-    return any(validate_similitude_shape(coeffs, nu, 2, p) for nu in range(1, p))
+    return any(validate_similitude_shape(f, nu, 2, p) for nu in range(1, p))
 
 
-def checked_kind(f: Polynomial, tally: Counter) -> str | None:
+def checked_kind(f: tuple[int, ...], p: int, tally: Counter) -> str | None:
     """Check the counts the certificate records for the monic quartic f at
     q = 2: its F_p roots against a scan of F_p and, if f is squarefree, its
     pairing count n against the tally.  A recorded 0 (a witness) needs a
     tally of 0 on every f, and n is exact on every reducible f and on every
     Hecke-shaped irreducible one.  Returns the kind of f, None if it has a
     repeated factor."""
-    rec = synthetic_record(2, f)
+    rec = synthetic_record(2, f, p)
     linear = check_linear_constituent([rec]).data["base_field_root_counts"]["2"]
-    assert linear == len(roots_in(f, 1)), str(f)
-    pairings = check_conjugate_22_split([rec], f.field.p).data["admissible_pairings"]
+    assert linear == len(roots_in(f, p, 1)), f
+    pairings = check_conjugate_22_split([rec], p).data["admissible_pairings"]
     if not rec.squarefree:
-        assert pairings == {}, str(f)
+        assert pairings == {}, f
         return None
     n = pairings["2"]
-    assert n in (0, 1, 2), str(f)
+    assert n in (0, 1, 2), f
     if n == 0:
-        assert tally[f] == 0, str(f)
+        assert tally[f] == 0, f
     if len(rec.factorization.factors) > 1:
         kind = "reducible"
     else:
-        kind = "irreducible Hecke" if hecke_shaped(f) else "irreducible other"
+        kind = "irreducible Hecke" if hecke_shaped(f, p) else "irreducible other"
     if kind != "irreducible other":
-        assert 2 * n == tally[f], str(f)
+        assert 2 * n == tally[f], f
     return kind
 
 
@@ -268,7 +254,7 @@ class TestPairingCountOracles:
     def test_exhaustive_p7_against_definitional_tally(self):
         tally = conjugate_tally(7)
         kinds = Counter(
-            checked_kind(Polynomial.from_ints(F7, tail + (1,)), tally)
+            checked_kind(tail + (1,), 7, tally)
             for tail in itertools.product(range(1, 7), range(7), range(7), range(7))
         )
         # all 1,800 squarefree quartics with f(0) != 0, the 672 with a cubic
@@ -284,12 +270,11 @@ class TestPairingCountOracles:
         kinds = Counter()
         while sum(kinds.values()) < 100:
             if sum(kinds.values()) % 2:
-                tail = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(3)]
-                f = Polynomial.from_ints(make_field(p, 1), tail + [1])
+                f = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(3)) + (1,)
             else:
                 beta = F2.element_from_index(rng.randrange(F2.order))
-                f = conjugate_product(beta, rng.randrange(1, p))
-            kind = checked_kind(f, tally)
+                f = conjugate_product([F2.element(rng.randrange(1, p)), beta, F2.one()])
+            kind = checked_kind(f, p, tally)
             if kind:
                 kinds[kind] += 1
         assert kinds["irreducible Hecke"] and kinds["irreducible other"]
@@ -353,8 +338,7 @@ class TestExceptional:
         assert 336 % 8 == 0
 
     def test_order_1_fails(self):
-        f = Polynomial.from_ints(F7, (2, 5, 2, 3, 1))
-        rec = synthetic_record(2, f, order=1)
+        rec = synthetic_record(2, (2, 5, 2, 3, 1), order=1)
         res = check_exceptional([rec], builtin_exceptional_table(7), 7)
         assert not res.passed
 
@@ -493,6 +477,7 @@ class TestCertify:
             (7, ExceptionalTable(7, iter((("PGL(2,7)", 336),))), "with a tuple of entries"),
             (7, ExceptionalTable(7, 5), "ExceptionalTable with a tuple of entries"),
             (7, (7, (("X", 5),)), "ExceptionalTable with a tuple of entries"),
+            (7.0, None, r"^7\.0 is not an int$"),  # not the TypeError of pow(a, e, 7.0)
         ],
     )
     def test_unsupported_prime_rejected_before_specialize(self, monkeypatch, p, table, message):

@@ -479,7 +479,7 @@ class TestFreshInterpreter:
         res = run_python("-c", (
             f"import sys, {module}\n"
             "print(sorted(m for m in ('click', 'dataclasses', 'inspect', 'gspcert.symplectic',"
-            " 'field_elements', 'field_polynomial', 'symplectic', 'oracles')"
+            " 'field_elements', 'symplectic', 'oracles')"
             " if m in sys.modules))\n"
         ))
         assert res.returncode == 0, res.stderr

@@ -135,6 +135,8 @@ class TestResidualRoots:
             embedding_roots(DEFINING, 6)
         with pytest.raises(ValueError, match="^6 is not prime$"):
             specialize(paper_dataset(), 6, 1)
+        with pytest.raises(ValueError, match=r"^7\.0 is not an int$"):
+            embedding_roots(DEFINING, 7.0)
 
     def test_p_must_not_kill_leading_coefficient(self):
         with pytest.raises(ValueError, match="leading coefficient of E vanishes mod 7"):

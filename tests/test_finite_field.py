@@ -239,6 +239,8 @@ class TestLegendre:
             legendre(3, 2)
         with pytest.raises(ValueError):
             legendre(3, 9)
+        with pytest.raises(ValueError, match=r"^7\.0 is not an int$"):
+            legendre(3, 7.0)  # 7.0 % 7 == 0 and 7.0 == 7 would pass as prime
 
 
 class TestIntegerHelpers:

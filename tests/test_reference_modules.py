@@ -1,6 +1,6 @@
 """The tests' reference maths keeps only what the tests use.
 
-The four reference modules hold the slow routes that the certificate's own
+The three reference modules hold the slow routes that the certificate's own
 code is compared against.  Each definition there must be used by a test
 module, directly or through other definitions that one uses, and the
 modules import one another at module level only, without a cycle.
@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 TESTS = Path(__file__).parent
-REFERENCE_MODULES = ("field_elements", "field_polynomial", "symplectic", "oracles")
+REFERENCE_MODULES = ("field_elements", "symplectic", "oracles")
 
 
 def parse(stem: str) -> ast.Module:

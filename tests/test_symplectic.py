@@ -12,7 +12,6 @@ import pytest
 
 import symplectic
 from field_elements import factorize, make_field
-from field_polynomial import Polynomial
 from gspcert.polynomial import fp_hecke_factorization, fp_projective_order
 from symplectic import (
     IDENTITY,
@@ -288,7 +287,7 @@ def ratio_order(f: tuple[int, ...]) -> int:
     least n with r^n the same for every root.  For a squarefree f with its
     four roots there, the companion matrix is diagonal over F_{7^4} with
     these eigenvalues, so this is its projective order."""
-    roots = roots_in(Polynomial.from_ints(F7, f), 4)
+    roots = roots_in(f, 7, 4)
     assert len(roots) == 4, f
     return lcm(*(mult_order(r / roots[0]) for r in roots[1:]))
 
