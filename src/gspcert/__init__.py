@@ -14,6 +14,7 @@ from .certifier import (
     builtin_exceptional_table,
     certify,
 )
+from .cli import DatasetError, ingest, render_json, render_text
 from .eigen_data import (
     EigenformDataset,
     FrobeniusRecord,
@@ -27,20 +28,6 @@ from .finite_field import legendre
 from .polynomial import Factorization
 
 __version__ = "0.1.0"
-
-# The command-line names load cli on first use, so that `python -m
-# gspcert.cli` does not find cli imported by its own package.
-_CLI_NAMES = ("DatasetError", "ingest", "render_json", "render_text")
-
-
-def __getattr__(name: str):
-    if name not in _CLI_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import cli
-
-    value = globals()[name] = getattr(cli, name)
-    return value
-
 
 # the public API, as the README's "Library use" lists it
 __all__ = [

@@ -63,8 +63,9 @@ def supported_table(p: int, table: ExceptionalTable | None = None) -> Exceptiona
     """The exceptional table to certify with at p, the built-in one when
     table is None.  Raises ValueError unless p is a prime >= 5 with p = 3
     mod 4 and a given table is an ExceptionalTable for p whose entries are
-    a tuple of one or more (name, order) pairs of a str and an int >= 1:
-    with no entries the exceptional check would pass on no evidence."""
+    a tuple of one or more (name, order) pairs of a str and an int >= 1
+    with distinct names: with no entries the exceptional check would pass
+    on no evidence, and the report keys the orders by name."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p < 5:
@@ -87,6 +88,8 @@ def supported_table(p: int, table: ExceptionalTable | None = None) -> Exceptiona
             raise ValueError(f"exceptional table entry {entry!r} has an order below 1")
     if not table.entries:
         raise ValueError(f"exceptional table for p = {p} has no entries")
+    if len({name for name, _ in table.entries}) < len(table.entries):
+        raise ValueError(f"exceptional table for p = {p} repeats a subgroup name")
     return table
 
 

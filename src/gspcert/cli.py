@@ -403,7 +403,3 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoR
     except _UsageError as exc:
         sys.exit(_fail(str(exc)))
     sys.exit(_certify_command(parsed))
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,7 @@ a_{q^2} the spin characteristic polynomial of Frobenius at q is
 
     x^4 - a_q x^3 + (a_q^2 - a_{q^2} - q^(2k-4)) x^2 - a_q q^(2k-3) x + q^(4k-6)
 
-with every prime power q^e computed mod p after reducing e mod p-1.
+with every prime power q^e computed mod p.
 Residues are ints in [0, p) and polynomials the low-first int tuples of
 polynomial's F_p kernel, from the embedding roots to the records.  The
 records are NamedTuples.
@@ -140,9 +140,7 @@ class ResidualDataset(NamedTuple):
     p: int
     root: int
     weight: int
-    level: int
     eigenvalues: dict[int, int]
-    assumptions: frozenset[str]
 
     def primes(self) -> list[int]:
         return _primes(self.eigenvalues)
@@ -220,17 +218,8 @@ def specialize(ds: EigenformDataset, p: int, root: int) -> ResidualDataset:
         p=p,
         root=root,
         weight=ds.weight,
-        level=ds.level,
         eigenvalues={index: _horner(expr, root, p) for index, expr in ds.eigenvalues.items()},
-        assumptions=ds.assumptions,
     )
-
-
-def _power_mod(q: int, e: int, p: int) -> int:
-    # q^e mod p with the exponent reduced mod p-1 first (q is prime to p),
-    # keeping intermediates word-sized for any plausible weight
-    r = e % (p - 1)
-    return pow(q % p, r, p)
 
 
 def hecke_quartic(a1: int, a2: int, q: int, k: int, p: int) -> FpPoly:
@@ -240,8 +229,8 @@ def hecke_quartic(a1: int, a2: int, q: int, k: int, p: int) -> FpPoly:
         x^4 - a_q x^3 + (a_q^2 - a_{q^2} - q^(2k-4)) x^2
             - a_q q^(2k-3) x + q^(4k-6)
     """
-    nu = _power_mod(q, 2 * k - 3, p)
-    c2 = (a1 * a1 - a2 - _power_mod(q, 2 * k - 4, p)) % p
+    nu = pow(q, 2 * k - 3, p)
+    c2 = (a1 * a1 - a2 - pow(q, 2 * k - 4, p)) % p
     return (nu * nu % p, -a1 * nu % p, c2, -a1 % p, 1)
 
 

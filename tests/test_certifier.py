@@ -133,7 +133,7 @@ class TestHeckeQuarticConsequences:
         for p, q in itertools.product((7, 11, 19), (2, 3, 5)):
             bound = rational_split_exponent(p)
             for a1, a2 in itertools.product(range(p), repeat=2):
-                rd = ResidualDataset(p, 0, 28, 1, {q: a1, q * q: a2}, frozenset())
+                rd = ResidualDataset(p, 0, 28, {q: a1, q * q: a2})
                 rec = hecke_charpoly(rd, q)
                 degrees = sorted(len(g) - 1 for g, _ in rec.factorization.factors)
                 assert 3 not in degrees, (p, q, a1, a2)  # no (3,1) pattern
@@ -478,6 +478,8 @@ class TestCertify:
             (7, ExceptionalTable(7, 5), "ExceptionalTable with a tuple of entries"),
             (7, (7, (("X", 5),)), "ExceptionalTable with a tuple of entries"),
             (7.0, None, r"^7\.0 is not an int$"),  # not the TypeError of pow(a, e, 7.0)
+            # the check decides on both entries, its data keyed by name on one
+            (7, ExceptionalTable(7, (("X", 25), ("X", 336))), "repeats a subgroup name"),
         ],
     )
     def test_unsupported_prime_rejected_before_specialize(self, monkeypatch, p, table, message):

@@ -18,6 +18,7 @@ import pytest
 import gspcert
 from cli_runner import invoke
 from gspcert.cli import DatasetError, REPORT_FORMAT, ingest, main
+from test_reference_modules import names_used, unused_definitions
 
 DATASETS = resources.files("gspcert") / "datasets"
 PAPER = str(DATASETS / "weight28_level1.dataset")
@@ -32,6 +33,23 @@ CHECK_NAMES = (
     "exceptional",
     "multiplier_surjective",
 )
+
+
+# names the standard library calls on a package object
+HOOKS = {
+    "_make": "NamedTuple's _replace builds the edited copy through it",
+    "error": "argparse reports a usage error through it",
+}
+
+
+def package_unused(sources: dict[str, str], public: list[str]) -> set[tuple[str, str]]:
+    """(module, name) for each def and class of the package sources with no
+    use: the rule for the tests' reference maths (unused_definitions), with
+    the public names, main, the hooks and module-level code as its roots."""
+    roots = {*public, "main", *HOOKS}
+    for source in sources.values():
+        roots |= names_used(ast.parse(source))
+    return unused_definitions(sources, roots)
 
 
 def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
@@ -452,25 +470,16 @@ class TestFreshInterpreter:
         assert res.stderr == ""
         assert "3 certificate(s): 3 LARGE_IMAGE, 0 INCONCLUSIVE" in res.stdout
 
-    def test_python_dash_m_gspcert_cli_does_not_warn(self):
-        # runpy warns if the package import has already loaded gspcert.cli
-        res = run_python("-m", "gspcert.cli", "--help")
-        assert res.returncode == 0
-        assert res.stderr == ""
-        assert "certify" in res.stdout
-
-    def test_package_loads_cli_on_first_use(self):
+    def test_package_exports_the_cli_names(self):
         res = run_python("-c", (
-            "import sys\n"
-            "import gspcert\n"
-            "print('gspcert.cli' in sys.modules)\n"
-            "from gspcert import certify, ingest\n"
-            "print('gspcert.cli' in sys.modules, ingest is sys.modules['gspcert.cli'].ingest)\n"
+            "import gspcert, gspcert.cli\n"
+            "print(all(getattr(gspcert, name) is getattr(gspcert.cli, name) for name in"
+            " ('DatasetError', 'ingest', 'render_json', 'render_text')))\n"
             "from gspcert import *\n"
             "print(all(name in globals() for name in gspcert.__all__))\n"
         ))
         assert res.returncode == 0, res.stderr
-        assert res.stdout == "False\nTrue True\nTrue\n"
+        assert res.stdout == "True\nTrue\n"
 
     @pytest.mark.parametrize("module", ["gspcert.cli", "gspcert"])
     def test_import_loads_no_click_dataclasses_or_reference_maths(self, module):
@@ -530,20 +539,25 @@ class TestFreshInterpreter:
 
     def test_certificates_load_every_package_module_and_no_other(self):
         # every module of the package is on the certify path: none is there
-        # for the tests alone
+        # for the tests alone; and the tests' reference maths, importable
+        # here, is not: no F_{p^e} element, 4x4 matrix or slow oracle
+        # stands behind a certificate
         res = run_python("-c", (
             "import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "from gspcert import certify, embedding_roots, ingest, render_json, render_text\n"
             f"for path in {[PAPER, A3ZERO, SPLIT]!r}:\n"
             "    ds = ingest(path)\n"
             "    certs = [certify(ds, 7, r) for r in embedding_roots(ds.defining_poly, 7)]\n"
             "    render_json(certs), render_text(certs)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gspcert'))\n"
+            "print(sorted(m for m in ('field_elements', 'symplectic', 'oracles')"
+            " if m in sys.modules))\n"
         ))
         assert res.returncode == 0, res.stderr
         stems = {path.stem for path in Path(gspcert.__file__).parent.glob("*.py")} - {"__main__"}
         expected = sorted("gspcert" if s == "__init__" else f"gspcert.{s}" for s in stems)
-        assert res.stdout == f"{expected!r}\n"
+        assert res.stdout == f"{expected!r}\n[]\n"
 
 
 class TestPublicApi:
@@ -556,27 +570,19 @@ class TestPublicApi:
         assert len(set(listed)) == len(listed)
 
     def test_every_package_definition_has_a_use(self):
-        # code that only the tests use lives in tests/: each def and class in
-        # the package is referenced elsewhere in it, public or a dunder, or
-        # a hook that the standard library calls by name
-        hooks = {
-            "_make": "NamedTuple's _replace builds the edited copy through it",
-            "error": "argparse reports a usage error through it",
+        # code that only the tests use lives in tests/
+        sources = {
+            path.stem: path.read_text()
+            for path in sorted(Path(gspcert.__file__).parent.glob("*.py"))
         }
-        defined, referenced = [], set()
-        for path in sorted(Path(gspcert.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    defined.append(node.name)
-                elif isinstance(node, ast.Name):
-                    referenced.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    referenced.add(node.name)
-        unused = {
-            name for name in defined
-            if name not in referenced and name not in gspcert.__all__
-            and not (name.startswith("__") and name.endswith("__"))
-        }
-        assert unused == set(hooks)
+        assert package_unused(sources, gspcert.__all__) == set()
+
+    def test_a_helper_called_only_by_an_unused_helper_has_no_use(self):
+        source = (
+            "def entry():\n    return _kept()\n\n"
+            "def _kept():\n    return 1\n\n"
+            "def _orphan():\n    return _helper()\n\n"
+            "def _helper():\n    return 2\n"
+        )
+        unused = {("mod", "_orphan"), ("mod", "_helper")}
+        assert package_unused({"mod": source}, ["entry"]) == unused

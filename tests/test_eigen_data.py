@@ -233,7 +233,6 @@ class TestSpecialize:
         assert values == {2: 4, 4: 5, 3: 3, 9: 2, 5: 1, 25: 2}
         assert rd.p == 7
         assert rd.root == 1
-        assert rd.assumptions == ASSUMPTIONS
 
     def test_constants_ignore_root_choice(self):
         ds = paper_dataset()
@@ -344,7 +343,7 @@ class TestHeckeCharpoly:
         # into f0 = nu^2 and f1 = -a_q nu
         for q in (2, 3, 5):
             for k, a1, a2 in itertools.product((4, 28), range(p), range(p)):
-                rd = eigen_data.ResidualDataset(p, 0, k, 1, {q: a1, q * q: a2}, frozenset())
+                rd = eigen_data.ResidualDataset(p, 0, k, {q: a1, q * q: a2})
                 rec = hecke_charpoly(rd, q)
                 nu = pow(q, 2 * k - 3, p)
                 assert rec.similitude == nu

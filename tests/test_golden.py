@@ -1,4 +1,4 @@
-"""Byte-for-byte regression of the CLI reports on the bundled datasets.
+"""Byte-for-byte regression of the reports.
 
 tests/golden/<dataset>.p7.{txt,json} hold the output of
 
@@ -6,27 +6,26 @@ tests/golden/<dataset>.p7.{txt,json} hold the output of
         --prime 7 --root all --format text|json
 
 Any change to a certificate, its wording or its rendering shows up here.
-The same bytes must come back with the 4x4 matrix route of
-tests/symplectic.py disabled: the certificate's projective orders are taken
-in F_p[x], not from matrices.
-They must also come back from certify and the renderers with FFElement
-construction disabled: the certificate runs on ints and int tuples from
-specialize to the report.  And certify raises x to no power
-at all: the conjugate-pair count reads the factor degrees, and the
-charpolys are factored through y = x + nu/x without powers of x.
+tests/golden/large_p.p{103,1019}.{txt,json} pin the library path beyond
+the built-in table: render_text and render_json of certify(ds, p, r,
+LARGE_P_TABLES[p]) over the roots r of embedding_roots, in its order, for
+the synthetic dataset tests/golden/large_p.dataset.
+Certify raises x to no power at all: the conjugate-pair count reads the
+factor degrees, and the charpolys are factored through y = x + nu/x without
+powers of x.  That no reference maths of tests/ stands behind a certificate
+is checked in a fresh interpreter (test_cli.TestFreshInterpreter).
 """
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-import symplectic
 from cli_runner import invoke
-from field_elements import FFElement
 from gspcert import certifier, eigen_data, polynomial
-from gspcert.certifier import certify
+from gspcert.certifier import ExceptionalTable, VERDICT_INCONCLUSIVE, VERDICT_LARGE_IMAGE, certify
 from gspcert.cli import ingest, render_json, render_text
 from gspcert.eigen_data import embedding_roots
 
@@ -38,6 +37,14 @@ EXPECTED_EXIT = {
     "weight28_level1": 0,
     "weight28_level1_a3zero": 2,
     "weight28_level1_fully_split": 2,
+}
+
+# p -> the exceptional table the large-p goldens are certified with
+LARGE_P_TABLES = {
+    p: ExceptionalTable(
+        p, ((f"PGL(2,{p})", p * (p * p - 1)), ("2^4.O4^-(2).2", 3840), ("A6.2", 720))
+    )
+    for p in (103, 1019)
 }
 
 
@@ -54,31 +61,6 @@ def check_golden(dataset: str, fmt: str, suffix: str) -> None:
 @pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
 def test_report_matches_golden_bytes(dataset, fmt, suffix):
     check_golden(dataset, fmt, suffix)
-
-
-@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-@pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
-def test_no_matrix_product_on_the_certify_path(dataset, fmt, suffix, monkeypatch):
-    def no_matrices(*args):
-        raise AssertionError("a 4x4 matrix was built while certifying")
-
-    monkeypatch.setattr(symplectic, "_mul_rows", no_matrices)
-    monkeypatch.setattr(symplectic, "companion", no_matrices)
-    check_golden(dataset, fmt, suffix)
-
-
-@pytest.mark.parametrize("render, suffix", [(render_text, "txt"), (render_json, "json")])
-@pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
-def test_no_field_element_or_polynomial_on_the_certify_path(dataset, render, suffix, monkeypatch):
-    ds = ingest(DATASETS / f"{dataset}.dataset")
-    roots = [r.lift() for r in embedding_roots(ds.defining_poly, 7)]
-
-    def no_objects(*args):
-        raise AssertionError("an FFElement was built while certifying")
-
-    monkeypatch.setattr(FFElement, "__init__", no_objects)
-    report = render([certify(ds, 7, root) for root in roots])
-    assert report.encode() == (GOLDEN / f"{dataset}.p7.{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
@@ -109,3 +91,30 @@ def test_conjugate_pair_count_takes_no_power(dataset, monkeypatch):
     certs = [certify(ds, 7, root) for root in roots]
     assert exponents == [7]  # certifying raises x to no power at all
     assert render_json(certs).encode() == (GOLDEN / f"{dataset}.p7.json").read_bytes()
+
+
+@cache
+def large_p_certificates(p: int) -> list:
+    # certified once per session: the projective orders at p = 1019 take
+    # about 0.4 s
+    ds = ingest(GOLDEN / "large_p.dataset")
+    return [certify(ds, p, r, LARGE_P_TABLES[p]) for r in embedding_roots(ds.defining_poly, p)]
+
+
+@pytest.mark.parametrize("render, suffix", [(render_text, "txt"), (render_json, "json")])
+@pytest.mark.parametrize("p", sorted(LARGE_P_TABLES))
+def test_large_p_report_matches_golden_bytes(p, render, suffix):
+    report = render(large_p_certificates(p))
+    assert report.encode() == (GOLDEN / f"large_p.p{p}.{suffix}").read_bytes()
+
+
+def test_large_p_goldens_cover_every_factor_pattern_and_both_verdicts():
+    certs = [cert for p in sorted(LARGE_P_TABLES) for cert in large_p_certificates(p)]
+    # a record with a repeated factor has no projective order (null)
+    patterns = {
+        tuple(len(g) - 1 for g, _ in rec.factorization.factors)
+        if rec.squarefree else "repeated"
+        for cert in certs for rec in cert.records
+    }
+    assert patterns == {(4,), (2, 2), (1, 1, 2), (1, 1, 1, 1), "repeated"}
+    assert {cert.verdict for cert in certs} == {VERDICT_LARGE_IMAGE, VERDICT_INCONCLUSIVE}

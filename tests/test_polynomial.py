@@ -348,19 +348,15 @@ class TestFactor:
             assert got == naive_factor(f, p), f
 
     @pytest.mark.parametrize(
-        "p, d, k, m",
-        [(2, 1, 3, 2), (2, 1, 4, 3), (3, 1, 2, 3), (3, 1, 3, 3), (5, 1, 2, 2), (7, 1, 1, 4), (7, 1, 2, 3)],
+        "p, k, m", [(2, 3, 2), (2, 4, 3), (3, 2, 3), (3, 3, 3), (5, 2, 2), (7, 1, 4), (7, 2, 3)]
     )
-    def test_equal_degree_products_split_completely(self, p, d, k, m):
+    def test_equal_degree_products_split_completely(self, p, k, m):
         # m distinct irreducibles of one degree k reach the trace split
         # together; over F_2 two of the three quartics share the trace of x,
-        # so (2, 1, 4, 3) needs a second round with x^2.  d, the degree of
-        # the field of coefficients, is 1 in every row: the factorizer works
-        # over F_p
-        assert d == 1
+        # so (2, 4, 3) needs a second round with x^2
         monics = (cs + (1,) for cs in itertools.product(range(p), repeat=k))
         irreducibles = [g for g in monics if fp_is_irreducible(g, p)]
-        rng = random.Random(f"{p}:{d}:{k}:{m}")
+        rng = random.Random(f"{p}:1:{k}:{m}")  # seeded by p, field degree 1, k and m
         for _ in range(5):
             gs = rng.sample(irreducibles, m)
             f = (1,)

@@ -45,17 +45,18 @@ def names_used(node: ast.AST, whole: bool = False) -> set[str]:
     return used
 
 
-def unused_definitions(references: dict[str, str], tests: list[str]) -> set[tuple[str, str]]:
-    """(module, name) for each def and class of the reference sources that
-    the test sources do not use, directly or through definitions they use.
-    Names are matched bare, whichever module or class they come from."""
+def unused_definitions(sources: dict[str, str], roots: set[str]) -> set[tuple[str, str]]:
+    """(module, name) for each def and class of the sources that is neither
+    a root nor used by one, directly or through definitions it uses; dunders
+    are exempt.  Names are matched bare, whichever module or class they
+    come from."""
     defined, bodies = set(), {}
-    for stem, source in references.items():
+    for stem, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, DEFINITIONS):
                 defined.add((stem, node.name))
                 bodies.setdefault(node.name, []).append(node)
-    used = set().union(*(names_used(ast.parse(source), whole=True) for source in tests))
+    used = set(roots)
     frontier = list(used)
     while frontier:
         for node in bodies.get(frontier.pop(), ()):
@@ -65,13 +66,18 @@ def unused_definitions(references: dict[str, str], tests: list[str]) -> set[tupl
     return {(stem, name) for stem, name in defined if name not in used and not is_dunder(name)}
 
 
+def used_by_tests(tests: list[str]) -> set[str]:
+    """Every name the test sources use, inside their definitions too."""
+    return set().union(*(names_used(ast.parse(source), whole=True) for source in tests))
+
+
 def test_every_reference_definition_has_a_use():
-    # mirrors the package's own rule (test_every_package_definition_has_a_use):
-    # each def and class is used by a test module, or by a definition that
-    # one uses, and so on; dunders are exempt
+    # the package's own rule (test_every_package_definition_has_a_use) with
+    # the test modules as its roots: each def and class is used by a test
+    # module, or by a definition that one uses, and so on
     references = {stem: (TESTS / f"{stem}.py").read_text() for stem in REFERENCE_MODULES}
     tests = [path.read_text() for path in sorted(TESTS.glob("test_*.py"))]
-    assert unused_definitions(references, tests) == set()
+    assert unused_definitions(references, used_by_tests(tests)) == set()
 
 
 def test_a_helper_used_only_by_an_unused_helper_is_unused():
@@ -99,7 +105,7 @@ def inner_helper(x):
     return x
 """
     test = "from ref import used\n\ndef test_it():\n    assert used(1) == 1\n"
-    assert unused_definitions({"ref": reference}, [test]) == {
+    assert unused_definitions({"ref": reference}, used_by_tests([test])) == {
         ("ref", "unused_method"), ("ref", "orphan"), ("ref", "inner_helper"),
     }
 
