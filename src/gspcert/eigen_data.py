@@ -80,6 +80,12 @@ class EigenformDataset(_EigenformFields):
         eigenvalues: dict[int, tuple[int, ...]],
         assumptions: frozenset[str] = frozenset(),
     ) -> EigenformDataset:
+        if not (isinstance(eigenvalues, dict) and isinstance(assumptions, frozenset)):
+            raise ValueError("eigenvalues must be a dict and assumptions a frozenset")
+        # type() is int, not isinstance(): a bool would read True in the digest
+        if not all(isinstance(t, tuple) and all(type(c) is int for c in t)
+                   for t in ((weight, level, *eigenvalues), defining_poly, *eigenvalues.values())):
+            raise ValueError("weight, level, indices and coefficients must be ints, in tuples")
         if weight < 2:
             raise ValueError(f"weight {weight} out of range")
         if level != 1:
@@ -109,7 +115,7 @@ class EigenformDataset(_EigenformFields):
                     )
         unknown = assumptions - set(KNOWN_ASSUMPTIONS)
         if unknown:
-            raise ValueError(f"unknown assumption flags: {sorted(unknown)}")
+            raise ValueError(f"unknown assumption flags: {sorted(unknown, key=str)}")
         return super().__new__(cls, weight, level, defining_poly, eigenvalues, assumptions)
 
     @classmethod
@@ -241,7 +247,7 @@ def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
     The projective order (squarefree charpolys only) is the order of the
     companion matrix in PGL(4, p), read off F_p[x]/(f) as the least n with
     x^n constant (polynomial.fp_projective_order); no matrix is built.
-    The factorization (polynomial.fp_hecke_factorization) needs p odd."""
+    The factorization (polynomial.fp_hecke_factorization) needs p = 3 mod 4."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if q == rd.p:

@@ -6,8 +6,8 @@ product, Rabin's irreducibility test, the general factorizer) lives with
 them.  Products are only ever taken mod a polynomial, inside fp_powmod, by
 one multiply-and-reduce step (_mulmod).  fp_hecke_factorization factors a
 Hecke quartic, whose roots pair as r <-> nu/r, through y = x + nu/x: a
-quadratic in y and quadratics in x, solved by square roots in F_p
-(Tonelli 1891; Shanks 1973), with no gcd and no scan over F_p.  _roots
+quadratic in y and quadratics in x, solved by square roots in F_p (one
+power each, as p = 3 mod 4), with no gcd and no scan over F_p.  _roots
 scans F_p for eigen_data's embedding roots.  Factorization holds its
 factors as tuples; fp_str prints a tuple high degree first.
 fp_projective_order is the order of a quartic's companion matrix in
@@ -190,31 +190,11 @@ class Factorization(NamedTuple):
 
 
 def _sqrt(a: int, p: int) -> int | None:
-    """A square root of a mod the odd prime p, or None when a is not a
-    square: Tonelli-Shanks, which for p = 3 mod 4 is a^((p+1)/4) alone.
-    RuntimeError if the root does not square to a."""
-    a %= p
-    q, m = p - 1, 0
-    while not q & 1:
-        q, m = q >> 1, m + 1
-    # p - 1 = q 2^m with q odd, and r^2 = a t throughout; t has order 2^i
-    # with i < m iff a is a square (Euler's criterion), and each round
-    # lowers i by multiplying t by a power of c, an element of order 2^m
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    z = next((z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1), 0) if m > 1 else 0
-    c = pow(z, q, p)
-    while t > 1:
-        i, t2 = 1, t * t % p
-        while t2 != 1 and i < m:
-            i, t2 = i + 1, t2 * t2 % p
-        if i == m:
-            return None
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    if r * r % p != a:
-        raise RuntimeError(f"{r}^2 is not {a} mod {p}: is {p} an odd prime?")
-    return r
+    """A square root of a mod the prime p = 3 mod 4, or None when a is not a
+    square: r = a^((p+1)/4) has r^2 = a * a^((p-1)/2), which is a exactly
+    when a is a square (Euler's criterion)."""
+    r = pow(a, (p + 1) // 4, p)
+    return r if r * r % p == a % p else None
 
 
 def _reciprocal_quadratic(y: int, nu: int, p: int) -> list[FpPoly]:
@@ -227,12 +207,12 @@ def _reciprocal_quadratic(y: int, nu: int, p: int) -> list[FpPoly]:
 
 
 def fp_hecke_factorization(f: FpPoly, p: int) -> Factorization:
-    """Factorization over F_p, p odd, of a monic quartic whose roots pair
-    as r <-> nu/r: f = x^4 + f3 x^3 + f2 x^2 + f1 x + f0 with f1 = nu f3 and
-    f0 = nu^2 != 0, as eigen_data.hecke_quartic builds it.  nu is f1/f3, or
-    a square root of f0 when f3 = f1 = 0 (f is then reciprocal for both).
-    ValueError for any other f and for p = 2; RuntimeError, never a wrong
-    answer, if the factors do not multiply back to f.
+    """Factorization over F_p, p = 3 mod 4, of a monic quartic whose roots
+    pair as r <-> nu/r: f = x^4 + f3 x^3 + f2 x^2 + f1 x + f0 with f1 = nu f3
+    and f0 = nu^2 != 0, as eigen_data.hecke_quartic builds it.  nu is f1/f3,
+    or a square root of f0 when f3 = f1 = 0 (f is then reciprocal for both).
+    ValueError for any other f or p; RuntimeError, never a wrong answer, if
+    the factors do not multiply back to f.
 
     f = x^2 g(x + nu/x) for g(y) = y^2 - a y + e, a = -f3, e = f2 - 2 nu:
     each root y of g gives the factor x^2 - y x + nu.  If the discriminant D
@@ -243,8 +223,8 @@ def fp_hecke_factorization(f: FpPoly, p: int) -> Factorization:
     r^p) = x^2 - s x + n and u' = x^2 - (nu s/n) x + nu^2/n.  A root x0 + y0
     w of delta has x0^2 = (alpha +- sqrt N)/2 and 2 x0 y0 = beta, or x0 = 0.
     """
-    if p == 2:
-        raise ValueError("the Hecke quartic route divides by 2: p must be odd, got 2")
+    if p % 4 != 3:
+        raise ValueError(f"the Hecke quartic route needs p = 3 mod 4, got p = {p}")
     if len(f) != 5 or f[4] != 1:
         raise ValueError(f"expected a monic quartic, got {f}")
     f0, f1, f2, f3 = f[:4]
@@ -266,11 +246,9 @@ def fp_hecke_factorization(f: FpPoly, p: int) -> Factorization:
     elif (root_norm := _sqrt(alpha * alpha - disc * beta * beta, p)) is None:
         factors = [f]
     else:
-        for t in ((alpha + root_norm) * h, (alpha - root_norm) * h):
-            x0 = _sqrt(t, p)
-            if x0:
-                y0 = beta * h * pow(x0, -1, p) % p
-                break
+        x0 = _sqrt((alpha + root_norm) * h, p) or _sqrt((alpha - root_norm) * h, p)
+        if x0:
+            y0 = beta * h * pow(x0, -1, p) % p
         else:  # alpha / D is a square; were it not, the check below would fail
             x0, y0 = 0, _sqrt(alpha * pow(disc, -1, p), p) or 0
         # r = (y1 + x0 + y0 w)/2 = re + im w: s = 2 re, n = re^2 - D im^2

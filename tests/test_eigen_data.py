@@ -17,7 +17,8 @@ from gspcert.eigen_data import (
     hecke_quartic,
     specialize,
 )
-from gspcert.polynomial import fp_monic, fp_str
+from gspcert.certifier import certify
+from gspcert.polynomial import fp_hecke_factorization, fp_monic, fp_str
 from oracles import fp_factorization, fp_mul, monic_polys, validate_similitude_shape
 
 F7 = make_field(7, 1)
@@ -97,6 +98,27 @@ class TestDatasetValidation:
     def test_unknown_assumption_flags_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             paper_dataset(assumptions=frozenset({"totally_real"}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("weight", 28.0), ("weight", "28"), ("weight", True), ("level", 1.0),
+        ("defining_poly", DEFINING[:-1] + (1.0,)), ("defining_poly", list(DEFINING)),
+        ("eigenvalues", {**EIGENVALUES, 2: (4.5,)}), ("eigenvalues", {**EIGENVALUES, 2: (True,)}),
+        ("eigenvalues", {**EIGENVALUES, 2: [4]}),
+        ("eigenvalues", {float(i): e for i, e in EIGENVALUES.items()}),
+        ("eigenvalues", list(EIGENVALUES.items())),
+        ("assumptions", ["conductor_one"]), ("assumptions", frozenset({1, "conductor_one"})),
+    ], ids=[
+        "weight-float", "weight-str", "weight-bool", "level-float", "E-float-coefficient",
+        "E-list", "float-coefficient", "bool-coefficient", "list-expression", "float-index",
+        "eigenvalues-list", "assumptions-list", "assumptions-int-flag",
+    ])
+    def test_fields_of_the_wrong_type_refused_with_one_line(self, field, value):
+        # a bool is no int here: the digest would read True where 1 is meant
+        for build in (lambda: paper_dataset(**{field: value}),
+                      lambda: paper_dataset()._replace(**{field: value})):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert "\n" not in str(err.value)
 
     def test_replace_validates_like_construction(self):
         ds = paper_dataset()
@@ -330,12 +352,25 @@ class TestHeckeCharpoly:
         with pytest.raises(ValueError, match="a_11"):
             hecke_charpoly(rd, 11)
 
-    def test_p2_refused_with_one_line(self):
-        # the charpoly is factored through y = x + nu/x, which divides by 2
-        rd = specialize(paper_dataset(), 2, 1)
-        with pytest.raises(ValueError, match="p must be odd") as err:
-            hecke_charpoly(rd, 3)
-        assert "\n" not in str(err.value)
+    @pytest.mark.parametrize("p", [2, 5, 13])
+    def test_p_not_3_mod_4_refused_with_one_line(self, p):
+        # the charpoly's square roots are powers a^((p+1)/4); certify and the
+        # command refuse these primes before, each with its own line
+        rd = eigen_data.ResidualDataset(p, 0, 28, {3: 1, 9: 1})
+        for call in (lambda: fp_hecke_factorization(hecke_quartic(1, 1, 3, 28, p), p),
+                     lambda: hecke_charpoly(rd, 3)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"the Hecke quartic route needs p = 3 mod 4, got p = {p}"
+        refusal = ("the certificate needs p >= 5" if p < 5
+                   else "primitivity argument needs p = 3 mod 4") + f", got p = {p}"
+        with pytest.raises(ValueError) as err:
+            certify(paper_dataset(), p, 1)
+        assert str(err.value) == refusal
+        path = resources.files("gspcert") / "datasets" / "weight28_level1.dataset"
+        res = invoke(["certify", str(path), "--prime", str(p)])
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {refusal}\n")
+        assert res.exception is None
 
     @pytest.mark.parametrize("p", [7, 11, 19])
     def test_similitude_is_the_nu_of_the_charpoly(self, p):
