@@ -21,7 +21,7 @@ from .eigen_data import (
     hecke_charpoly,
     specialize,
 )
-from .finite_field import is_prime, legendre
+from .finite_field import is_prime
 
 VERDICT_LARGE_IMAGE = "LARGE_IMAGE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
@@ -97,14 +97,7 @@ def builtin_exceptional_table(p: int) -> ExceptionalTable:
     """The p = 7 table; other primes must supply their own."""
     if p != 7:
         raise ValueError(f"no built-in exceptional-subgroup table for p = {p}")
-    return ExceptionalTable(
-        p=7,
-        entries=(
-            ("PGL(2,7)", 336),
-            ("2^4.O4^-(2).2", 3840),
-            ("A7.2", 5040),
-        ),
-    )
+    return ExceptionalTable(7, (("PGL(2,7)", 336), ("2^4.O4^-(2).2", 3840), ("A7.2", 5040)))
 
 
 class Certificate(NamedTuple):
@@ -277,12 +270,14 @@ def check_primitivity(rd: ResidualDataset) -> CheckResult:
     outside p that can carry the induction is imaginary: Q(sqrt(-p)).
     Induction forces trace zero at every prime inert in that field, i.e.
     every q with legendre(q, p) = -1.  The check demands a nonzero a_q at
-    every inert prime in the dataset (and at least one inert prime).
+    every inert prime in the dataset (and at least one inert prime).  A
+    ResidualDataset's p is prime, so q is inert when q^((p-1)/2) = -1 mod p
+    (Euler's criterion, the power legendre takes), with no primality test.
     """
     p = rd.p
     if p % 4 != 3:
         raise ValueError(f"primitivity argument needs p = 3 mod 4, got p = {p}")
-    inert = [q for q in rd.primes() if legendre(q, p) == -1]
+    inert = [q for q in rd.primes() if pow(q, (p - 1) // 2, p) == p - 1]
     zeros = [q for q in inert if rd.eigenvalues[q] == 0]
     return _result(
         "primitivity", bool(inert) and not zeros, inert,
@@ -372,7 +367,7 @@ def certify(
         defining_poly=ds.defining_poly,
         p=p,
         root=rd.root,
-        residual_eigenvalues=tuple((i, rd.eigenvalues[i]) for i in sorted(rd.eigenvalues)),
+        residual_eigenvalues=tuple(sorted(rd.eigenvalues.items())),
         records=records,
         checks=checks,
         assumptions=tuple(sorted(ds.assumptions)) + STANDING_ASSUMPTIONS,

@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .certifier import Certificate, CheckResult, certify, supported_table
 from .eigen_data import EigenformDataset, FrobeniusRecord, embedding_roots
@@ -133,20 +133,21 @@ _RECORD = _layout(
     "similitude", "squarefree",
 )
 _CHECK = _layout(_ITEM, "data", "justification", "name", "status", "witnesses")
+# a residual eigenvalue's [index, residue], laid out as _ints lays it out at _ITEM
+_PAIR = f"[\n{_FIELD}{{}},\n{_FIELD}{{}}\n{_ITEM}]"
 
 
-def _block(items: Sequence[str], pad: str, brackets: str = "[]") -> str:
-    # written items as json.dumps(indent=2) lays out a list (or, with
-    # brackets "{}", an object) starting on a line at pad: one item a line
-    # at pad + 2, the closing bracket at pad
+def _block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
+    # items as json.dumps(indent=2) lays out a list (or, with brackets "{}",
+    # an object) from a line at pad: an item a line at pad + 2, the closing
+    # bracket at pad; items that may be empty come as a sequence
     if not items:
         return brackets
-    sep = ",\n" + pad + "  "
-    return brackets[0] + sep[1:] + sep.join(items) + "\n" + pad + brackets[1]
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _ints(values: Sequence[int], pad: str) -> str:
-    return _block(list(map(int.__repr__, values)), pad)
+    return _block(map(int.__repr__, values), pad) if values else "[]"
 
 
 def _value(value: object, pad: str) -> str:
@@ -203,7 +204,7 @@ def _certificate_json(cert: Certificate) -> str:
         _block(list(map(_record_json, cert.records)), _CERT_FIELD),
         int.__repr__(cert.level),
         int.__repr__(cert.p),
-        _block([_ints(pair, _ITEM) for pair in cert.residual_eigenvalues], _CERT_FIELD),
+        _block([_PAIR.format(*pair) for pair in cert.residual_eigenvalues], _CERT_FIELD),
         int.__repr__(cert.root),
         _quote(cert.verdict),
         int.__repr__(cert.weight),
@@ -230,14 +231,9 @@ def _render_certificate_text(cert: Certificate) -> list[str]:
     lines = [f"== certificate: p = {cert.p}, root = {cert.root} =="]
     lines.append(f"dataset sha256: {cert.dataset_digest}")
     lines.append(f"weight {cert.weight}, level {cert.level}")
-    lines.append(
-        "defining_poly (constant first): "
-        + " ".join(str(c) for c in cert.defining_poly)
-    )
-    lines.append(
-        "residual eigenvalues: "
-        + ", ".join(f"a_{i} = {a}" for i, a in cert.residual_eigenvalues)
-    )
+    lines.append("defining_poly (constant first): " + " ".join(map(str, cert.defining_poly)))
+    lines.append("residual eigenvalues: "
+                 + ", ".join(f"a_{i} = {a}" for i, a in cert.residual_eigenvalues))
     lines.append("frobenius records:")
     for rec in cert.records:
         lines.append(f"  q = {rec.q}: {fp_str(rec.charpoly)}")
@@ -260,9 +256,7 @@ def _render_certificate_text(cert: Certificate) -> list[str]:
 
 
 def render_text(certs: list[Certificate]) -> str:
-    blocks = []
-    for cert in certs:
-        blocks.append("\n".join(_render_certificate_text(cert)))
+    blocks = ["\n".join(_render_certificate_text(cert)) for cert in certs]
     certified = sum(1 for c in certs if c.certified)
     summary = (
         f"{len(certs)} certificate(s): {certified} LARGE_IMAGE, "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from math import isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .finite_field import is_prime
 from .polynomial import Factorization, FpPoly, _roots, fp_add, fp_gcd, fp_monic, fp_powmod
@@ -47,9 +47,12 @@ def _eigenvalue_base(index: int) -> int:
     raise ValueError(f"eigenvalue index {index} is neither a prime nor a prime square")
 
 
-def _primes(indices: Iterable[int]) -> list[int]:
-    """The primes q with a_q or a_{q^2} among the eigenvalue indices."""
-    return sorted({_eigenvalue_base(i) for i in indices})
+def _primes(indices: Collection[int]) -> list[int]:
+    """The primes q of a validated eigenvalue table, taken with no primality
+    test as the indices q with q^2 also an index.  On indices that are the q
+    and q^2 of a set of primes, as both datasets require, this is the set of
+    _eigenvalue_base: each such q has q^2 beside it, and no q^2 has q^4."""
+    return sorted(i for i in indices if i * i in indices)
 
 
 class _EigenformFields(NamedTuple):
@@ -104,9 +107,7 @@ class EigenformDataset(_EigenformFields):
         for index, expr in eigenvalues.items():
             primes.add(_eigenvalue_base(index))
             if not 1 <= len(expr) <= deg:
-                raise ValueError(
-                    f"eigenvalue {index}: expression degree must be < {deg}"
-                )
+                raise ValueError(f"eigenvalue {index}: expression degree must be < {deg}")
         for q in sorted(primes):
             for needed in (q, q * q):
                 if needed not in eigenvalues:
@@ -127,26 +128,45 @@ class EigenformDataset(_EigenformFields):
         return _primes(self.eigenvalues)
 
     def digest(self) -> str:
-        """Stable identity of the dataset contents (sha256 hex)."""
-        h = hashlib.sha256()
-        h.update(f"weight={self.weight};level={self.level};".encode())
-        h.update(("E=" + ",".join(str(c) for c in self.defining_poly) + ";").encode())
-        for index in sorted(self.eigenvalues):
-            expr = ",".join(str(c) for c in self.eigenvalues[index])
-            h.update(f"a[{index}]={expr};".encode())
-        for flag in sorted(self.assumptions):
-            h.update(f"assume={flag};".encode())
-        return h.hexdigest()
+        """Stable identity of the dataset contents: the sha256 hex of
+        "weight=K;level=N;E=c0,c1,...;", then "a[i]=c0,...;" for each index
+        in ascending order and "assume=FLAG;" for each flag in sorted order,
+        hashed in one call."""
+        ev = self.eigenvalues
+        text = "".join([
+            f"weight={self.weight};level={self.level};E={','.join(map(str, self.defining_poly))};",
+            *(f"a[{i}]={','.join(map(str, ev[i]))};" for i in sorted(ev)),
+            *(f"assume={flag};" for flag in sorted(self.assumptions)),
+        ])
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
-class ResidualDataset(NamedTuple):
-    """Eigenvalues pushed into F_p through one embedding alpha -> root,
-    as ints in [0, p)."""
-
+class _ResidualFields(NamedTuple):
     p: int
     root: int
     weight: int
     eigenvalues: dict[int, int]
+
+
+class ResidualDataset(_ResidualFields):
+    """Eigenvalues pushed into F_p through one embedding alpha -> root,
+    as ints in [0, p).  Construction and _replace refuse with a one-line
+    ValueError a p that is not prime, a root or residue not an int in [0, p)
+    and indices other than the q and q^2 of primes.  specialize, which checks
+    p and the root and takes the indices of a validated table, skips that."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, root: int, weight: int, eigenvalues: dict[int, int]):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if not all(type(a) in (int, Root) and 0 <= a < p for a in (root, *eigenvalues.values())):
+            raise ValueError(f"the root and the residues must be ints in [0, {p})")
+        if sorted({_eigenvalue_base(i) for i in eigenvalues}) != _primes(eigenvalues):
+            raise ValueError(f"eigenvalue indices {sorted(eigenvalues)} do not pair as q, q^2")
+        return super().__new__(cls, p, root, weight, eigenvalues)
+
+    _make = classmethod(EigenformDataset._make.__func__)
 
     def primes(self) -> list[int]:
         return _primes(self.eigenvalues)
@@ -220,12 +240,8 @@ def specialize(ds: EigenformDataset, p: int, root: int) -> ResidualDataset:
         raise ValueError(
             f"alpha = {root} is a repeated root of E mod {p}; refusing the ramified embedding"
         )
-    return ResidualDataset(
-        p=p,
-        root=root,
-        weight=ds.weight,
-        eigenvalues={index: _horner(expr, root, p) for index, expr in ds.eigenvalues.items()},
-    )
+    residues = {index: _horner(expr, root, p) for index, expr in ds.eigenvalues.items()}
+    return _ResidualFields.__new__(ResidualDataset, p, root, ds.weight, residues)
 
 
 def hecke_quartic(a1: int, a2: int, q: int, k: int, p: int) -> FpPoly:
@@ -258,13 +274,9 @@ def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
     f = hecke_quartic(a1, a2, q, rd.weight, p)
     fac = factor(f, p)
     sqfree = fac.is_squarefree()
+    # the similitude nu = q^(2k-3) = q * q^(2k-4), read back off f's x^2 coefficient
     return FrobeniusRecord(
-        q=q,
-        charpoly=f,
-        factorization=fac,
-        squarefree=sqfree,
-        projective_order=projective_order(f, p) if sqfree else None,
-        # nu = q^(2k-3) = q * q^(2k-4), read back off f's x^2 coefficient
-        similitude=q * (a1 * a1 - a2 - f[2]) % p,
+        q, f, fac, sqfree, projective_order(f, p) if sqfree else None,
+        q * (a1 * a1 - a2 - f[2]) % p,
     )
 

@@ -33,6 +33,8 @@ def fp_trim(a: Sequence[int]) -> FpPoly:
 
 def fp_str(a: FpPoly) -> str:
     """a as text, high degree first: x^4 + 3x^3 + 2, with "0" for ()."""
+    if len(a) == 2 and a[1] == 1:  # x + c, the factor printed most
+        return f"x + {a[0]}" if a[0] else "x"
     terms = []
     i = len(a)
     for c in reversed(a):
@@ -182,11 +184,8 @@ class Factorization(NamedTuple):
         return all(m == 1 for _, m in self.factors)
 
     def __str__(self) -> str:
-        parts = []
-        for fac, mult in self.factors:
-            head = f"({fp_str(fac)})"
-            parts.append(head if mult == 1 else f"{head}^{mult}")
-        return "".join(parts) or "1"
+        return "".join([f"({fp_str(g)})" if m == 1 else f"({fp_str(g)})^{m}"
+                        for g, m in self.factors]) or "1"
 
 
 def _sqrt(a: int, p: int) -> int | None:
@@ -256,10 +255,10 @@ def fp_hecke_factorization(f: FpPoly, p: int) -> Factorization:
         s, n = 2 * re % p, (re * re - disc * im * im) % p
         n_inv = pow(n, -1, p)
         factors = [(n, -s % p, 1), (nu * nu * n_inv % p, -nu * s * n_inv % p, 1)]
-    product = (1,)
-    for g in factors:
-        product = tuple(c % p for c in _product(product, g))
-    if product != f:
+    product = factors[0]  # summed unreduced, reduced once for the comparison
+    for g in factors[1:]:
+        product = _product(product, g)
+    if tuple([c % p for c in product]) != f:
         raise RuntimeError(f"the factors {factors} of {fp_str(f)} do not multiply back to it")
     distinct = sorted(set(factors), key=lambda g: (len(g), g[::-1]))
-    return Factorization(p, tuple((g, factors.count(g)) for g in distinct))
+    return Factorization(p, tuple([(g, factors.count(g)) for g in distinct]))

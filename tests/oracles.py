@@ -14,11 +14,13 @@ multiplicative orders, the roots of an F_p polynomial found by scanning
 an extension field, and g * conj(g) for g over F_{p^2}.  The last
 sections hold the
 projective order of a matrix by stepping through its powers, the
-projective order of an irreducible quartic by descent, and the JSON
-report as json.dumps writes it.
+projective order of an irreducible quartic by descent, the JSON
+report as json.dumps writes it, and the dataset digest hashed one field
+at a time.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from functools import lru_cache
@@ -26,6 +28,7 @@ from functools import lru_cache
 from field_elements import FFElement, FieldSpec, factorize, make_field
 from gspcert.certifier import Certificate
 from gspcert.cli import REPORT_FORMAT
+from gspcert.eigen_data import EigenformDataset
 from gspcert.polynomial import (
     Factorization,
     FpPoly,
@@ -494,3 +497,20 @@ def reference_render_json(certs: list[Certificate]) -> str:
         "certificates": [certificate_dict(c) for c in certs],
     }
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# EigenformDataset.digest as it was written before it hashed one string:
+# one sha256 update per field, per eigenvalue and per assumption flag
+
+
+def reference_digest(ds: EigenformDataset) -> str:
+    h = hashlib.sha256()
+    h.update(f"weight={ds.weight};level={ds.level};".encode())
+    h.update(("E=" + ",".join(str(c) for c in ds.defining_poly) + ";").encode())
+    for index in sorted(ds.eigenvalues):
+        expr = ",".join(str(c) for c in ds.eigenvalues[index])
+        h.update(f"a[{index}]={expr};".encode())
+    for flag in sorted(ds.assumptions):
+        h.update(f"assume={flag};".encode())
+    return h.hexdigest()

@@ -30,6 +30,7 @@ from gspcert.eigen_data import (
     hecke_charpoly,
     specialize,
 )
+from gspcert.finite_field import is_prime, legendre
 from gspcert.polynomial import fp_powmod
 from oracles import (
     conjugate_product,
@@ -304,6 +305,17 @@ class TestPrimitivity:
         res = check_primitivity(specialize(ds, 7, 1))
         assert not res.passed
         assert res.witnesses == ()
+
+    @pytest.mark.parametrize("p", [7, 11, 19, 23, 103])
+    def test_inert_primes_match_legendre_below_500(self, p):
+        # the check takes q as inert when q^((p-1)/2) = -1 mod p, where it
+        # called legendre before: the two agree on every prime below 500,
+        # p itself (legendre 0) among them
+        qs = [q for q in range(2, 500) if is_prime(q)]
+        rd = ResidualDataset(p, 0, 28, {i: 1 for q in qs for i in (q, q * q)})
+        res = check_primitivity(rd)
+        assert res.data["inert_primes"] == [q for q in qs if legendre(q, p) == -1]
+        assert res.passed and res.witnesses == tuple(res.data["inert_primes"])
 
     def test_requires_p_three_mod_four(self):
         ds = EigenformDataset(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +19,16 @@ from gspcert.eigen_data import (
     specialize,
 )
 from gspcert.certifier import certify
+from gspcert.cli import ingest
+from gspcert.finite_field import is_prime
 from gspcert.polynomial import fp_hecke_factorization, fp_monic, fp_str
-from oracles import fp_factorization, fp_mul, monic_polys, validate_similitude_shape
+from oracles import (
+    fp_factorization,
+    fp_mul,
+    monic_polys,
+    reference_digest,
+    validate_similitude_shape,
+)
 
 F7 = make_field(7, 1)
 
@@ -138,6 +147,62 @@ class TestDatasetValidation:
         mutated = dict(EIGENVALUES)
         mutated[2] = (5,)
         assert paper_dataset(eigenvalues=mutated).digest() != paper_dataset().digest()
+
+
+def validating_primes(indices) -> list[int]:
+    """The primes of an eigenvalue table as validation finds them: the
+    base of every index, each tested for primality."""
+    return sorted({eigen_data._eigenvalue_base(i) for i in indices})
+
+
+SMALL_PRIMES = [q for q in range(2, 2000) if is_prime(q)]
+
+
+class TestFastRoutesAgainstReplaced:
+    """The dataset shortcuts the certificate takes, against the routes they
+    replaced: the primes of a table read as the indices q with q^2 beside
+    them, and the digest hashed as one string."""
+
+    def test_primes_on_every_bundled_and_golden_dataset(self):
+        paths = [*(resources.files("gspcert") / "datasets").iterdir(),
+                 *(Path(__file__).parent / "golden").glob("*.dataset")]
+        assert len(paths) == 4
+        for path in paths:
+            ds = ingest(path)
+            assert ds.primes() == validating_primes(ds.eigenvalues), path
+            for p in (7, 11, 19):
+                for root in embedding_roots(ds.defining_poly, p):
+                    assert specialize(ds, p, root).primes() == ds.primes(), (path, p, root)
+
+    def test_primes_on_seeded_valid_index_sets(self):
+        rng = random.Random(2357)
+        pool = SMALL_PRIMES + [10007, 1000003, 2**31 - 1]
+        for _ in range(300):
+            qs = rng.sample(pool, rng.randrange(1, 16))
+            indices = [i for q in qs for i in (q, q * q)]
+            rng.shuffle(indices)
+            table = dict.fromkeys(indices, 1)
+            assert eigen_data._primes(table) == validating_primes(table) == sorted(qs)
+            ds = EigenformDataset(4, 1, (0, 1), dict.fromkeys(indices, (1,)))
+            rd = eigen_data.ResidualDataset(7, 0, 4, table)
+            assert ds.primes() == rd.primes() == sorted(qs)
+
+    def test_digest_matches_one_update_per_field(self):
+        # zero, negative and multi-coefficient expressions, with and without
+        # assumption flags
+        rng = random.Random(1729)
+        for _ in range(300):
+            deg = rng.randrange(1, 5)
+            defining = tuple(rng.randint(-10**6, 10**6) for _ in range(deg)) + (1,)
+            eigenvalues = {
+                i: tuple(rng.choice((0, 0, -1, rng.randint(-10**9, 10**9)))
+                         for _ in range(rng.randrange(1, deg + 1)))
+                for q in rng.sample(SMALL_PRIMES[:30], rng.randrange(1, 8)) for i in (q, q * q)
+            }
+            flags = frozenset(f for f in eigen_data.KNOWN_ASSUMPTIONS if rng.random() < 0.5)
+            ds = EigenformDataset(rng.randrange(2, 60), 1, defining, eigenvalues, flags)
+            assert ds.digest() == reference_digest(ds), ds
+        assert paper_dataset().digest() == reference_digest(paper_dataset())
 
 
 class TestResidualRoots:
@@ -371,6 +436,41 @@ class TestHeckeCharpoly:
         res = invoke(["certify", str(path), "--prime", str(p)])
         assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {refusal}\n")
         assert res.exception is None
+
+    def test_p_not_prime_refused_with_one_line(self):
+        # a ResidualDataset refuses a p that is not prime when it is built
+        # (or replaced), so no charpoly is factored over Z/15
+        for a1, a2 in itertools.product(range(15), repeat=2):
+            with pytest.raises(ValueError) as err:
+                hecke_charpoly(eigen_data.ResidualDataset(15, 0, 28, {2: a1, 4: a2}), 2)
+            assert str(err.value) == "15 is not prime"
+        rd = eigen_data.ResidualDataset(7, 0, 28, {2: 1, 4: 1})
+        with pytest.raises(ValueError) as err:
+            rd._replace(p=15)
+        assert str(err.value) == "15 is not prime"
+
+    @pytest.mark.parametrize("root, eigenvalues", [
+        (0, {3: 0, 5: 2, 25: 1}), (0, {2: 1, 4: 1, 3: 1}), (0, {6: 1, 36: 1}),
+        (0, {2: 1, 4: 1, 16: 1}), (0, {3: 7, 9: 1}), (0, {3: -1, 9: 1}), (0, {3: True, 9: 1}),
+        (7, {3: 1, 9: 1}), (1.0, {3: 1, 9: 1}),
+    ], ids=["3-without-9", "3-without-9-beside-a-pair", "composite", "square-of-composite",
+            "residue-p", "residue-negative", "residue-bool", "root-p", "root-float"])
+    def test_malformed_residual_dataset_refused_with_one_line(self, root, eigenvalues):
+        # the primes of a residual table are the indices q with q^2 beside
+        # them, so a table that is not all such pairs is refused: read that
+        # way, {3: 0, 5: 2, 25: 1} would drop 3 and its zero trace unseen.
+        # A residue 7 at p = 7 would pass primitivity as a nonzero a_3.
+        for build in (lambda: eigen_data.ResidualDataset(7, root, 28, eigenvalues),
+                      lambda: eigen_data.ResidualDataset(7, 0, 28, {5: 2, 25: 1})._replace(
+                          root=root, eigenvalues=eigenvalues)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert "\n" not in str(err.value)
+
+    def test_residual_dataset_takes_an_embedding_root(self):
+        root = embedding_roots(DEFINING, 7)[0]
+        rd = eigen_data.ResidualDataset(7, root, 28, {3: 1, 9: 1})
+        assert rd.root == root and rd._replace(root=embedding_roots(DEFINING, 7)[1]).root == 3
 
     @pytest.mark.parametrize("p", [7, 11, 19])
     def test_similitude_is_the_nu_of_the_charpoly(self, p):

@@ -492,6 +492,31 @@ class TestHeckeFactorization:
             assert tuple(expand(fac)) == f
             assert all(fp_is_irreducible(g, p) for g, _ in fac.factors), f
 
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_multiply_back_stops_wrong_square_roots(self, p, monkeypatch):
+        # a _sqrt that answers r + 1 wherever it would answer the root r: the
+        # factors it leads to may raise, but none that come back may fail to
+        # multiply back to f.  Every Hecke quartic is (nu^2, -a nu, c, -a, 1)
+        # for a, c in F_p and nu in F_p^*.
+        def off_by_one(a, p, true_sqrt=polynomial._sqrt):
+            r = true_sqrt(a, p)
+            return None if r is None else (r + 1) % p
+
+        monkeypatch.setattr(polynomial, "_sqrt", off_by_one)
+        outcomes = {"returned": 0, "RuntimeError": 0, "ValueError": 0}
+        for nu, a, c in itertools.product(range(1, p), range(p), range(p)):
+            f = (nu * nu % p, -a * nu % p, c, -a % p, 1)
+            try:
+                fac = fp_hecke_factorization(f, p)
+            except (RuntimeError, ValueError) as exc:
+                outcomes[type(exc).__name__] += 1
+                continue
+            assert tuple(expand(fac)) == f, (f, fac)
+            outcomes["returned"] += 1
+        assert sum(outcomes.values()) == p * p * (p - 1)
+        # the guard is reached, and the square-root-free answers still come back
+        assert outcomes["RuntimeError"] and outcomes["returned"], outcomes
+
     def test_no_scan_over_f_p(self, monkeypatch):
         # the route takes square roots in F_p: no root scan and no gcd
         def scan(*args):
