@@ -44,7 +44,7 @@ LARGE_P_TABLES = {
     p: ExceptionalTable(
         p, ((f"PGL(2,{p})", p * (p * p - 1)), ("2^4.O4^-(2).2", 3840), ("A6.2", 720))
     )
-    for p in (103, 1019)
+    for p in (103, 1019, 10007)
 }
 
 
