@@ -38,12 +38,14 @@ MAX_DEFINING_DEGREE = 128
 
 
 def _eigenvalue_base(index: int) -> int:
-    """The prime q with index in {q, q^2}; raises for anything else."""
-    if index >= 2 and is_prime(index):
-        return index
+    """The prime q with index in {q, q^2}; raises for anything else.  The
+    square root is tried first, so that q^2 is not refused as too large to
+    test for primality when q is not."""
     r = isqrt(max(index, 0))
     if r >= 2 and r * r == index and is_prime(r):
         return r
+    if index >= 2 and is_prime(index):
+        return index
     raise ValueError(f"eigenvalue index {index} is neither a prime nor a prime square")
 
 
@@ -151,9 +153,10 @@ class _ResidualFields(NamedTuple):
 class ResidualDataset(_ResidualFields):
     """Eigenvalues pushed into F_p through one embedding alpha -> root,
     as ints in [0, p).  Construction and _replace refuse with a one-line
-    ValueError a p that is not prime, a root or residue not an int in [0, p)
-    and indices other than the q and q^2 of primes.  specialize, which checks
-    p and the root and takes the indices of a validated table, skips that."""
+    ValueError a p that is not prime, a root or residue not an int in [0, p),
+    a weight that is not an int >= 2 and indices other than the q and q^2 of
+    primes.  specialize, which checks p and the root and takes the weight
+    and indices of a validated table, skips that."""
 
     __slots__ = ()
 
@@ -162,6 +165,8 @@ class ResidualDataset(_ResidualFields):
             raise ValueError(f"{p} is not prime")
         if not all(type(a) in (int, Root) and 0 <= a < p for a in (root, *eigenvalues.values())):
             raise ValueError(f"the root and the residues must be ints in [0, {p})")
+        if type(weight) is not int or weight < 2:
+            raise ValueError(f"weight {weight} out of range")
         if sorted({_eigenvalue_base(i) for i in eigenvalues}) != _primes(eigenvalues):
             raise ValueError(f"eigenvalue indices {sorted(eigenvalues)} do not pair as q, q^2")
         return super().__new__(cls, p, root, weight, eigenvalues)
@@ -261,9 +266,10 @@ def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
     factorization, squarefreeness, projective order, and similitude.
 
     The projective order (squarefree charpolys only) is the order of the
-    companion matrix in PGL(4, p), read off F_p[x]/(f) as the least n with
-    x^n constant (polynomial.fp_projective_order); no matrix is built.
-    The factorization (polynomial.fp_hecke_factorization) needs p = 3 mod 4."""
+    companion matrix in PGL(4, p), the least n with x^n constant mod f,
+    read off the factorization (polynomial.fp_projective_order) without
+    stepping through the powers of x; no matrix is built.  The
+    factorization (polynomial.fp_hecke_factorization) needs p = 3 mod 4."""
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if q == rd.p:
@@ -276,7 +282,7 @@ def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
     sqfree = fac.is_squarefree()
     # the similitude nu = q^(2k-3) = q * q^(2k-4), read back off f's x^2 coefficient
     return FrobeniusRecord(
-        q, f, fac, sqfree, projective_order(f, p) if sqfree else None,
+        q, f, fac, sqfree, projective_order(fac) if sqfree else None,
         q * (a1 * a1 - a2 - f[2]) % p,
     )
 

@@ -2,19 +2,20 @@
 
 The fp_* kernel works on low-first tuples of ints in [0, p) with no trailing
 zero, and the certificate runs on it alone; what only the tests use (a bare
-product, Rabin's irreducibility test, the general factorizer) lives with
-them.  Products are only ever taken mod a polynomial, inside fp_powmod, by
-one multiply-and-reduce step (_mulmod).  fp_hecke_factorization factors a
-Hecke quartic, whose roots pair as r <-> nu/r, through y = x + nu/x: a
-quadratic in y and quadratics in x, solved by square roots in F_p (one
-power each, as p = 3 mod 4), with no gcd and no scan over F_p.  _roots
-scans F_p for eigen_data's embedding roots.  Factorization holds its
+product, Rabin's irreducibility test, the general factorizer, the
+projective order by stepping through the powers of x) lives with them.
+Products are only ever taken mod a polynomial, inside fp_powmod, by one
+multiply-and-reduce step (_mulmod).  fp_hecke_factorization factors a Hecke
+quartic, whose roots pair as r <-> nu/r, through y = x + nu/x: a quadratic
+in y and quadratics in x, solved by square roots in F_p (one power each, as
+p = 3 mod 4), with no gcd and no scan over F_p.  fp_projective_order reads
+the order of its companion matrix in PGL(4, p) off that factorization.
+_roots scans F_p for eigen_data's embedding roots.  Factorization holds its
 factors as tuples; fp_str prints a tuple high degree first.
-fp_projective_order is the order of a quartic's companion matrix in
-PGL(4, p), read off the powers of x mod the quartic.
 """
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple, Sequence
 
 FpPoly = tuple[int, ...]
@@ -131,28 +132,6 @@ def fp_gcd(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
     return fp_monic(a, p)
 
 
-def fp_projective_order(f: FpPoly, p: int) -> int:
-    """Least n >= 1 with x^n constant mod f, for a monic quartic f with
-    f(0) != 0: the order of its companion matrix in PGL(4, p).
-
-    The companion matrix C is multiplication by x on F_p[x]/(f) in the
-    basis 1, x, x^2, x^3, so C^n = cI exactly when x^n = c mod f (apply C^n
-    to 1 for one direction, multiply by any g for the other), squarefree
-    or not.  x is a unit there since f(0) != 0, so the loop ends.
-    """
-    if len(f) != 5 or f[4] != 1:
-        raise ValueError(f"expected a monic quartic, got {f}")
-    c0, c1, c2, c3 = f[0], f[1], f[2], f[3]
-    if not c0:
-        raise ValueError("f(0) = 0: x is not a unit mod f, so it has no projective order")
-    n, a0, a1, a2, a3 = 1, 0, 1, 0, 0  # x^n mod f, low first
-    while a1 or a2 or a3:
-        # x * x^n: shift up, then replace a3 x^4 by -a3 (c0 + c1 x + c2 x^2 + c3 x^3)
-        a0, a1, a2, a3 = -a3 * c0 % p, (a0 - a3 * c1) % p, (a1 - a3 * c2) % p, (a2 - a3 * c3) % p
-        n += 1
-    return n
-
-
 def _roots(s: FpPoly, p: int) -> list[int]:
     # s is a product of distinct monic linear factors: its roots c, found by
     # evaluating s at c = 0, 1, ... until deg s roots are in
@@ -186,6 +165,88 @@ class Factorization(NamedTuple):
     def __str__(self) -> str:
         return "".join([f"({fp_str(g)})" if m == 1 else f"({fp_str(g)})^{m}"
                         for g, m in self.factors]) or "1"
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d:
+            d += 1
+        else:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+    return out + [n] if n > 1 else out
+
+
+def _alike(values: list[int], e: int, p: int) -> bool:
+    """Whether the values all have the same e-th power mod p."""
+    c = pow(values[0], e, p)
+    for t in values:
+        if pow(t, e, p) != c:
+            return False
+    return True
+
+
+def _x_power_is_constant(e: int, f: FpPoly, p: int) -> bool:
+    """Whether x^e, e >= 1, is constant mod the monic quartic f: square left
+    to right over the bits of e, times x at a set bit, folding each square's
+    x^6, x^5, x^4 terms by x^4 = g0 + g1 x + g2 x^2 + g3 x^3."""
+    g0, g1, g2, g3 = -f[0], -f[1], -f[2], -f[3]
+    a0, a1, a2, a3 = 0, 1, 0, 0
+    for bit in bin(e)[3:]:
+        c6 = a3 * a3 % p
+        c5 = (2 * a2 * a3 + c6 * g3) % p
+        c4 = (2 * a1 * a3 + a2 * a2 + c6 * g2 + c5 * g3) % p
+        a0, a1, a2, a3 = ((a0 * a0 + c4 * g0) % p, (2 * a0 * a1 + c5 * g0 + c4 * g1) % p,
+                          (2 * a0 * a2 + a1 * a1 + c6 * g0 + c5 * g1 + c4 * g2) % p,
+                          (2 * (a0 * a3 + a1 * a2) + c6 * g1 + c5 * g2 + c4 * g3) % p)
+        if bit == "1":
+            a0, a1, a2, a3 = a3 * g0 % p, (a0 + a3 * g1) % p, (a1 + a3 * g2) % p, (a2 + a3 * g3) % p
+    return not (a1 or a2 or a3)
+
+
+def fp_projective_order(fac: Factorization) -> int:
+    """The least n >= 1 with x^n constant mod a squarefree Hecke quartic f,
+    the order of its companion matrix in PGL(4, p), read off f's
+    factorization; ValueError for a repeated factor, a factor x, or an
+    irreducible f with f1 != nu f3 or f0 != nu^2.  Split f: n = L k, L the
+    lcm over the factors g of the least e_g with x^e_g = c_g in F_p mod g
+    (1 for x - c_g, stepped for a quadratic), k the order of the ratios of
+    the c_g^(L/e_g) in F_p^*.  Irreducible f: n | p^2 + 1 = 2m, m odd, with
+    n | m iff nu = f1/f3 is a square.  Both descend over primes."""
+    p, factors = fac.p, fac.factors
+    if len(factors) == 1:
+        ((f, mult),) = factors
+        nu = f[1] * pow(f[3], -1, p) % p if len(f) == 5 and f[3] else 0
+        if mult != 1 or not nu or nu * nu % p != f[0] or not p % 2:
+            raise ValueError(f"{fac} is not a squarefree Hecke quartic: f1 != nu f3 or f0 != nu^2")
+        eps = pow(nu, (p - 1) // 2, p) != 1
+        n = (p * p + 1) // 2
+        for ell in _prime_factors(n):
+            while n % ell == 0 and (e := n // ell << eps) >= 4 and _x_power_is_constant(e, f, p):
+                n //= ell
+        return n << eps
+    n, s, quadratics = 1, [], []
+    for g, mult in factors:
+        if mult != 1 or not g[0] or len(g) > 3:
+            raise ValueError(f"{fac}: a repeated factor, a factor x or one of degree above 2")
+        if len(g) == 2:
+            s.append(-g[0] % p)
+            continue
+        e, c, v, b0, b1 = 1, 0, 1, -g[0], -g[1]
+        while v:  # x^e = c + v x mod g
+            c, v, e = b0 * v % p, (c + b1 * v) % p, e + 1
+        quadratics.append((e, c))
+        n = lcm(n, e)
+    if quadratics:
+        s = [pow(c, n, p) for c in s] + [pow(c, n // e, p) for e, c in quadratics]
+    k = p - 1 if s.count(s[0]) < len(s) else 1
+    for ell in _prime_factors(k):
+        while k % ell == 0 and _alike(s, k // ell, p):
+            k //= ell
+    return n * k
 
 
 def _sqrt(a: int, p: int) -> int | None:

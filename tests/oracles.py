@@ -12,11 +12,10 @@ tuple; the F_{p^4} section takes FFElements (field_elements.py) only
 where a value lies in F_{p^2} or F_{p^4}: the Frobenius, subfields,
 multiplicative orders, the roots of an F_p polynomial found by scanning
 an extension field, and g * conj(g) for g over F_{p^2}.  The last
-sections hold the
-projective order of a matrix by stepping through its powers, the
-projective order of an irreducible quartic by descent, the JSON
-report as json.dumps writes it, and the dataset digest hashed one field
-at a time.
+sections hold the projective order of a matrix by stepping through its
+powers, that of a quartic by stepping through the powers of x, that of
+an irreducible quartic by descent, the JSON report as json.dumps writes
+it, and the dataset digest hashed one field at a time.
 """
 from __future__ import annotations
 
@@ -432,6 +431,34 @@ def stepped_projective_order(m: Rows, p: int) -> int:
         if n == order_cap(p):
             raise RuntimeError("projective order exceeded the GL(4, p) bound")
         power, n = _mul_rows(power, m, p), n + 1
+    return n
+
+
+# ---------------------------------------------------------------------------
+# projective order of a quartic by stepping through the powers of x:
+# polynomial.fp_projective_order before it read the order off the
+# factorization
+
+
+def stepped_fp_projective_order(f: tuple[int, ...], p: int) -> int:
+    """Least n >= 1 with x^n constant mod a monic quartic f with f(0) != 0,
+    squarefree or not: the order of its companion matrix C in PGL(4, p).
+
+    C is multiplication by x on F_p[x]/(f) in the basis 1, x, x^2, x^3, so
+    C^n = cI exactly when x^n = c mod f (apply C^n to 1 for one direction,
+    multiply by any g for the other).  x is a unit since f(0) != 0, so the
+    loop ends.
+    """
+    if len(f) != 5 or f[4] != 1:
+        raise ValueError(f"expected a monic quartic, got {f}")
+    c0, c1, c2, c3 = f[0], f[1], f[2], f[3]
+    if not c0:
+        raise ValueError("f(0) = 0: x is not a unit mod f, so it has no projective order")
+    n, a0, a1, a2, a3 = 1, 0, 1, 0, 0  # x^n mod f, low first
+    while a1 or a2 or a3:
+        # x * x^n: shift up, then replace a3 x^4 by -a3 (c0 + c1 x + c2 x^2 + c3 x^3)
+        a0, a1, a2, a3 = -a3 * c0 % p, (a0 - a3 * c1) % p, (a1 - a3 * c2) % p, (a2 - a3 * c3) % p
+        n += 1
     return n
 
 

@@ -32,6 +32,7 @@ from oracles import (
     fp_factorization,
     irreducible_projective_order,
     roots_in,
+    stepped_fp_projective_order,
     validate_similitude_shape,
 )
 from symplectic import companion, projective_order
@@ -158,11 +159,22 @@ def test_criterion_8_randomized_oracles():
         assert keys == sorted(keys), f
         assert tuple(expand(fac)) == f
 
-    # (ii) the certificate's projective order agrees with the matrix route on
-    # monic quartics with f(0) != 0, all that either route needs
+    # (ii) the stepping oracle agrees with the matrix route on monic quartics
+    # with f(0) != 0, all that either route needs, and the certificate's
+    # order, read off the factorization, with stepping on seeded squarefree
+    # Hecke quartics
     for _ in range(200):
         charpoly = (rng.randrange(1, 7),) + tuple(rng.randrange(7) for _ in range(3)) + (1,)
-        assert fp_projective_order(charpoly, 7) == projective_order(companion(charpoly, 7), 7)
+        n = projective_order(companion(charpoly, 7), 7)
+        assert stepped_fp_projective_order(charpoly, 7) == n
+    hecke = 0
+    while hecke < 200:
+        q, k = rng.choice((2, 3, 5, 11)), rng.randrange(2, 31)
+        f = hecke_quartic(rng.randrange(7), rng.randrange(7), q, k, 7)
+        fac = fp_hecke_factorization(f, 7)
+        if fac.is_squarefree():
+            assert fp_projective_order(fac) == stepped_fp_projective_order(f, 7), f
+            hecke += 1
 
     # (iii) every generated quartic has the reciprocal similitude shape
     cases = 0
@@ -175,16 +187,22 @@ def test_criterion_8_randomized_oracles():
                     cases += 1
     assert cases == 5684
 
-    # (iv) the certificate's projective order against the descent from
-    # (p + 1)(p^2 + 1) on every monic irreducible quartic over F_7
-    irreducible = 0
+    # (iv) the stepping oracle against the descent from (p + 1)(p^2 + 1) on
+    # every monic irreducible quartic over F_7, and the certificate's order
+    # on those of Hecke shape
+    irreducible = hecke = 0
     for tail in itertools.product(range(7), repeat=4):
         f = tail + (1,)
         if fp_is_irreducible(f, 7):
-            assert fp_projective_order(f, 7) == irreducible_projective_order(f, 7), f
+            n = irreducible_projective_order(f, 7)
+            assert stepped_fp_projective_order(f, 7) == n, f
             irreducible += 1
+            if f[3] and f[0] == (f[1] * pow(f[3], -1, 7)) ** 2 % 7:
+                assert fp_projective_order(fp_hecke_factorization(f, 7)) == n, f
+                hecke += 1
     assert irreducible == (7**4 - 7**2) // 4 == 588
-    report(8, "500 Hecke factorizations, 200 order agreements, 5684 shape checks, "
+    assert hecke == 72
+    report(8, "500 Hecke factorizations, 400 order agreements, 5684 shape checks, "
               "588 irreducible orders all verified")
 
 

@@ -20,7 +20,7 @@ from gspcert.eigen_data import (
 )
 from gspcert.certifier import certify
 from gspcert.cli import ingest
-from gspcert.finite_field import is_prime
+from gspcert.finite_field import MILLER_RABIN_BOUND, is_prime
 from gspcert.polynomial import fp_hecke_factorization, fp_monic, fp_str
 from oracles import (
     fp_factorization,
@@ -97,6 +97,16 @@ class TestDatasetValidation:
         bad[index] = (1,)
         with pytest.raises(ValueError, match="neither a prime nor a prime square"):
             paper_dataset(eigenvalues=bad)
+
+    def test_square_of_a_prime_is_read_through_its_root(self):
+        # q^2 lies above the primality test's bound while q does not: the
+        # index is taken as q^2 before it is tested as a prime itself
+        q = 2**61 - 1
+        assert is_prime(q) and q * q >= MILLER_RABIN_BOUND
+        assert eigen_data._eigenvalue_base(q * q) == q == eigen_data._eigenvalue_base(q)
+        ds = paper_dataset(eigenvalues={**EIGENVALUES, q: (1,), q * q: (2,)})
+        assert ds.primes() == [2, 3, 5, q]
+        assert eigen_data.ResidualDataset(7, 0, 28, {q: 1, q * q: 2}).primes() == [q]
 
     def test_expression_degree_bounded_by_defining_degree(self):
         bad = dict(EIGENVALUES)
@@ -466,6 +476,16 @@ class TestHeckeCharpoly:
             with pytest.raises(ValueError) as err:
                 build()
             assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("weight", [1, 0, -5, 28.0, "28", True, None])
+    def test_residual_weight_not_an_int_from_two_refused_with_one_line(self, weight):
+        # weight 1 would build the charpoly from q^(2k-3) = q^(-1) mod p
+        for build in (lambda: eigen_data.ResidualDataset(7, 0, weight, {3: 1, 9: 1}),
+                      lambda: eigen_data.ResidualDataset(7, 0, 28, {3: 1, 9: 1})._replace(
+                          weight=weight)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == f"weight {weight} out of range"
 
     def test_residual_dataset_takes_an_embedding_root(self):
         root = embedding_roots(DEFINING, 7)[0]

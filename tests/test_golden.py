@@ -6,14 +6,17 @@ tests/golden/<dataset>.p7.{txt,json} hold the output of
         --prime 7 --root all --format text|json
 
 Any change to a certificate, its wording or its rendering shows up here.
-tests/golden/large_p.p{103,1019}.{txt,json} pin the library path beyond
-the built-in table: render_text and render_json of certify(ds, p, r,
-LARGE_P_TABLES[p]) over the roots r of embedding_roots, in its order, for
-the synthetic dataset tests/golden/large_p.dataset.
-Certify raises x to no power at all: the conjugate-pair count reads the
-factor degrees, and the charpolys are factored through y = x + nu/x without
-powers of x.  That no reference maths of tests/ stands behind a certificate
-is checked in a fresh interpreter (test_cli.TestFreshInterpreter).
+tests/golden/large_p.p{103,1019,10007}.{txt,json} pin the library path
+beyond the built-in table: render_text and render_json of certify(ds, p,
+r, LARGE_P_TABLES[p]) over the roots r of embedding_roots, in its order,
+for the synthetic dataset tests/golden/large_p.dataset.  The p = 10007
+bytes were written by the route that stepped through the powers of x to
+each projective order, about a minute per root.
+The conjugate-pair count takes no power of x: it reads the factor degrees,
+and the charpolys are factored through y = x + nu/x without powers of x.
+Only the projective orders of irreducible records take powers of x.  That
+no reference maths of tests/ stands behind a certificate is checked in a
+fresh interpreter (test_cli.TestFreshInterpreter).
 """
 from __future__ import annotations
 
@@ -75,28 +78,34 @@ def test_embedding_roots_certify_as_plain_ints(dataset):
 
 @pytest.mark.parametrize("dataset", sorted(EXPECTED_EXIT))
 def test_conjugate_pair_count_takes_no_power(dataset, monkeypatch):
+    # the pairing count reads the factor degrees: no x^((p^2 + 1)(p - 1)) is
+    # taken, whether through fp_powmod or the projective orders' x-powers
     ds = ingest(DATASETS / f"{dataset}.dataset")
     exponents = []
-    powmod = polynomial.fp_powmod
+    powmod, x_power = polynomial.fp_powmod, polynomial._x_power_is_constant
 
-    def spy(a, e, m, p):
+    def powmod_spy(a, e, m, p):
         exponents.append(e)
         return powmod(a, e, m, p)
 
+    def x_power_spy(e, f, p):
+        exponents.append(e)
+        return x_power(e, f, p)
+
     # certifier too, so that a name imported there again is spied on as well
     for module in (polynomial, certifier, eigen_data):
-        monkeypatch.setattr(module, "fp_powmod", spy, raising=False)
+        monkeypatch.setattr(module, "fp_powmod", powmod_spy, raising=False)
+    monkeypatch.setattr(polynomial, "_x_power_is_constant", x_power_spy)
     roots = [r.lift() for r in embedding_roots(ds.defining_poly, 7)]
     assert exponents == [7]  # the spy is live: x^p mod E for the roots
     certs = [certify(ds, 7, root) for root in roots]
-    assert exponents == [7]  # certifying raises x to no power at all
+    assert (7 * 7 + 1) * (7 - 1) not in exponents
     assert render_json(certs).encode() == (GOLDEN / f"{dataset}.p7.json").read_bytes()
 
 
 @cache
 def large_p_certificates(p: int) -> list:
-    # certified once per session: the projective orders at p = 1019 take
-    # about 0.4 s
+    # certified once per session, though all three primes take a few ms
     ds = ingest(GOLDEN / "large_p.dataset")
     return [certify(ds, p, r, LARGE_P_TABLES[p]) for r in embedding_roots(ds.defining_poly, p)]
 

@@ -42,6 +42,7 @@ from oracles import (
     ptrim,
     reference_powmod,
     roots_in,
+    stepped_fp_projective_order,
 )
 from symplectic import companion, projective_order
 
@@ -559,13 +560,27 @@ def matrix_projective_order(f: tuple[int, ...], p: int) -> int:
     return projective_order(companion(f, p), p)
 
 
+def squarefree_hecke_quartics(p: int):
+    """Every squarefree Hecke quartic (nu^2, nu f3, f2, f3, 1) over F_p, nu
+    in F_p^*, with its factorization; f3 = 0 gives each f for nu and -nu."""
+    for nu, f3, f2 in itertools.product(range(1, p), range(p), range(p)):
+        f = (nu * nu % p, nu * f3 % p, f2, f3, 1)
+        fac = fp_hecke_factorization(f, p)
+        if fac.is_squarefree():
+            yield f, fac
+
+
 class TestProjectiveOrder:
+    """The stepping oracle against the matrix route on general quartics,
+    and the certificate's route, read off a Hecke quartic's factorization,
+    against the stepping oracle."""
+
     def test_every_invertible_monic_quartic_p7_matches_matrix_route(self):
         # all 6 * 7^3 = 2,058 monic quartics with f(0) != 0, squarefree or not
         count = 0
         for c in itertools.product(range(1, 7), range(7), range(7), range(7)):
             f = c + (1,)
-            assert fp_projective_order(f, 7) == matrix_projective_order(f, 7), f
+            assert stepped_fp_projective_order(f, 7) == matrix_projective_order(f, 7), f
             count += 1
         assert count == 2058
 
@@ -574,7 +589,7 @@ class TestProjectiveOrder:
         rng = random.Random(4000 + p)
         for _ in range(500):
             f = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(3)) + (1,)
-            assert fp_projective_order(f, p) == matrix_projective_order(f, p), f
+            assert stepped_fp_projective_order(f, p) == matrix_projective_order(f, p), f
 
     def test_every_irreducible_quartic_p5_matches_descent(self):
         # the descent from (p + 1)(p^2 + 1) is the reference for irreducibles
@@ -582,7 +597,7 @@ class TestProjectiveOrder:
         irreducible = [f for f in quartics if fp_factorization(f, 5).factors == ((f, 1),)]
         assert len(irreducible) == (5**4 - 5**2) // 4 == 150
         for f in irreducible:
-            assert fp_projective_order(f, 5) == irreducible_projective_order(f, 5), f
+            assert stepped_fp_projective_order(f, 5) == irreducible_projective_order(f, 5), f
 
     @pytest.mark.parametrize("p", [19, 23])
     def test_seeded_irreducible_quartics_match_descent(self, p):
@@ -591,23 +606,77 @@ class TestProjectiveOrder:
         while len(checked) < 200:
             f = tuple(rng.randrange(p) for _ in range(4)) + (1,)
             if f not in checked and fp_factorization(f, p).factors == ((f, 1),):
-                assert fp_projective_order(f, p) == irreducible_projective_order(f, p), f
+                assert stepped_fp_projective_order(f, p) == irreducible_projective_order(f, p), f
                 checked.add(f)
 
+    @pytest.mark.parametrize("p, count", [(7, 216), (11, 1000), (19, 5832)])
+    def test_every_squarefree_hecke_quartic_matches_stepping(self, p, count):
+        patterns = set()
+        for f, fac in squarefree_hecke_quartics(p):
+            assert fp_projective_order(fac) == stepped_fp_projective_order(f, p), f
+            patterns.add(tuple(len(g) - 1 for g, _ in fac.factors))
+            count -= 1
+        assert count == 0
+        assert patterns == {(4,), (2, 2), (1, 1, 2), (1, 1, 1, 1)}
+
+    @pytest.mark.parametrize("p", [23, 31, 103])
+    def test_seeded_hecke_quartics_match_stepping(self, p):
+        rng = random.Random(f"order:{p}")
+        checked = 0
+        while checked < 300:
+            nu, f3, f2 = rng.randrange(1, p), rng.randrange(p), rng.randrange(p)
+            f = (nu * nu % p, nu * f3 % p, f2, f3, 1)
+            fac = fp_hecke_factorization(f, p)
+            if fac.is_squarefree():
+                assert fp_projective_order(fac) == stepped_fp_projective_order(f, p), f
+                checked += 1
+
+    def test_irreducible_orders_match_descent_at_large_p(self):
+        # beyond stepping's reach: the descent from (p + 1)(p^2 + 1)
+        rng = random.Random(10007)
+        checked = 0
+        while checked < 20:
+            nu, f3, f2 = rng.randrange(1, 10007), rng.randrange(10007), rng.randrange(10007)
+            f = (nu * nu % 10007, nu * f3 % 10007, f2, f3, 1)
+            fac = fp_hecke_factorization(f, 10007)
+            if fac.factors == ((f, 1),):
+                assert fp_projective_order(fac) == irreducible_projective_order(f, 10007), f
+                checked += 1
+
     def test_frozen_paper_orders(self):
-        assert fp_projective_order((2, 5, 2, 3, 1), 7) == 25
-        assert fp_projective_order((4, 6, 3, 4, 1), 7) == 16
-        assert fp_projective_order((2, 4, 4, 6, 1), 7) == 8
+        for f, n in (((2, 5, 2, 3, 1), 25), ((4, 6, 3, 4, 1), 16), ((2, 4, 4, 6, 1), 8)):
+            assert fp_projective_order(fp_hecke_factorization(f, 7)) == n
+            assert stepped_fp_projective_order(f, 7) == n
 
     @pytest.mark.parametrize("f", [(0, 0, 0, 0, 1), (0, 1, 2, 3, 1), (0, 0, 5, 0, 1)])
     def test_zero_constant_term_rejected(self, f):
         # x is then a zero divisor; without the check x^4 would report order 4
         with pytest.raises(ValueError):
-            fp_projective_order(f, 7)
+            stepped_fp_projective_order(f, 7)
         with pytest.raises(ValueError):
             matrix_projective_order(f, 7)
 
     @pytest.mark.parametrize("f", [(1, 1), (1, 0, 0, 1), (2, 0, 0, 0, 3), (1, 0, 0, 0, 0, 1)])
     def test_non_monic_quartic_rejected(self, f):
         with pytest.raises(ValueError):
-            fp_projective_order(f, 7)
+            stepped_fp_projective_order(f, 7)
+
+    @pytest.mark.parametrize("factors", [
+        (((3, 1), 2), ((1, 1), 2)),  # (x + 3)^2 (x + 1)^2: a repeated factor
+        (((1, 0, 1), 2),),  # (x^2 + 1)^2
+        (((0, 1), 1), ((1, 1), 1), ((2, 1), 1), ((3, 1), 1)),  # a factor x
+        (((2, 1), 1), ((1, 0, 0, 1), 1)),  # a cubic factor
+        (((3, 0, 0, 0, 1), 1),),  # x^4 + 3: f3 = 0
+        (((1, 6, 4, 3, 1), 1),),  # nu = f1/f3 = 2, but f0 != nu^2
+        (((1, 1, 1), 1),),  # a single factor that is not a quartic
+    ])
+    def test_malformed_factorization_refused_with_one_line(self, factors):
+        with pytest.raises(ValueError) as err:
+            fp_projective_order(polynomial.Factorization(7, factors))
+        assert "\n" not in str(err.value)
+
+    def test_even_characteristic_refused(self):
+        # x^4 + x^3 + x^2 + x + 1 is irreducible over F_2 with x of order 5:
+        # (p^2 + 1)/2 is no odd integer there
+        with pytest.raises(ValueError):
+            fp_projective_order(polynomial.Factorization(2, (((1, 1, 1, 1, 1), 1),)))

@@ -1,7 +1,8 @@
 """Tests for the 4x4 matrix route to projective orders over F_p, and for
 the live F_p routes on the charpolys of matrices built here: GSp(4, p)
-similitudes for fp_hecke_factorization, and eigenvalue ratios in F_{7^4}
-for fp_projective_order."""
+similitudes for fp_hecke_factorization and fp_projective_order, and
+eigenvalue ratios in F_{7^4} for the stepping oracle and
+fp_projective_order."""
 from __future__ import annotations
 
 import itertools
@@ -24,7 +25,13 @@ from symplectic import (
     order_cap,
     projective_order,
 )
-from oracles import fp_factorization, mult_order, roots_in, stepped_projective_order
+from oracles import (
+    fp_factorization,
+    mult_order,
+    roots_in,
+    stepped_fp_projective_order,
+    stepped_projective_order,
+)
 
 F7 = make_field(7, 1)
 
@@ -214,14 +221,17 @@ class TestOrders:
 
     def test_order_is_read_off_a_squarefree_charpoly(self):
         # distinct eigenvalues make m similar to the companion of its
-        # charpoly f, so fp_projective_order(f) is the order of m itself
+        # charpoly f, so the order read off f's factorization is the order
+        # of m itself; a similitude's charpoly has the Hecke shape
         rng = random.Random(27)
         checked = 0
         while checked < 30:
             m, _ = random_similitude(rng, 7)
             f = charpoly(m, 7)
-            if fp_factorization(f, 7).is_squarefree():
-                assert projective_order(m, 7) == fp_projective_order(f, 7), m
+            fac = fp_hecke_factorization(f, 7)
+            if fac.is_squarefree():
+                n = projective_order(m, 7)
+                assert fp_projective_order(fac) == n == stepped_fp_projective_order(f, 7), m
                 checked += 1
 
 
@@ -302,15 +312,17 @@ def eligible_random_quartic(rng: random.Random) -> tuple[int, ...]:
 
 
 class TestEigenProjectiveOrder:
-    """fp_projective_order against the eigenvalues of the companion matrix."""
+    """The stepping oracle, and fp_projective_order on Hecke quartics, against
+    the eigenvalues of the companion matrix."""
 
     def test_pol2_frozen(self):
-        assert ratio_order(POL2) == 25 == fp_projective_order(POL2, 7)
+        assert ratio_order(POL2) == 25 == stepped_fp_projective_order(POL2, 7)
+        assert fp_projective_order(fp_hecke_factorization(POL2, 7)) == 25
 
     def test_split_quartic(self):
         f = charpoly(diag(1, 2, 3, 4), 7)  # (x - 1)(x - 2)(x - 3)(x - 4)
         assert ratio_order(f) == 6
-        assert fp_projective_order(f, 7) == 6
+        assert stepped_fp_projective_order(f, 7) == 6
         assert projective_order(companion(f, 7), 7) == 6
 
     def test_split_quartic_matches_ratio_orders(self):
@@ -321,7 +333,8 @@ class TestEigenProjectiveOrder:
         rng = random.Random(26)
         for _ in range(30):
             f = eligible_random_quartic(rng)
-            assert ratio_order(f) == fp_projective_order(f, 7) == projective_order(companion(f, 7), 7), f
+            n = projective_order(companion(f, 7), 7)
+            assert ratio_order(f) == stepped_fp_projective_order(f, 7) == n, f
 
     def test_repeated_root_breaks_the_eigenvalue_count(self):
         # (x + 3)^2 (x + 1)^2: the ratio 4/6 = 3 has order 6, but each
@@ -330,4 +343,4 @@ class TestEigenProjectiveOrder:
         f = (2, 3, 1, 1, 1)
         assert fp_factorization(f, 7).factors == (((1, 1), 2), ((3, 1), 2))
         assert ratio_order(f) == 6
-        assert fp_projective_order(f, 7) == 42 == projective_order(companion(f, 7), 7)
+        assert stepped_fp_projective_order(f, 7) == 42 == projective_order(companion(f, 7), 7)
