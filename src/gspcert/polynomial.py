@@ -211,20 +211,25 @@ def fp_projective_order(fac: Factorization) -> int:
     """The least n >= 1 with x^n constant mod a squarefree Hecke quartic f,
     the order of its companion matrix in PGL(4, p), read off f's
     factorization; ValueError for a repeated factor, a factor x, or an
-    irreducible f with f1 != nu f3 or f0 != nu^2.  Split f: n = L k, L the
-    lcm over the factors g of the least e_g with x^e_g = c_g in F_p mod g
-    (1 for x - c_g, stepped for a quadratic), k the order of the ratios of
-    the c_g^(L/e_g) in F_p^*.  Irreducible f: n | p^2 + 1 = 2m, m odd, with
-    n | m iff nu = f1/f3 is a square.  Both descend over primes."""
+    irreducible f with f1 != nu f3 or f0 != nu^2.
+
+    Split f (CRT): x^n = c mod f iff mod every factor g.  With e_g the least
+    exponent at which x^e_g = c_g in F_p mod g (1 for x - c_g; stepped on a
+    quadratic g's two coefficients, e_g | p + 1), n = L k for L = lcm(e_g)
+    and k the order in F_p^* of the ratios of the c_g^(L/e_g).  Irreducible
+    f: its roots pair as r <-> nu/r = r^(p^2), so n | p^2 + 1 = 2m, m odd,
+    and n | m iff r^m, a square root of nu = f1/f3, is in F_p, iff nu is a
+    square.  Both then descend over primes found by trial division.
+    """
     p, factors = fac.p, fac.factors
-    if len(factors) == 1:
-        ((f, mult),) = factors
+    if len(factors) < 2:
+        f, mult = factors[0] if factors else ((), 0)
         nu = f[1] * pow(f[3], -1, p) % p if len(f) == 5 and f[3] else 0
         if mult != 1 or not nu or nu * nu % p != f[0] or not p % 2:
             raise ValueError(f"{fac} is not a squarefree Hecke quartic: f1 != nu f3 or f0 != nu^2")
         eps = pow(nu, (p - 1) // 2, p) != 1
         n = (p * p + 1) // 2
-        for ell in _prime_factors(n):
+        for ell in _prime_factors(n):  # no x^e with e < 4 is constant mod a quartic
             while n % ell == 0 and (e := n // ell << eps) >= 4 and _x_power_is_constant(e, f, p):
                 n //= ell
         return n << eps

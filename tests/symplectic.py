@@ -1,9 +1,11 @@
 """4x4 matrices over F_p: the reference route for the projective orders.
 
-The certificate does not use this module: its projective orders come from
-gspcert.polynomial.fp_projective_order, the least n with x^n constant mod the
-charpoly.  Here the same orders are taken literally, as orders of the
-companion matrix in PGL(4, p), and the tests compare the two.
+The certificate does not use this module: its projective orders, the least
+n with x^n constant mod the charpoly, are read off the charpoly's
+factorization by gspcert.polynomial.fp_projective_order, and
+oracles.stepped_fp_projective_order finds them by stepping through the
+powers of x.  Here the same orders are taken literally, as orders of the
+companion matrix in PGL(4, p), and the tests compare the routes.
 
 A matrix is a tuple of four rows of four ints in [0, p).  Every element
 order in GL(4, p), p >= 5, divides order_cap(p) = p * lcm(p-1, p^2-1,

@@ -560,16 +560,6 @@ def matrix_projective_order(f: tuple[int, ...], p: int) -> int:
     return projective_order(companion(f, p), p)
 
 
-def squarefree_hecke_quartics(p: int):
-    """Every squarefree Hecke quartic (nu^2, nu f3, f2, f3, 1) over F_p, nu
-    in F_p^*, with its factorization; f3 = 0 gives each f for nu and -nu."""
-    for nu, f3, f2 in itertools.product(range(1, p), range(p), range(p)):
-        f = (nu * nu % p, nu * f3 % p, f2, f3, 1)
-        fac = fp_hecke_factorization(f, p)
-        if fac.is_squarefree():
-            yield f, fac
-
-
 class TestProjectiveOrder:
     """The stepping oracle against the matrix route on general quartics,
     and the certificate's route, read off a Hecke quartic's factorization,
@@ -611,11 +601,16 @@ class TestProjectiveOrder:
 
     @pytest.mark.parametrize("p, count", [(7, 216), (11, 1000), (19, 5832)])
     def test_every_squarefree_hecke_quartic_matches_stepping(self, p, count):
+        # every (nu^2, nu f3, f2, f3, 1), nu in F_p^*: f3 = 0 gives each f
+        # for nu and -nu
         patterns = set()
-        for f, fac in squarefree_hecke_quartics(p):
-            assert fp_projective_order(fac) == stepped_fp_projective_order(f, p), f
-            patterns.add(tuple(len(g) - 1 for g, _ in fac.factors))
-            count -= 1
+        for nu, f3, f2 in itertools.product(range(1, p), range(p), range(p)):
+            f = (nu * nu % p, nu * f3 % p, f2, f3, 1)
+            fac = fp_hecke_factorization(f, p)
+            if fac.is_squarefree():
+                assert fp_projective_order(fac) == stepped_fp_projective_order(f, p), f
+                patterns.add(tuple(len(g) - 1 for g, _ in fac.factors))
+                count -= 1
         assert count == 0
         assert patterns == {(4,), (2, 2), (1, 1, 2), (1, 1, 1, 1)}
 
@@ -669,6 +664,7 @@ class TestProjectiveOrder:
         (((3, 0, 0, 0, 1), 1),),  # x^4 + 3: f3 = 0
         (((1, 6, 4, 3, 1), 1),),  # nu = f1/f3 = 2, but f0 != nu^2
         (((1, 1, 1), 1),),  # a single factor that is not a quartic
+        (),  # no factor at all: the factorization of 1
     ])
     def test_malformed_factorization_refused_with_one_line(self, factors):
         with pytest.raises(ValueError) as err:
