@@ -24,7 +24,6 @@ from .eigen_data import (
     hecke_quartic,
     specialize,
 )
-from .finite_field import legendre
 from .polynomial import Factorization
 
 __version__ = "0.1.0"
@@ -47,7 +46,6 @@ __all__ = [
     "hecke_charpoly",
     "hecke_quartic",
     "ingest",
-    "legendre",
     "render_json",
     "render_text",
     "specialize",

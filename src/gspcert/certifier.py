@@ -269,10 +269,10 @@ def check_primitivity(rd: ResidualDataset) -> CheckResult:
     Requires p = 3 mod 4, so that the only quadratic field unramified
     outside p that can carry the induction is imaginary: Q(sqrt(-p)).
     Induction forces trace zero at every prime inert in that field, i.e.
-    every q with legendre(q, p) = -1.  The check demands a nonzero a_q at
+    every q that is not a square mod p.  The check demands a nonzero a_q at
     every inert prime in the dataset (and at least one inert prime).  A
     ResidualDataset's p is prime, so q is inert when q^((p-1)/2) = -1 mod p
-    (Euler's criterion, the power legendre takes), with no primality test.
+    (Euler's criterion), with no primality test.
     """
     p = rd.p
     if p % 4 != 3:

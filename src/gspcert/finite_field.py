@@ -1,7 +1,7 @@
-"""Integer facts about F_p: primality and the Legendre symbol.  Residues
-mod p are plain ints throughout; the package has no field-element type (the
-tests' reference one, with the integer factoring the tests' order
-computations use, is tests/field_elements.py).
+"""Integer facts about F_p: primality.  Residues mod p are plain ints
+throughout; the package has no field-element type (the tests' reference
+one, with the integer factoring the tests' order computations use, is
+tests/field_elements.py).
 """
 from __future__ import annotations
 
@@ -39,12 +39,3 @@ def is_prime(n: int) -> bool:
             return False
     return True
 
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) in {-1, 0, 1} via Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"Legendre symbol needs an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1

@@ -70,7 +70,8 @@ class FieldSpec:
     """A finite field F_{p^d} with its canonical defining modulus.
 
     Construct through make_field, which canonicalizes and caches; two calls
-    with the same (p, d) return the same object.
+    with the same (p, d) return the same object, so fields compare by
+    identity.
     """
 
     def __init__(self, p: int, d: int, modulus: tuple[int, ...] | None):
@@ -78,14 +79,6 @@ class FieldSpec:
         self.d = d
         self.modulus = modulus  # low-degree-first, monic, None for d == 1
         self.order = p**d
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return (self.p, self.d, self.modulus) == (other.p, other.d, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.d, self.modulus))
 
     def __repr__(self) -> str:
         if self.d == 1:
@@ -259,21 +252,7 @@ class FFElement:
         return hash((self.field.p, self.field.d, self.coeffs))
 
     def __repr__(self) -> str:
-        return f"FFElement({self.field!r}, {self})"
-
-    def __str__(self) -> str:
-        if self.field.d == 1:
-            return str(self.coeffs[0])
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}t" if i == 1 else f"{head}t^{i}")
-        return " + ".join(terms) if terms else "0"
+        return f"FFElement({self.field!r}, {self.coeffs})"
 
 
 @lru_cache(maxsize=None)

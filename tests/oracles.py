@@ -1,21 +1,21 @@
 """Hand-rolled reference implementations used as independent oracles.
 
-The first two helpers are the F_p kernel's product and powmod as they
-were before the products were reduced on the fly.  Next comes the general
-F_p factorizer (fp_factor, fp_factorization) that factored the Hecke
-charpolys before they were factored through y = x + nu/x: one
-distinct-degree pass on the kernel, with every-c scans for the roots and
-the equal-degree parts.  The integer-list helpers work on plain
-coefficient lists, low degree first, with no dependency on the package
-under test.  Every F_p polynomial here is the kernel's low-first int
-tuple; the F_{p^4} section takes FFElements (field_elements.py) only
-where a value lies in F_{p^2} or F_{p^4}: the Frobenius, subfields,
-multiplicative orders, the roots of an F_p polynomial found by scanning
-an extension field, and g * conj(g) for g over F_{p^2}.  The last
-sections hold the projective order of a matrix by stepping through its
-powers, that of a quartic by stepping through the powers of x, that of
-an irreducible quartic by descent, the JSON report as json.dumps writes
-it, and the dataset digest hashed one field at a time.
+First comes the general F_p factorizer (fp_factorization) that
+factored the Hecke charpolys before they were factored through
+y = x + nu/x: one distinct-degree pass on the kernel, with every-c scans
+for the roots and the equal-degree parts.  The plain-list helpers (pmul,
+pmod, pdiv, trial division) work on coefficient lists, low degree first,
+without the package's kernel; reference_powmod is fp_powmod as it was
+before its products were reduced on the fly, a full pmul product and a
+separate reduction per step.  Every other F_p polynomial here is the
+kernel's low-first int tuple; the F_{p^4} section takes FFElements
+(field_elements.py) only where a value lies in F_{p^2} or F_{p^4}: the
+Frobenius, subfields, multiplicative orders, the roots of an F_p
+polynomial found by scanning an extension field, and g * conj(g) for g
+over F_{p^2}.  The last sections hold the projective order of a quartic
+by stepping through the powers of x, that of an irreducible quartic by
+descent, the JSON report as json.dumps writes it, and the dataset digest
+hashed one field at a time.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from gspcert.eigen_data import EigenformDataset
 from gspcert.polynomial import (
     Factorization,
     FpPoly,
-    _roots,
     fp_add,
     fp_gcd,
     fp_mod,
@@ -39,34 +38,6 @@ from gspcert.polynomial import (
     fp_str,
     fp_trim,
 )
-from symplectic import Rows, _mul_rows, _scalar_of_rows, order_cap
-
-
-def fp_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """a * b over F_p on the kernel's low-first int tuples."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return fp_trim([c % p for c in out])
-
-
-def reference_powmod(a: tuple[int, ...], e: int, m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """a^e mod m, square-and-multiply with a full product and a separate
-    reduction per step: fp_powmod before its products and reductions were
-    fused."""
-    result = fp_mod((1,), m, p)
-    acc = fp_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = fp_mod(fp_mul(result, acc, p), m, p)
-        e >>= 1
-        if e:
-            acc = fp_mod(fp_mul(acc, acc, p), m, p)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -75,24 +46,12 @@ def reference_powmod(a: tuple[int, ...], e: int, m: tuple[int, ...], p: int) -> 
 # trace values against every c in F_p
 
 
-def fp_divmod(a: FpPoly, b: FpPoly, p: int) -> tuple[FpPoly, FpPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    rem = list(a)
-    quot = [0] * max(len(a) - db, 0)
-    for shift in range(len(quot) - 1, -1, -1):
-        c = quot[shift] = rem[shift + db] * inv % p
-        if c:
-            for j in range(db):
-                rem[shift + j] = (rem[shift + j] - c * b[j]) % p
-    return fp_trim(quot), fp_trim(rem[:db])
-
-
-def fp_factor(f: FpPoly, p: int) -> list[tuple[FpPoly, int]]:
-    """Monic irreducible factors of monic f with multiplicity, sorted by
-    degree and then by coefficients, high degree first."""
+def fp_factorization(f: FpPoly, p: int) -> Factorization:
+    """Complete factorization of monic f over F_p: its monic irreducible
+    factors with multiplicity, sorted by degree and then by coefficients,
+    high degree first."""
+    if not f or f[-1] != 1:
+        raise ValueError(f"expected a monic polynomial, got {f}")
     # One distinct-degree pass.  Entering step k, f has no factor of degree
     # < k and r = x^(p^(k-1)) modulo f or a multiple of f, so gcd(f,
     # x^(p^k) - x) is the product of the distinct degree-k factors; r stays
@@ -104,23 +63,26 @@ def fp_factor(f: FpPoly, p: int) -> list[tuple[FpPoly, int]]:
         r = fp_powmod(r, p, f, p)
         s = fp_gcd(fp_add(r, (0, p - 1), p), f, p)
         if len(s) > 1 and k == 1:
-            for c in _roots(s, p):
-                f, mult = _divide_out_root(f, c, p)
-                pairs.append(((-c % p, 1), mult))
+            # s is the product of the distinct x - c: divide each root c out
+            # of s as Horner's rule finds it, c = 0, 1, ..., until s is 1
+            for c in range(p):
+                s, found = _divide_out_root(s, c, p)
+                if found:
+                    f, mult = _divide_out_root(f, c, p)
+                    pairs.append(((-c % p, 1), mult))
+                    if len(s) == 1:
+                        break
         elif len(s) > 1:
             for g in fp_split_equal_degree(s, k, p):
                 mult = 0
-                while True:
-                    q, rem = fp_divmod(f, g, p)
-                    if rem:
-                        break
-                    f, mult = q, mult + 1
+                while not fp_mod(f, g, p):
+                    f, mult = tuple(pdiv(f, g, p)), mult + 1
                 pairs.append((g, mult))
         k += 1
     if len(f) > 1:
         pairs.append((f, 1))
     pairs.sort(key=lambda pair: (len(pair[0]), pair[0][::-1]))
-    return pairs
+    return Factorization(p, tuple(pairs))
 
 
 def _divide_out_root(f: FpPoly, c: int, p: int) -> tuple[FpPoly, int]:
@@ -177,13 +139,6 @@ def fp_split_equal_degree(s: FpPoly, k: int, p: int) -> list[FpPoly]:
     return parts
 
 
-def fp_factorization(f: FpPoly, p: int) -> Factorization:
-    """Complete factorization of monic f over F_p, with multiplicities."""
-    if not f or f[-1] != 1:
-        raise ValueError(f"expected a monic polynomial, got {f}")
-    return Factorization(p, tuple(fp_factor(f, p)))
-
-
 # ---------------------------------------------------------------------------
 # plain coefficient lists, low degree first, without the package's kernel
 
@@ -216,10 +171,6 @@ def pmod(a: list[int], m: list[int], p: int) -> list[int]:
     return ptrim(a)
 
 
-def divides(m: list[int], a: list[int], p: int) -> bool:
-    return not pmod(a, m, p)
-
-
 def monic_polys(p: int, d: int):
     """All monic degree-d polynomials over F_p, in the order that compares
     high-degree coefficients first."""
@@ -239,6 +190,21 @@ def pdiv(a: list[int], m: list[int], p: int) -> list[int]:
     return ptrim(q)
 
 
+def reference_powmod(a: tuple[int, ...], e: int, m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a^e mod m, square-and-multiply with a full product and a separate
+    reduction per step: fp_powmod before its products and reductions were
+    fused."""
+    result = fp_mod((1,), m, p)
+    acc = fp_mod(a, m, p)
+    while e:
+        if e & 1:
+            result = fp_mod(pmul(result, acc, p), m, p)
+        e >>= 1
+        if e:
+            acc = fp_mod(pmul(acc, acc, p), m, p)
+    return result
+
+
 def naive_factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Monic irreducible factors of monic f with multiplicity, ascending by
     degree and then in monic_polys order.  Trial division by every monic
@@ -251,7 +217,7 @@ def naive_factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
     while len(f) - 1 >= 2 * d:
         for g in monic_polys(p, d):
             mult = 0
-            while divides(g, f, p):
+            while not pmod(f, g, p):
                 f = pdiv(f, g, p)
                 mult += 1
             if mult:
@@ -292,16 +258,9 @@ def naive_irreducible(f: list[int], p: int) -> bool:
     d = len(f) - 1
     for k in range(1, d // 2 + 1):
         for g in monic_polys(p, k):
-            if divides(g, f, p):
+            if not pmod(f, g, p):
                 return False
     return True
-
-
-def smallest_irreducible(p: int, d: int) -> list[int]:
-    for f in monic_polys(p, d):
-        if naive_irreducible(f, p):
-            return f
-    raise AssertionError(f"no irreducible of degree {d} over F_{p}")
 
 
 def validate_similitude_shape(f: tuple[int, ...], q: int, k: int, p: int) -> bool:
@@ -417,21 +376,6 @@ def scan_distinct_roots(g: FpPoly, p: int, e: int) -> list[FFElement]:
         if not any(sum(col) % p for col in zip(*(exp[(lc + i * j) % m] for i, lc in terms))):
             roots.append(FFElement(F, exp[j]))
     return sorted(roots, key=F.index)
-
-
-# ---------------------------------------------------------------------------
-# projective order by stepping: symplectic.projective_order before it took
-# the order by descent
-
-
-def stepped_projective_order(m: Rows, p: int) -> int:
-    """Least n >= 1 with m^n scalar, multiplying by m until it is."""
-    power, n = m, 1
-    while _scalar_of_rows(power) is None:
-        if n == order_cap(p):
-            raise RuntimeError("projective order exceeded the GL(4, p) bound")
-        power, n = _mul_rows(power, m, p), n + 1
-    return n
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 The certificate does not use this module: its projective orders, the least
 n with x^n constant mod the charpoly, are read off the charpoly's
 factorization by gspcert.polynomial.fp_projective_order, and
-oracles.stepped_fp_projective_order finds them by stepping through the
-powers of x.  Here the same orders are taken literally, as orders of the
-companion matrix in PGL(4, p), and the tests compare the routes.
+oracles.stepped_fp_projective_order, its reference, finds them by stepping
+through the powers of x.  Here the same orders are taken literally, as
+orders of the companion matrix in PGL(4, p): the one independent check of
+the stepping oracle, and the order of a GSp(4, p) element itself for the
+certificate's route.
 
 A matrix is a tuple of four rows of four ints in [0, p).  Every element
 order in GL(4, p), p >= 5, divides order_cap(p) = p * lcm(p-1, p^2-1,

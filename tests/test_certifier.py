@@ -30,13 +30,13 @@ from gspcert.eigen_data import (
     hecke_charpoly,
     specialize,
 )
-from gspcert.finite_field import is_prime, legendre
+from gspcert.finite_field import is_prime
 from gspcert.polynomial import fp_powmod
 from oracles import (
     conjugate_product,
     fp_factorization,
-    fp_mul,
     in_subfield,
+    pmul,
     roots_in,
     validate_similitude_shape,
 )
@@ -117,8 +117,8 @@ class TestRational22Split:
         assert not res.passed
 
     def test_no_squarefree_records_fail_with_explanation(self):
-        g = fp_mul((3, 1), (3, 1), 7)
-        rec = synthetic_record(2, fp_mul(g, g, 7))
+        g = tuple(pmul((3, 1), (3, 1), 7))
+        rec = synthetic_record(2, tuple(pmul(g, g, 7)))
         res = check_rational_22_split([rec], 7)
         assert not res.passed
         assert "no order witnesses available" in res.justification
@@ -197,7 +197,7 @@ class TestConjugate22Split:
         assert res.witnesses == (() if count else (2,))
 
     def test_non_squarefree_records_are_skipped(self):
-        rec = synthetic_record(2, fp_mul((1, 4, 1), (1, 4, 1), 7))
+        rec = synthetic_record(2, tuple(pmul((1, 4, 1), (1, 4, 1), 7)))
         res = check_conjugate_22_split([rec], 7)
         assert not res.passed
         assert "2" not in res.data["admissible_pairings"]
@@ -307,14 +307,15 @@ class TestPrimitivity:
         assert res.witnesses == ()
 
     @pytest.mark.parametrize("p", [7, 11, 19, 23, 103])
-    def test_inert_primes_match_legendre_below_500(self, p):
-        # the check takes q as inert when q^((p-1)/2) = -1 mod p, where it
-        # called legendre before: the two agree on every prime below 500,
-        # p itself (legendre 0) among them
+    def test_inert_primes_match_non_squares_below_500(self, p):
+        # the check takes q as inert when q^((p-1)/2) = -1 mod p (Euler's
+        # criterion): against the non-squares mod p, found by squaring every
+        # unit, on every prime below 500, p itself (neither) among them
         qs = [q for q in range(2, 500) if is_prime(q)]
+        squares = {x * x % p for x in range(1, p)}
         rd = ResidualDataset(p, 0, 28, {i: 1 for q in qs for i in (q, q * q)})
         res = check_primitivity(rd)
-        assert res.data["inert_primes"] == [q for q in qs if legendre(q, p) == -1]
+        assert res.data["inert_primes"] == [q for q in qs if q % p and q % p not in squares]
         assert res.passed and res.witnesses == tuple(res.data["inert_primes"])
 
     def test_requires_p_three_mod_four(self):

@@ -24,8 +24,8 @@ from gspcert.finite_field import MILLER_RABIN_BOUND, is_prime
 from gspcert.polynomial import fp_hecke_factorization, fp_monic, fp_str
 from oracles import (
     fp_factorization,
-    fp_mul,
     monic_polys,
+    pmul,
     reference_digest,
     validate_similitude_shape,
 )
@@ -262,9 +262,25 @@ class TestResidualRoots:
 
 
 def linear_roots(e, p: int) -> list[tuple[int, int]]:
-    """The oracle: (root, multiplicity) for the linear factors of E over
-    F_p, in factor order."""
+    """(root, multiplicity) for the linear factors of E over F_p, in factor
+    order."""
     return fp_factorization(fp_monic(tuple(c % p for c in e), p), p).linear_roots()
+
+
+def roots_by_definition(e, p: int) -> list[tuple[int, bool]]:
+    """(r, E'(r) != 0) for every r in [0, p) with E(r) = 0 mod p, ordered by
+    -r mod p: the embedding roots by their definition, each term summed."""
+    de = [i * c for i, c in enumerate(e)][1:]
+    return [
+        (r, sum(c * pow(r, i, p) for i, c in enumerate(de)) % p != 0)
+        for r in sorted(range(p), key=lambda r: -r % p)
+        if sum(c * pow(r, i, p) for i, c in enumerate(e)) % p == 0
+    ]
+
+
+def roots_by_factoring(e, p: int) -> list[tuple[int, bool]]:
+    """(r, r is simple) for the linear factors x - r of E, in factor order."""
+    return [(r, m == 1) for r, m in linear_roots(e, p)]
 
 
 def planted_poly(rng: random.Random, p: int, degree: int, cofactor_degree: int) -> list[int]:
@@ -272,39 +288,44 @@ def planted_poly(rng: random.Random, p: int, degree: int, cofactor_degree: int) 
     mod p: linear factors x - r, some repeated, times a random cofactor of
     degree at most cofactor_degree, each coefficient lifted by a random
     multiple of p."""
-    f: tuple[int, ...] = (rng.randrange(1, p),)
+    f = [rng.randrange(1, p)]
     cofactor = min(cofactor_degree, degree)
     while len(f) - 1 < degree - cofactor:
         r = rng.randrange(p)
         for _ in range(min(rng.choice((1, 1, 1, 2, 3)), degree - cofactor - len(f) + 1)):
-            f = fp_mul(f, (-r % p, 1), p)
-    f = fp_mul(f, tuple(rng.randrange(p) for _ in range(degree - len(f) + 1)) + (1,), p)
+            f = pmul(f, [-r % p, 1], p)
+    f = pmul(f, [rng.randrange(p) for _ in range(degree - len(f) + 1)] + [1], p)
     return [c + p * rng.randrange(-3, 4) for c in f[:-1]] + [f[-1]]
 
 
-class TestEmbeddingRootsAgainstFactoring:
+class TestEmbeddingRootsAgainstDefinition:
     """embedding_roots reads the simple roots off gcd(E, x^p - x) and E';
-    the factorization of E it replaced is the oracle."""
+    the oracle is the definition, every r in [0, p) with E(r) = 0 and
+    E'(r) != 0, and at p = 10007, where that scan is too slow, the
+    factorization of E that the route replaced."""
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_every_monic_poly_of_degree_at_most_three(self, p):
         for d in (1, 2, 3):
             for e in monic_polys(p, d):
-                assert embedding_roots(e, p) == [r for r, m in linear_roots(e, p) if m == 1], e
+                expected = [r for r, simple in roots_by_definition(e, p) if simple]
+                assert embedding_roots(e, p) == expected, e
 
-    # cofactor degree: the oracle's distinct-degree pass on the random part
-    # costs about deg^3 log p, so it shrinks as p grows
+    # cofactor degree: the factoring oracle's distinct-degree pass on the
+    # random part costs about deg^3 log p, so it shrinks as p grows (it set
+    # the degrees at 19 and 103 too, when it was the oracle there)
     @pytest.mark.parametrize("p, cofactor_degree", [(19, 128), (103, 64), (10007, 24)])
     def test_seeded_polys_with_repeated_roots(self, p, cofactor_degree):
+        oracle = roots_by_factoring if p == 10007 else roots_by_definition
         rng = random.Random(p)
         degrees = [rng.randint(1, 12) for _ in range(24)] + [rng.randint(13, 127) for _ in range(4)] + [128]
         repeated = 0
         for degree in degrees:
             e = planted_poly(rng, p, degree, rng.randint(0, cofactor_degree))
             assert len(e) == degree + 1 and e[-1] % p
-            pairs = linear_roots(e, p)
-            assert embedding_roots(e, p) == [r for r, m in pairs if m == 1], (p, e)
-            repeated += any(m > 1 for _, m in pairs)
+            roots = oracle(e, p)
+            assert embedding_roots(e, p) == [r for r, simple in roots if simple], (p, e)
+            repeated += not all(simple for _, simple in roots)
         assert repeated  # some E had a repeated root to leave out
 
     def test_specialize_outcomes_for_every_root_at_p7(self):

@@ -1,4 +1,4 @@
-"""Tests for prime fields, their extensions, and the scalar helpers."""
+"""Tests for prime fields, their extensions, and the integer helpers."""
 from __future__ import annotations
 
 import random
@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from field_elements import factorize, make_field
-from gspcert.finite_field import is_prime, legendre
-from oracles import frobenius, in_subfield, mult_order, naive_mult_order, smallest_irreducible
+from gspcert.finite_field import is_prime
+from oracles import frobenius, in_subfield, mult_order, naive_mult_order
 
 F7 = make_field(7, 1)
 F49 = make_field(7, 2)
@@ -37,11 +37,6 @@ class TestFieldConstruction:
         # low degree first: t^2 + 1 and t^4 + t + 1
         assert F49.modulus == (1, 0, 1)
         assert F2401.modulus == (1, 1, 0, 0, 1)
-
-    @pytest.mark.parametrize("p,d", [(7, 2), (7, 4), (3, 2), (3, 4), (5, 2)])
-    def test_canonical_modulus_matches_naive_scan(self, p, d):
-        expected = tuple(smallest_irreducible(p, d))
-        assert make_field(p, d).modulus == expected
 
     def test_repeated_calls_return_identical_spec(self):
         assert make_field(7, 2) is F49
@@ -216,31 +211,6 @@ class TestMultOrder:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             mult_order(F49.zero())
-
-
-class TestLegendre:
-    def test_frozen_table_mod_7(self):
-        assert [legendre(a, 7) for a in range(7)] == [0, 1, 1, -1, 1, -1, -1]
-
-    def test_matches_square_enumeration(self):
-        for p in (3, 5, 7, 11, 13):
-            squares = {(a * a) % p for a in range(1, p)}
-            for a in range(2 * p):
-                expected = 0 if a % p == 0 else (1 if a % p in squares else -1)
-                assert legendre(a, p) == expected
-
-    def test_multiplicative(self):
-        for a in range(1, 7):
-            for b in range(1, 7):
-                assert legendre(a * b, 7) == legendre(a, 7) * legendre(b, 7)
-
-    def test_rejects_even_or_composite_modulus(self):
-        with pytest.raises(ValueError):
-            legendre(3, 2)
-        with pytest.raises(ValueError):
-            legendre(3, 9)
-        with pytest.raises(ValueError, match=r"^7\.0 is not an int$"):
-            legendre(3, 7.0)  # 7.0 % 7 == 0 and 7.0 == 7 would pass as prime
 
 
 class TestIntegerHelpers:

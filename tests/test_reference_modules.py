@@ -3,7 +3,9 @@
 The three reference modules hold the slow routes that the certificate's own
 code is compared against.  Each definition there must be used by a test
 module, directly or through other definitions that one uses, and the
-modules import one another at module level only, without a cycle.
+modules import one another at module level only, without a cycle.  They
+take no private (_-prefixed) name from gspcert, so that no reference finds
+its answer with the code it checks.
 """
 from __future__ import annotations
 
@@ -130,3 +132,53 @@ def test_reference_imports_sit_at_module_level_without_a_cycle():
         ready = sorted(s for s, deps in imports.items() if s not in peeled and deps <= set(peeled))
         assert ready, f"import cycle among {sorted(set(imports) - set(peeled))}"
         peeled += ready
+
+
+def private_package_names(source: str) -> set[str]:
+    """The _-prefixed names, dunders aside, that source takes from gspcert:
+    imported from one of its modules, or read off a name bound by
+    `import gspcert...` or `from gspcert import ...`."""
+    tree = ast.parse(source)
+    private, bound = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gspcert":
+            private |= {f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")}
+            if node.module == "gspcert":
+                bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= {
+                a.asname or a.name.split(".")[0]
+                for a in node.names if a.name.split(".")[0] == "gspcert"
+            }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not is_dunder(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                private.add(ast.unparse(node))
+    return private
+
+
+def test_references_take_no_private_name_from_the_package():
+    for stem in REFERENCE_MODULES:
+        assert private_package_names((TESTS / f"{stem}.py").read_text()) == set(), stem
+
+
+def test_a_private_name_is_found_however_it_is_reached():
+    source = """
+import gspcert.eigen_data
+import gspcert.cli as command
+from gspcert import polynomial
+from gspcert.polynomial import FpPoly, _sqrt as sqrt
+from oracles import _helper
+
+def f(x):
+    return polynomial._mulmod(x) + gspcert.eigen_data._horner(x) + command._Parser + x.__class__
+"""
+    assert private_package_names(source) == {
+        "gspcert.polynomial._sqrt",
+        "polynomial._mulmod",
+        "gspcert.eigen_data._horner",
+        "command._Parser",
+    }
