@@ -227,6 +227,17 @@ class TestIntegerHelpers:
         "n, expected",
         [
             (2**61 - 1, True),
+            (10**12 + 39, True),
+            (2**64 - 59, True),
+            (3317044064679887385961813, True),  # the largest prime below the bound
+            # the least strong pseudoprimes to the first k bases: each prime
+            # factor is above 41, so only a later base can expose them
+            (1373653, False),  # 829 * 1657, to the bases 2, 3
+            (25326001, False),  # 2251 * 11251, to 2, 3, 5
+            (3215031751, False),  # 151 * 751 * 28351, to 2, ..., 7
+            (2152302898747, False),  # 6763 * 10627 * 29947, to 2, ..., 11
+            (3474749660383, False),  # 1303 * 16927 * 157543, to 2, ..., 13
+            (341550071728321, False),  # 10670053 * 32010157, to 2, ..., 19
             (3825123056546413051, False),  # strong pseudoprime to the bases 2, ..., 23
             (318665857834031151167461, False),  # and to 2, ..., 37
             (10**400, False),

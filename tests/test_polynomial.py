@@ -12,8 +12,12 @@ import pytest
 from field_elements import fp_is_irreducible, make_field
 from gspcert import polynomial
 from gspcert.eigen_data import _derivative, _horner, embedding_roots, hecke_quartic
+from gspcert.finite_field import is_prime
 from gspcert.polynomial import (
+    _prime_factors,
+    _reciprocal_quadratic,
     _sqrt,
+    _x_power_is_constant,
     fp_add,
     fp_gcd,
     fp_hecke_factorization,
@@ -552,6 +556,18 @@ class TestHeckeFactorization:
             assert (r is None) == (a % p not in squares) == (pow(a, (p - 1) // 2, p) == p - 1), a
             assert r is None or r * r % p == a % p
 
+    @pytest.mark.parametrize("p", [7, 11, 19])
+    def test_reciprocal_quadratic_against_its_roots(self, p):
+        # x^2 - y x + nu for every y and nu != 0: x - r for each root r found
+        # by trying every r in F_p, a double root twice, and the quadratic
+        # itself when there is none
+        for y, nu in itertools.product(range(p), range(1, p)):
+            roots = [r for r in range(p) if (r * r - y * r + nu) % p == 0]
+            if len(roots) == 1:
+                roots *= 2
+            expected = sorted((-r % p, 1) for r in roots) or [(nu, -y % p, 1)]
+            assert sorted(_reciprocal_quadratic(y, nu, p)) == expected, (y, nu)
+
 
 def matrix_projective_order(f: tuple[int, ...], p: int) -> int:
     """The reference: the companion matrix's order in PGL(4, p), by descent."""
@@ -635,6 +651,37 @@ class TestProjectiveOrder:
             if fac.factors == ((f, 1),):
                 assert fp_projective_order(fac) == irreducible_projective_order(f, 10007), f
                 checked += 1
+
+    @pytest.mark.parametrize("p", [7, 19, 103])
+    def test_x_power_constancy_matches_powmod(self, p):
+        # the descents' x^e on a Hecke quartic against the kernel's fp_powmod:
+        # every e up to 64, and the large divisors of p^4 - 1, at which x^e
+        # is constant for some of the quartics
+        rng = random.Random(f"x-power:{p}")
+        big = sorted({(p**4 - 1) // d for d in range(1, 400) if (p**4 - 1) % d == 0})
+        constant = 0
+        for _ in range(20):
+            nu, f3, f2 = rng.randrange(1, p), rng.randrange(p), rng.randrange(p)
+            f = (nu * nu % p, nu * f3 % p, f2, f3, 1)
+            for e in [*range(1, 65), *big]:
+                got = _x_power_is_constant(e, f, p)
+                assert got == (len(fp_powmod((0, 1), e, f, p)) <= 1), (f, e)
+                constant += got
+        assert constant  # the constant side was reached too
+
+    def test_prime_factors_against_definition(self):
+        # the descents' trial division against the primes that divide n,
+        # and on the (p^2 + 1)/2 of the irreducible descent at large p
+        for n in range(1, 1000):
+            assert _prime_factors(n) == [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)], n
+        for p in (10007, 1000003):
+            n = (p * p + 1) // 2
+            qs = _prime_factors(n)
+            assert qs == sorted(set(qs)) and all(is_prime(q) for q in qs), n
+            for q in qs:
+                while n % q == 0:
+                    n //= q
+            assert n == 1
 
     def test_frozen_paper_orders(self):
         for f, n in (((2, 5, 2, 3, 1), 25), ((4, 6, 3, 4, 1), 16), ((2, 4, 4, 6, 1), 8)):
