@@ -269,18 +269,13 @@ def render_text(certs: list[Certificate]) -> str:
 # command line
 
 
-class _UsageError(Exception):
-    """A command-line usage error, with argparse's message."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a usage error raises _UsageError, so that it
-    ends in one `error:` line and exit 1 like the command's other errors,
-    instead of the usage text and argparse's exit 2, which is the
-    INCONCLUSIVE code here."""
+    """argparse's parser, but a usage error ends in one `error:` line and
+    exit 1 like the command's other errors, instead of the usage text and
+    argparse's exit 2, which is the INCONCLUSIVE code here."""
 
     def error(self, message: str) -> NoReturn:
-        raise _UsageError(message)
+        sys.exit(_fail(message))
 
 
 def _parser(prog: str | None) -> _Parser:
@@ -392,8 +387,4 @@ def _certify_command(args: argparse.Namespace) -> int:
 def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:
     """Run the command line on args (sys.argv[1:] when None) and exit with
     its code; `--help` exits 0."""
-    try:
-        parsed = _parser(prog_name).parse_args(args)
-    except _UsageError as exc:
-        sys.exit(_fail(str(exc)))
-    sys.exit(_certify_command(parsed))
+    sys.exit(_certify_command(_parser(prog_name).parse_args(args)))

@@ -18,20 +18,22 @@ records are NamedTuples.
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 from math import isqrt
 from typing import Collection, NamedTuple, Sequence
 
 from .finite_field import is_prime
-from .polynomial import Factorization, FpPoly, _roots, fp_add, fp_gcd, fp_monic, fp_powmod
+from .polynomial import Factorization, FpPoly, fp_add, fp_gcd, fp_monic, fp_powmod
 from .polynomial import fp_hecke_factorization as factor
 from .polynomial import fp_projective_order as projective_order
 
 KNOWN_ASSUMPTIONS = ("not_maass_spezialform", "conductor_one")
 
 # embedding_roots takes x^p mod E by squaring, about deg(E)^2 log p steps,
-# and scans F_p for the roots of gcd(E, x^p - x), linear in p.  At degree 128
-# it measured 0.2 ms at p = 7, 30 ms at p = 10007 and 0.6 s at p = 1000003
-# (single runs, 2-CPU x86-64 host).  Eigenvalue fields of genus-2 forms at
+# and scans F_p for the roots of gcd(E, x^p - x), linear in p.  At degree 128,
+# with a root at p - 1 so that the scan runs over all of F_p, it measured
+# 0.2 ms at p = 7, 23 ms at p = 10007 and 0.41-0.52 s at p = 1000003 (single
+# runs, 2-CPU Intel Xeon x86-64 host).  Eigenvalue fields of genus-2 forms at
 # desk scale are far smaller (the paper's is cubic), so the cap bounds a
 # dataset's size and the time its embedding roots take; a larger E is refused.
 MAX_DEFINING_DEGREE = 128
@@ -216,12 +218,17 @@ def embedding_roots(defining_poly: Sequence[int], p: int) -> list[Root]:
         raise ValueError(f"{p} is not prime")
     if not defining_poly:
         raise ValueError("E has no coefficients")
+    if not all(type(c) is int for c in defining_poly):
+        raise ValueError("E's coefficients must be ints")
     if defining_poly[-1] % p == 0:
         raise ValueError(f"leading coefficient of E vanishes mod {p}")
     e = fp_monic(tuple(c % p for c in defining_poly), p)
     s = fp_gcd(fp_add(fp_powmod((0, 1), p, e, p), (0, p - 1), p), e, p)
+    # s splits into distinct linear factors: scan F_p until deg s roots are in
+    roots = list(islice((r for r in range(p) if not _horner(s, r, p)), len(s) - 1))
+    if len(roots) < len(s) - 1:
+        raise RuntimeError(f"{s} is not a product of distinct linear factors")
     de = _derivative(e)
-    roots = _roots(s, p) if len(s) > 1 else []
     return [Root(r) for r in sorted(roots, key=lambda r: -r % p) if _horner(de, r, p)]
 
 

@@ -4,14 +4,14 @@ The fp_* kernel works on low-first tuples of ints in [0, p) with no trailing
 zero, and the certificate runs on it alone; what only the tests use (a bare
 product, Rabin's irreducibility test, the general factorizer, the
 projective order by stepping through the powers of x) lives with them.
-Products are only ever taken mod a polynomial, inside fp_powmod, by one
-multiply-and-reduce step (_mulmod).  fp_hecke_factorization factors a Hecke
-quartic, whose roots pair as r <-> nu/r, through y = x + nu/x: a quadratic
-in y and quadratics in x, solved by square roots in F_p (one power each, as
-p = 3 mod 4), with no gcd and no scan over F_p.  fp_projective_order reads
-the order of its companion matrix in PGL(4, p) off that factorization.
-_roots scans F_p for eigen_data's embedding roots.  Factorization holds its
-factors as tuples; fp_str prints a tuple high degree first.
+fp_mod is the one reducer: it also takes unreduced int coefficients, so
+fp_powmod reduces each product, summed unreduced by _product, in one pass.
+fp_hecke_factorization factors a Hecke quartic, whose roots pair as r <->
+nu/r, through y = x + nu/x: a quadratic in y and quadratics in x, solved by
+square roots in F_p (one power each, as p = 3 mod 4), with no gcd and no
+scan over F_p.  fp_projective_order reads the order of its companion matrix
+in PGL(4, p) off that factorization.  Factorization holds its factors as
+tuples; fp_str prints a tuple high degree first.
 """
 from __future__ import annotations
 
@@ -59,8 +59,10 @@ def fp_add(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
     return fp_trim(out)
 
 
-def fp_mod(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
-    """a mod b, without building the quotient."""
+def fp_mod(a: Sequence[int], b: FpPoly, p: int) -> FpPoly:
+    """a mod b, without building the quotient.  a's coefficients may be any
+    ints, such as a raw _product: each top coefficient is reduced once, as it
+    is folded down by b, and only the deg b coefficients kept are reduced."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
@@ -71,12 +73,12 @@ def fp_mod(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
         if c:
             shift = top - db
             for j in range(db):
-                rem[shift + j] = (rem[shift + j] - c * b[j]) % p
-    return fp_trim(rem[:db])
+                rem[shift + j] -= c * b[j]
+    return fp_trim([v % p for v in rem[:db]])
 
 
 def _product(a: FpPoly, b: FpPoly) -> list[int]:
-    """a * b for nonzero a and b, its coefficients summed but not reduced."""
+    """a * b, its coefficients summed but not reduced; all zero when a or b is."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -85,36 +87,17 @@ def _product(a: FpPoly, b: FpPoly) -> list[int]:
     return out
 
 
-def _mulmod(a: FpPoly, b: FpPoly, m: FpPoly, p: int) -> FpPoly:
-    """a * b mod m for monic m, in one list: the product's coefficients are
-    summed unreduced, its top is folded down by m, and only the deg m
-    coefficients left are reduced mod p."""
-    if not a or not b:
-        return ()
-    out = _product(a, b)
-    dm = len(m) - 1
-    for top in range(len(out) - 1, dm - 1, -1):
-        t = out[top] % p
-        if t:
-            for j in range(dm):
-                out[top - dm + j] -= t * m[j]
-    del out[dm:]
-    return fp_trim([v % p for v in out])
-
-
 def fp_powmod(a: FpPoly, e: int, m: FpPoly, p: int) -> FpPoly:
-    """a^e mod m, square-and-multiply on the exponent bits.  A remainder
-    mod m is the remainder mod the monic copy of m, which is what the
-    products are reduced by."""
-    m = fp_monic(m, p)
+    """a^e mod m, square-and-multiply on the exponent bits; fp_mod reduces
+    each unreduced product in one pass."""
     result = fp_mod((1,), m, p)
     acc = fp_mod(a, m, p)
     while e:
         if e & 1:
-            result = _mulmod(result, acc, m, p)
+            result = fp_mod(_product(result, acc), m, p)
         e >>= 1
         if e:
-            acc = _mulmod(acc, acc, m, p)
+            acc = fp_mod(_product(acc, acc), m, p)
     return result
 
 
@@ -130,21 +113,6 @@ def fp_gcd(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
     while b:
         a, b = b, fp_mod(a, b, p)
     return fp_monic(a, p)
-
-
-def _roots(s: FpPoly, p: int) -> list[int]:
-    # s is a product of distinct monic linear factors: its roots c, found by
-    # evaluating s at c = 0, 1, ... until deg s roots are in
-    out = []
-    for c in range(p):
-        v = 0
-        for a in reversed(s):
-            v = (v * c + a) % p
-        if not v:
-            out.append(c)
-            if len(out) == len(s) - 1:
-                return out
-    raise RuntimeError(f"{s} is not a product of distinct linear factors")
 
 
 class Factorization(NamedTuple):

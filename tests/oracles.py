@@ -1,19 +1,18 @@
 """Hand-rolled reference implementations used as independent oracles.
 
-First comes the general F_p factorizer (fp_factorization) that
-factored the Hecke charpolys before they were factored through
-y = x + nu/x: one distinct-degree pass on the kernel, with every-c scans
-for the roots and the equal-degree parts.  The plain-list helpers (pmul,
-pmod, pdiv, trial division) work on coefficient lists, low degree first,
-without the package's kernel; reference_powmod is fp_powmod as it was
-before its products were reduced on the fly, a full pmul product and a
-separate reduction per step.  Every other F_p polynomial here is the
-kernel's low-first int tuple; the F_{p^4} section takes FFElements
-(field_elements.py) only where a value lies in F_{p^2} or F_{p^4}: the
-Frobenius, subfields, multiplicative orders, the roots of an F_p
-polynomial found by scanning an extension field, and g * conj(g) for g
-over F_{p^2}.  The last sections hold the projective order of a quartic
-by stepping through the powers of x, that of an irreducible quartic by
+First comes the general F_p factorizer (fp_factorization) that factored
+the Hecke charpolys before they were factored through y = x + nu/x: one
+distinct-degree pass on the kernel, with every-c scans for the roots and
+the equal-degree parts.  The plain-list helpers (pmul, pmod, pdiv, trial
+division) work on coefficient lists, low degree first, without the
+package's kernel; reference_powmod is fp_powmod on them, a full pmul
+product and a separate pmod reduction per step.  Every other F_p
+polynomial here is the kernel's low-first int tuple; the F_{p^4} section
+takes FFElements (field_elements.py) only where a value lies in F_{p^2} or
+F_{p^4}: the Frobenius, subfields, multiplicative orders, the roots of an
+F_p polynomial found by scanning an extension field, and g * conj(g) for g
+over F_{p^2}.  The last sections hold the projective order of a quartic by
+stepping through the powers of x, that of an irreducible quartic by
 descent, the JSON report as json.dumps writes it, and the dataset digest
 hashed one field at a time.
 """
@@ -192,17 +191,19 @@ def pdiv(a: list[int], m: list[int], p: int) -> list[int]:
 
 def reference_powmod(a: tuple[int, ...], e: int, m: tuple[int, ...], p: int) -> tuple[int, ...]:
     """a^e mod m, square-and-multiply with a full product and a separate
-    reduction per step: fp_powmod before its products and reductions were
-    fused."""
-    result = fp_mod((1,), m, p)
-    acc = fp_mod(a, m, p)
+    reduction per step, on the plain lists (pmul, and pmod by the monic copy
+    of m, which leaves the same remainders): fp_powmod without its kernel."""
+    inv = pow(m[-1], -1, p)
+    m = [c * inv % p for c in m]
+    result = pmod([1], m, p)
+    acc = pmod([c % p for c in a], m, p)
     while e:
         if e & 1:
-            result = fp_mod(pmul(result, acc, p), m, p)
+            result = pmod(pmul(result, acc, p), m, p)
         e >>= 1
         if e:
-            acc = fp_mod(pmul(acc, acc, p), m, p)
-    return result
+            acc = pmod(pmul(acc, acc, p), m, p)
+    return tuple(result)
 
 
 def naive_factor(f: list[int], p: int) -> list[tuple[list[int], int]]:

@@ -240,6 +240,11 @@ class TestResidualRoots:
             embedding_roots((1, 7), 7)
         with pytest.raises(ValueError, match="^E has no coefficients$"):
             embedding_roots([], 7)
+        # the rule of EigenformDataset: a float would end in pow()'s TypeError
+        # and a bool would be taken for 1
+        for e in ((1.5, 1), (True, 1)):
+            with pytest.raises(ValueError, match="^E's coefficients must be ints$"):
+                embedding_roots(e, 7)
 
     def test_defining_poly_never_factored(self, monkeypatch):
         # the CLI takes the roots from gcd(E, x^p - x) and specialize checks

@@ -79,7 +79,9 @@ class TestArithmetic:
 
     def test_divmod_identity_random(self):
         # fp_mod, the kernel's division, against the plain-list quotient and
-        # remainder, by monic and non-monic g
+        # remainder, by monic and non-monic g, of reduced f and of unreduced
+        # dividends: f's residues as negative ints or ints >= p, and f * h as
+        # _product leaves it, summed but not reduced
         rng = random.Random(2)
         for _ in range(40):
             f = random_poly(rng, 7, rng.randrange(1, 7))
@@ -88,7 +90,15 @@ class TestArithmetic:
             assert fp_add(tuple(pmul(q, g, 7)), r, 7) == f
             assert len(r) < len(g)
             assert r == tuple(pmod(list(f), list(g), 7))
-            assert fp_mod(f, tuple(3 * c % 7 for c in g), 7) == r
+            k = rng.randrange(2, 7)
+            scaled = tuple(k * c % 7 for c in g)
+            assert fp_mod(f, scaled, 7) == r
+            unreduced = [c + 7 * rng.randrange(-10**6, 10**6) for c in f]
+            assert fp_mod(unreduced, g, 7) == fp_mod(unreduced, scaled, 7) == r
+            h = random_poly(rng, 7, rng.randrange(0, 7))
+            fh = tuple(pmod(pmul(list(f), list(h), 7), list(g), 7))
+            assert fp_mod(polynomial._product(f, h), g, 7) == fh
+            assert fp_mod(polynomial._product(f, h), scaled, 7) == fh
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -163,8 +173,8 @@ KERNEL_PRIMES = [2, 3, 5, 7, 19, 101, 65537, 1000003]
 
 
 class TestFusedKernel:
-    """fp_powmod's fused multiply-and-reduce against the full product and
-    separate reduction of tests/oracles.py."""
+    """fp_powmod, an unreduced _product reduced by fp_mod per step, against
+    the full product and separate reduction of tests/oracles.py."""
 
     @pytest.mark.parametrize("p", KERNEL_PRIMES)
     def test_powmod_matches_reference(self, p):
@@ -175,7 +185,10 @@ class TestFusedKernel:
 
         for _ in range(40):
             m = poly(rng.randrange(0, 7))  # non-monic, constant moduli included
-            for a in [(), (1,), poly(0), poly(rng.randrange(1, 3 * len(m) + 2))]:
+            b = poly(rng.randrange(1, 3 * len(m) + 2))
+            # unreduced bases too: negative residues, and a raw _product
+            unreduced = [c - p * rng.randrange(1, 100) for c in b]
+            for a in [(), (1,), poly(0), b, unreduced, polynomial._product(b, poly(2))]:
                 for e in [0, 1, 2, p, rng.randrange(3, 400), rng.randrange(p**2 + 1)]:
                     assert fp_powmod(a, e, m, p) == reference_powmod(a, e, m, p), (a, e, m)
 
@@ -521,12 +534,13 @@ class TestHeckeFactorization:
         assert outcomes["RuntimeError"] and outcomes["returned"], outcomes
 
     def test_no_scan_over_f_p(self, monkeypatch):
-        # the route takes square roots in F_p: no root scan and no gcd
-        def scan(*args):
-            raise AssertionError("factoring a Hecke quartic scanned F_p")
+        # the route takes square roots in F_p: no gcd and no x-power, the
+        # steps of a root search through gcd(f, x^p - x)
+        def search(*args):
+            raise AssertionError("factoring a Hecke quartic searched for roots")
 
-        monkeypatch.setattr(polynomial, "_roots", scan)
-        monkeypatch.setattr(polynomial, "fp_gcd", scan)
+        monkeypatch.setattr(polynomial, "fp_gcd", search)
+        monkeypatch.setattr(polynomial, "fp_powmod", search)
         rng = random.Random(6)
         for _ in range(40):
             f = hecke_quartic(rng.randrange(1000003), rng.randrange(1000003), 3, 28, 1000003)

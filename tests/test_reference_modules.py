@@ -5,14 +5,18 @@ code is compared against.  Each definition there must be used by a test
 module, directly or through other definitions that one uses, and the
 modules import one another at module level only, without a cycle.  They
 take no private (_-prefixed) name from gspcert, so that no reference finds
-its answer with the code it checks.
+its answer with the code it checks; nor does one gspcert module take
+another's, so that each module's private helpers serve it alone.
 """
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
+import gspcert
+
 TESTS = Path(__file__).parent
+PACKAGE = Path(gspcert.__file__).parent
 REFERENCE_MODULES = ("field_elements", "symplectic", "oracles")
 
 
@@ -137,14 +141,20 @@ def test_reference_imports_sit_at_module_level_without_a_cycle():
 def private_package_names(source: str) -> set[str]:
     """The _-prefixed names, dunders aside, that source takes from gspcert:
     imported from one of its modules, or read off a name bound by
-    `import gspcert...` or `from gspcert import ...`."""
+    `import gspcert...` or `from gspcert import ...`.  A relative import,
+    `from .polynomial import ...` in a module of the flat package, is one
+    from gspcert."""
     tree = ast.parse(source)
     private, bound = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gspcert":
-            private |= {f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")}
-            if node.module == "gspcert":
-                bound |= {a.asname or a.name for a in node.names}
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"gspcert.{module}".rstrip(".")
+            if module.split(".")[0] == "gspcert":
+                private |= {f"{module}.{a.name}" for a in node.names if a.name.startswith("_")}
+                if module == "gspcert":
+                    bound |= {a.asname or a.name for a in node.names}
         elif isinstance(node, ast.Import):
             bound |= {
                 a.asname or a.name.split(".")[0]
@@ -165,6 +175,11 @@ def test_references_take_no_private_name_from_the_package():
         assert private_package_names((TESTS / f"{stem}.py").read_text()) == set(), stem
 
 
+def test_package_modules_take_no_private_name_from_one_another():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert private_package_names(path.read_text()) == set(), path.name
+
+
 def test_a_private_name_is_found_however_it_is_reached():
     source = """
 import gspcert.eigen_data
@@ -172,13 +187,18 @@ import gspcert.cli as command
 from gspcert import polynomial
 from gspcert.polynomial import FpPoly, _sqrt as sqrt
 from oracles import _helper
+from . import certifier
+from .eigen_data import Root, _derivative
 
 def f(x):
-    return polynomial._mulmod(x) + gspcert.eigen_data._horner(x) + command._Parser + x.__class__
+    y = polynomial._product(x) + gspcert.eigen_data._horner(x) + command._Parser + x.__class__
+    return y + certifier._check
 """
     assert private_package_names(source) == {
         "gspcert.polynomial._sqrt",
-        "polynomial._mulmod",
+        "polynomial._product",
         "gspcert.eigen_data._horner",
         "command._Parser",
+        "gspcert.eigen_data._derivative",
+        "certifier._check",
     }
