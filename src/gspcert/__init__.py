@@ -15,15 +15,7 @@ from .certifier import (
     certify,
 )
 from .cli import DatasetError, ingest, render_json, render_text
-from .eigen_data import (
-    EigenformDataset,
-    FrobeniusRecord,
-    ResidualDataset,
-    embedding_roots,
-    hecke_charpoly,
-    hecke_quartic,
-    specialize,
-)
+from .eigen_data import EigenformDataset, FrobeniusRecord, embedding_roots
 from .polynomial import Factorization
 
 __version__ = "0.1.0"
@@ -37,17 +29,13 @@ __all__ = [
     "ExceptionalTable",
     "Factorization",
     "FrobeniusRecord",
-    "ResidualDataset",
     "VERDICT_INCONCLUSIVE",
     "VERDICT_LARGE_IMAGE",
     "builtin_exceptional_table",
     "certify",
     "embedding_roots",
-    "hecke_charpoly",
-    "hecke_quartic",
     "ingest",
     "render_json",
     "render_text",
-    "specialize",
     "__version__",
 ]

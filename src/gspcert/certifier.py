@@ -21,7 +21,7 @@ from .eigen_data import (
     hecke_charpoly,
     specialize,
 )
-from .finite_field import is_prime
+from .polynomial import is_prime
 
 VERDICT_LARGE_IMAGE = "LARGE_IMAGE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
@@ -270,9 +270,9 @@ def check_primitivity(rd: ResidualDataset) -> CheckResult:
     outside p that can carry the induction is imaginary: Q(sqrt(-p)).
     Induction forces trace zero at every prime inert in that field, i.e.
     every q that is not a square mod p.  The check demands a nonzero a_q at
-    every inert prime in the dataset (and at least one inert prime).  A
-    ResidualDataset's p is prime, so q is inert when q^((p-1)/2) = -1 mod p
-    (Euler's criterion), with no primality test.
+    every inert prime in the dataset (and at least one inert prime).
+    specialize has checked that p is prime, so q is inert when
+    q^((p-1)/2) = -1 mod p (Euler's criterion), with no primality test.
     """
     p = rd.p
     if p % 4 != 3:

@@ -25,8 +25,7 @@ from typing import Iterable, NoReturn, Sequence
 
 from .certifier import Certificate, CheckResult, certify, supported_table
 from .eigen_data import EigenformDataset, FrobeniusRecord, embedding_roots
-from .finite_field import is_prime
-from .polynomial import fp_str
+from .polynomial import fp_str, is_prime
 
 REPORT_FORMAT = "gspcert.certify-report/1"
 

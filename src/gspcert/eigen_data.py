@@ -13,7 +13,9 @@ a_{q^2} the spin characteristic polynomial of Frobenius at q is
 with every prime power q^e computed mod p.
 Residues are ints in [0, p) and polynomials the low-first int tuples of
 polynomial's F_p kernel, from the embedding roots to the records.  The
-records are NamedTuples.
+records are NamedTuples.  certify reaches this module through specialize,
+embedding_roots and the table checks of EigenformDataset, where input is
+refused; what specialize builds, hecke_charpoly takes as it is.
 """
 from __future__ import annotations
 
@@ -22,8 +24,7 @@ from itertools import islice
 from math import isqrt
 from typing import Collection, NamedTuple, Sequence
 
-from .finite_field import is_prime
-from .polynomial import Factorization, FpPoly, fp_add, fp_gcd, fp_monic, fp_powmod
+from .polynomial import Factorization, FpPoly, fp_add, fp_gcd, fp_monic, fp_powmod, is_prime
 from .polynomial import fp_hecke_factorization as factor
 from .polynomial import fp_projective_order as projective_order
 
@@ -54,8 +55,9 @@ def _eigenvalue_base(index: int) -> int:
 def _primes(indices: Collection[int]) -> list[int]:
     """The primes q of a validated eigenvalue table, taken with no primality
     test as the indices q with q^2 also an index.  On indices that are the q
-    and q^2 of a set of primes, as both datasets require, this is the set of
-    _eigenvalue_base: each such q has q^2 beside it, and no q^2 has q^4."""
+    and q^2 of a set of primes, as EigenformDataset requires and specialize
+    keeps, this is the set of _eigenvalue_base: each such q has q^2 beside
+    it, and no q^2 has q^4."""
     return sorted(i for i in indices if i * i in indices)
 
 
@@ -145,35 +147,14 @@ class EigenformDataset(_EigenformFields):
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-class _ResidualFields(NamedTuple):
+class ResidualDataset(NamedTuple):
+    """Eigenvalues pushed into F_p through one embedding alpha -> root,
+    as ints in [0, p); specialize builds it from a validated table."""
+
     p: int
     root: int
     weight: int
     eigenvalues: dict[int, int]
-
-
-class ResidualDataset(_ResidualFields):
-    """Eigenvalues pushed into F_p through one embedding alpha -> root,
-    as ints in [0, p).  Construction and _replace refuse with a one-line
-    ValueError a p that is not prime, a root or residue not an int in [0, p),
-    a weight that is not an int >= 2 and indices other than the q and q^2 of
-    primes.  specialize, which checks p and the root and takes the weight
-    and indices of a validated table, skips that."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, root: int, weight: int, eigenvalues: dict[int, int]):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if not all(type(a) in (int, Root) and 0 <= a < p for a in (root, *eigenvalues.values())):
-            raise ValueError(f"the root and the residues must be ints in [0, {p})")
-        if type(weight) is not int or weight < 2:
-            raise ValueError(f"weight {weight} out of range")
-        if sorted({_eigenvalue_base(i) for i in eigenvalues}) != _primes(eigenvalues):
-            raise ValueError(f"eigenvalue indices {sorted(eigenvalues)} do not pair as q, q^2")
-        return super().__new__(cls, p, root, weight, eigenvalues)
-
-    _make = classmethod(EigenformDataset._make.__func__)
 
     def primes(self) -> list[int]:
         return _primes(self.eigenvalues)
@@ -236,8 +217,11 @@ def specialize(ds: EigenformDataset, p: int, root: int) -> ResidualDataset:
     """Evaluate every eigenvalue expression at the chosen residual root,
     an int in [0, p); a root from embedding_roots is taken as it is.
 
-    Refuses roots that are absent mod p or non-simple (a repeated root
-    changes the residue map; extending scalars is out of scope).
+    Refuses a root that is not an int in [0, p), a p that is not prime and
+    roots that are absent mod p or non-simple (a repeated root changes the
+    residue map; extending scalars is out of scope).  The ResidualDataset
+    it returns is the only one the package builds: its weight and indices
+    are those of the validated table.
     """
     if type(root) not in (int, Root):
         raise ValueError(f"root must be an int in [0, {p}), got {root!r}")
@@ -253,7 +237,7 @@ def specialize(ds: EigenformDataset, p: int, root: int) -> ResidualDataset:
             f"alpha = {root} is a repeated root of E mod {p}; refusing the ramified embedding"
         )
     residues = {index: _horner(expr, root, p) for index, expr in ds.eigenvalues.items()}
-    return _ResidualFields.__new__(ResidualDataset, p, root, ds.weight, residues)
+    return ResidualDataset(p, root, ds.weight, residues)
 
 
 def hecke_quartic(a1: int, a2: int, q: int, k: int, p: int) -> FpPoly:
@@ -271,18 +255,13 @@ def hecke_quartic(a1: int, a2: int, q: int, k: int, p: int) -> FpPoly:
 def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
     """Spin characteristic polynomial of Frobenius at q, with its
     factorization, squarefreeness, projective order, and similitude.
+    q is a prime of rd other than p, as build_records passes it.
 
     The projective order (squarefree charpolys only) is the order of the
     companion matrix in PGL(4, p), the least n with x^n constant mod f,
     read off the factorization (polynomial.fp_projective_order) without
     stepping through the powers of x; no matrix is built.  The
     factorization (polynomial.fp_hecke_factorization) needs p = 3 mod 4."""
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    if q == rd.p:
-        raise ValueError(f"q = p = {q} carries no Frobenius characteristic polynomial")
-    if q not in rd.eigenvalues or q * q not in rd.eigenvalues:
-        raise ValueError(f"missing eigenvalues a_{q} / a_{q*q}")
     p, a1, a2 = rd.p, rd.eigenvalues[q], rd.eigenvalues[q * q]
     f = hecke_quartic(a1, a2, q, rd.weight, p)
     fac = factor(f, p)

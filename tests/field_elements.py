@@ -16,8 +16,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from gspcert.finite_field import is_prime
-from gspcert.polynomial import FpPoly, fp_add, fp_gcd, fp_mod, fp_powmod
+from gspcert.polynomial import FpPoly, fp_add, fp_gcd, fp_mod, fp_powmod, is_prime
 
 SUPPORTED_DEGREES = (1, 2, 4)
 

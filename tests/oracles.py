@@ -158,12 +158,14 @@ def pmul(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
-    a = list(a)
+    """a mod m for any int coefficients and an m whose leading coefficient
+    is a unit mod p, every coefficient reduced into [0, p)."""
+    inv = pow(m[-1], -1, p)
+    a = [c % p for c in a]
     dm = len(m) - 1
     while len(ptrim(a)) - 1 >= dm:
         a = ptrim(a)
-        c = a[-1]
+        c = a[-1] * inv % p
         shift = len(a) - 1 - dm
         for i, mc in enumerate(m):
             a[shift + i] = (a[shift + i] - c * mc) % p
@@ -191,12 +193,10 @@ def pdiv(a: list[int], m: list[int], p: int) -> list[int]:
 
 def reference_powmod(a: tuple[int, ...], e: int, m: tuple[int, ...], p: int) -> tuple[int, ...]:
     """a^e mod m, square-and-multiply with a full product and a separate
-    reduction per step, on the plain lists (pmul, and pmod by the monic copy
-    of m, which leaves the same remainders): fp_powmod without its kernel."""
-    inv = pow(m[-1], -1, p)
-    m = [c * inv % p for c in m]
+    reduction per step, on the plain lists (pmul and pmod): fp_powmod
+    without its kernel."""
     result = pmod([1], m, p)
-    acc = pmod([c % p for c in a], m, p)
+    acc = pmod(a, m, p)
     while e:
         if e & 1:
             result = pmod(pmul(result, acc, p), m, p)

@@ -13,18 +13,9 @@ from importlib import resources
 from math import gcd
 
 from field_elements import fp_is_irreducible, make_field
-from gspcert import (
-    EigenformDataset,
-    certify,
-    embedding_roots,
-    hecke_charpoly,
-    hecke_quartic,
-    ingest,
-    render_json,
-    specialize,
-)
+from gspcert import EigenformDataset, certify, embedding_roots, ingest, render_json
 from gspcert.certifier import check_conjugate_22_split
-from gspcert.eigen_data import FrobeniusRecord
+from gspcert.eigen_data import FrobeniusRecord, hecke_charpoly, hecke_quartic, specialize
 from gspcert.polynomial import fp_hecke_factorization, fp_projective_order, fp_str
 from oracles import (
     conjugate_product,

@@ -30,8 +30,7 @@ from gspcert.eigen_data import (
     hecke_charpoly,
     specialize,
 )
-from gspcert.finite_field import is_prime
-from gspcert.polynomial import fp_powmod
+from gspcert.polynomial import fp_powmod, is_prime
 from oracles import (
     conjugate_product,
     fp_factorization,
@@ -493,6 +492,7 @@ class TestCertify:
             (7.0, None, r"^7\.0 is not an int$"),  # not the TypeError of pow(a, e, 7.0)
             # the check decides on both entries, its data keyed by name on one
             (7, ExceptionalTable(7, (("X", 25), ("X", 336))), "repeats a subgroup name"),
+            (15, None, "^15 is not prime$"),  # 3 mod 4: refused as no prime
         ],
     )
     def test_unsupported_prime_rejected_before_specialize(self, monkeypatch, p, table, message):

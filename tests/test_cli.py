@@ -117,19 +117,27 @@ class TestIngest:
             ("defining_poly 4", "at least two"),
             ("eigenvalue 2", "index and at least one"),
             ("eigenvalue", "index and at least one"),
+            ("weight 28 30", "weight takes exactly one integer"),
+            ("level", "level takes exactly one integer"),
         ],
     )
     def test_malformed_line_reports_line_number(self, tmp_path, line, message):
+        # a comment and a blank line before it: line 3 is the first directive,
+        # so a weight or level line is refused for its arity, not as a duplicate
         path = tmp_path / "bad.dataset"
-        path.write_text(f"weight 28\nlevel 1\n{line}\n")
+        path.write_text(f"# malformed\n\n{line}\n")
         with pytest.raises(DatasetError, match=message) as err:
             ingest(str(path))
         assert "line 3" in str(err.value)
 
-    def test_duplicate_directive_rejected(self, tmp_path):
+    @pytest.mark.parametrize("first, second", [
+        ("weight 28", "weight 30"), ("level 1", "level 1"),
+        ("defining_poly 0 1", "defining_poly 1 1"),
+    ], ids=["weight", "level", "defining_poly"])
+    def test_duplicate_directive_rejected(self, tmp_path, first, second):
         path = tmp_path / "dup.dataset"
-        path.write_text("weight 28\nweight 30\n")
-        with pytest.raises(DatasetError, match="duplicate"):
+        path.write_text(f"{first}\n{second}\n")
+        with pytest.raises(DatasetError, match=f"line 2: duplicate {first.split()[0]}$"):
             ingest(str(path))
 
     def test_duplicate_eigenvalue_index_rejected(self, tmp_path):
@@ -278,6 +286,7 @@ class TestErrorExits:
             (["certify", PAPER, "--prime", "6"], "must be a prime"),
             (["certify", PAPER, "--prime", "11"], "table"),
             (["certify", PAPER, "--format", "xml"], "text or json"),
+            (["certify", PAPER, "--prime", "15"], "must be a prime number, got 15"),
         ],
     )
     def test_usage_and_data_errors_exit_one(self, args, message):

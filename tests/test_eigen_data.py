@@ -20,8 +20,13 @@ from gspcert.eigen_data import (
 )
 from gspcert.certifier import certify
 from gspcert.cli import ingest
-from gspcert.finite_field import MILLER_RABIN_BOUND, is_prime
-from gspcert.polynomial import fp_hecke_factorization, fp_monic, fp_str
+from gspcert.polynomial import (
+    MILLER_RABIN_BOUND,
+    fp_hecke_factorization,
+    fp_monic,
+    fp_str,
+    is_prime,
+)
 from oracles import (
     fp_factorization,
     monic_polys,
@@ -438,20 +443,55 @@ class TestHeckeCharpoly:
         rec = hecke_charpoly(rd, 2)
         assert fp_str(rec.charpoly) == "x^4 + 3x^3 + 2x^2 + 5x + 2"
 
-    def test_q_equal_p_rejected(self):
-        rd = specialize(paper_dataset(), 7, 1)
-        with pytest.raises(ValueError, match="no Frobenius characteristic polynomial"):
-            hecke_charpoly(rd, 7)
+    # hecke_charpoly takes the ResidualDataset that specialize builds as it
+    # is, so the malformed residual data below is refused before one exists:
+    # by EigenformDataset (built or replaced) and by specialize.
 
-    def test_q_must_be_prime(self):
-        rd = specialize(paper_dataset(), 7, 1)
-        with pytest.raises(ValueError, match="not prime"):
-            hecke_charpoly(rd, 6)
+    def test_p_not_prime_refused_with_one_line(self):
+        with pytest.raises(ValueError) as err:
+            embedding_roots(DEFINING, 15)
+        assert str(err.value) == "15 is not prime"
+        for root in range(15):
+            with pytest.raises(ValueError) as err:
+                specialize(paper_dataset(), 15, root)
+            assert str(err.value) == "15 is not prime"
 
-    def test_missing_eigenvalues_rejected(self):
-        rd = specialize(paper_dataset(), 7, 1)
-        with pytest.raises(ValueError, match="a_11"):
-            hecke_charpoly(rd, 11)
+    @pytest.mark.parametrize("root, eigenvalues", [
+        (1, {3: (0,), 5: (2,), 25: (1,)}), (1, {2: (1,), 4: (1,), 3: (1,)}),
+        (1, {6: (1,), 36: (1,)}), (1, {2: (1,), 4: (1,), 16: (1,)}), (1, {3: (True,), 9: (1,)}),
+        (7, {3: (1,), 9: (1,)}), (1.0, {3: (1,), 9: (1,)}),
+    ], ids=["3-without-9", "3-without-9-beside-a-pair", "composite", "square-of-composite",
+            "residue-bool", "root-p", "root-float"])
+    def test_malformed_residual_dataset_refused_with_one_line(self, root, eigenvalues):
+        # the primes of a residual table are the indices q with q^2 beside
+        # them, so a table that is not all such pairs is refused: read that
+        # way, {3: 0, 5: 2, 25: 1} would drop 3 and its zero trace unseen.
+        for build in (lambda: specialize(paper_dataset(eigenvalues=eigenvalues), 7, root),
+                      lambda: specialize(paper_dataset()._replace(eigenvalues=eigenvalues),
+                                         7, root)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("expr, residue", [((7,), 0), ((-1,), 6)],
+                             ids=["residue-p", "residue-negative"])
+    def test_residues_reduced_into_range(self, expr, residue):
+        # a residue 7 at p = 7 would pass primitivity as a nonzero a_3;
+        # specialize reduces every expression into [0, p)
+        rd = specialize(paper_dataset(eigenvalues={**EIGENVALUES, 3: expr}), 7, 1)
+        assert rd.eigenvalues[3] == residue
+        assert all(0 <= a < 7 for a in rd.eigenvalues.values())
+
+    @pytest.mark.parametrize("weight", [1, 0, -5, 28.0, "28", True, None])
+    def test_residual_weight_not_an_int_from_two_refused_with_one_line(self, weight):
+        # weight 1 would build the charpoly from q^(2k-3) = q^(-1) mod p
+        for build in (lambda: paper_dataset(weight=weight),
+                      lambda: paper_dataset()._replace(weight=weight)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == (
+                f"weight {weight} out of range" if type(weight) is int
+                else "weight, level, indices and coefficients must be ints, in tuples")
 
     @pytest.mark.parametrize("p", [2, 5, 13])
     def test_p_not_3_mod_4_refused_with_one_line(self, p):
@@ -472,46 +512,6 @@ class TestHeckeCharpoly:
         res = invoke(["certify", str(path), "--prime", str(p)])
         assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {refusal}\n")
         assert res.exception is None
-
-    def test_p_not_prime_refused_with_one_line(self):
-        # a ResidualDataset refuses a p that is not prime when it is built
-        # (or replaced), so no charpoly is factored over Z/15
-        for a1, a2 in itertools.product(range(15), repeat=2):
-            with pytest.raises(ValueError) as err:
-                hecke_charpoly(eigen_data.ResidualDataset(15, 0, 28, {2: a1, 4: a2}), 2)
-            assert str(err.value) == "15 is not prime"
-        rd = eigen_data.ResidualDataset(7, 0, 28, {2: 1, 4: 1})
-        with pytest.raises(ValueError) as err:
-            rd._replace(p=15)
-        assert str(err.value) == "15 is not prime"
-
-    @pytest.mark.parametrize("root, eigenvalues", [
-        (0, {3: 0, 5: 2, 25: 1}), (0, {2: 1, 4: 1, 3: 1}), (0, {6: 1, 36: 1}),
-        (0, {2: 1, 4: 1, 16: 1}), (0, {3: 7, 9: 1}), (0, {3: -1, 9: 1}), (0, {3: True, 9: 1}),
-        (7, {3: 1, 9: 1}), (1.0, {3: 1, 9: 1}),
-    ], ids=["3-without-9", "3-without-9-beside-a-pair", "composite", "square-of-composite",
-            "residue-p", "residue-negative", "residue-bool", "root-p", "root-float"])
-    def test_malformed_residual_dataset_refused_with_one_line(self, root, eigenvalues):
-        # the primes of a residual table are the indices q with q^2 beside
-        # them, so a table that is not all such pairs is refused: read that
-        # way, {3: 0, 5: 2, 25: 1} would drop 3 and its zero trace unseen.
-        # A residue 7 at p = 7 would pass primitivity as a nonzero a_3.
-        for build in (lambda: eigen_data.ResidualDataset(7, root, 28, eigenvalues),
-                      lambda: eigen_data.ResidualDataset(7, 0, 28, {5: 2, 25: 1})._replace(
-                          root=root, eigenvalues=eigenvalues)):
-            with pytest.raises(ValueError) as err:
-                build()
-            assert "\n" not in str(err.value)
-
-    @pytest.mark.parametrize("weight", [1, 0, -5, 28.0, "28", True, None])
-    def test_residual_weight_not_an_int_from_two_refused_with_one_line(self, weight):
-        # weight 1 would build the charpoly from q^(2k-3) = q^(-1) mod p
-        for build in (lambda: eigen_data.ResidualDataset(7, 0, weight, {3: 1, 9: 1}),
-                      lambda: eigen_data.ResidualDataset(7, 0, 28, {3: 1, 9: 1})._replace(
-                          weight=weight)):
-            with pytest.raises(ValueError) as err:
-                build()
-            assert str(err.value) == f"weight {weight} out of range"
 
     def test_residual_dataset_takes_an_embedding_root(self):
         root = embedding_roots(DEFINING, 7)[0]

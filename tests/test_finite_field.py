@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from field_elements import factorize, make_field
-from gspcert.finite_field import is_prime
+from gspcert.polynomial import is_prime
 from oracles import frobenius, in_subfield, mult_order, naive_mult_order
 
 F7 = make_field(7, 1)

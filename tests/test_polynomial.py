@@ -12,7 +12,6 @@ import pytest
 from field_elements import fp_is_irreducible, make_field
 from gspcert import polynomial
 from gspcert.eigen_data import _derivative, _horner, embedding_roots, hecke_quartic
-from gspcert.finite_field import is_prime
 from gspcert.polynomial import (
     _prime_factors,
     _reciprocal_quadratic,
@@ -27,6 +26,7 @@ from gspcert.polynomial import (
     fp_projective_order,
     fp_str,
     fp_trim,
+    is_prime,
 )
 from oracles import (
     conjugate_product,
@@ -92,13 +92,15 @@ class TestArithmetic:
             assert r == tuple(pmod(list(f), list(g), 7))
             k = rng.randrange(2, 7)
             scaled = tuple(k * c % 7 for c in g)
-            assert fp_mod(f, scaled, 7) == r
+            assert fp_mod(f, scaled, 7) == r == tuple(pmod(list(f), list(scaled), 7))
             unreduced = [c + 7 * rng.randrange(-10**6, 10**6) for c in f]
             assert fp_mod(unreduced, g, 7) == fp_mod(unreduced, scaled, 7) == r
             h = random_poly(rng, 7, rng.randrange(0, 7))
             fh = tuple(pmod(pmul(list(f), list(h), 7), list(g), 7))
             assert fp_mod(polynomial._product(f, h), g, 7) == fh
             assert fp_mod(polynomial._product(f, h), scaled, 7) == fh
+        # a dividend already shorter than the divisor is reduced all the same
+        assert pmod([-1, 8], [0, 0, 0, 1], 7) == [6, 1] == list(fp_mod((-1, 8), (0, 0, 0, 1), 7))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
