@@ -14,13 +14,7 @@ from __future__ import annotations
 from math import gcd as int_gcd
 from typing import Callable, NamedTuple, Sequence
 
-from .eigen_data import (
-    EigenformDataset,
-    FrobeniusRecord,
-    ResidualDataset,
-    hecke_charpoly,
-    specialize,
-)
+from .eigen_data import EigenformDataset, FrobeniusRecord, hecke_charpoly, specialize
 from .polynomial import is_prime
 
 VERDICT_LARGE_IMAGE = "LARGE_IMAGE"
@@ -263,22 +257,23 @@ def check_conjugate_22_split(records: Sequence[FrobeniusRecord], p: int) -> Chec
     )
 
 
-def check_primitivity(rd: ResidualDataset) -> CheckResult:
+def check_primitivity(records: Sequence[FrobeniusRecord], p: int) -> CheckResult:
     """Exclude imprimitive images (cases inducing from a quadratic field).
 
     Requires p = 3 mod 4, so that the only quadratic field unramified
     outside p that can carry the induction is imaginary: Q(sqrt(-p)).
     Induction forces trace zero at every prime inert in that field, i.e.
-    every q that is not a square mod p.  The check demands a nonzero a_q at
-    every inert prime in the dataset (and at least one inert prime).
-    specialize has checked that p is prime, so q is inert when
-    q^((p-1)/2) = -1 mod p (Euler's criterion), with no primality test.
+    every q that is not a square mod p.  The check demands a nonzero a_q,
+    read off each record as -f3, at every inert prime in the dataset (and
+    at least one).  With p prime, q is inert when q^((p-1)/2) = -1 mod p
+    (Euler's criterion), with no primality test; q = p, which has no
+    record, never is: p^((p-1)/2) = 0 mod p.
     """
-    p = rd.p
     if p % 4 != 3:
         raise ValueError(f"primitivity argument needs p = 3 mod 4, got p = {p}")
-    inert = [q for q in rd.primes() if pow(q, (p - 1) // 2, p) == p - 1]
-    zeros = [q for q in inert if rd.eigenvalues[q] == 0]
+    traces = {r.q: -r.charpoly[3] % p for r in records if pow(r.q, (p - 1) // 2, p) == p - 1}
+    inert = list(traces)
+    zeros = [q for q in inert if traces[q] == 0]
     return _result(
         "primitivity", bool(inert) and not zeros, inert,
         f"an image induced from Q(sqrt(-{p})) forces a_q = 0 at every inert "
@@ -288,7 +283,7 @@ def check_primitivity(rd: ResidualDataset) -> CheckResult:
             f"a_q = 0 at inert prime(s) {{{', '.join(str(q) for q in zeros)}}} is "
             "consistent with an induced image; no exclusion"
         ) if inert else "no prime inert in Q(sqrt(-p)) appears in the dataset; no exclusion",
-        {"inert_primes": inert, "traces": {str(q): rd.eigenvalues[q] for q in inert}},
+        {"inert_primes": inert, "traces": {str(q): a for q, a in traces.items()}},
     )
 
 
@@ -328,10 +323,13 @@ def check_multiplier_surjective(k: int, p: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def build_records(rd: ResidualDataset) -> tuple[FrobeniusRecord, ...]:
-    """One FrobeniusRecord per dataset prime, ascending; q = p is skipped
-    (it carries no Frobenius characteristic polynomial)."""
-    return tuple(hecke_charpoly(rd, q) for q in rd.primes() if q != rd.p)
+def build_records(
+    ds: EigenformDataset, residues: dict[int, int], p: int
+) -> tuple[FrobeniusRecord, ...]:
+    """One FrobeniusRecord per prime of ds, ascending, from its residues at
+    p; q = p is skipped (it carries no Frobenius characteristic polynomial)."""
+    return tuple(hecke_charpoly(residues[q], residues[q * q], q, ds.weight, p)
+                 for q in ds.primes() if q != p)
 
 
 def certify(
@@ -347,15 +345,15 @@ def certify(
     can never certify a small image).
     """
     table = supported_table(p, table)
-    rd = specialize(ds, p, root)
-    records = build_records(rd)
+    residues = specialize(ds, p, root)
+    records = build_records(ds, residues, p)
     if not records:
         raise ValueError("no Frobenius data at primes q != p; nothing to certify")
     checks = (
         check_linear_constituent(records),
         check_rational_22_split(records, p),
         check_conjugate_22_split(records, p),
-        check_primitivity(rd),
+        check_primitivity(records, p),
         check_exceptional(records, table, p),
         check_multiplier_surjective(ds.weight, p),
     )
@@ -366,8 +364,8 @@ def certify(
         dataset_digest=ds.digest(),
         defining_poly=ds.defining_poly,
         p=p,
-        root=rd.root,
-        residual_eigenvalues=tuple(sorted(rd.eigenvalues.items())),
+        root=int(root),
+        residual_eigenvalues=tuple(sorted(residues.items())),
         records=records,
         checks=checks,
         assumptions=tuple(sorted(ds.assumptions)) + STANDING_ASSUMPTIONS,

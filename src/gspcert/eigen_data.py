@@ -15,14 +15,15 @@ Residues are ints in [0, p) and polynomials the low-first int tuples of
 polynomial's F_p kernel, from the embedding roots to the records.  The
 records are NamedTuples.  certify reaches this module through specialize,
 embedding_roots and the table checks of EigenformDataset, where input is
-refused; what specialize builds, hecke_charpoly takes as it is.
+refused; specialize returns the residues as a dict keyed by index, and
+hecke_charpoly takes the a_q, a_{q^2} read from it as they are.
 """
 from __future__ import annotations
 
 import hashlib
 from itertools import islice
 from math import isqrt
-from typing import Collection, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomial import Factorization, FpPoly, fp_add, fp_gcd, fp_monic, fp_powmod, is_prime
 from .polynomial import fp_hecke_factorization as factor
@@ -50,15 +51,6 @@ def _eigenvalue_base(index: int) -> int:
     if index >= 2 and is_prime(index):
         return index
     raise ValueError(f"eigenvalue index {index} is neither a prime nor a prime square")
-
-
-def _primes(indices: Collection[int]) -> list[int]:
-    """The primes q of a validated eigenvalue table, taken with no primality
-    test as the indices q with q^2 also an index.  On indices that are the q
-    and q^2 of a set of primes, as EigenformDataset requires and specialize
-    keeps, this is the set of _eigenvalue_base: each such q has q^2 beside
-    it, and no q^2 has q^4."""
-    return sorted(i for i in indices if i * i in indices)
 
 
 class _EigenformFields(NamedTuple):
@@ -131,7 +123,9 @@ class EigenformDataset(_EigenformFields):
         return cls(*iterable)
 
     def primes(self) -> list[int]:
-        return _primes(self.eigenvalues)
+        """The indices q with q^2 also an index, with no primality test: on a
+        validated table, each prime q has q^2 beside it and no q^2 has q^4."""
+        return sorted(i for i in self.eigenvalues if i * i in self.eigenvalues)
 
     def digest(self) -> str:
         """Stable identity of the dataset contents: the sha256 hex of
@@ -145,19 +139,6 @@ class EigenformDataset(_EigenformFields):
             *(f"assume={flag};" for flag in sorted(self.assumptions)),
         ])
         return hashlib.sha256(text.encode()).hexdigest()
-
-
-class ResidualDataset(NamedTuple):
-    """Eigenvalues pushed into F_p through one embedding alpha -> root,
-    as ints in [0, p); specialize builds it from a validated table."""
-
-    p: int
-    root: int
-    weight: int
-    eigenvalues: dict[int, int]
-
-    def primes(self) -> list[int]:
-        return _primes(self.eigenvalues)
 
 
 class FrobeniusRecord(NamedTuple):
@@ -213,15 +194,15 @@ def embedding_roots(defining_poly: Sequence[int], p: int) -> list[Root]:
     return [Root(r) for r in sorted(roots, key=lambda r: -r % p) if _horner(de, r, p)]
 
 
-def specialize(ds: EigenformDataset, p: int, root: int) -> ResidualDataset:
+def specialize(ds: EigenformDataset, p: int, root: int) -> dict[int, int]:
     """Evaluate every eigenvalue expression at the chosen residual root,
     an int in [0, p); a root from embedding_roots is taken as it is.
+    Returns {index: residue in [0, p)}, the eigenvalues pushed into F_p
+    through the embedding alpha -> root, with the indices of ds.
 
     Refuses a root that is not an int in [0, p), a p that is not prime and
     roots that are absent mod p or non-simple (a repeated root changes the
-    residue map; extending scalars is out of scope).  The ResidualDataset
-    it returns is the only one the package builds: its weight and indices
-    are those of the validated table.
+    residue map; extending scalars is out of scope).
     """
     if type(root) not in (int, Root):
         raise ValueError(f"root must be an int in [0, {p}), got {root!r}")
@@ -236,8 +217,7 @@ def specialize(ds: EigenformDataset, p: int, root: int) -> ResidualDataset:
         raise ValueError(
             f"alpha = {root} is a repeated root of E mod {p}; refusing the ramified embedding"
         )
-    residues = {index: _horner(expr, root, p) for index, expr in ds.eigenvalues.items()}
-    return ResidualDataset(p, root, ds.weight, residues)
+    return {index: _horner(expr, root, p) for index, expr in ds.eigenvalues.items()}
 
 
 def hecke_quartic(a1: int, a2: int, q: int, k: int, p: int) -> FpPoly:
@@ -252,18 +232,19 @@ def hecke_quartic(a1: int, a2: int, q: int, k: int, p: int) -> FpPoly:
     return (nu * nu % p, -a1 * nu % p, c2, -a1 % p, 1)
 
 
-def hecke_charpoly(rd: ResidualDataset, q: int) -> FrobeniusRecord:
+def hecke_charpoly(a1: int, a2: int, q: int, k: int, p: int) -> FrobeniusRecord:
     """Spin characteristic polynomial of Frobenius at q, with its
-    factorization, squarefreeness, projective order, and similitude.
-    q is a prime of rd other than p, as build_records passes it.
+    factorization, squarefreeness, projective order, and similitude,
+    from the residues a1 = a_q and a2 = a_{q^2} in [0, p) and the weight
+    k, as hecke_quartic takes them.  q is a prime other than p, as
+    build_records passes it.
 
     The projective order (squarefree charpolys only) is the order of the
     companion matrix in PGL(4, p), the least n with x^n constant mod f,
     read off the factorization (polynomial.fp_projective_order) without
     stepping through the powers of x; no matrix is built.  The
     factorization (polynomial.fp_hecke_factorization) needs p = 3 mod 4."""
-    p, a1, a2 = rd.p, rd.eigenvalues[q], rd.eigenvalues[q * q]
-    f = hecke_quartic(a1, a2, q, rd.weight, p)
+    f = hecke_quartic(a1, a2, q, k, p)
     fac = factor(f, p)
     sqfree = fac.is_squarefree()
     # the similitude nu = q^(2k-3) = q * q^(2k-4), read back off f's x^2 coefficient

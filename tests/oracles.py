@@ -180,12 +180,13 @@ def monic_polys(p: int, d: int):
 
 
 def pdiv(a: list[int], m: list[int], p: int) -> list[int]:
-    """Quotient of a by monic m."""
+    """Quotient of a by m, whose leading coefficient is a unit mod p."""
+    inv = pow(m[-1], -1, p)
     a = ptrim(a)
     dm = len(m) - 1
     q = [0] * max(len(a) - dm, 0)
     for shift in range(len(a) - 1 - dm, -1, -1):
-        c = q[shift] = a[shift + dm]
+        c = q[shift] = a[shift + dm] * inv % p
         for i, mc in enumerate(m):
             a[shift + i] = (a[shift + i] - c * mc) % p
     return ptrim(q)

@@ -53,11 +53,13 @@ def test_criterion_1_defining_cubic_splits():
     report(1, f"embedding roots {roots} in {elapsed_ms:.3f} ms; the cubic factors as {fac}")
 
 
+def paper_record(q: int) -> FrobeniusRecord:
+    residues = specialize(ingest(PAPER), 7, 1)
+    return hecke_charpoly(residues[q], residues[q * q], q, 28, 7)
+
+
 def test_criterion_2_frobenius_charpolys():
-    rd = specialize(ingest(PAPER), 7, 1)
-    rec2 = hecke_charpoly(rd, 2)
-    rec3 = hecke_charpoly(rd, 3)
-    rec5 = hecke_charpoly(rd, 5)
+    rec2, rec3, rec5 = (paper_record(q) for q in (2, 3, 5))
     assert fp_str(rec2.charpoly) == "x^4 + 3x^3 + 2x^2 + 5x + 2"
     assert str(rec3.factorization) == "(x + 3)(x + 4)(x^2 + 4x + 5)"
     assert str(rec5.factorization) == "(x^2 + x + 3)(x^2 + 5x + 3)"
@@ -65,9 +67,9 @@ def test_criterion_2_frobenius_charpolys():
 
 
 def test_criterion_3_projective_order_25():
-    rd = specialize(ingest(PAPER), 7, 1)
+    residues = specialize(ingest(PAPER), 7, 1)
     started = time.perf_counter()
-    rec = hecke_charpoly(rd, 2)
+    rec = hecke_charpoly(residues[2], residues[4], 2, 28, 7)
     elapsed_ms = (time.perf_counter() - started) * 1000
     via_matrix = projective_order(companion(rec.charpoly, 7), 7)  # the reference
     assert rec.projective_order == 25 == via_matrix
@@ -75,10 +77,9 @@ def test_criterion_3_projective_order_25():
 
 
 def test_criterion_4_base_field_root_counts():
-    rd = specialize(ingest(PAPER), 7, 1)
     roots = {}
     for q in (2, 3, 5):
-        rec = hecke_charpoly(rd, q)
+        rec = paper_record(q)
         roots[q] = sorted(r for r, m in rec.factorization.linear_roots() for _ in range(m))
         reference = roots_in(rec.charpoly, 7, 1)
         assert roots[q] == [r.lift() for r in reference], q

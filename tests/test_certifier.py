@@ -23,13 +23,7 @@ from gspcert.certifier import (
     check_rational_22_split,
     rational_split_exponent,
 )
-from gspcert.eigen_data import (
-    EigenformDataset,
-    FrobeniusRecord,
-    ResidualDataset,
-    hecke_charpoly,
-    specialize,
-)
+from gspcert.eigen_data import EigenformDataset, FrobeniusRecord, hecke_charpoly, specialize
 from gspcert.polynomial import fp_powmod, is_prime
 from oracles import (
     conjugate_product,
@@ -57,8 +51,12 @@ def paper_dataset(eigenvalues=None) -> EigenformDataset:
     )
 
 
+def records_at(ds: EigenformDataset, p: int = 7, root: int = 1) -> tuple[FrobeniusRecord, ...]:
+    return build_records(ds, specialize(ds, p, root), p)
+
+
 def paper_records():
-    return build_records(specialize(paper_dataset(), 7, 1))
+    return records_at(paper_dataset())
 
 
 def synthetic_record(q: int, f: tuple[int, ...], p: int = 7, order=None) -> FrobeniusRecord:
@@ -90,7 +88,7 @@ class TestLinearConstituent:
 
     def test_fully_split_records_fail(self):
         split = paper_dataset({2: (0,), 4: (1,), 3: (6,), 9: (1,), 5: (4,), 25: (1,)})
-        records = build_records(specialize(split, 7, 1))
+        records = records_at(split)
         for rec in records:
             assert all(len(g) == 2 for g, _ in rec.factorization.factors)
         assert not check_linear_constituent(records).passed
@@ -133,8 +131,7 @@ class TestHeckeQuarticConsequences:
         for p, q in itertools.product((7, 11, 19), (2, 3, 5)):
             bound = rational_split_exponent(p)
             for a1, a2 in itertools.product(range(p), repeat=2):
-                rd = ResidualDataset(p, 0, 28, {q: a1, q * q: a2})
-                rec = hecke_charpoly(rd, q)
+                rec = hecke_charpoly(a1, a2, q, 28, p)
                 degrees = sorted(len(g) - 1 for g, _ in rec.factorization.factors)
                 assert 3 not in degrees, (p, q, a1, a2)  # no (3,1) pattern
                 if not rec.squarefree:
@@ -282,26 +279,26 @@ class TestPairingCountOracles:
 
 class TestPrimitivity:
     def test_paper_dataset_passes_on_all_inert_primes(self):
-        rd = specialize(paper_dataset(), 7, 1)
-        res = check_primitivity(rd)
+        res = check_primitivity(paper_records(), 7)
         assert res.passed
         assert res.witnesses == (3, 5)
         assert res.data["inert_primes"] == [3, 5]
+        assert res.data["traces"] == {"3": 3, "5": 1}
 
     def test_zero_trace_at_any_inert_prime_fails(self):
         mutated = paper_dataset({**EIGENVALUES, 3: (0,)})
-        res = check_primitivity(specialize(mutated, 7, 1))
+        res = check_primitivity(records_at(mutated), 7)
         assert not res.passed
         assert "3" in res.justification
 
     def test_single_inert_prime_with_zero_trace_fails(self):
         ds = paper_dataset({2: (4,), 4: (5,), 3: (0,), 9: (2,)})
-        res = check_primitivity(specialize(ds, 7, 1))
+        res = check_primitivity(records_at(ds), 7)
         assert not res.passed
 
     def test_no_inert_primes_fails(self):
         ds = paper_dataset({2: (4,), 4: (5,)})  # 2 is a residue mod 7
-        res = check_primitivity(specialize(ds, 7, 1))
+        res = check_primitivity(records_at(ds), 7)
         assert not res.passed
         assert res.witnesses == ()
 
@@ -309,22 +306,26 @@ class TestPrimitivity:
     def test_inert_primes_match_non_squares_below_500(self, p):
         # the check takes q as inert when q^((p-1)/2) = -1 mod p (Euler's
         # criterion): against the non-squares mod p, found by squaring every
-        # unit, on every prime below 500, p itself (neither) among them
-        qs = [q for q in range(2, 500) if is_prime(q)]
+        # unit, on every prime q != p below 500 (p has no record); a_q, read
+        # off the record as -f3, is 1 everywhere, then 0 at the least inert q
+        qs = [q for q in range(2, 500) if is_prime(q) and q != p]
         squares = {x * x % p for x in range(1, p)}
-        rd = ResidualDataset(p, 0, 28, {i: 1 for q in qs for i in (q, q * q)})
-        res = check_primitivity(rd)
-        assert res.data["inert_primes"] == [q for q in qs if q % p and q % p not in squares]
-        assert res.passed and res.witnesses == tuple(res.data["inert_primes"])
+        records = [hecke_charpoly(1, 1, q, 28, p) for q in qs]
+        res = check_primitivity(records, p)
+        inert = [q for q in qs if q % p not in squares]
+        assert res.data["inert_primes"] == inert
+        assert res.data["traces"] == {str(q): 1 for q in inert}
+        assert res.passed and res.witnesses == tuple(inert)
+        zero = [hecke_charpoly(0, 1, q, 28, p) if q == inert[0] else r for q, r in zip(qs, records)]
+        res = check_primitivity(zero, p)
+        assert not res.passed and res.witnesses == ()
+        assert f"inert prime(s) {{{inert[0]}}} is" in res.justification
+        assert res.data["traces"][str(inert[0])] == 0
 
     def test_requires_p_three_mod_four(self):
-        ds = EigenformDataset(
-            weight=4, level=1, defining_poly=(0, 1),
-            eigenvalues={2: (1,), 4: (1,)}, assumptions=frozenset(),
-        )
-        rd = specialize(ds, 5, 0)
-        with pytest.raises(ValueError, match="3 mod 4"):
-            check_primitivity(rd)
+        # no record is built at p = 5: the Hecke quartic route refuses it
+        with pytest.raises(ValueError, match="primitivity argument needs p = 3 mod 4"):
+            check_primitivity((), 5)
 
 
 class TestExceptional:

@@ -110,8 +110,7 @@ class TestDatasetValidation:
         assert is_prime(q) and q * q >= MILLER_RABIN_BOUND
         assert eigen_data._eigenvalue_base(q * q) == q == eigen_data._eigenvalue_base(q)
         ds = paper_dataset(eigenvalues={**EIGENVALUES, q: (1,), q * q: (2,)})
-        assert ds.primes() == [2, 3, 5, q]
-        assert eigen_data.ResidualDataset(7, 0, 28, {q: 1, q * q: 2}).primes() == [q]
+        assert ds.primes() == [2, 3, 5, q] == validating_primes(ds.eigenvalues)
 
     def test_expression_degree_bounded_by_defining_degree(self):
         bad = dict(EIGENVALUES)
@@ -187,7 +186,7 @@ class TestFastRoutesAgainstReplaced:
             assert ds.primes() == validating_primes(ds.eigenvalues), path
             for p in (7, 11, 19):
                 for root in embedding_roots(ds.defining_poly, p):
-                    assert specialize(ds, p, root).primes() == ds.primes(), (path, p, root)
+                    assert specialize(ds, p, root).keys() == ds.eigenvalues.keys(), (path, p)
 
     def test_primes_on_seeded_valid_index_sets(self):
         rng = random.Random(2357)
@@ -196,11 +195,8 @@ class TestFastRoutesAgainstReplaced:
             qs = rng.sample(pool, rng.randrange(1, 16))
             indices = [i for q in qs for i in (q, q * q)]
             rng.shuffle(indices)
-            table = dict.fromkeys(indices, 1)
-            assert eigen_data._primes(table) == validating_primes(table) == sorted(qs)
             ds = EigenformDataset(4, 1, (0, 1), dict.fromkeys(indices, (1,)))
-            rd = eigen_data.ResidualDataset(7, 0, 4, table)
-            assert ds.primes() == rd.primes() == sorted(qs)
+            assert ds.primes() == validating_primes(indices) == sorted(qs)
 
     def test_digest_matches_one_update_per_field(self):
         # zero, negative and multi-coefficient expressions, with and without
@@ -348,7 +344,7 @@ class TestEmbeddingRootsAgainstDefinition:
                         with pytest.raises(ValueError, match="is not a root of E mod 7"):
                             specialize(ds, 7, r)
                     elif mult[r] == 1:
-                        assert specialize(ds, 7, r).root == r
+                        assert specialize(ds, 7, r) == {2: 4, 4: 5}
                     else:
                         with pytest.raises(ValueError, match="repeated root of E mod 7; refusing"):
                             specialize(ds, 7, r)
@@ -356,18 +352,13 @@ class TestEmbeddingRootsAgainstDefinition:
 
 class TestSpecialize:
     def test_paper_residuals_at_root_one(self):
-        rd = specialize(paper_dataset(), 7, 1)
-        values = dict(rd.eigenvalues)
-        assert values == {2: 4, 4: 5, 3: 3, 9: 2, 5: 1, 25: 2}
-        assert rd.p == 7
-        assert rd.root == 1
+        residues = specialize(paper_dataset(), 7, 1)
+        assert type(residues) is dict
+        assert residues == {2: 4, 4: 5, 3: 3, 9: 2, 5: 1, 25: 2}
 
     def test_constants_ignore_root_choice(self):
         ds = paper_dataset()
-        tables = [
-            dict(specialize(ds, 7, r).eigenvalues)
-            for r in (4, 3, 1)
-        ]
+        tables = [specialize(ds, 7, r) for r in (4, 3, 1)]
         assert tables[0] == tables[1] == tables[2]
 
     @pytest.mark.parametrize(
@@ -382,8 +373,7 @@ class TestSpecialize:
         alpha = {2: (0, 1), 4: (0, 1), 3: (1,), 9: (1,), 5: (2,), 25: (2,)}
         ds = paper_dataset(eigenvalues=alpha)
         for root in (4, 3, 1):
-            rd = specialize(ds, 7, root)
-            assert rd.eigenvalues[2] == root
+            assert specialize(ds, 7, root)[2] == root
 
     def test_commutes_with_integer_reduction(self):
         big = 10 ** 12 + 3, 10 ** 9 + 2, 10 ** 6 + 5
@@ -391,9 +381,8 @@ class TestSpecialize:
             2: big, 4: (1,), 3: (1,), 9: (1,), 5: (1,), 25: (1,),
         })
         for root in (4, 3, 1):
-            rd = specialize(ds, 7, root)
             expected = sum(c * root ** i for i, c in enumerate(big)) % 7
-            assert rd.eigenvalues[2] == expected
+            assert specialize(ds, 7, root)[2] == expected
 
     def test_non_root_rejected(self):
         with pytest.raises(ValueError, match="not a root"):
@@ -408,8 +397,7 @@ class TestSpecialize:
         ds = paper_dataset(defining_poly=(-2, 5, -4, 1))
         with pytest.raises(ValueError):
             specialize(ds, 7, 1)
-        rd = specialize(ds, 7, 2)
-        assert rd.root == 2
+        assert specialize(ds, 7, 2) == {i: e[0] % 7 for i, e in EIGENVALUES.items()}
 
     def test_root_must_be_prime_field(self):
         with pytest.raises(ValueError):
@@ -418,7 +406,7 @@ class TestSpecialize:
 
 class TestHeckeCharpoly:
     def test_three_paper_records(self):
-        rd = specialize(paper_dataset(), 7, 1)
+        residues = specialize(paper_dataset(), 7, 1)
         expected = {
             2: ("x^4 + 3x^3 + 2x^2 + 5x + 2",
                 "(x^4 + 3x^3 + 2x^2 + 5x + 2)", 25, 4),
@@ -428,7 +416,7 @@ class TestHeckeCharpoly:
                 "(x^2 + x + 3)(x^2 + 5x + 3)", 8, 3),
         }
         for q, (poly, fac, order, nu) in expected.items():
-            rec = hecke_charpoly(rd, q)
+            rec = hecke_charpoly(residues[q], residues[q * q], q, 28, 7)
             assert fp_str(rec.charpoly) == poly
             assert str(rec.factorization) == fac
             assert rec.squarefree
@@ -439,12 +427,12 @@ class TestHeckeCharpoly:
         ds = paper_dataset(
             eigenvalues={k: EIGENVALUES[k] for k in reversed(list(EIGENVALUES))}
         )
-        rd = specialize(ds, 7, 1)
-        rec = hecke_charpoly(rd, 2)
+        residues = specialize(ds, 7, 1)
+        rec = hecke_charpoly(residues[2], residues[4], 2, 28, 7)
         assert fp_str(rec.charpoly) == "x^4 + 3x^3 + 2x^2 + 5x + 2"
 
-    # hecke_charpoly takes the ResidualDataset that specialize builds as it
-    # is, so the malformed residual data below is refused before one exists:
+    # hecke_charpoly takes the residues that specialize returns as they
+    # are, so the malformed residual data below is refused before any exist:
     # by EigenformDataset (built or replaced) and by specialize.
 
     def test_p_not_prime_refused_with_one_line(self):
@@ -478,9 +466,9 @@ class TestHeckeCharpoly:
     def test_residues_reduced_into_range(self, expr, residue):
         # a residue 7 at p = 7 would pass primitivity as a nonzero a_3;
         # specialize reduces every expression into [0, p)
-        rd = specialize(paper_dataset(eigenvalues={**EIGENVALUES, 3: expr}), 7, 1)
-        assert rd.eigenvalues[3] == residue
-        assert all(0 <= a < 7 for a in rd.eigenvalues.values())
+        residues = specialize(paper_dataset(eigenvalues={**EIGENVALUES, 3: expr}), 7, 1)
+        assert residues[3] == residue
+        assert all(0 <= a < 7 for a in residues.values())
 
     @pytest.mark.parametrize("weight", [1, 0, -5, 28.0, "28", True, None])
     def test_residual_weight_not_an_int_from_two_refused_with_one_line(self, weight):
@@ -497,9 +485,8 @@ class TestHeckeCharpoly:
     def test_p_not_3_mod_4_refused_with_one_line(self, p):
         # the charpoly's square roots are powers a^((p+1)/4); certify and the
         # command refuse these primes before, each with its own line
-        rd = eigen_data.ResidualDataset(p, 0, 28, {3: 1, 9: 1})
         for call in (lambda: fp_hecke_factorization(hecke_quartic(1, 1, 3, 28, p), p),
-                     lambda: hecke_charpoly(rd, 3)):
+                     lambda: hecke_charpoly(1, 1, 3, 28, p)):
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == f"the Hecke quartic route needs p = 3 mod 4, got p = {p}"
@@ -513,19 +500,13 @@ class TestHeckeCharpoly:
         assert (res.exit_code, res.stdout, res.stderr) == (1, "", f"error: {refusal}\n")
         assert res.exception is None
 
-    def test_residual_dataset_takes_an_embedding_root(self):
-        root = embedding_roots(DEFINING, 7)[0]
-        rd = eigen_data.ResidualDataset(7, root, 28, {3: 1, 9: 1})
-        assert rd.root == root and rd._replace(root=embedding_roots(DEFINING, 7)[1]).root == 3
-
     @pytest.mark.parametrize("p", [7, 11, 19])
     def test_similitude_is_the_nu_of_the_charpoly(self, p):
         # the record's similitude is q^(2k-3), the nu that hecke_quartic puts
         # into f0 = nu^2 and f1 = -a_q nu
         for q in (2, 3, 5):
             for k, a1, a2 in itertools.product((4, 28), range(p), range(p)):
-                rd = eigen_data.ResidualDataset(p, 0, k, {q: a1, q * q: a2})
-                rec = hecke_charpoly(rd, q)
+                rec = hecke_charpoly(a1, a2, q, k, p)
                 nu = pow(q, 2 * k - 3, p)
                 assert rec.similitude == nu
                 assert rec.charpoly[:2] == (nu * nu % p, -a1 * nu % p)

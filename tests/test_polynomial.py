@@ -93,6 +93,7 @@ class TestArithmetic:
             k = rng.randrange(2, 7)
             scaled = tuple(k * c % 7 for c in g)
             assert fp_mod(f, scaled, 7) == r == tuple(pmod(list(f), list(scaled), 7))
+            assert fp_add(tuple(pmul(pdiv(f, scaled, 7), scaled, 7)), r, 7) == f
             unreduced = [c + 7 * rng.randrange(-10**6, 10**6) for c in f]
             assert fp_mod(unreduced, g, 7) == fp_mod(unreduced, scaled, 7) == r
             h = random_poly(rng, 7, rng.randrange(0, 7))
