@@ -375,6 +375,19 @@ class TestSpecialize:
         for root in (4, 3, 1):
             assert specialize(ds, 7, root)[2] == root
 
+    def test_takes_an_embedding_root(self):
+        # a Root from embedding_roots is taken as it is and gives the residues
+        # of its int, which come back as plain ints
+        alpha = {2: (0, 1), 4: (0, 0, 1), 3: (1,), 9: (1,), 5: (2,), 25: (2,)}
+        ds = paper_dataset(eigenvalues=alpha)
+        roots = embedding_roots(DEFINING, 7)
+        assert all(type(r) is eigen_data.Root for r in roots)
+        for r in roots:
+            residues = specialize(ds, 7, r)
+            assert residues == specialize(ds, 7, int(r))
+            assert residues[2] == r and residues[4] == r * r % 7
+            assert all(type(v) is int for v in residues.values())
+
     def test_commutes_with_integer_reduction(self):
         big = 10 ** 12 + 3, 10 ** 9 + 2, 10 ** 6 + 5
         ds = paper_dataset(eigenvalues={
