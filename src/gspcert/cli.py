@@ -61,7 +61,7 @@ def ingest(path: str | os.PathLike[str]) -> EigenformDataset:
     assumptions: list[str] = []
     eigenvalues: dict[int, tuple[int, ...]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # not at \f or \u2028
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

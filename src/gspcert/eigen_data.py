@@ -10,10 +10,11 @@ a_{q^2} the spin characteristic polynomial of Frobenius at q is
 
     x^4 - a_q x^3 + (a_q^2 - a_{q^2} - q^(2k-4)) x^2 - a_q q^(2k-3) x + q^(4k-6)
 
-with every prime power q^e computed mod p.
+with every prime power q^e computed mod p; its roots pair as r <-> nu/r for
+the similitude nu = q^(2k-3), which the factorizer and the record share.
 Residues are ints in [0, p) and polynomials the low-first int tuples of
-polynomial's F_p kernel, from the embedding roots to the records.  The
-records are NamedTuples.  certify reaches this module through specialize,
+polynomial's F_p kernel, from the embedding roots to the records, which are
+NamedTuples.  certify reaches this module through specialize,
 embedding_roots and the table checks of EigenformDataset, where input is
 refused; specialize returns the residues as a dict keyed by index, and
 hecke_charpoly takes the a_q, a_{q^2} read from it as they are.
@@ -234,22 +235,19 @@ def hecke_quartic(a1: int, a2: int, q: int, k: int, p: int) -> FpPoly:
 
 def hecke_charpoly(a1: int, a2: int, q: int, k: int, p: int) -> FrobeniusRecord:
     """Spin characteristic polynomial of Frobenius at q, with its
-    factorization, squarefreeness, projective order, and similitude,
-    from the residues a1 = a_q and a2 = a_{q^2} in [0, p) and the weight
-    k, as hecke_quartic takes them.  q is a prime other than p, as
-    build_records passes it.
+    factorization, squarefreeness, projective order, and similitude, from
+    the residues a1 = a_q and a2 = a_{q^2} in [0, p), a prime q other than p
+    and the weight k, as build_records passes them to hecke_quartic.
 
     The projective order (squarefree charpolys only) is the order of the
     companion matrix in PGL(4, p), the least n with x^n constant mod f,
     read off the factorization (polynomial.fp_projective_order) without
-    stepping through the powers of x; no matrix is built.  The
-    factorization (polynomial.fp_hecke_factorization) needs p = 3 mod 4."""
+    stepping through the powers of x; no matrix is built.  One similitude
+    nu = q^(2k-3) = q q^(2k-4), read back off f's x^2 coefficient, goes to the
+    record and to polynomial.fp_hecke_factorization(f, nu, p) (p = 3 mod 4)."""
     f = hecke_quartic(a1, a2, q, k, p)
-    fac = factor(f, p)
+    nu = q * (a1 * a1 - a2 - f[2]) % p
+    fac = factor(f, nu, p)
     sqfree = fac.is_squarefree()
-    # the similitude nu = q^(2k-3) = q * q^(2k-4), read back off f's x^2 coefficient
-    return FrobeniusRecord(
-        q, f, fac, sqfree, projective_order(fac) if sqfree else None,
-        q * (a1 * a1 - a2 - f[2]) % p,
-    )
+    return FrobeniusRecord(q, f, fac, sqfree, projective_order(fac) if sqfree else None, nu)
 

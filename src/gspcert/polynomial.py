@@ -6,15 +6,15 @@ product, Rabin's irreducibility test, the general factorizer, the
 projective order by stepping through the powers of x) lives with them.
 fp_mod is the one reducer: it also takes unreduced int coefficients, so
 fp_powmod reduces each product, summed unreduced by _product, in one pass.
-fp_hecke_factorization factors a Hecke quartic, whose roots pair as r <->
-nu/r, through y = x + nu/x: a quadratic in y and quadratics in x, solved by
-square roots in F_p (one power each, as p = 3 mod 4), with no gcd and no
-scan over F_p.  fp_projective_order reads the order of its companion matrix
-in PGL(4, p) off that factorization.  Factorization holds its factors as
-tuples; fp_str prints a tuple high degree first.  The two integer routines,
-is_prime and _prime_factors, sit beside the factorization.  Residues mod p
-are plain ints: the package has no field-element type (the tests' one is
-tests/field_elements.py).
+fp_hecke_factorization(f, nu, p) factors a Hecke quartic f, whose roots pair
+as r <-> nu/r for the similitude nu passed with it, through y = x + nu/x: a
+quadratic in y and quadratics in x, solved by square roots in F_p (one power
+each, as p = 3 mod 4), with no gcd and no scan over F_p; fp_projective_order
+reads the order of its companion matrix in PGL(4, p) off that factorization.
+Factorization holds its factors as tuples; fp_str prints a tuple high degree
+first.  The two integer routines, is_prime and _prime_factors, sit beside
+the factorization.  Residues mod p are plain ints: the package has no
+field-element type (the tests' one is tests/field_elements.py).
 """
 from __future__ import annotations
 
@@ -277,13 +277,13 @@ def _reciprocal_quadratic(y: int, nu: int, p: int) -> list[FpPoly]:
     return [(-(y + r) * h % p, 1), (-(y - r) * h % p, 1)]
 
 
-def fp_hecke_factorization(f: FpPoly, p: int) -> Factorization:
+def fp_hecke_factorization(f: FpPoly, nu: int, p: int) -> Factorization:
     """Factorization over F_p, p = 3 mod 4, of a monic quartic whose roots
-    pair as r <-> nu/r: f = x^4 + f3 x^3 + f2 x^2 + f1 x + f0 with f1 = nu f3
-    and f0 = nu^2 != 0, as eigen_data.hecke_quartic builds it.  nu is f1/f3,
-    or a square root of f0 when f3 = f1 = 0 (f is then reciprocal for both).
-    ValueError for any other f or p; RuntimeError, never a wrong answer, if
-    the factors do not multiply back to f.
+    pair as r <-> nu/r for the given nu in [1, p): f = x^4 + f3 x^3 + f2 x^2
+    + f1 x + f0 with f1 = nu f3 and f0 = nu^2, as eigen_data.hecke_quartic
+    builds it (nu and -nu both fit when f3 = f1 = 0, and both factor f).
+    ValueError for any other (f, nu, p); RuntimeError, never a wrong answer,
+    if the factors do not multiply back to f.
 
     f = x^2 g(x + nu/x) for g(y) = y^2 - a y + e, a = -f3, e = f2 - 2 nu:
     each root y of g gives the factor x^2 - y x + nu.  If the discriminant D
@@ -299,14 +299,8 @@ def fp_hecke_factorization(f: FpPoly, p: int) -> Factorization:
     if len(f) != 5 or f[4] != 1:
         raise ValueError(f"expected a monic quartic, got {f}")
     f0, f1, f2, f3 = f[:4]
-    if f3:
-        nu = f1 * pow(f3, -1, p) % p
-    elif f1:
-        raise ValueError(f"{fp_str(f)} has no x^3 term but an x term: its roots do not pair")
-    else:
-        nu = _sqrt(f0, p)
-    if not f0 or nu is None or nu * nu % p != f0:
-        raise ValueError(f"{fp_str(f)}: its constant term is not nu^2 != 0, nu = f1/f3")
+    if not 0 < nu < p or (nu * nu % p, nu * f3 % p) != (f0, f1):
+        raise ValueError(f"{fp_str(f)} does not pair its roots as r <-> nu/r for nu = {nu}")
     h = (p + 1) // 2
     a, e = -f3 % p, (f2 - 2 * nu) % p
     disc = (a * a - 4 * e) % p

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from field_elements import make_field
+from field_elements import factorize, make_field
 from gspcert.certifier import (
     VERDICT_INCONCLUSIVE,
     VERDICT_LARGE_IMAGE,
@@ -24,7 +24,7 @@ from gspcert.certifier import (
     rational_split_exponent,
 )
 from gspcert.eigen_data import EigenformDataset, FrobeniusRecord, hecke_charpoly, specialize
-from gspcert.polynomial import fp_powmod, is_prime
+from gspcert.polynomial import fp_hecke_factorization, fp_powmod, fp_projective_order, is_prime
 from oracles import (
     conjugate_product,
     fp_factorization,
@@ -150,6 +150,66 @@ class TestHeckeQuarticConsequences:
                     assert (p * p - 1) % n == 0 and bound % n == 0, (p, q, a1, a2)
                     assert not check_rational_22_split([rec], p).passed
         assert squarefree == 1393
+
+
+def x_power_is_constant(e: int, f: tuple[int, ...], p: int) -> bool:
+    return len(fp_powmod((0, 1), e, f, p)) <= 1
+
+
+def table_orders(p: int) -> tuple[int, ...]:
+    """The built-in table's orders at p = 7, elsewhere those the large-p
+    goldens are certified with."""
+    if p == 7:
+        return tuple(n for _, n in builtin_exceptional_table(7).entries)
+    return p * (p * p - 1), 3840, 720
+
+
+def check_order_by_x_powers(rec: FrobeniusRecord, orders: tuple[int, ...], p: int) -> bool:
+    """For a squarefree record with charpoly f and projective order n, the
+    facts that let powers of x decide both order checks: x^n is constant
+    mod f and x^(n/l) is not for each prime l | n; n does not divide E2
+    exactly when x^E2 is not constant, exactly when f is irreducible; and n
+    divides a table order m exactly when x^m is constant, so that n divides
+    none of them exactly when no x^m is.  Returns whether n divides none."""
+    f, n = rec.charpoly, rec.projective_order
+    assert x_power_is_constant(n, f, p), rec
+    assert not any(x_power_is_constant(n // ell, f, p) for ell in factorize(n)), rec
+    e2 = rational_split_exponent(p)
+    irreducible = len(rec.factorization.factors) == 1
+    assert (e2 % n != 0) == (not x_power_is_constant(e2, f, p)) == irreducible, rec
+    divides = [m % n == 0 for m in orders]
+    assert divides == [x_power_is_constant(m, f, p) for m in orders], rec
+    return not any(divides)
+
+
+class TestOrdersAgainstXPowers:
+    """The projective orders against the powers of x that decide the two
+    order checks without them: every squarefree Hecke quartic at p = 7,
+    seeded records at p = 11, 19, 23 and 103 (the goldens' records are in
+    test_golden)."""
+
+    def test_every_squarefree_hecke_quartic_p7(self):
+        orders, outcomes = table_orders(7), Counter()
+        for nu, f3, f2 in itertools.product(range(1, 7), range(7), range(7)):
+            f = (nu * nu % 7, nu * f3 % 7, f2, f3, 1)
+            fac = fp_hecke_factorization(f, nu, 7)
+            if fac.is_squarefree():
+                rec = FrobeniusRecord(0, f, fac, True, fp_projective_order(fac), nu)
+                outcomes[check_order_by_x_powers(rec, orders, 7)] += 1
+        assert outcomes[True] and outcomes[False] and sum(outcomes.values()) == 216
+
+    @pytest.mark.parametrize("p", [11, 19, 23, 103])
+    def test_seeded_records(self, p):
+        rng = random.Random(f"x-powers:{p}")
+        orders, irreducible, checked = table_orders(p), 0, 0
+        while checked < 120:
+            q, k = rng.choice((2, 3, 5, 7)), rng.randrange(2, 40)
+            rec = hecke_charpoly(rng.randrange(p), rng.randrange(p), q, k, p)
+            if rec.squarefree:
+                check_order_by_x_powers(rec, orders, p)
+                irreducible += len(rec.factorization.factors) == 1
+                checked += 1
+        assert 0 < irreducible < checked
 
 
 class TestConjugate22Split:

@@ -130,6 +130,17 @@ class TestIngest:
             ingest(str(path))
         assert "line 3" in str(err.value)
 
+    def test_only_newlines_end_a_line(self, tmp_path):
+        # a form feed closing line 2 and a line separator inside line 3 are
+        # whitespace within their lines: the bad directive is on line 4, the
+        # line an editor shows, whether \n, \r\n or \r ends the lines
+        for eol in ("\n", "\r\n", "\r"):
+            path = tmp_path / "ff.dataset"
+            path.write_bytes(eol.join(["weight 28", "level 1\f", "defining_poly 0\u2028 1",
+                                       "spin 3", ""]).encode())
+            with pytest.raises(DatasetError, match="line 4: unknown directive 'spin'$"):
+                ingest(str(path))
+
     @pytest.mark.parametrize("first, second", [
         ("weight 28", "weight 30"), ("level 1", "level 1"),
         ("defining_poly 0 1", "defining_poly 1 1"),

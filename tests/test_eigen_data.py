@@ -253,9 +253,9 @@ class TestResidualRoots:
         real_factor = eigen_data.factor
         factored = []
 
-        def counting_factor(f, p):
+        def counting_factor(f, nu, p):
             factored.append(f)
-            return real_factor(f, p)
+            return real_factor(f, nu, p)
 
         monkeypatch.setattr(eigen_data, "factor", counting_factor)
         path = resources.files("gspcert") / "datasets" / "weight28_level1.dataset"
@@ -498,7 +498,8 @@ class TestHeckeCharpoly:
     def test_p_not_3_mod_4_refused_with_one_line(self, p):
         # the charpoly's square roots are powers a^((p+1)/4); certify and the
         # command refuse these primes before, each with its own line
-        for call in (lambda: fp_hecke_factorization(hecke_quartic(1, 1, 3, 28, p), p),
+        f = hecke_quartic(1, 1, 3, 28, p)
+        for call in (lambda: fp_hecke_factorization(f, pow(3, 53, p), p),
                      lambda: hecke_charpoly(1, 1, 3, 28, p)):
             with pytest.raises(ValueError) as err:
                 call()
@@ -523,6 +524,24 @@ class TestHeckeCharpoly:
                 nu = pow(q, 2 * k - 3, p)
                 assert rec.similitude == nu
                 assert rec.charpoly[:2] == (nu * nu % p, -a1 * nu % p)
+
+    def test_seeded_similitude_is_the_factorizers_nu(self, monkeypatch):
+        # on seeded (q, k, p) up to p = 10007 the record's similitude is
+        # q^(2k-3) mod p, and it is the nu the factorizer was handed
+        handed = []
+
+        def spy(f, nu, p, real=eigen_data.factor):
+            handed.append(nu)
+            return real(f, nu, p)
+
+        monkeypatch.setattr(eigen_data, "factor", spy)
+        rng = random.Random("similitude")
+        for _ in range(200):
+            p = rng.choice((7, 11, 19, 103, 1019, 10007))
+            q = rng.choice([q for q in (2, 3, 5, 7, 11, 13, 97) if q != p])
+            k = rng.randrange(2, 200)
+            rec = hecke_charpoly(rng.randrange(p), rng.randrange(p), q, k, p)
+            assert rec.similitude == pow(q, 2 * k - 3, p) == handed.pop(), (q, k, p)
 
     def test_quartic_formula_against_integer_arithmetic(self):
         for a, b, q, k in ((4, 5, 2, 28), (3, 2, 3, 28), (1, 2, 5, 28), (6, 0, 11, 9)):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from functools import cache
 from importlib import resources
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -31,6 +32,7 @@ from gspcert import certifier, eigen_data, polynomial
 from gspcert.certifier import ExceptionalTable, VERDICT_INCONCLUSIVE, VERDICT_LARGE_IMAGE, certify
 from gspcert.cli import ingest, render_json, render_text
 from gspcert.eigen_data import embedding_roots
+from test_certifier import check_order_by_x_powers
 
 DATASETS = resources.files("gspcert") / "datasets"
 GOLDEN = Path(__file__).parent / "golden"
@@ -127,3 +129,34 @@ def test_large_p_goldens_cover_every_factor_pattern_and_both_verdicts():
     }
     assert patterns == {(4,), (2, 2), (1, 1, 2), (1, 1, 1, 1), "repeated"}
     assert {cert.verdict for cert in certs} == {VERDICT_LARGE_IMAGE, VERDICT_INCONCLUSIVE}
+
+
+def test_large_p_route_takes_under_five_seconds_a_root():
+    # each root takes milliseconds, against about a minute for the route
+    # that stepped through up to p^2 + 1 powers of x: a return to that
+    # cost fails here instead of only slowing the suite down
+    ds = ingest(GOLDEN / "large_p.dataset")
+    for r in embedding_roots(ds.defining_poly, 10007):
+        start = perf_counter()
+        certify(ds, 10007, r, LARGE_P_TABLES[10007])
+        assert perf_counter() - start < 5.0, r
+
+
+def test_every_golden_order_matches_the_x_powers():
+    # every record of every golden: a squarefree one's order against the
+    # powers of x that decide the two order checks, the others orderless
+    certs = [(cert, LARGE_P_TABLES[p]) for p in sorted(LARGE_P_TABLES)
+             for cert in large_p_certificates(p)]
+    for dataset in sorted(EXPECTED_EXIT):
+        ds = ingest(DATASETS / f"{dataset}.dataset")
+        certs += [(certify(ds, 7, r), certifier.builtin_exceptional_table(7))
+                  for r in embedding_roots(ds.defining_poly, 7)]
+    divides_none = []
+    for cert, table in certs:
+        orders = tuple(n for _, n in table.entries)
+        for rec in cert.records:
+            if rec.squarefree:
+                divides_none.append(check_order_by_x_powers(rec, orders, cert.p))
+            else:
+                assert rec.projective_order is None, rec
+    assert set(divides_none) == {True, False}

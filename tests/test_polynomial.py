@@ -202,12 +202,12 @@ class TestSquarefree:
 
     def test_pol2_is_squarefree(self):
         assert squarefree(POL2, 7)
-        assert fp_hecke_factorization(POL2, 7).is_squarefree()
+        assert fp_hecke_factorization(POL2, 4, 7).is_squarefree()
 
     def test_repeated_linear_factor_is_not(self):
         assert not squarefree(tuple(pmul((3, 1), (3, 1), 7)), 7)
         # (x + 3)^4 is Hecke-shaped with nu = 2 = 4^2: its root 4 pairs with itself
-        fac = fp_hecke_factorization((4, 3, 5, 5, 1), 7)
+        fac = fp_hecke_factorization((4, 3, 5, 5, 1), 2, 7)
         assert fac.factors == (((3, 1), 4),)
         assert not fac.is_squarefree()
 
@@ -224,7 +224,7 @@ class TestSquarefree:
     def test_zero_rejected(self):
         # the factorizer the squarefree flag comes from takes monic quartics only
         with pytest.raises(ValueError):
-            fp_hecke_factorization((), 7)
+            fp_hecke_factorization((), 1, 7)
 
 
 class TestRoots:
@@ -485,29 +485,41 @@ class TestHeckeFactorization:
     @pytest.mark.parametrize("p", [3, 7, 11, 19, 23])
     def test_every_hecke_quartic_matches_general_route(self, p):
         # every (a_q, a_{q^2}) for q in {2, 3, 5, 7} other than p and
-        # weights 4 and 28, each quartic once: two (q, k) with the same
-        # nu = q^(2k-3) give the same quartics
+        # weights 4 and 28, each (quartic, nu) once: two (q, k) with the
+        # same nu = q^(2k-3) give the same quartics
         quartics = {
-            hecke_quartic(a1, a2, q, k, p)
+            (hecke_quartic(a1, a2, q, k, p), pow(q, 2 * k - 3, p))
             for q in {2, 3, 5, 7} - {p}
             for k, a1, a2 in itertools.product((4, 28), range(p), range(p))
         }
-        for f in quartics:
-            assert fp_hecke_factorization(f, p) == fp_factorization(f, p), f
+        for f, nu in quartics:
+            assert fp_hecke_factorization(f, nu, p) == fp_factorization(f, p), f
 
     def test_seeded_quartics_match_general_route_p103(self):
         rng = random.Random(103)
         for _ in range(300):
             q, k = rng.choice((2, 3, 5, 7, 11)), rng.randrange(2, 40)
             f = hecke_quartic(rng.randrange(103), rng.randrange(103), q, k, 103)
-            assert fp_hecke_factorization(f, 103) == fp_factorization(f, 103), (q, k, f)
+            fac = fp_hecke_factorization(f, pow(q, 2 * k - 3, 103), 103)
+            assert fac == fp_factorization(f, 103), (q, k, f)
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 19, 23])
+    def test_no_x3_term_factors_for_nu_and_minus_nu(self, p):
+        # f3 = f1 = 0: f = x^4 + f2 x^2 + nu^2 pairs its roots as r <-> nu/r
+        # and as r <-> -nu/r, so both similitudes must give f's factors
+        for nu, f2 in itertools.product(range(1, (p + 1) // 2), range(p)):
+            f = (nu * nu % p, 0, f2, 0, 1)
+            expected = fp_factorization(f, p)
+            assert fp_hecke_factorization(f, nu, p) == expected, f
+            assert fp_hecke_factorization(f, p - nu, p) == expected, f
 
     @pytest.mark.parametrize("p", [10007, 1000003])
     def test_large_p_factors_multiply_back_and_are_irreducible(self, p):
         rng = random.Random(p)
         for _ in range(40):
-            f = hecke_quartic(rng.randrange(p), rng.randrange(p), rng.choice((2, 3, 5)), 28, p)
-            fac = fp_hecke_factorization(f, p)
+            q = rng.choice((2, 3, 5))
+            f = hecke_quartic(rng.randrange(p), rng.randrange(p), q, 28, p)
+            fac = fp_hecke_factorization(f, pow(q, 53, p), p)
             assert tuple(expand(fac)) == f
             assert all(fp_is_irreducible(g, p) for g, _ in fac.factors), f
 
@@ -526,7 +538,7 @@ class TestHeckeFactorization:
         for nu, a, c in itertools.product(range(1, p), range(p), range(p)):
             f = (nu * nu % p, -a * nu % p, c, -a % p, 1)
             try:
-                fac = fp_hecke_factorization(f, p)
+                fac = fp_hecke_factorization(f, nu, p)
             except (RuntimeError, ValueError) as exc:
                 outcomes[type(exc).__name__] += 1
                 continue
@@ -547,20 +559,23 @@ class TestHeckeFactorization:
         rng = random.Random(6)
         for _ in range(40):
             f = hecke_quartic(rng.randrange(1000003), rng.randrange(1000003), 3, 28, 1000003)
-            fp_hecke_factorization(f, 1000003)
+            fp_hecke_factorization(f, pow(3, 53, 1000003), 1000003)
 
-    @pytest.mark.parametrize("f", [
-        (1, 0, 1),  # not a quartic
-        (2, 4, 4, 6, 2),  # not monic
-        (0, 0, 3, 1, 1),  # f0 = 0 with f3 != 0
-        (0, 0, 3, 0, 1),  # f0 = 0 with f3 = f1 = 0
-        (1, 6, 4, 3, 1),  # nu = f1/f3 = 2, but f0 != 4
-        (4, 1, 4, 0, 1),  # f3 = 0 with f1 != 0
-        (3, 0, 4, 0, 1),  # f3 = f1 = 0 and f0 = 3 is not a square mod 7
+    @pytest.mark.parametrize("f, nu", [
+        ((1, 0, 1), 1),  # not a quartic
+        ((2, 4, 4, 6, 2), 3),  # not monic
+        ((0, 0, 3, 1, 1), 0),  # f0 = 0 with f3 != 0
+        ((0, 0, 3, 0, 1), 0),  # f0 = 0 with f3 = f1 = 0
+        ((1, 6, 4, 3, 1), 2),  # nu = f1/f3 = 2, but f0 != 4
+        ((4, 1, 4, 0, 1), 2),  # f3 = 0 with f1 != 0: f0 = nu^2, but f1 != nu f3
+        ((3, 0, 4, 0, 1), 2),  # f3 = f1 = 0 and f0 = 3 is not a square mod 7
+        (POL2, 3),  # -nu for a quartic with f3 != 0: f0 = nu^2, but f1 != nu f3
+        (POL2, 11),  # nu = 4 + 7, not reduced into [1, 7)
+        ((4, 0, 4, 0, 1), -2),  # nu = -2 for 5 = -2 mod 7, not reduced either
     ])
-    def test_malformed_quartic_refused_with_one_line(self, f):
+    def test_malformed_quartic_refused_with_one_line(self, f, nu):
         with pytest.raises(ValueError) as err:
-            fp_hecke_factorization(f, 7)
+            fp_hecke_factorization(f, nu, 7)
         assert "\n" not in str(err.value)
 
     @pytest.mark.parametrize("p", [3, 7, 11, 19, 23, 43, 103, 10007])
@@ -637,7 +652,7 @@ class TestProjectiveOrder:
         patterns = set()
         for nu, f3, f2 in itertools.product(range(1, p), range(p), range(p)):
             f = (nu * nu % p, nu * f3 % p, f2, f3, 1)
-            fac = fp_hecke_factorization(f, p)
+            fac = fp_hecke_factorization(f, nu, p)
             if fac.is_squarefree():
                 assert fp_projective_order(fac) == stepped_fp_projective_order(f, p), f
                 patterns.add(tuple(len(g) - 1 for g, _ in fac.factors))
@@ -652,7 +667,7 @@ class TestProjectiveOrder:
         while checked < 300:
             nu, f3, f2 = rng.randrange(1, p), rng.randrange(p), rng.randrange(p)
             f = (nu * nu % p, nu * f3 % p, f2, f3, 1)
-            fac = fp_hecke_factorization(f, p)
+            fac = fp_hecke_factorization(f, nu, p)
             if fac.is_squarefree():
                 assert fp_projective_order(fac) == stepped_fp_projective_order(f, p), f
                 checked += 1
@@ -664,7 +679,7 @@ class TestProjectiveOrder:
         while checked < 20:
             nu, f3, f2 = rng.randrange(1, 10007), rng.randrange(10007), rng.randrange(10007)
             f = (nu * nu % 10007, nu * f3 % 10007, f2, f3, 1)
-            fac = fp_hecke_factorization(f, 10007)
+            fac = fp_hecke_factorization(f, nu, 10007)
             if fac.factors == ((f, 1),):
                 assert fp_projective_order(fac) == irreducible_projective_order(f, 10007), f
                 checked += 1
@@ -701,8 +716,8 @@ class TestProjectiveOrder:
             assert n == 1
 
     def test_frozen_paper_orders(self):
-        for f, n in (((2, 5, 2, 3, 1), 25), ((4, 6, 3, 4, 1), 16), ((2, 4, 4, 6, 1), 8)):
-            assert fp_projective_order(fp_hecke_factorization(f, 7)) == n
+        for f, nu, n in ((POL2, 4, 25), (POL3, 5, 16), (POL5, 3, 8)):
+            assert fp_projective_order(fp_hecke_factorization(f, nu, 7)) == n
             assert stepped_fp_projective_order(f, 7) == n
 
     @pytest.mark.parametrize("f", [(0, 0, 0, 0, 1), (0, 1, 2, 3, 1), (0, 0, 5, 0, 1)])

@@ -216,9 +216,9 @@ class TestOrders:
         rng = random.Random(27)
         checked = 0
         while checked < 30:
-            m, _ = random_similitude(rng, 7)
+            m, nu = random_similitude(rng, 7)
             f = charpoly(m, 7)
-            fac = fp_hecke_factorization(f, 7)
+            fac = fp_hecke_factorization(f, nu, 7)
             if fac.is_squarefree():
                 n = projective_order(m, 7)
                 assert fp_projective_order(fac) == n == stepped_fp_projective_order(f, 7), m
@@ -226,35 +226,40 @@ class TestOrders:
 
 
 class TestSimilitude:
-    """fp_hecke_factorization reads nu off f1 = nu f3 and f0 = nu^2, the
+    """fp_hecke_factorization(f, nu, p) checks f1 = nu f3 and f0 = nu^2, the
     shape of the charpoly of a similitude with multiplier nu: here on
-    matrices of GSp(4, p) rather than on eigen_data.hecke_quartic's output."""
+    matrices of GSp(4, p), each with its multiplier, rather than on
+    eigen_data.hecke_quartic's output."""
 
     def test_identity(self):
         assert multiplier(IDENTITY, 7) == 1
         f = charpoly(IDENTITY, 7)
-        assert fp_hecke_factorization(f, 7) == fp_factorization(f, 7)
+        assert fp_hecke_factorization(f, 1, 7) == fp_factorization(f, 7)
 
     def test_scalar_squares(self):
         for lam in range(1, 7):
             m = diag(lam, lam, lam, lam)
-            assert multiplier(m, 7) == lam * lam % 7
-            assert fp_hecke_factorization(charpoly(m, 7), 7).factors == (((-lam % 7, 1), 4),)
+            nu = multiplier(m, 7)
+            assert nu == lam * lam % 7
+            assert fp_hecke_factorization(charpoly(m, 7), nu, 7).factors == (((-lam % 7, 1), 4),)
 
     def test_standard_form_itself(self):
         j = standard_form(7)
         assert multiplier(j, 7) == 1
-        # (x^2 + 1)^2 has no x^3 or x term: the route takes nu = sqrt(f0)
+        # (x^2 + 1)^2 has no x^3 or x term: nu = 1 and -nu = 6 both fit
         assert charpoly(j, 7) == (1, 0, 2, 0, 1)
-        assert fp_hecke_factorization(charpoly(j, 7), 7).factors == (((1, 0, 1), 2),)
+        for nu in (1, 6):
+            assert fp_hecke_factorization(charpoly(j, 7), nu, 7).factors == (((1, 0, 1), 2),)
 
     def test_non_similitude_matrix(self):
         m = diag(1, 1, 1, 2)
         assert multiplier(m, 7) is None
-        # (x - 1)^3 (x - 2) = x^4 + 2x^3 + 2x^2 + 2: nu = f1/f3 = 0
+        # (x - 1)^3 (x - 2) = x^4 + 2x^3 + 2x^2 + 2: f1 = 0 != nu f3 for
+        # every nu in F_7^*, so no similitude fits
         assert charpoly(m, 7) == (2, 0, 2, 2, 1)
-        with pytest.raises(ValueError):
-            fp_hecke_factorization(charpoly(m, 7), 7)
+        for nu in range(1, 7):
+            with pytest.raises(ValueError):
+                fp_hecke_factorization(charpoly(m, 7), nu, 7)
 
     def test_random_elements_verify_entrywise(self):
         rng = random.Random(21)
@@ -276,9 +281,9 @@ class TestSimilitude:
     def test_hecke_route_matches_general_route_on_similitudes(self, p):
         rng = random.Random(f"gsp:{p}")
         for _ in range(40):
-            m, _ = random_similitude(rng, p)
+            m, nu = random_similitude(rng, p)
             f = charpoly(m, p)
-            assert fp_hecke_factorization(f, p) == fp_factorization(f, p), f
+            assert fp_hecke_factorization(f, nu, p) == fp_factorization(f, p), f
 
 
 def ratio_order(f: tuple[int, ...]) -> int:
@@ -297,7 +302,7 @@ class TestEigenProjectiveOrder:
 
     def test_pol2_frozen(self):
         assert ratio_order(POL2) == 25 == stepped_fp_projective_order(POL2, 7)
-        assert fp_projective_order(fp_hecke_factorization(POL2, 7)) == 25
+        assert fp_projective_order(fp_hecke_factorization(POL2, 4, 7)) == 25
 
     def test_split_quartic(self):
         f = charpoly(diag(1, 2, 3, 4), 7)  # (x - 1)(x - 2)(x - 3)(x - 4)
