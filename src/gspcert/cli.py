@@ -261,7 +261,7 @@ def render_text(certs: list[Certificate]) -> str:
         f"{len(certs)} certificate(s): {certified} LARGE_IMAGE, "
         f"{len(certs) - certified} INCONCLUSIVE"
     )
-    return "\n\n".join(blocks) + "\n\n" + summary + "\n"
+    return "\n\n".join(blocks + [summary]) + "\n"
 
 
 # ---------------------------------------------------------------------------

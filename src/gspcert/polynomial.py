@@ -10,11 +10,11 @@ fp_hecke_factorization(f, nu, p) factors a Hecke quartic f, whose roots pair
 as r <-> nu/r for the similitude nu passed with it, through y = x + nu/x: a
 quadratic in y and quadratics in x, solved by square roots in F_p (one power
 each, as p = 3 mod 4), with no gcd and no scan over F_p; fp_projective_order
-reads the order of its companion matrix in PGL(4, p) off that factorization.
-Factorization holds its factors as tuples; fp_str prints a tuple high degree
-first.  The two integer routines, is_prime and _prime_factors, sit beside
-the factorization.  Residues mod p are plain ints: the package has no
-field-element type (the tests' one is tests/field_elements.py).
+reads the order of its companion matrix in PGL(4, p) off that factorization
+and nu.  Factorization holds its factors as tuples; fp_str prints a tuple high
+degree first.  is_prime and _prime_factors, the integer routines, sit beside
+the factorization.  Residues mod p are plain ints: no field-element type
+exists, and the tests' F_{p^2}/F_{p^4} elements are int tuples (oracles.py).
 """
 from __future__ import annotations
 
@@ -213,25 +213,25 @@ def _x_power_is_constant(e: int, f: FpPoly, p: int) -> bool:
     return not (a1 or a2 or a3)
 
 
-def fp_projective_order(fac: Factorization) -> int:
-    """The least n >= 1 with x^n constant mod a squarefree Hecke quartic f,
-    the order of its companion matrix in PGL(4, p), read off f's
-    factorization; ValueError for a repeated factor, a factor x, or an
-    irreducible f with f1 != nu f3 or f0 != nu^2.
+def fp_projective_order(fac: Factorization, nu: int) -> int:
+    """The least n >= 1 with x^n constant mod a squarefree Hecke quartic f
+    with similitude nu, the order of its companion matrix in PGL(4, p), read
+    off f's factorization; ValueError for a repeated factor, a factor x, or
+    an irreducible f with f1 != nu f3 or f0 != nu^2.
 
     Split f (CRT): x^n = c mod f iff mod every factor g.  With e_g the least
     exponent at which x^e_g = c_g in F_p mod g (1 for x - c_g; stepped on a
     quadratic g's two coefficients, e_g | p + 1), n = L k for L = lcm(e_g)
     and k the order in F_p^* of the ratios of the c_g^(L/e_g).  Irreducible
     f: its roots pair as r <-> nu/r = r^(p^2), so n | p^2 + 1 = 2m, m odd,
-    and n | m iff r^m, a square root of nu = f1/f3, is in F_p, iff nu is a
-    square.  Both then descend over primes found by trial division.
+    and n | m iff r^m, a square root of nu, is in F_p, iff nu is a square.
+    Both then descend over primes found by trial division.
     """
     p, factors = fac.p, fac.factors
     if len(factors) < 2:
         f, mult = factors[0] if factors else ((), 0)
-        nu = f[1] * pow(f[3], -1, p) % p if len(f) == 5 and f[3] else 0
-        if mult != 1 or not nu or nu * nu % p != f[0] or not p % 2:
+        hecke = len(f) == 5 and f[:2] == (nu * nu % p, nu * f[3] % p) and nu % p
+        if mult != 1 or not hecke or not p % 2:
             raise ValueError(f"{fac} is not a squarefree Hecke quartic: f1 != nu f3 or f0 != nu^2")
         eps = pow(nu, (p - 1) // 2, p) != 1
         n = (p * p + 1) // 2

@@ -7,11 +7,14 @@ the equal-degree parts.  The plain-list helpers (pmul, pmod, pdiv, trial
 division) work on coefficient lists, low degree first, without the
 package's kernel; reference_powmod is fp_powmod on them, a full pmul
 product and a separate pmod reduction per step.  Every other F_p
-polynomial here is the kernel's low-first int tuple; the F_{p^4} section
-takes FFElements (field_elements.py) only where a value lies in F_{p^2} or
-F_{p^4}: the Frobenius, subfields, multiplicative orders, the roots of an
-F_p polynomial found by scanning an extension field, and g * conj(g) for g
-over F_{p^2}.  The last sections hold the projective order of a quartic by
+polynomial here is the kernel's low-first int tuple.  The F_{p^4} section
+starts with the integer factoring (factorize) and Rabin's test on the
+kernel (fp_is_irreducible), which finds the canonical modulus m of F_{p^d};
+an element of F_{p^d} = F_p[t]/(m) is then a low-first int tuple of length
+d, multiplied with pmul and pmod.  On these it holds the Frobenius,
+subfields, multiplicative orders, the roots of an F_p polynomial found by
+scanning an extension field, and g * conj(g) for g over F_{p^2}.  The last
+sections hold the projective order of a quartic by
 stepping through the powers of x, that of an irreducible quartic by
 descent, the JSON report as json.dumps writes it, and the dataset digest
 hashed one field at a time.
@@ -23,7 +26,6 @@ import itertools
 import json
 from functools import lru_cache
 
-from field_elements import FFElement, FieldSpec, factorize, make_field
 from gspcert.certifier import Certificate
 from gspcert.cli import REPORT_FORMAT
 from gspcert.eigen_data import EigenformDataset
@@ -275,109 +277,171 @@ def validate_similitude_shape(f: tuple[int, ...], q: int, k: int, p: int) -> boo
     return c1 == c3 * nu % p and c0 == nu * nu % p
 
 
-def naive_mult_order(x, one, bound: int = 10000) -> int:
-    n, y = 1, x
+# ---------------------------------------------------------------------------
+# the F_{p^2} / F_{p^4} reference route.  An element of F_{p^d} = F_p[t]/(m)
+# is its int tuple of d coefficients, low first, for the canonical modulus m
+# (_smallest_irreducible; F_p itself is F_p[t]/(t)); products are pmul then
+# pmod, and the canonical order of the elements is that of their base-p
+# indices, the coefficients read as digits
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization by trial division (n stays small here)."""
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}")
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def fp_is_irreducible(f: FpPoly, p: int) -> bool:
+    """Rabin's test for monic f of degree n >= 1: x^(p^n) = x mod f and
+    gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n."""
+    n = len(f) - 1
+    if n < 1:
+        raise ValueError("irreducibility needs degree >= 1")
+    x = fp_mod((0, 1), f, p)
+    if fp_powmod(x, p**n, f, p) != x:
+        return False
+    return all(  # n >= 2 here, so x = (0, 1) and -x = (0, p - 1)
+        len(fp_gcd(fp_add(fp_powmod(x, p ** (n // ell), f, p), (0, p - 1), p), f, p)) == 1
+        for ell in factorize(n)
+    )
+
+
+@lru_cache(maxsize=None)
+def _smallest_irreducible(p: int, d: int) -> FpPoly:
+    """The canonical modulus of F_{p^d}: the lexicographically smallest
+    monic irreducible of degree d over F_p, high-degree coefficients
+    compared first (t, t^2 + 1 and t^4 + t + 1 at p = 7)."""
+    return next(f for f in map(tuple, monic_polys(p, d)) if fp_is_irreducible(f, p))
+
+
+def element(i: int, p: int, d: int) -> tuple[int, ...]:
+    """The element of F_{p^d} with base-p index i in [0, p^d)."""
+    return tuple(i // p**j % p for j in range(d))
+
+
+def ext_add(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def ext_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a * b in F_{p^d}, d = len(a) = len(b)."""
+    c = pmod(pmul(list(a), list(b), p), list(_smallest_irreducible(p, len(a))), p)
+    return tuple(c) + (0,) * (len(a) - len(c))
+
+
+def ext_pow(x: tuple[int, ...], e: int, p: int) -> tuple[int, ...]:
+    """x^e in F_{p^d} for e >= 0, d = len(x)."""
+    c = reference_powmod(x, e, _smallest_irreducible(p, len(x)), p)
+    return c + (0,) * (len(x) - len(c))
+
+
+def frobenius(x: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The field automorphism x -> x^p."""
+    return ext_pow(x, p, p)
+
+
+def in_subfield(x: tuple[int, ...], e: int, p: int) -> bool:
+    """Whether x in F_{p^d} lies in the subfield F_{p^e}; requires e | d."""
+    if e < 1 or len(x) % e != 0:
+        raise ValueError(f"F_{p}^{e} is not a subfield of F_{p}^{len(x)}")
+    return ext_pow(x, p**e, p) == x
+
+
+def mult_order(x: tuple[int, ...], p: int) -> int:
+    """Multiplicative order of nonzero x, by descent through the factored
+    group order."""
+    if not any(x):
+        raise ValueError("zero has no multiplicative order")
+    one = element(1, p, len(x))
+    order = p ** len(x) - 1
+    for ell in factorize(order):
+        while order % ell == 0 and ext_pow(x, order // ell, p) == one:
+            order //= ell
+    return order
+
+
+def naive_mult_order(x: tuple[int, ...], p: int, bound: int = 10000) -> int:
+    """Multiplicative order of nonzero x by multiplying by x until 1."""
+    one, n, y = element(1, p, len(x)), 1, x
     while y != one:
-        y = y * x
+        y = ext_mul(y, x, p)
         n += 1
         if n > bound:
             raise AssertionError("order search exceeded bound")
     return n
 
 
-# ---------------------------------------------------------------------------
-# the F_{p^2} / F_{p^4} reference route
-
-
-def frobenius(x: FFElement) -> FFElement:
-    """The field automorphism x -> x^p."""
-    return x**x.field.p
-
-
-def in_subfield(x: FFElement, e: int) -> bool:
-    """Whether x lies in the subfield F_{p^e}; requires e | d."""
-    if e < 1 or x.field.d % e != 0:
-        raise ValueError(f"F_{x.field.p}^{e} is not a subfield of {x.field!r}")
-    return x ** (x.field.p**e) == x
-
-
-def mult_order(x: FFElement) -> int:
-    """Multiplicative order of nonzero x, by descent through the factored
-    group order."""
-    if x.is_zero():
-        raise ValueError("zero has no multiplicative order")
-    one = x.field.one()
-    order = x.field.order - 1
-    for ell in factorize(order):
-        while order % ell == 0 and x ** (order // ell) == one:
-            order //= ell
-    return order
-
-
 @lru_cache(maxsize=None)
-def exp_log_tables(field: FieldSpec) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
-    """exp[j] = coefficients of g^j for the smallest multiplicative generator
-    g in canonical element order, and the inverse map."""
+def exp_log_tables(p: int, d: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+    """exp[j] = g^j for the smallest multiplicative generator g of F_{p^d}
+    in canonical order, and the inverse map."""
     g = next(
-        x for x in map(field.element_from_index, range(1, field.order))
-        if mult_order(x) == field.order - 1
+        x for x in (element(i, p, d) for i in range(1, p**d))
+        if mult_order(x, p) == p**d - 1
     )
-    exp = [field.one().coeffs]
-    for _ in range(field.order - 2):
-        exp.append(field._mul_coeffs(exp[-1], g.coeffs))
+    exp = [element(1, p, d)]
+    for _ in range(p**d - 2):
+        exp.append(ext_mul(exp[-1], g, p))
     return exp, {c: j for j, c in enumerate(exp)}
 
 
-def conjugate_product(g: list[FFElement]) -> FpPoly:
+def conjugate_product(g: list[tuple[int, int]], p: int) -> FpPoly:
     """g * conj(g) for g over F_{p^2}, coefficients low first, where conj
     applies the Frobenius to each coefficient: a polynomial over F_p, as
     the kernel's int tuple.  AssertionError if a coefficient is not in F_p."""
-    zero = g[0].field.zero()
-    out = [zero] * (2 * len(g) - 1)
-    for j, b in enumerate(map(frobenius, g)):
+    out = [(0, 0)] * (2 * len(g) - 1)
+    for j, b in enumerate(frobenius(c, p) for c in g):
         for i, a in enumerate(g, j):
-            out[i] = out[i] + a * b
-    assert all(in_subfield(c, 1) for c in out), out
-    return fp_trim([c.coeffs[0] for c in out])
+            out[i] = ext_add(out[i], ext_mul(a, b, p), p)
+    assert not any(c[1] for c in out), out
+    return fp_trim([c[0] for c in out])
 
 
-def roots_in(f: FpPoly, p: int, e: int) -> list[FFElement]:
+def roots_in(f: FpPoly, p: int, e: int) -> list[tuple[int, ...]]:
     """Roots in F_{p^e} of f over F_p, with multiplicity, by evaluating f
     at every element of F_{p^e} and dividing out x - r while it divides;
     roots come back sorted in canonical element order."""
     if not f:
         raise ValueError("the zero polynomial has every root")
-    target = make_field(p, e)
-    out: list[FFElement] = []
+    out = []
     for r in scan_distinct_roots(f, p, e):
-        h = [target.element(c) for c in f]
+        h = [element(c % p, p, e) for c in f]
         while True:
             # synthetic division by x - r: Horner's partial sums, high
             # first, are the quotient's coefficients and the last is h(r)
-            v, sums = target.zero(), []
+            v, sums = element(0, p, e), []
             for c in reversed(h):
-                v = v * r + c
+                v = ext_add(ext_mul(v, r, p), c, p)
                 sums.append(v)
-            if not v.is_zero():
+            if any(v):
                 break
             h = sums[-2::-1]
             out.append(r)
-    return sorted(out, key=target.index)
+    return out
 
 
-def scan_distinct_roots(g: FpPoly, p: int, e: int) -> list[FFElement]:
+def scan_distinct_roots(g: FpPoly, p: int, e: int) -> list[tuple[int, ...]]:
     """The distinct roots in F_{p^e} of g != 0 over F_p: evaluate g at 0
     and at every power of the table generator, each term value a table
     lookup; sorted in canonical element order."""
-    F = make_field(p, e)
-    m = F.order - 1
-    exp, log = exp_log_tables(F)
-    roots = [F.zero()] if g[0] % p == 0 else []
-    terms = [(i, log[F.element(c).coeffs]) for i, c in enumerate(g) if c % p]
+    m = p**e - 1
+    exp, log = exp_log_tables(p, e)
+    roots = [element(0, p, e)] if g[0] % p == 0 else []
+    terms = [(i, log[element(c % p, p, e)]) for i, c in enumerate(g) if c % p]
     for j in range(m):
         if not any(sum(col) % p for col in zip(*(exp[(lc + i * j) % m] for i, lc in terms))):
-            roots.append(FFElement(F, exp[j]))
-    return sorted(roots, key=F.index)
+            roots.append(exp[j])
+    return sorted(roots, key=lambda x: x[::-1])
 
 
 # ---------------------------------------------------------------------------

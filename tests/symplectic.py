@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import lcm, prod
 
-from field_elements import factorize
+from oracles import factorize
 
 Rows = tuple[tuple[int, int, int, int], ...]
 

@@ -12,7 +12,6 @@ import time
 from importlib import resources
 from math import gcd
 
-from field_elements import fp_is_irreducible, make_field
 from gspcert import EigenformDataset, certify, embedding_roots, ingest, render_json
 from gspcert.certifier import check_conjugate_22_split
 from gspcert.eigen_data import FrobeniusRecord, hecke_charpoly, hecke_quartic, specialize
@@ -21,14 +20,13 @@ from oracles import (
     conjugate_product,
     expand,
     fp_factorization,
+    fp_is_irreducible,
     irreducible_projective_order,
     roots_in,
     stepped_fp_projective_order,
     validate_similitude_shape,
 )
 from symplectic import companion, projective_order
-
-F49 = make_field(7, 2)
 
 DATASETS = resources.files("gspcert") / "datasets"
 PAPER = str(DATASETS / "weight28_level1.dataset")
@@ -81,8 +79,7 @@ def test_criterion_4_base_field_root_counts():
     for q in (2, 3, 5):
         rec = paper_record(q)
         roots[q] = sorted(r for r, m in rec.factorization.linear_roots() for _ in range(m))
-        reference = roots_in(rec.charpoly, 7, 1)
-        assert roots[q] == [r.lift() for r in reference], q
+        assert [(r,) for r in roots[q]] == roots_in(rec.charpoly, 7, 1), q
     assert roots[2] == []
     assert roots[5] == []
     assert roots[3] == [3, 4]
@@ -118,7 +115,8 @@ def test_criterion_7_negative_controls():
 
     # (ii) a product g * conjugate(g) with coefficients in F_7 is a shape the
     # conjugate-pair check must recognize, hence never exclude
-    f = conjugate_product([F49.element(3), F49.gen(), F49.one()])  # asserts f is over F_7
+    # g = x^2 + t x + 3 over F_49 = F_7[t]/(t^2 + 1)
+    f = conjugate_product([(3, 0), (0, 1), (1, 0)], 7)  # asserts f is over F_7
     fac = fp_factorization(f, 7)
     rec = FrobeniusRecord(
         q=2, charpoly=f, factorization=fac,
@@ -163,9 +161,10 @@ def test_criterion_8_randomized_oracles():
     while hecke < 200:
         q, k = rng.choice((2, 3, 5, 11)), rng.randrange(2, 31)
         f = hecke_quartic(rng.randrange(7), rng.randrange(7), q, k, 7)
-        fac = fp_hecke_factorization(f, pow(q, 2 * k - 3, 7), 7)
+        nu = pow(q, 2 * k - 3, 7)
+        fac = fp_hecke_factorization(f, nu, 7)
         if fac.is_squarefree():
-            assert fp_projective_order(fac) == stepped_fp_projective_order(f, 7), f
+            assert fp_projective_order(fac, nu) == stepped_fp_projective_order(f, 7), f
             hecke += 1
 
     # (iii) every generated quartic has the reciprocal similitude shape
@@ -191,7 +190,7 @@ def test_criterion_8_randomized_oracles():
             irreducible += 1
             nu = f[1] * pow(f[3], -1, 7) % 7 if f[3] else 0
             if nu and f[0] == nu * nu % 7:
-                assert fp_projective_order(fp_hecke_factorization(f, nu, 7)) == n, f
+                assert fp_projective_order(fp_hecke_factorization(f, nu, 7), nu) == n, f
                 hecke += 1
     assert irreducible == (7**4 - 7**2) // 4 == 588
     assert hecke == 72

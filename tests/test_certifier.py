@@ -7,7 +7,6 @@ from collections import Counter
 
 import pytest
 
-from field_elements import factorize, make_field
 from gspcert.certifier import (
     VERDICT_INCONCLUSIVE,
     VERDICT_LARGE_IMAGE,
@@ -27,14 +26,14 @@ from gspcert.eigen_data import EigenformDataset, FrobeniusRecord, hecke_charpoly
 from gspcert.polynomial import fp_hecke_factorization, fp_powmod, fp_projective_order, is_prime
 from oracles import (
     conjugate_product,
+    element,
+    factorize,
     fp_factorization,
     in_subfield,
     pmul,
     roots_in,
     validate_similitude_shape,
 )
-
-F49 = make_field(7, 2)
 
 DEFINING = (-59412960, -294086, -1, 1)
 EIGENVALUES = {2: (4,), 4: (5,), 3: (3,), 9: (2,), 5: (1,), 25: (2,)}
@@ -184,19 +183,21 @@ def check_order_by_x_powers(rec: FrobeniusRecord, orders: tuple[int, ...], p: in
 
 class TestOrdersAgainstXPowers:
     """The projective orders against the powers of x that decide the two
-    order checks without them: every squarefree Hecke quartic at p = 7,
-    seeded records at p = 11, 19, 23 and 103 (the goldens' records are in
-    test_golden)."""
+    order checks without them: every squarefree Hecke quartic at p = 7 and
+    11, seeded records at p = 11, 19, 23 and 103 (the goldens' records are
+    in test_golden)."""
 
-    def test_every_squarefree_hecke_quartic_p7(self):
-        orders, outcomes = table_orders(7), Counter()
-        for nu, f3, f2 in itertools.product(range(1, 7), range(7), range(7)):
-            f = (nu * nu % 7, nu * f3 % 7, f2, f3, 1)
-            fac = fp_hecke_factorization(f, nu, 7)
+    @pytest.mark.parametrize("p, count", [(7, 216), (11, 1000)])
+    def test_every_squarefree_hecke_quartic(self, p, count):
+        # (p - 1)^3 of them: every (nu^2, nu f3, f2, f3, 1), nu in F_p^*
+        orders, outcomes = table_orders(p), Counter()
+        for nu, f3, f2 in itertools.product(range(1, p), range(p), range(p)):
+            f = (nu * nu % p, nu * f3 % p, f2, f3, 1)
+            fac = fp_hecke_factorization(f, nu, p)
             if fac.is_squarefree():
-                rec = FrobeniusRecord(0, f, fac, True, fp_projective_order(fac), nu)
-                outcomes[check_order_by_x_powers(rec, orders, 7)] += 1
-        assert outcomes[True] and outcomes[False] and sum(outcomes.values()) == 216
+                rec = FrobeniusRecord(0, f, fac, True, fp_projective_order(fac, nu), nu)
+                outcomes[check_order_by_x_powers(rec, orders, p)] += 1
+        assert outcomes[True] and outcomes[False] and sum(outcomes.values()) == count
 
     @pytest.mark.parametrize("p", [11, 19, 23, 103])
     def test_seeded_records(self, p):
@@ -220,7 +221,7 @@ class TestConjugate22Split:
         assert res.data["admissible_pairings"] == {"2": 1, "3": 0, "5": 0}
 
     def test_constructed_conjugate_product_is_not_excluded(self):
-        rec = synthetic_record(2, conjugate_product([F49.element(3), F49.gen(), F49.one()]))
+        rec = synthetic_record(2, conjugate_product([(3, 0), (0, 1), (1, 0)], 7))
         assert rec.squarefree
         res = check_conjugate_22_split([rec], 7)
         assert not res.passed
@@ -230,10 +231,10 @@ class TestConjugate22Split:
         rng = random.Random(31)
         tried = 0
         while tried < 25:
-            beta = F49.element_from_index(rng.randrange(49))
-            if in_subfield(beta, 1):
+            beta = element(rng.randrange(49), 7, 2)
+            if in_subfield(beta, 1, 7):
                 continue
-            f = conjugate_product([F49.element(rng.randrange(1, 7)), beta, F49.one()])
+            f = conjugate_product([(rng.randrange(1, 7), 0), beta, (1, 0)], 7)
             rec = synthetic_record(2, f)
             if not rec.squarefree:
                 continue
@@ -264,10 +265,9 @@ def conjugate_tally(p: int) -> Counter:
     F_p^*, give each product g * conj(g): by definition, twice the number
     of admissible pairings of a squarefree product, one pair {g, conj(g)}
     with g != conj(g) each."""
-    F2 = make_field(p, 2)
     return Counter(
-        conjugate_product([F2.element(gamma), beta, F2.one()])
-        for beta in F2.elements() for gamma in range(1, p)
+        conjugate_product([(gamma, 0), element(i, p, 2), (1, 0)], p)
+        for i in range(p * p) for gamma in range(1, p)
     )
 
 
@@ -322,15 +322,14 @@ class TestPairingCountOracles:
     @pytest.mark.parametrize("p", [11, 13])
     def test_seeded_sample_against_definitional_tally(self, p):
         tally = conjugate_tally(p)
-        F2 = make_field(p, 2)
         rng = random.Random(4 * p + 1)
         kinds = Counter()
         while sum(kinds.values()) < 100:
             if sum(kinds.values()) % 2:
                 f = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(3)) + (1,)
             else:
-                beta = F2.element_from_index(rng.randrange(F2.order))
-                f = conjugate_product([F2.element(rng.randrange(1, p)), beta, F2.one()])
+                beta = element(rng.randrange(p * p), p, 2)
+                f = conjugate_product([(rng.randrange(1, p), 0), beta, (1, 0)], p)
             kind = checked_kind(f, p, tally)
             if kind:
                 kinds[kind] += 1

@@ -508,8 +508,7 @@ class TestFreshInterpreter:
         res = run_python("-c", (
             f"import sys, {module}\n"
             "print(sorted(m for m in ('click', 'dataclasses', 'inspect', 'gspcert.symplectic',"
-            " 'field_elements', 'symplectic', 'oracles')"
-            " if m in sys.modules))\n"
+            " 'symplectic', 'oracles') if m in sys.modules))\n"
         ))
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[]\n"
@@ -571,8 +570,7 @@ class TestFreshInterpreter:
             "    certs = [certify(ds, 7, r) for r in embedding_roots(ds.defining_poly, 7)]\n"
             "    render_json(certs), render_text(certs)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gspcert'))\n"
-            "print(sorted(m for m in ('field_elements', 'symplectic', 'oracles')"
-            " if m in sys.modules))\n"
+            "print(sorted(m for m in ('symplectic', 'oracles') if m in sys.modules))\n"
         ))
         assert res.returncode == 0, res.stderr
         stems = {path.stem for path in Path(gspcert.__file__).parent.glob("*.py")} - {"__main__"}

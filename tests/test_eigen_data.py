@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from cli_runner import invoke
-from field_elements import make_field
 from gspcert import eigen_data
 from gspcert.eigen_data import (
     EigenformDataset,
@@ -34,8 +34,6 @@ from oracles import (
     reference_digest,
     validate_similitude_shape,
 )
-
-F7 = make_field(7, 1)
 
 DEFINING = (-59412960, -294086, -1, 1)
 EIGENVALUES = {2: (4,), 4: (5,), 3: (3,), 9: (2,), 5: (1,), 25: (2,)}
@@ -362,10 +360,10 @@ class TestSpecialize:
         assert tables[0] == tables[1] == tables[2]
 
     @pytest.mark.parametrize(
-        "root", [F7.element(4), 4.0, True], ids=["f7-element", "float", "bool"]
+        "root", [Fraction(4), 4.0, True], ids=["fraction", "float", "bool"]
     )
     def test_root_other_than_an_int_refused(self, root):
-        # an F_7 element is a root only after .lift()
+        # each equals the root 4, yet only an int is taken
         with pytest.raises(ValueError, match=r"must be an int in \[0, 7\)"):
             specialize(paper_dataset(), 7, root)
 
@@ -413,8 +411,9 @@ class TestSpecialize:
         assert specialize(ds, 7, 2) == {i: e[0] % 7 for i, e in EIGENVALUES.items()}
 
     def test_root_must_be_prime_field(self):
+        # t in F_49 = F_7[t]/(t^2 + 1), as the tests' references write it
         with pytest.raises(ValueError):
-            specialize(paper_dataset(), 7, make_field(7, 2).gen())
+            specialize(paper_dataset(), 7, (0, 1))
 
 
 class TestHeckeCharpoly:

@@ -1,4 +1,5 @@
-"""Tests for prime fields, their extensions, and the integer helpers."""
+"""Tests for the F_{p^d} references of tests/oracles.py, whose elements are
+low-first int tuples, and for the integer helpers."""
 from __future__ import annotations
 
 import random
@@ -8,209 +9,131 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from field_elements import factorize, make_field
 from gspcert.polynomial import is_prime
-from oracles import frobenius, in_subfield, mult_order, naive_mult_order
+from oracles import (
+    _smallest_irreducible,
+    element,
+    ext_add,
+    ext_mul,
+    factorize,
+    frobenius,
+    in_subfield,
+    monic_polys,
+    mult_order,
+    naive_irreducible,
+    naive_mult_order,
+)
 
-F7 = make_field(7, 1)
-F49 = make_field(7, 2)
-F2401 = make_field(7, 4)
-
-FIELDS = (F7, F49, F2401, make_field(5, 2), make_field(11, 1))
+# (p, d) for F_{p^d}
+FIELDS = ((7, 1), (7, 2), (7, 4), (5, 2), (11, 1))
+T49 = (0, 1)  # t in F_49 = F_7[t]/(t^2 + 1)
 
 
 @st.composite
-def field_elements(draw, count: int):
-    field = draw(st.sampled_from(FIELDS))
-    idxs = draw(st.lists(
-        st.integers(0, field.order - 1), min_size=count, max_size=count,
-    ))
-    return field, [field.element_from_index(i) for i in idxs]
+def drawn_elements(draw, count: int):
+    p, d = draw(st.sampled_from(FIELDS))
+    idxs = draw(st.lists(st.integers(0, p**d - 1), min_size=count, max_size=count))
+    return p, [element(i, p, d) for i in idxs]
 
 
-class TestFieldConstruction:
-    def test_prime_field_has_no_modulus(self):
-        assert F7.modulus is None
-        assert F7.order == 7
-
+class TestCanonicalModulus:
     def test_canonical_modulus_frozen(self):
-        # low degree first: t^2 + 1 and t^4 + t + 1
-        assert F49.modulus == (1, 0, 1)
-        assert F2401.modulus == (1, 1, 0, 0, 1)
+        # low degree first: F_7 = F_7[t]/(t), then t^2 + 1 and t^4 + t + 1
+        assert _smallest_irreducible(7, 1) == (0, 1)
+        assert _smallest_irreducible(7, 2) == (1, 0, 1)
+        assert _smallest_irreducible(7, 4) == (1, 1, 0, 0, 1)
 
-    def test_repeated_calls_return_identical_spec(self):
-        assert make_field(7, 2) is F49
-        assert make_field(7, 4).modulus == F2401.modulus
+    @pytest.mark.parametrize("p, d", FIELDS + ((11, 2), (13, 2)))
+    def test_is_the_first_irreducible_by_trial_division(self, p, d):
+        first = next(f for f in monic_polys(p, d) if naive_irreducible(f, p))
+        assert _smallest_irreducible(p, d) == tuple(first)
 
-    def test_rejects_non_prime_or_bad_degree(self):
-        with pytest.raises(ValueError):
-            make_field(6, 1)
-        with pytest.raises(ValueError):
-            make_field(7, 3)
-        with pytest.raises(ValueError):
-            make_field(1, 1)
-
-    def test_element_enumeration_and_index_roundtrip(self):
-        seen = list(F49.elements())
-        assert len(seen) == 49
-        assert len(set(seen)) == 49
-        for i, x in enumerate(seen):
-            assert F49.index(x) == i
-            assert F49.element_from_index(i) == x
-
-
-class TestArithmetic:
-    @settings(max_examples=60, deadline=None)
-    @given(field_elements(3))
-    def test_ring_axioms(self, drawn):
-        _, (x, y, z) = drawn
-        assert x + y == y + x
-        assert x * y == y * x
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-
-    @settings(max_examples=60, deadline=None)
-    @given(field_elements(1))
-    def test_identities_and_inverses(self, drawn):
-        field, (x,) = drawn
-        assert x + field.zero() == x
-        assert x * field.one() == x
-        assert x - x == field.zero()
-        if not x.is_zero():
-            assert x * x.inv() == field.one()
-            assert x / x == field.one()
-            assert x ** -2 == (x.inv()) ** 2
-
-    @settings(max_examples=40, deadline=None)
-    @given(field_elements(1), st.integers(0, 200))
-    def test_pow_matches_repeated_product(self, drawn, e):
-        field, (x,) = drawn
-        acc = field.one()
-        for _ in range(e % 12):
-            acc = acc * x
-        assert x ** (e % 12) == acc
-
-    def test_small_values(self):
-        three = F7.element(3)
-        assert three.inv() == F7.element(5)
-        assert F7.element(2) ** 52 == F7.element(2)
-        assert (F7.element(6) + 1).is_zero()
-        assert F7.element(3).lift() == 3
-
-    def test_int_coercion(self):
-        t = F49.gen()
-        assert t + 0 == t
-        assert 1 - t == F49.one() - t
-        assert (2 * t) == t + t
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            F7.zero().inv()
-        with pytest.raises(ZeroDivisionError):
-            F49.one() / F49.zero()
-
-    def test_lift_requires_prime_field_value(self):
-        with pytest.raises(ValueError):
-            F49.gen().lift()
-
-    def test_field_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            F7.one() + F49.one()
-
-    def test_lagrange_small_fields(self):
-        for field in (F7, F49):
-            for x in field.elements():
-                if not x.is_zero():
-                    assert x ** (field.order - 1) == field.one()
-
-    def test_lagrange_sampled_f2401(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            x = F2401.element_from_index(rng.randrange(1, F2401.order))
-            assert x ** (F2401.order - 1) == F2401.one()
+    def test_elements_come_in_index_order(self):
+        # the order scan_distinct_roots sorts by: the coefficients, high
+        # first, read as the base-p digits of the index
+        seen = [element(i, 7, 2) for i in range(49)]
+        assert len(set(seen)) == 49 and seen[7:9] == [(0, 1), (1, 1)]
+        assert sorted(seen, key=lambda x: x[::-1]) == seen
 
 
 class TestFrobenius:
     def test_fixes_prime_field(self):
-        for x in F7.elements():
-            assert frobenius(x) == x
+        for c in range(7):
+            assert frobenius((c,), 7) == (c,)
 
     def test_generator_of_f49_maps_to_minus_itself(self):
-        t = F49.gen()
-        assert frobenius(t) == -t
+        assert frobenius(T49, 7) == (0, 6)
 
     def test_involution_on_f49(self):
-        for x in F49.elements():
-            assert frobenius(frobenius(x)) == x
+        for x in (element(i, 7, 2) for i in range(49)):
+            assert frobenius(frobenius(x, 7), 7) == x
 
     @settings(max_examples=60, deadline=None)
-    @given(field_elements(2))
+    @given(drawn_elements(2))
     def test_is_field_homomorphism(self, drawn):
-        _, (x, y) = drawn
-        assert frobenius(x + y) == frobenius(x) + frobenius(y)
-        assert frobenius(x * y) == frobenius(x) * frobenius(y)
+        p, (x, y) = drawn
+        assert frobenius(ext_add(x, y, p), p) == ext_add(frobenius(x, p), frobenius(y, p), p)
+        assert frobenius(ext_mul(x, y, p), p) == ext_mul(frobenius(x, p), frobenius(y, p), p)
 
     def test_order_divides_extension_degree(self):
         rng = random.Random(11)
         for _ in range(20):
-            x = F2401.element_from_index(rng.randrange(F2401.order))
+            x = element(rng.randrange(7**4), 7, 4)
             y = x
             for _ in range(4):
-                y = frobenius(y)
+                y = frobenius(y, 7)
             assert y == x
 
 
 class TestInSubfield:
     def test_prime_field_elements_of_f49(self):
-        fixed = [x for x in F49.elements() if in_subfield(x, 1)]
+        fixed = [x for x in (element(i, 7, 2) for i in range(49)) if in_subfield(x, 1, 7)]
         assert len(fixed) == 7
-        assert F49.element(5) in fixed
+        assert (5, 0) in fixed
 
     def test_generator_not_in_prime_subfield(self):
-        assert not in_subfield(F49.gen(), 1)
+        assert not in_subfield(T49, 1, 7)
 
     def test_whole_field_is_trivial(self):
-        for x in (F7.element(3), F49.gen(), F2401.gen()):
-            assert in_subfield(x, x.field.d)
+        for x in ((3,), T49, (0, 1, 0, 0)):
+            assert in_subfield(x, len(x), 7)
 
     def test_f2401_has_49_quadratic_subfield_points(self):
-        count = sum(1 for x in F2401.elements() if in_subfield(x, 2))
+        count = sum(1 for i in range(7**4) if in_subfield(element(i, 7, 4), 2, 7))
         assert count == 49
 
     def test_degree_must_divide(self):
         with pytest.raises(ValueError):
-            in_subfield(F2401.gen(), 3)
+            in_subfield((0, 1, 0, 0), 3, 7)
 
 
 class TestMultOrder:
     def test_known_orders_in_f7(self):
-        assert mult_order(F7.one()) == 1
-        assert mult_order(F7.element(3)) == 6
-        assert mult_order(F7.element(2)) == 3
-        assert mult_order(F7.element(6)) == 2
+        assert mult_order((1,), 7) == 1
+        assert mult_order((3,), 7) == 6
+        assert mult_order((2,), 7) == 3
+        assert mult_order((6,), 7) == 2
 
     def test_matches_naive_iteration_on_f7(self):
-        for x in F7.elements():
-            if not x.is_zero():
-                assert mult_order(x) == naive_mult_order(x, F7.one())
+        for c in range(1, 7):
+            assert mult_order((c,), 7) == naive_mult_order((c,), 7)
 
     def test_matches_naive_iteration_sampled(self):
         rng = random.Random(3)
-        for field, n in ((F49, 30), (F2401, 30)):
+        for d, n in ((2, 30), (4, 30)):
             for _ in range(n):
-                x = field.element_from_index(rng.randrange(1, field.order))
-                assert mult_order(x) == naive_mult_order(x, field.one())
+                x = element(rng.randrange(1, 7**d), 7, d)
+                assert mult_order(x, 7) == naive_mult_order(x, 7)
 
     def test_order_divides_group_order(self):
         rng = random.Random(5)
         for _ in range(40):
-            x = F2401.element_from_index(rng.randrange(1, F2401.order))
-            assert (F2401.order - 1) % mult_order(x) == 0
+            x = element(rng.randrange(1, 7**4), 7, 4)
+            assert (7**4 - 1) % mult_order(x, 7) == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            mult_order(F49.zero())
+            mult_order((0, 0), 7)
 
 
 class TestIntegerHelpers:

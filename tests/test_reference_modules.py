@@ -1,6 +1,6 @@
 """The tests' reference maths keeps only what the tests use.
 
-The three reference modules hold the slow routes that the certificate's own
+The two reference modules hold the slow routes that the certificate's own
 code is compared against.  Each definition there must be used by a test
 module, directly or through other definitions that one uses, and the
 modules import one another at module level only, without a cycle.  They
@@ -17,7 +17,7 @@ import gspcert
 
 TESTS = Path(__file__).parent
 PACKAGE = Path(gspcert.__file__).parent
-REFERENCE_MODULES = ("field_elements", "symplectic", "oracles")
+REFERENCE_MODULES = ("symplectic", "oracles")
 
 
 def parse(stem: str) -> ast.Module:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from gspcert.certifier import ExceptionalTable, certify, supported_table
-from gspcert.cli import ingest, render_json
+from gspcert.cli import ingest, render_json, render_text
 from gspcert.eigen_data import EigenformDataset, embedding_roots
 from oracles import reference_render_json
 
@@ -84,6 +84,11 @@ def test_empty_list_matches_json_dumps():
     assert render_json([]) == reference_render_json([]) == (
         '{\n  "certificates": [],\n  "format": "gspcert.certify-report/1"\n}\n'
     )
+
+
+def test_empty_list_text_is_the_summary_line_alone():
+    # no blank lines before the summary when there is no certificate block
+    assert render_text([]) == "0 certificate(s): 0 LARGE_IMAGE, 0 INCONCLUSIVE\n"
 
 
 @pytest.mark.parametrize("name", BUNDLED)
