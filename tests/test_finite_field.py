@@ -15,6 +15,7 @@ from oracles import (
     element,
     ext_add,
     ext_mul,
+    ext_pow,
     factorize,
     frobenius,
     in_subfield,
@@ -54,6 +55,57 @@ class TestCanonicalModulus:
         seen = [element(i, 7, 2) for i in range(49)]
         assert len(set(seen)) == 49 and seen[7:9] == [(0, 1), (1, 1)]
         assert sorted(seen, key=lambda x: x[::-1]) == seen
+
+
+class TestArithmetic:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_elements(3))
+    def test_ring_axioms(self, drawn):
+        p, (x, y, z) = drawn
+        assert ext_add(x, y, p) == ext_add(y, x, p)
+        assert ext_mul(x, y, p) == ext_mul(y, x, p)
+        assert ext_add(ext_add(x, y, p), z, p) == ext_add(x, ext_add(y, z, p), p)
+        assert ext_mul(ext_mul(x, y, p), z, p) == ext_mul(x, ext_mul(y, z, p), p)
+        assert ext_mul(x, ext_add(y, z, p), p) == ext_add(ext_mul(x, y, p), ext_mul(x, z, p), p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_elements(1))
+    def test_identities_and_inverses(self, drawn):
+        p, (x,) = drawn
+        d = len(x)
+        zero, one = element(0, p, d), element(1, p, d)
+        assert ext_add(x, zero, p) == x
+        assert ext_mul(x, one, p) == x
+        assert ext_add(x, tuple(-c % p for c in x), p) == zero
+        if any(x):
+            # x^(q-2) is the inverse of x in F_q^*
+            assert ext_mul(x, ext_pow(x, p**d - 2, p), p) == one
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn_elements(1), st.integers(0, 200))
+    def test_pow_matches_repeated_product(self, drawn, e):
+        p, (x,) = drawn
+        acc = element(1, p, len(x))
+        for _ in range(e % 12):
+            acc = ext_mul(acc, x, p)
+        assert ext_pow(x, e % 12, p) == acc
+
+    def test_small_values(self):
+        assert ext_pow((3,), 5, 7) == (5,)  # 3^-1 = 5 in F_7
+        assert ext_pow((2,), 52, 7) == (2,)
+        assert ext_add((6,), (1,), 7) == (0,)
+        assert ext_mul(T49, T49, 7) == (6, 0)  # t^2 = -1 in F_49
+
+    def test_lagrange_small_fields(self):
+        for d in (1, 2):
+            for i in range(1, 7**d):
+                assert ext_pow(element(i, 7, d), 7**d - 1, 7) == element(1, 7, d)
+
+    def test_lagrange_sampled_f2401(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            x = element(rng.randrange(1, 7**4), 7, 4)
+            assert ext_pow(x, 7**4 - 1, 7) == (1, 0, 0, 0)
 
 
 class TestFrobenius:
