@@ -15,7 +15,7 @@ from math import gcd as int_gcd
 from typing import Callable, NamedTuple, Sequence
 
 from .eigen_data import EigenformDataset, FrobeniusRecord, hecke_charpoly, specialize
-from .polynomial import is_prime
+from .polynomial import MAX_PRIME, is_prime
 
 VERDICT_LARGE_IMAGE = "LARGE_IMAGE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
@@ -55,13 +55,15 @@ class ExceptionalTable(NamedTuple):
 
 def supported_table(p: int, table: ExceptionalTable | None = None) -> ExceptionalTable:
     """The exceptional table to certify with at p, the built-in one when
-    table is None.  Raises ValueError unless p is a prime >= 5 with p = 3
-    mod 4 and a given table is an ExceptionalTable for p whose entries are
-    a tuple of one or more (name, order) pairs of a str and an int >= 1
-    with distinct names: with no entries the exceptional check would pass
-    on no evidence, and the report keys the orders by name."""
+    table is None.  Raises ValueError unless p is a prime in [5, MAX_PRIME]
+    with p = 3 mod 4 and a given table is an ExceptionalTable for p whose
+    entries are a tuple of one or more (name, order) pairs of a str and an
+    int >= 1 with distinct names: with no entries the exceptional check
+    would pass on no evidence, and the report keys the orders by name."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p > MAX_PRIME:
+        raise ValueError(f"p = {p} is above the supported {MAX_PRIME}")
     if p < 5:
         raise ValueError(f"the certificate needs p >= 5, got p = {p}")
     if p % 4 != 3:

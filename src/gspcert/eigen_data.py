@@ -26,6 +26,7 @@ from itertools import islice
 from math import isqrt
 from typing import NamedTuple, Sequence
 
+from .polynomial import MAX_PRIME
 from .polynomial import Factorization, FpPoly, fp_add, fp_gcd, fp_monic, fp_powmod, is_prime
 from .polynomial import fp_hecke_factorization as factor
 from .polynomial import fp_projective_order as projective_order
@@ -176,9 +177,12 @@ def _derivative(coeffs: Sequence[int]) -> list[int]:
 def embedding_roots(defining_poly: Sequence[int], p: int) -> list[Root]:
     """Simple roots of E mod p as ints in [0, p): the roots of gcd(E mod p,
     x^p - x) at which E' does not vanish, in the order of E's linear
-    factors (x - r sorted by -r mod p: 0 first, the rest descending)."""
+    factors (x - r sorted by -r mod p: 0 first, the rest descending).
+    ValueError for a p that is not a prime up to MAX_PRIME."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p > MAX_PRIME:
+        raise ValueError(f"p = {p} is above the supported {MAX_PRIME}")
     if not defining_poly:
         raise ValueError("E has no coefficients")
     if not all(type(c) is int for c in defining_poly):

@@ -37,8 +37,6 @@ def fp_trim(a: Sequence[int]) -> FpPoly:
 
 def fp_str(a: FpPoly) -> str:
     """a as text, high degree first: x^4 + 3x^3 + 2, with "0" for ()."""
-    if len(a) == 2 and a[1] == 1:  # x + c, the factor printed most
-        return f"x + {a[0]}" if a[0] else "x"
     terms = []
     i = len(a)
     for c in reversed(a):
@@ -72,11 +70,9 @@ def fp_mod(a: Sequence[int], b: FpPoly, p: int) -> FpPoly:
     inv = pow(b[-1], -1, p)
     rem = list(a)
     for top in range(len(a) - 1, db - 1, -1):
-        c = rem[top] * inv % p
-        if c:
-            shift = top - db
-            for j in range(db):
-                rem[shift + j] -= c * b[j]
+        c, shift = rem[top] * inv % p, top - db
+        for j in range(db):
+            rem[shift + j] -= c * b[j]
     return fp_trim([v % p for v in rem[:db]])
 
 
@@ -84,9 +80,8 @@ def _product(a: FpPoly, b: FpPoly) -> list[int]:
     """a * b, its coefficients summed but not reduced; all zero when a or b is."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                out[j] += ai * bj
+        for j, bj in enumerate(b, i):
+            out[j] += ai * bj
     return out
 
 
@@ -105,7 +100,7 @@ def fp_powmod(a: FpPoly, e: int, m: FpPoly, p: int) -> FpPoly:
 
 
 def fp_monic(a: FpPoly, p: int) -> FpPoly:
-    if not a or a[-1] == 1:
+    if not a:
         return a
     inv = pow(a[-1], -1, p)
     return tuple(c * inv % p for c in a)
@@ -142,6 +137,11 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin to the bases SMALL_PRIMES is exact below this bound
 # (Sorenson and Webster, 2015)
 MILLER_RABIN_BOUND = 3317044064679887385961981
+# certify and embedding_roots refuse a larger p.  The scan of F_p for E's
+# roots, a quadratic factor stepped to its order and the trial division of
+# (p^2 + 1)/2 are linear in p: at p = 299983 each took 0.08-0.21 s per call
+# or record (2-CPU x86-64 host), but the scan took 5 s for 128 roots near p
+MAX_PRIME = 300_000
 
 
 def is_prime(n: int) -> bool:
@@ -186,15 +186,6 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
-def _alike(values: list[int], e: int, p: int) -> bool:
-    """Whether the values all have the same e-th power mod p."""
-    c = pow(values[0], e, p)
-    for t in values:
-        if pow(t, e, p) != c:
-            return False
-    return True
-
-
 def _x_power_is_constant(e: int, f: FpPoly, p: int) -> bool:
     """Whether x^e, e >= 1, is constant mod the monic quartic f: square left
     to right over the bits of e, times x at a set bit, folding each square's
@@ -235,27 +226,24 @@ def fp_projective_order(fac: Factorization, nu: int) -> int:
             raise ValueError(f"{fac} is not a squarefree Hecke quartic: f1 != nu f3 or f0 != nu^2")
         eps = pow(nu, (p - 1) // 2, p) != 1
         n = (p * p + 1) // 2
-        for ell in _prime_factors(n):  # no x^e with e < 4 is constant mod a quartic
-            while n % ell == 0 and (e := n // ell << eps) >= 4 and _x_power_is_constant(e, f, p):
+        for ell in _prime_factors(n):
+            while n % ell == 0 and _x_power_is_constant(n // ell << eps, f, p):
                 n //= ell
         return n << eps
-    n, s, quadratics = 1, [], []
+    n, steps = 1, []
     for g, mult in factors:
         if mult != 1 or not g[0] or len(g) > 3:
             raise ValueError(f"{fac}: a repeated factor, a factor x or one of degree above 2")
-        if len(g) == 2:
-            s.append(-g[0] % p)
-            continue
         e, c, v, b0, b1 = 1, 0, 1, -g[0], -g[1]
+        if len(g) == 2:  # x = -g0 mod x + g0
+            c, v = b0 % p, 0
         while v:  # x^e = c + v x mod g
             c, v, e = b0 * v % p, (c + b1 * v) % p, e + 1
-        quadratics.append((e, c))
+        steps.append((e, c))
         n = lcm(n, e)
-    if quadratics:
-        s = [pow(c, n, p) for c in s] + [pow(c, n // e, p) for e, c in quadratics]
-    k = p - 1 if s.count(s[0]) < len(s) else 1
+    s, k = {pow(c, n // e, p) for e, c in steps}, p - 1
     for ell in _prime_factors(k):
-        while k % ell == 0 and _alike(s, k // ell, p):
+        while k % ell == 0 and len({pow(t, k // ell, p) for t in s}) == 1:
             k //= ell
     return n * k
 

@@ -15,9 +15,9 @@ d, multiplied with pmul and pmod.  On these it holds the Frobenius,
 subfields, multiplicative orders, the roots of an F_p polynomial found by
 scanning an extension field, and g * conj(g) for g over F_{p^2}.  The last
 sections hold the projective order of a quartic by
-stepping through the powers of x, that of an irreducible quartic by
-descent, the JSON report as json.dumps writes it, and the dataset digest
-hashed one field at a time.
+stepping through the powers of x, the check of an order by its
+definition (and of the order checks by powers of x), the JSON report as
+json.dumps writes it, and the dataset digest hashed one field at a time.
 """
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ import itertools
 import json
 from functools import lru_cache
 
-from gspcert.certifier import Certificate
+from gspcert.certifier import Certificate, rational_split_exponent
 from gspcert.cli import REPORT_FORMAT
-from gspcert.eigen_data import EigenformDataset
+from gspcert.eigen_data import EigenformDataset, FrobeniusRecord
 from gspcert.polynomial import (
     Factorization,
     FpPoly,
@@ -473,17 +473,36 @@ def stepped_fp_projective_order(f: tuple[int, ...], p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the projective order of an irreducible quartic by descent, without stepping
+# the projective order by its definition, beyond stepping's reach: x^n is
+# constant mod f and x^(n/l) is not for any prime l | n, each power taken
+# by the kernel's fp_powmod
 
 
-def irreducible_projective_order(f: tuple[int, ...], p: int) -> int:
-    """Projective order of the companion matrix of an irreducible quartic
-    f, by descent from N = (p + 1)(p^2 + 1): x^N is the norm of x, in F_p."""
-    n = (p + 1) * (p * p + 1)
-    for ell in factorize(n):
-        while n % ell == 0 and len(fp_powmod((0, 1), n // ell, f, p)) <= 1:
-            n //= ell
-    return n
+def x_power_is_constant(e: int, f: tuple[int, ...], p: int) -> bool:
+    return len(fp_powmod((0, 1), e, f, p)) <= 1
+
+
+def is_projective_order(n: int, f: tuple[int, ...], p: int) -> bool:
+    """Whether n is the least n >= 1 with x^n constant mod f."""
+    return x_power_is_constant(n, f, p) and not any(
+        x_power_is_constant(n // ell, f, p) for ell in factorize(n))
+
+
+def check_order_by_x_powers(rec: FrobeniusRecord, orders: tuple[int, ...], p: int) -> bool:
+    """For a squarefree record with charpoly f and projective order n, the
+    facts that let powers of x decide both order checks: n is the order by
+    its definition; n does not divide E2 exactly when x^E2 is not constant,
+    exactly when f is irreducible; and n divides a table order m exactly
+    when x^m is constant, so that n divides none of them exactly when no
+    x^m is.  Returns whether n divides none."""
+    f, n = rec.charpoly, rec.projective_order
+    assert is_projective_order(n, f, p), rec
+    e2 = rational_split_exponent(p)
+    irreducible = len(rec.factorization.factors) == 1
+    assert (e2 % n != 0) == (not x_power_is_constant(e2, f, p)) == irreducible, rec
+    divides = [m % n == 0 for m in orders]
+    assert divides == [x_power_is_constant(m, f, p) for m in orders], rec
+    return not any(divides)
 
 
 # ---------------------------------------------------------------------------

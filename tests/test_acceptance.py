@@ -21,7 +21,7 @@ from oracles import (
     expand,
     fp_factorization,
     fp_is_irreducible,
-    irreducible_projective_order,
+    is_projective_order,
     roots_in,
     stepped_fp_projective_order,
     validate_similitude_shape,
@@ -178,15 +178,16 @@ def test_criterion_8_randomized_oracles():
                     cases += 1
     assert cases == 5684
 
-    # (iv) the stepping oracle against the descent from (p + 1)(p^2 + 1) on
-    # every monic irreducible quartic over F_7, and the certificate's order
-    # on those of Hecke shape
+    # (iv) the stepping oracle against the order's definition (x^n
+    # constant, x^(n/l) not for each prime l | n) on every monic
+    # irreducible quartic over F_7, and the certificate's order on those of
+    # Hecke shape
     irreducible = hecke = 0
     for tail in itertools.product(range(7), repeat=4):
         f = tail + (1,)
         if fp_is_irreducible(f, 7):
-            n = irreducible_projective_order(f, 7)
-            assert stepped_fp_projective_order(f, 7) == n, f
+            n = stepped_fp_projective_order(f, 7)
+            assert is_projective_order(n, f, 7), f
             irreducible += 1
             nu = f[1] * pow(f[3], -1, 7) % 7 if f[3] else 0
             if nu and f[0] == nu * nu % 7:

@@ -25,9 +25,9 @@ from gspcert.certifier import (
 from gspcert.eigen_data import EigenformDataset, FrobeniusRecord, hecke_charpoly, specialize
 from gspcert.polynomial import fp_hecke_factorization, fp_powmod, fp_projective_order, is_prime
 from oracles import (
+    check_order_by_x_powers,
     conjugate_product,
     element,
-    factorize,
     fp_factorization,
     in_subfield,
     pmul,
@@ -151,34 +151,12 @@ class TestHeckeQuarticConsequences:
         assert squarefree == 1393
 
 
-def x_power_is_constant(e: int, f: tuple[int, ...], p: int) -> bool:
-    return len(fp_powmod((0, 1), e, f, p)) <= 1
-
-
 def table_orders(p: int) -> tuple[int, ...]:
     """The built-in table's orders at p = 7, elsewhere those the large-p
     goldens are certified with."""
     if p == 7:
         return tuple(n for _, n in builtin_exceptional_table(7).entries)
     return p * (p * p - 1), 3840, 720
-
-
-def check_order_by_x_powers(rec: FrobeniusRecord, orders: tuple[int, ...], p: int) -> bool:
-    """For a squarefree record with charpoly f and projective order n, the
-    facts that let powers of x decide both order checks: x^n is constant
-    mod f and x^(n/l) is not for each prime l | n; n does not divide E2
-    exactly when x^E2 is not constant, exactly when f is irreducible; and n
-    divides a table order m exactly when x^m is constant, so that n divides
-    none of them exactly when no x^m is.  Returns whether n divides none."""
-    f, n = rec.charpoly, rec.projective_order
-    assert x_power_is_constant(n, f, p), rec
-    assert not any(x_power_is_constant(n // ell, f, p) for ell in factorize(n)), rec
-    e2 = rational_split_exponent(p)
-    irreducible = len(rec.factorization.factors) == 1
-    assert (e2 % n != 0) == (not x_power_is_constant(e2, f, p)) == irreducible, rec
-    divides = [m % n == 0 for m in orders]
-    assert divides == [x_power_is_constant(m, f, p) for m in orders], rec
-    return not any(divides)
 
 
 class TestOrdersAgainstXPowers:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cli_runner import invoke
-from gspcert import eigen_data
+from gspcert import certifier, eigen_data
 from gspcert.eigen_data import (
     EigenformDataset,
     embedding_roots,
@@ -18,16 +19,19 @@ from gspcert.eigen_data import (
     hecke_quartic,
     specialize,
 )
-from gspcert.certifier import certify
+from gspcert.certifier import ExceptionalTable, certify
 from gspcert.cli import ingest
 from gspcert.polynomial import (
+    MAX_PRIME,
     MILLER_RABIN_BOUND,
     fp_hecke_factorization,
     fp_monic,
+    fp_powmod,
     fp_str,
     is_prime,
 )
 from oracles import (
+    factorize,
     fp_factorization,
     monic_polys,
     pmul,
@@ -263,6 +267,14 @@ class TestResidualRoots:
         assert tuple(c % 7 for c in DEFINING) not in factored
         assert len(factored) == 3 * 3  # three charpolys per root
         assert all(len(f) == 5 for f in factored)
+
+    def test_a_gcd_that_does_not_split_raises(self, monkeypatch):
+        # x^2 + 1 has no root mod 7: a gcd(E, x^p - x) that is not a product
+        # of distinct linear factors ends in RuntimeError, never in the
+        # roots the scan did find
+        monkeypatch.setattr(eigen_data, "fp_gcd", lambda a, b, p: (1, 0, 1))
+        with pytest.raises(RuntimeError, match=r"^\(1, 0, 1\) is not a product of distinct"):
+            embedding_roots(DEFINING, 7)
 
 
 def linear_roots(e, p: int) -> list[tuple[int, int]]:
@@ -569,3 +581,89 @@ class TestSimilitudeShape:
     def test_wrong_degree_rejected(self):
         with pytest.raises(ValueError):
             validate_similitude_shape((1, 1), 2, 28, 7)
+
+
+def prime_3_mod_4(n: int, step: int) -> int:
+    """The first prime = 3 mod 4 from n on, counting by step (1 or -1)."""
+    while not (n % 4 == 3 and is_prime(n)):
+        n += step
+    return n
+
+
+BELOW, ABOVE = prime_3_mod_4(MAX_PRIME, -1), prime_3_mod_4(MAX_PRIME + 1, 1)
+
+
+def timed(call, *args):
+    start = time.perf_counter()
+    out = call(*args)
+    return time.perf_counter() - start, out
+
+
+class TestPrimeBound:
+    """The loops linear in p, each on its worst input at the largest prime
+    = 3 mod 4 up to MAX_PRIME (or, for the trial division, the largest
+    with (p^2 + 1)/2 prime), end in bounded time: each took 0.08-0.21 s on
+    a 2-CPU x86-64 host, and the bound is wide.  Above MAX_PRIME, p is
+    refused before any work."""
+
+    def test_scan_over_all_of_f_p(self):
+        # the one root of x + 1 is p - 1, the last element scanned
+        elapsed, roots = timed(embedding_roots, (1, 1), BELOW)
+        assert roots == [BELOW - 1]
+        assert elapsed < 5.0
+
+    def test_split_record_with_both_quadratics_stepped_to_p_plus_1(self):
+        # u = (x - r)(x - r^p) for r = a + b i, i^2 = -1 (irreducible, as
+        # -1 is no square mod p = 3 mod 4), and u' with the roots nu/r and
+        # nu/r^p, both with x^e first constant at e = p + 1; f = u u' is
+        # the charpoly of the record with q = 2, k = 28 and a_q = -f3
+        p, nu = BELOW, pow(2, 53, BELOW)
+        rng = random.Random(p)
+        while True:
+            a, b = rng.randrange(p), rng.randrange(1, p)
+            s, n = 2 * a % p, (a * a + b * b) % p
+            n_inv = pow(n, -1, p)
+            u, u2 = (n, -s % p, 1), (nu * nu * n_inv % p, -nu * s * n_inv % p, 1)
+            if u != u2 and all(len(fp_powmod((0, 1), (p + 1) // ell, g, p)) > 1
+                               for g in (u, u2) for ell in factorize(p + 1)):
+                break
+        f = tuple(pmul(list(u), list(u2), p))
+        a1 = -f[3] % p
+        elapsed, rec = timed(hecke_charpoly, a1, (a1 * a1 - pow(2, 52, p) - f[2]) % p, 2, 28, p)
+        assert rec.charpoly == f and sorted(rec.factorization.factors) == sorted([(u, 1), (u2, 1)])
+        assert rec.projective_order % (p + 1) == 0
+        assert elapsed < 5.0
+
+    def test_irreducible_record_with_prime_half_of_p2_plus_1(self):
+        # the irreducible order descends over the primes of (p^2 + 1)/2,
+        # found by trial division, which runs to the square root when it
+        # is prime
+        p = BELOW
+        while not (p % 4 == 3 and is_prime(p) and is_prime((p * p + 1) // 2)):
+            p -= 1
+        rng = random.Random(p)
+        args = ()
+        while not args or [len(g) for g, _ in hecke_charpoly(*args).factorization.factors] != [5]:
+            args = rng.randrange(p), rng.randrange(p), 2, 28, p
+        elapsed, rec = timed(hecke_charpoly, *args)
+        assert (p * p + 1) % rec.projective_order == 0
+        assert elapsed < 5.0
+
+    def test_first_prime_above_refused_before_any_work(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("work ran above MAX_PRIME")
+
+        monkeypatch.setattr(eigen_data, "fp_powmod", unreachable)
+        monkeypatch.setattr(certifier, "specialize", unreachable)
+        assert BELOW <= MAX_PRIME < ABOVE
+        table = ExceptionalTable(ABOVE, (("PGL(2,p)", ABOVE * (ABOVE * ABOVE - 1)),))
+        refused = f"^p = {ABOVE} is above the supported {MAX_PRIME}$"
+        with pytest.raises(ValueError, match=refused):
+            embedding_roots((1, 1), ABOVE)
+        with pytest.raises(ValueError, match=refused):
+            certify(paper_dataset(), ABOVE, 0, table)
+        # the primality test still comes first
+        with pytest.raises(ValueError, match=f"^{3 * ABOVE} is not prime$"):
+            embedding_roots((1, 1), 3 * ABOVE)
+        with pytest.raises(ValueError, match=f"^{3 * ABOVE} is not prime$"):
+            certify(paper_dataset(), 3 * ABOVE, 0, table)

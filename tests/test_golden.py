@@ -32,7 +32,7 @@ from gspcert import certifier, eigen_data, polynomial
 from gspcert.certifier import ExceptionalTable, VERDICT_INCONCLUSIVE, VERDICT_LARGE_IMAGE, certify
 from gspcert.cli import ingest, render_json, render_text
 from gspcert.eigen_data import embedding_roots
-from test_certifier import check_order_by_x_powers
+from oracles import check_order_by_x_powers
 
 DATASETS = resources.files("gspcert") / "datasets"
 GOLDEN = Path(__file__).parent / "golden"
