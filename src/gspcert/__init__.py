@@ -11,7 +11,6 @@ from .certifier import (
     ExceptionalTable,
     VERDICT_INCONCLUSIVE,
     VERDICT_LARGE_IMAGE,
-    builtin_exceptional_table,
     certify,
 )
 from .cli import DatasetError, ingest, render_json, render_text
@@ -31,7 +30,6 @@ __all__ = [
     "FrobeniusRecord",
     "VERDICT_INCONCLUSIVE",
     "VERDICT_LARGE_IMAGE",
-    "builtin_exceptional_table",
     "certify",
     "embedding_roots",
     "ingest",

@@ -54,12 +54,13 @@ class ExceptionalTable(NamedTuple):
 
 
 def supported_table(p: int, table: ExceptionalTable | None = None) -> ExceptionalTable:
-    """The exceptional table to certify with at p, the built-in one when
-    table is None.  Raises ValueError unless p is a prime in [5, MAX_PRIME]
-    with p = 3 mod 4 and a given table is an ExceptionalTable for p whose
-    entries are a tuple of one or more (name, order) pairs of a str and an
-    int >= 1 with distinct names: with no entries the exceptional check
-    would pass on no evidence, and the report keys the orders by name."""
+    """The exceptional table to certify with at p: the given one, or the
+    built-in p = 7 one when table is None.  Raises ValueError unless p is a
+    prime in [5, MAX_PRIME] with p = 3 mod 4 and a given table is an
+    ExceptionalTable for p whose entries are a tuple of one or more (name,
+    order) pairs of a str and an int >= 1 with distinct names: with no
+    entries the exceptional check would pass on no evidence, and the report
+    keys the orders by name."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > MAX_PRIME:
@@ -69,7 +70,9 @@ def supported_table(p: int, table: ExceptionalTable | None = None) -> Exceptiona
     if p % 4 != 3:
         raise ValueError(f"primitivity argument needs p = 3 mod 4, got p = {p}")
     if table is None:
-        return builtin_exceptional_table(p)
+        if p != 7:
+            raise ValueError(f"no built-in exceptional-subgroup table for p = {p}")
+        return ExceptionalTable(7, (("PGL(2,7)", 336), ("2^4.O4^-(2).2", 3840), ("A7.2", 5040)))
     if not (isinstance(table, ExceptionalTable) and isinstance(table.entries, tuple)):
         raise ValueError("exceptional table must be an ExceptionalTable with a tuple of entries")
     if table.p != p:
@@ -87,13 +90,6 @@ def supported_table(p: int, table: ExceptionalTable | None = None) -> Exceptiona
     if len({name for name, _ in table.entries}) < len(table.entries):
         raise ValueError(f"exceptional table for p = {p} repeats a subgroup name")
     return table
-
-
-def builtin_exceptional_table(p: int) -> ExceptionalTable:
-    """The p = 7 table; other primes must supply their own."""
-    if p != 7:
-        raise ValueError(f"no built-in exceptional-subgroup table for p = {p}")
-    return ExceptionalTable(7, (("PGL(2,7)", 336), ("2^4.O4^-(2).2", 3840), ("A7.2", 5040)))
 
 
 class Certificate(NamedTuple):
@@ -151,13 +147,6 @@ def check_linear_constituent(records: Sequence[FrobeniusRecord]) -> CheckResult:
     )
 
 
-def rational_split_exponent(p: int) -> int:
-    """E2 = 2p(p^2-1), which is 2 * lcm(p(p-1), p^2-1, p-1) for odd p:
-    annihilates every projective element order available inside the
-    rational 2+2 stabilizer GL(2) wr S2."""
-    return 2 * p * (p * p - 1)
-
-
 def _order_check(
     name: str, records: Sequence[FrobeniusRecord], excluded: Callable[[int], bool],
     exclusion: str, fit: str, data: dict,
@@ -180,14 +169,15 @@ def _order_check(
 def check_rational_22_split(records: Sequence[FrobeniusRecord], p: int) -> CheckResult:
     """Exclude the stabilizer of a rational 2+2 plane decomposition.
 
-    Every projective element order in that stabilizer divides E2 =
-    rational_split_exponent(p); a squarefree record whose companion has
-    projective order not dividing E2 cannot lie in it.  A squarefree
-    Hecke quartic with a root in F_p or two quadratic factors has its roots
-    in F_{p^2}, so its order divides p^2 - 1 and hence E2: only irreducible
-    records can witness this check.
+    Every projective element order in that stabilizer, GL(2) wr S2,
+    divides E2 = 2p(p^2 - 1), which is 2 * lcm(p(p-1), p^2 - 1, p - 1) for
+    odd p; a squarefree record whose companion has projective order not
+    dividing E2 cannot lie in it.  A squarefree Hecke quartic with a root in
+    F_p or two quadratic factors has its roots in F_{p^2}, so its order
+    divides p^2 - 1 and hence E2: only irreducible records can witness this
+    check.
     """
-    bound = rational_split_exponent(p)
+    bound = 2 * p * (p * p - 1)
     return _order_check(
         "rational_22_split", records, lambda n: bound % n != 0,
         f"does not divide E2 = {bound}, the exponent of the rational plane-pair stabilizer",
@@ -235,7 +225,7 @@ def _conjugate_pairings(rec: FrobeniusRecord) -> int:
     return 2 if s1 == s2 == 0 else 1
 
 
-def check_conjugate_22_split(records: Sequence[FrobeniusRecord], p: int) -> CheckResult:
+def check_conjugate_22_split(records: Sequence[FrobeniusRecord]) -> CheckResult:
     """Exclude the stabilizer of a conjugate pair of planes (the 2-dim
     representation over F_{p^2} pulled back by restriction of scalars).
 
@@ -289,14 +279,10 @@ def check_primitivity(records: Sequence[FrobeniusRecord], p: int) -> CheckResult
     )
 
 
-def check_exceptional(
-    records: Sequence[FrobeniusRecord], table: ExceptionalTable, p: int
-) -> CheckResult:
+def check_exceptional(records: Sequence[FrobeniusRecord], table: ExceptionalTable) -> CheckResult:
     """Exclude the exceptional maximal subgroups by element order: a
     projective Frobenius order dividing none of the group orders cannot
-    occur inside any of them."""
-    if table.p != p:
-        raise ValueError(f"exceptional table is for p = {table.p}, not p = {p}")
+    occur inside any of them.  supported_table matched table to the prime."""
     groups = ", ".join(f"{name} (order {n})" for name, n in table.entries)
     return _order_check(
         "exceptional", records, lambda n: all(m % n for _, m in table.entries),
@@ -354,9 +340,9 @@ def certify(
     checks = (
         check_linear_constituent(records),
         check_rational_22_split(records, p),
-        check_conjugate_22_split(records, p),
+        check_conjugate_22_split(records),
         check_primitivity(records, p),
-        check_exceptional(records, table, p),
+        check_exceptional(records, table),
         check_multiplier_surjective(ds.weight, p),
     )
     verdict = VERDICT_LARGE_IMAGE if all(c.passed for c in checks) else VERDICT_INCONCLUSIVE

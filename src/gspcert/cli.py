@@ -52,10 +52,10 @@ def ingest(path: str | os.PathLike[str]) -> EigenformDataset:
     try:
         with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
             text = fh.read()
-    except OSError as exc:
-        raise DatasetError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, so caught first
         raise DatasetError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise DatasetError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
     header: dict[str, object] = {}  # weight, level and defining_poly
     assumptions: list[str] = []
@@ -151,23 +151,17 @@ def _ints(values: Sequence[int], pad: str) -> str:
 
 def _value(value: object, pad: str) -> str:
     """A CheckResult.data value as json.dumps(indent=2, sort_keys=True)
-    writes it on a line indented by pad.  Only the exact types str, int,
-    bool, None, list, tuple and dict with str keys are written; anything
-    else raises TypeError."""
+    writes it on a line indented by pad.  Only the exact types the checks'
+    data holds are written, int, list and dict with str keys; anything else
+    raises TypeError."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is str:
-        return _quote(value)
     inner = pad + "  "
     if kind is dict:  # sorted keys, as sort_keys; _quote refuses a non-str key
         return _block([_quote(k) + ": " + _value(value[k], inner) for k in sorted(value)], pad, "{}")
-    if kind is list or kind is tuple:
+    if kind is list:
         return _block([_value(v, inner) for v in value], pad)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
     raise TypeError(f"{kind.__name__} cannot appear in a certify report")
 
 

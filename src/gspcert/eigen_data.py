@@ -34,12 +34,14 @@ from .polynomial import fp_projective_order as projective_order
 KNOWN_ASSUMPTIONS = ("not_maass_spezialform", "conductor_one")
 
 # embedding_roots takes x^p mod E by squaring, about deg(E)^2 log p steps,
-# and scans F_p for the roots of gcd(E, x^p - x), linear in p.  At degree 128,
-# with a root at p - 1 so that the scan runs over all of F_p, it measured
-# 0.2 ms at p = 7, 23 ms at p = 10007 and 0.41-0.52 s at p = 1000003 (single
-# runs, 2-CPU Intel Xeon x86-64 host).  Eigenvalue fields of genus-2 forms at
-# desk scale are far smaller (the paper's is cubic), so the cap bounds a
-# dataset's size and the time its embedding roots take; a larger E is refused.
+# and scans F_p for the roots of s = gcd(E, x^p - x), evaluating s at each
+# element until it has deg s roots: up to deg s x p steps.  At degree 128 on
+# a 2-CPU Intel Xeon x86-64 host: one root, at p - 1, so that the scan covers
+# F_p, took 0.2 ms at p = 7, 29 ms at p = 10007 and 0.13 s at p = 299983 (best
+# of 3); 128 roots at the top of F_p took 0.12 s at p = 10007 and 3.7-5.0 s at
+# p = 299983 (single runs).  Eigenvalue fields of genus-2 forms at desk scale
+# are far smaller (the paper's is cubic), so the cap bounds a dataset's size
+# and the time its embedding roots take; a larger E is refused.
 MAX_DEFINING_DEGREE = 128
 
 

@@ -25,8 +25,9 @@ import hashlib
 import itertools
 import json
 from functools import lru_cache
+from math import lcm
 
-from gspcert.certifier import Certificate, rational_split_exponent
+from gspcert.certifier import Certificate
 from gspcert.cli import REPORT_FORMAT
 from gspcert.eigen_data import EigenformDataset, FrobeniusRecord
 from gspcert.polynomial import (
@@ -497,7 +498,7 @@ def check_order_by_x_powers(rec: FrobeniusRecord, orders: tuple[int, ...], p: in
     x^m is.  Returns whether n divides none."""
     f, n = rec.charpoly, rec.projective_order
     assert is_projective_order(n, f, p), rec
-    e2 = rational_split_exponent(p)
+    e2 = 2 * lcm(p * (p - 1), p * p - 1, p - 1)  # E2 by its definition
     irreducible = len(rec.factorization.factors) == 1
     assert (e2 % n != 0) == (not x_power_is_constant(e2, f, p)) == irreducible, rec
     divides = [m % n == 0 for m in orders]

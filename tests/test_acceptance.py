@@ -122,7 +122,7 @@ def test_criterion_7_negative_controls():
         q=2, charpoly=f, factorization=fac,
         squarefree=fac.is_squarefree(), projective_order=None, similitude=1,
     )
-    res = check_conjugate_22_split([rec], 7)
+    res = check_conjugate_22_split([rec])
     assert not res.passed
     assert res.data["admissible_pairings"]["2"] >= 1
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from math import lcm
 
 import pytest
 
@@ -12,7 +13,6 @@ from gspcert.certifier import (
     VERDICT_LARGE_IMAGE,
     ExceptionalTable,
     build_records,
-    builtin_exceptional_table,
     certify,
     check_conjugate_22_split,
     check_exceptional,
@@ -20,7 +20,7 @@ from gspcert.certifier import (
     check_multiplier_surjective,
     check_primitivity,
     check_rational_22_split,
-    rational_split_exponent,
+    supported_table,
 )
 from gspcert.eigen_data import EigenformDataset, FrobeniusRecord, hecke_charpoly, specialize
 from gspcert.polynomial import fp_hecke_factorization, fp_powmod, fp_projective_order, is_prime
@@ -95,10 +95,12 @@ class TestLinearConstituent:
 
 class TestRational22Split:
     def test_exponent_bound_frozen(self):
-        from math import lcm
-        assert rational_split_exponent(7) == 2 * lcm(42, 48, 6) == 672
+        def bound(p):
+            return check_rational_22_split((), p).data["exponent_bound"]
+
+        assert bound(7) == 2 * lcm(42, 48, 6) == 672
         for p in range(3, 2000, 2):  # 2p(p^2 - 1) is the lcm form for every odd p
-            assert rational_split_exponent(p) == 2 * lcm(p * (p - 1), p * p - 1, p - 1), p
+            assert bound(p) == 2 * lcm(p * (p - 1), p * p - 1, p - 1), p
 
     def test_paper_records_pass_via_order_25(self):
         res = check_rational_22_split(paper_records(), 7)
@@ -128,7 +130,7 @@ class TestHeckeQuarticConsequences:
     def test_every_record_at_small_p(self):
         squarefree = 0
         for p, q in itertools.product((7, 11, 19), (2, 3, 5)):
-            bound = rational_split_exponent(p)
+            bound = 2 * lcm(p * (p - 1), p * p - 1, p - 1)  # E2 by its definition
             for a1, a2 in itertools.product(range(p), repeat=2):
                 rec = hecke_charpoly(a1, a2, q, 28, p)
                 degrees = sorted(len(g) - 1 for g, _ in rec.factorization.factors)
@@ -155,7 +157,7 @@ def table_orders(p: int) -> tuple[int, ...]:
     """The built-in table's orders at p = 7, elsewhere those the large-p
     goldens are certified with."""
     if p == 7:
-        return tuple(n for _, n in builtin_exceptional_table(7).entries)
+        return tuple(n for _, n in supported_table(7).entries)
     return p * (p * p - 1), 3840, 720
 
 
@@ -193,7 +195,7 @@ class TestOrdersAgainstXPowers:
 
 class TestConjugate22Split:
     def test_paper_records_pass_with_witness_3(self):
-        res = check_conjugate_22_split(paper_records(), 7)
+        res = check_conjugate_22_split(paper_records())
         assert res.passed
         assert res.witnesses == (3,)
         assert res.data["admissible_pairings"] == {"2": 1, "3": 0, "5": 0}
@@ -201,7 +203,7 @@ class TestConjugate22Split:
     def test_constructed_conjugate_product_is_not_excluded(self):
         rec = synthetic_record(2, conjugate_product([(3, 0), (0, 1), (1, 0)], 7))
         assert rec.squarefree
-        res = check_conjugate_22_split([rec], 7)
+        res = check_conjugate_22_split([rec])
         assert not res.passed
         assert res.data["admissible_pairings"]["2"] >= 1
 
@@ -217,7 +219,7 @@ class TestConjugate22Split:
             if not rec.squarefree:
                 continue
             tried += 1
-            res = check_conjugate_22_split([rec], 7)
+            res = check_conjugate_22_split([rec])
             assert not res.passed, f
 
     @pytest.mark.parametrize(
@@ -227,13 +229,13 @@ class TestConjugate22Split:
         # (x^2 + 1)(x^2 + 2), (x + 1)(x + 6)(x^2 + 2) and the paper's
         # irreducible q = 2 charpoly, each in a record without an order
         rec = synthetic_record(2, f)
-        res = check_conjugate_22_split([rec], 7)
+        res = check_conjugate_22_split([rec])
         assert res.data["admissible_pairings"] == {"2": count}
         assert res.witnesses == (() if count else (2,))
 
     def test_non_squarefree_records_are_skipped(self):
         rec = synthetic_record(2, tuple(pmul((1, 4, 1), (1, 4, 1), 7)))
-        res = check_conjugate_22_split([rec], 7)
+        res = check_conjugate_22_split([rec])
         assert not res.passed
         assert "2" not in res.data["admissible_pairings"]
 
@@ -265,7 +267,7 @@ def checked_kind(f: tuple[int, ...], p: int, tally: Counter) -> str | None:
     rec = synthetic_record(2, f, p)
     linear = check_linear_constituent([rec]).data["base_field_root_counts"]["2"]
     assert linear == len(roots_in(f, p, 1)), f
-    pairings = check_conjugate_22_split([rec], p).data["admissible_pairings"]
+    pairings = check_conjugate_22_split([rec]).data["admissible_pairings"]
     if not rec.squarefree:
         assert pairings == {}, f
         return None
@@ -367,7 +369,7 @@ class TestPrimitivity:
 
 class TestExceptional:
     def test_builtin_table_frozen(self):
-        table = builtin_exceptional_table(7)
+        table = supported_table(7)
         assert table.entries == (
             ("PGL(2,7)", 336),
             ("2^4.O4^-(2).2", 3840),
@@ -375,7 +377,7 @@ class TestExceptional:
         )
 
     def test_paper_records_pass_via_order_25(self):
-        res = check_exceptional(paper_records(), builtin_exceptional_table(7), 7)
+        res = check_exceptional(paper_records(), supported_table(7))
         assert res.passed
         assert res.witnesses == (2,)
         for n in (336, 3840, 5040):
@@ -383,22 +385,18 @@ class TestExceptional:
 
     def test_order_8_fails(self):
         rec = next(r for r in paper_records() if r.q == 5)
-        res = check_exceptional([rec], builtin_exceptional_table(7), 7)
+        res = check_exceptional([rec], supported_table(7))
         assert not res.passed
         assert 336 % 8 == 0
 
     def test_order_1_fails(self):
         rec = synthetic_record(2, (2, 5, 2, 3, 1), order=1)
-        res = check_exceptional([rec], builtin_exceptional_table(7), 7)
+        res = check_exceptional([rec], supported_table(7))
         assert not res.passed
 
-    def test_table_prime_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            check_exceptional(paper_records(), builtin_exceptional_table(7), 11)
-
     def test_no_builtin_table_for_other_primes(self):
-        with pytest.raises(ValueError):
-            builtin_exceptional_table(11)
+        with pytest.raises(ValueError, match="no built-in exceptional-subgroup table for p = 11"):
+            supported_table(11)
 
 
 class TestMultiplierSurjective:
@@ -492,7 +490,7 @@ class TestCertify:
     def test_explicit_table_matches_default(self):
         ds = paper_dataset()
         a = certify(ds, 7, 1)
-        b = certify(ds, 7, 1, table=builtin_exceptional_table(7))
+        b = certify(ds, 7, 1, table=supported_table(7))
         assert a == b
 
     @pytest.mark.parametrize("root", [8, -6])
@@ -516,7 +514,7 @@ class TestCertify:
             (9, None, "not prime"),
             (3, None, "p >= 5"),
             (11, None, "table"),
-            (19, builtin_exceptional_table(7), "table is for p = 7"),
+            (19, supported_table(7), "table is for p = 7"),
             # with no entries "divides none of the orders" holds vacuously
             (7, ExceptionalTable(7, ()), "table for p = 7 has no entries"),
             (7, ExceptionalTable(7, (("PGL(2,7)", 0),)), "has an order below 1"),

@@ -52,6 +52,32 @@ def package_unused(sources: dict[str, str], public: list[str]) -> set[tuple[str,
     return unused_definitions(sources, roots)
 
 
+def package_sources() -> dict[str, str]:
+    """The source of each module of the package, by module name."""
+    return {path.stem: path.read_text()
+            for path in sorted(Path(gspcert.__file__).parent.glob("*.py"))}
+
+
+def unread_parameters(sources: dict[str, str]) -> set[tuple[str, str, str]]:
+    """(module, function, parameter) for each parameter, self and cls
+    aside, of a def or lambda in the package sources that its body never
+    reads."""
+    unread = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread |= {(module, name, a) for a in params if a not in read | {"self", "cls"}}
+    return unread
+
+
 def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports the gspcert under test; stdout
     is captured unless another target is given."""
@@ -65,6 +91,12 @@ def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProces
 
 
 class TestIngest:
+    def test_nul_in_the_path_is_one_dataset_error_naming_it(self):
+        # open() refuses such a path with ValueError, not OSError
+        with pytest.raises(DatasetError) as err:
+            ingest("a\0b.dataset")
+        assert str(err.value) == "a\0b.dataset: embedded null byte"
+
     def test_bundled_dataset(self):
         ds = ingest(PAPER)
         assert ds.weight == 28
@@ -593,11 +625,21 @@ class TestPublicApi:
 
     def test_every_package_definition_has_a_use(self):
         # code that only the tests use lives in tests/
-        sources = {
-            path.stem: path.read_text()
-            for path in sorted(Path(gspcert.__file__).parent.glob("*.py"))
-        }
-        assert package_unused(sources, gspcert.__all__) == set()
+        assert package_unused(package_sources(), gspcert.__all__) == set()
+
+    def test_every_parameter_is_read(self):
+        # a parameter no body reads is generality no caller can use
+        assert unread_parameters(package_sources()) == set()
+
+    def test_a_parameter_only_written_or_passed_on_by_name_is_unread(self):
+        source = (
+            "class C:\n    def m(self, a, *rest, k=0, **kw):\n        a = 1\n\n"
+            "def f(x, y):\n    return g(y=x)\n\n"
+            "def h(z):\n    return lambda w: z\n"
+        )
+        unread = {("mod", "m", n) for n in ("a", "rest", "k", "kw")}
+        unread |= {("mod", "f", "y"), ("mod", "<lambda>", "w")}
+        assert unread_parameters({"mod": source}) == unread
 
     def test_a_helper_called_only_by_an_unused_helper_has_no_use(self):
         source = (

@@ -149,7 +149,7 @@ def test_every_golden_order_matches_the_x_powers():
              for cert in large_p_certificates(p)]
     for dataset in sorted(EXPECTED_EXIT):
         ds = ingest(DATASETS / f"{dataset}.dataset")
-        certs += [(certify(ds, 7, r), certifier.builtin_exceptional_table(7))
+        certs += [(certify(ds, 7, r), certifier.supported_table(7))
                   for r in embedding_roots(ds.defining_poly, 7)]
     divides_none = []
     for cert, table in certs:

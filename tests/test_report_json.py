@@ -103,10 +103,14 @@ def test_goldens_need_no_json_encoder(name, monkeypatch):
     assert report.encode() == (GOLDEN / f"{name}.p7.json").read_bytes()
 
 
+# check data holds ints, lists and dicts with str keys, and nothing else:
+# the report writer refuses the other JSON types and tuples too
 @pytest.mark.parametrize(
     "data",
-    [{"x": 1.5}, {"x": {1, 2}}, {"x": b"7"}, {"x": object()}, {"x": [1, (2, 3.0)]}, {7: 1}],
-    ids=["float", "set", "bytes", "object", "nested float", "int key"],
+    [{"x": 1.5}, {"x": {1, 2}}, {"x": b"7"}, {"x": object()}, {"x": [1, [2, 3.0]]}, {7: 1},
+     {"x": "é"}, {"x": [True, False]}, {"x": None}, {"x": (1, 2)}, {"x": {"1": [1, (2,)]}}],
+    ids=["float", "set", "bytes", "object", "nested float", "int key",
+         "str", "bool", "None", "tuple", "nested tuple"],
 )
 def test_data_outside_the_json_types_raises_type_error(data):
     cert = bundled_certificates("weight28_level1")[0]
@@ -117,7 +121,7 @@ def test_data_outside_the_json_types_raises_type_error(data):
 
 def test_data_of_every_json_type_matches_json_dumps():
     cert = bundled_certificates("weight28_level1")[0]
-    data = {"z": None, "b": [True, False], "e": {}, "l": [], "t": (1, "é"), "n": {"1": [[]]}}
+    data = {"i": -7, "e": {}, "l": [], "m": [1, [2, 3], {"k": 4}], "n": {"1": [[]]}}
     check = cert.checks[0]._replace(data=data)
     certs = [cert._replace(checks=(check,) + cert.checks[1:])]
     assert render_json(certs) == reference_render_json(certs)
