@@ -15,7 +15,7 @@ from math import gcd as int_gcd
 from typing import Callable, NamedTuple, Sequence
 
 from .eigen_data import EigenformDataset, FrobeniusRecord, hecke_charpoly, specialize
-from .polynomial import MAX_PRIME, is_prime
+from .polynomial import check_prime
 
 VERDICT_LARGE_IMAGE = "LARGE_IMAGE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
@@ -61,10 +61,7 @@ def supported_table(p: int, table: ExceptionalTable | None = None) -> Exceptiona
     order) pairs of a str and an int >= 1 with distinct names: with no
     entries the exceptional check would pass on no evidence, and the report
     keys the orders by name."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p > MAX_PRIME:
-        raise ValueError(f"p = {p} is above the supported {MAX_PRIME}")
+    check_prime(p)
     if p < 5:
         raise ValueError(f"the certificate needs p >= 5, got p = {p}")
     if p % 4 != 3:
@@ -252,17 +249,15 @@ def check_conjugate_22_split(records: Sequence[FrobeniusRecord]) -> CheckResult:
 def check_primitivity(records: Sequence[FrobeniusRecord], p: int) -> CheckResult:
     """Exclude imprimitive images (cases inducing from a quadratic field).
 
-    Requires p = 3 mod 4, so that the only quadratic field unramified
-    outside p that can carry the induction is imaginary: Q(sqrt(-p)).
-    Induction forces trace zero at every prime inert in that field, i.e.
-    every q that is not a square mod p.  The check demands a nonzero a_q,
-    read off each record as -f3, at every inert prime in the dataset (and
-    at least one).  With p prime, q is inert when q^((p-1)/2) = -1 mod p
-    (Euler's criterion), with no primality test; q = p, which has no
-    record, never is: p^((p-1)/2) = 0 mod p.
+    Requires p = 3 mod 4, which supported_table enforces, so that the only
+    quadratic field unramified outside p that can carry the induction is
+    imaginary: Q(sqrt(-p)).  Induction forces trace zero at every prime
+    inert in that field, i.e. every q that is not a square mod p.  The check
+    demands a nonzero a_q, read off each record as -f3, at every inert prime
+    in the dataset (and at least one).  With p prime, q is inert when
+    q^((p-1)/2) = -1 mod p (Euler's criterion), with no primality test;
+    q = p, which has no record, never is: p^((p-1)/2) = 0 mod p.
     """
-    if p % 4 != 3:
-        raise ValueError(f"primitivity argument needs p = 3 mod 4, got p = {p}")
     traces = {r.q: -r.charpoly[3] % p for r in records if pow(r.q, (p - 1) // 2, p) == p - 1}
     inert = list(traces)
     zeros = [q for q in inert if traces[q] == 0]

@@ -14,10 +14,10 @@ with every prime power q^e computed mod p; its roots pair as r <-> nu/r for
 the similitude nu = q^(2k-3), which the factorizer, order and record share.
 Residues are ints in [0, p) and polynomials the low-first int tuples of
 polynomial's F_p kernel, from the embedding roots to the records, which are
-NamedTuples.  certify reaches this module through specialize,
-embedding_roots and the table checks of EigenformDataset, where input is
-refused; specialize returns the residues as a dict keyed by index, and
-hecke_charpoly takes the a_q, a_{q^2} read from it as they are.
+NamedTuples.  Input is refused at two doors: EigenformDataset's table
+checks, through which certify reaches specialize, and embedding_roots,
+which the CLI calls; specialize returns the residues as a dict keyed by
+index, and hecke_charpoly takes the a_q, a_{q^2} read from it as they are.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ from itertools import islice
 from math import isqrt
 from typing import NamedTuple, Sequence
 
-from .polynomial import MAX_PRIME
-from .polynomial import Factorization, FpPoly, fp_add, fp_gcd, fp_monic, fp_powmod, is_prime
+from .polynomial import Factorization, FpPoly, fp_add, fp_gcd, fp_monic, fp_powmod
+from .polynomial import check_prime, is_prime
 from .polynomial import fp_hecke_factorization as factor
 from .polynomial import fp_projective_order as projective_order
 
@@ -43,6 +43,12 @@ KNOWN_ASSUMPTIONS = ("not_maass_spezialform", "conductor_one")
 # are far smaller (the paper's is cubic), so the cap bounds a dataset's size
 # and the time its embedding roots take; a larger E is refused.
 MAX_DEFINING_DEGREE = 128
+
+
+def _check_degree(deg: int) -> None:
+    if deg > MAX_DEFINING_DEGREE:
+        raise ValueError(
+            f"defining polynomial has degree {deg}, above the supported {MAX_DEFINING_DEGREE}")
 
 
 def _eigenvalue_base(index: int) -> int:
@@ -97,14 +103,9 @@ class EigenformDataset(_EigenformFields):
             raise ValueError(f"only level 1 is supported, got {level}")
         if len(defining_poly) < 2 or defining_poly[-1] != 1:
             raise ValueError("defining polynomial must be monic of degree >= 1")
-        if len(defining_poly) - 1 > MAX_DEFINING_DEGREE:
-            raise ValueError(
-                f"defining polynomial has degree {len(defining_poly) - 1}, "
-                f"above the supported {MAX_DEFINING_DEGREE}"
-            )
+        _check_degree(deg := len(defining_poly) - 1)
         if not eigenvalues:
             raise ValueError("eigenvalue table is empty: no Frobenius data")
-        deg = len(defining_poly) - 1
         primes = set()
         for index, expr in eigenvalues.items():
             primes.add(_eigenvalue_base(index))
@@ -158,7 +159,7 @@ class FrobeniusRecord(NamedTuple):
 
 
 class Root(int):
-    """An embedding root: an int in [0, p) that keeps .lift() for older callers."""
+    """An embedding root: an int in [0, p) with .lift(), for perfbench's LibWorkload.setup."""
 
     __slots__ = ()
     lift = int.__int__
@@ -180,13 +181,11 @@ def embedding_roots(defining_poly: Sequence[int], p: int) -> list[Root]:
     """Simple roots of E mod p as ints in [0, p): the roots of gcd(E mod p,
     x^p - x) at which E' does not vanish, in the order of E's linear
     factors (x - r sorted by -r mod p: 0 first, the rest descending).
-    ValueError for a p that is not a prime up to MAX_PRIME."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p > MAX_PRIME:
-        raise ValueError(f"p = {p} is above the supported {MAX_PRIME}")
+    Before any work, check_prime refuses p and _check_degree a large E."""
+    check_prime(p)
     if not defining_poly:
         raise ValueError("E has no coefficients")
+    _check_degree(len(defining_poly) - 1)
     if not all(type(c) is int for c in defining_poly):
         raise ValueError("E's coefficients must be ints")
     if defining_poly[-1] % p == 0:
@@ -207,17 +206,15 @@ def specialize(ds: EigenformDataset, p: int, root: int) -> dict[int, int]:
     Returns {index: residue in [0, p)}, the eigenvalues pushed into F_p
     through the embedding alpha -> root, with the indices of ds.
 
-    Refuses a root that is not an int in [0, p), a p that is not prime and
-    roots that are absent mod p or non-simple (a repeated root changes the
-    residue map; extending scalars is out of scope).
+    Refuses a root that is not an int in [0, p) and roots that are absent
+    mod p or non-simple (a repeated root changes the residue map; extending
+    scalars is out of scope); p is a prime that supported_table accepted.
     """
     if type(root) not in (int, Root):
         raise ValueError(f"root must be an int in [0, {p}), got {root!r}")
     root = int(root)
     if not 0 <= root < p:
         raise ValueError(f"root must lie in [0, {p}), got {root}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if _horner(ds.defining_poly, root, p):
         raise ValueError(f"alpha = {root} is not a root of E mod {p}")
     if not _horner(_derivative(ds.defining_poly), root, p):

@@ -137,8 +137,8 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin to the bases SMALL_PRIMES is exact below this bound
 # (Sorenson and Webster, 2015)
 MILLER_RABIN_BOUND = 3317044064679887385961981
-# certify and embedding_roots refuse a larger p.  The scan of F_p for E's
-# roots, a quadratic factor stepped to its order and the trial division of
+# check_prime refuses a larger p.  The scan of F_p for E's roots, a
+# quadratic factor stepped to its order and the trial division of
 # (p^2 + 1)/2 are linear in p: at p = 299983 each took 0.08-0.21 s per call
 # or record (2-CPU x86-64 host), but the scan took 5 s for 128 roots near p
 MAX_PRIME = 300_000
@@ -171,6 +171,15 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_prime(p: int) -> None:
+    """Refuse, with one line, a p that is not a prime up to MAX_PRIME: the
+    rule for p at the library's doors, embedding_roots and supported_table."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p > MAX_PRIME:
+        raise ValueError(f"p = {p} is above the supported {MAX_PRIME}")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -207,8 +216,9 @@ def _x_power_is_constant(e: int, f: FpPoly, p: int) -> bool:
 def fp_projective_order(fac: Factorization, nu: int) -> int:
     """The least n >= 1 with x^n constant mod a squarefree Hecke quartic f
     with similitude nu, the order of its companion matrix in PGL(4, p), read
-    off f's factorization; ValueError for a repeated factor, a factor x, or
-    an irreducible f with f1 != nu f3 or f0 != nu^2.
+    off fac, fp_hecke_factorization's output on a squarefree f and the nu
+    it checked: f is irreducible or a product of distinct factors of degree
+    1 or 2, and f0 = nu^2 != 0 makes x a unit mod each, so every loop ends.
 
     Split f (CRT): x^n = c mod f iff mod every factor g.  With e_g the least
     exponent at which x^e_g = c_g in F_p mod g (1 for x - c_g; stepped on a
@@ -219,21 +229,15 @@ def fp_projective_order(fac: Factorization, nu: int) -> int:
     Both then descend over primes found by trial division.
     """
     p, factors = fac.p, fac.factors
-    if len(factors) < 2:
-        f, mult = factors[0] if factors else ((), 0)
-        hecke = len(f) == 5 and f[:2] == (nu * nu % p, nu * f[3] % p) and nu % p
-        if mult != 1 or not hecke or not p % 2:
-            raise ValueError(f"{fac} is not a squarefree Hecke quartic: f1 != nu f3 or f0 != nu^2")
+    if len(factors) == 1:
         eps = pow(nu, (p - 1) // 2, p) != 1
         n = (p * p + 1) // 2
         for ell in _prime_factors(n):
-            while n % ell == 0 and _x_power_is_constant(n // ell << eps, f, p):
+            while n % ell == 0 and _x_power_is_constant(n // ell << eps, factors[0][0], p):
                 n //= ell
         return n << eps
     n, steps = 1, []
-    for g, mult in factors:
-        if mult != 1 or not g[0] or len(g) > 3:
-            raise ValueError(f"{fac}: a repeated factor, a factor x or one of degree above 2")
+    for g, _ in factors:
         e, c, v, b0, b1 = 1, 0, 1, -g[0], -g[1]
         if len(g) == 2:  # x = -g0 mod x + g0
             c, v = b0 % p, 0

@@ -361,11 +361,6 @@ class TestPrimitivity:
         assert f"inert prime(s) {{{inert[0]}}} is" in res.justification
         assert res.data["traces"][str(inert[0])] == 0
 
-    def test_requires_p_three_mod_four(self):
-        # no record is built at p = 5: the Hecke quartic route refuses it
-        with pytest.raises(ValueError, match="primitivity argument needs p = 3 mod 4"):
-            check_primitivity((), 5)
-
 
 class TestExceptional:
     def test_builtin_table_frozen(self):

@@ -78,6 +78,18 @@ def unread_parameters(sources: dict[str, str]) -> set[tuple[str, str, str]]:
     return unread
 
 
+def repeated_raises(sources: dict[str, str]) -> dict[str, list[tuple[str, int]]]:
+    """Each exception expression that two or more raise statements of the
+    package sources build, compared by ast.unparse, with the (module, line)
+    of each: a refusal with more than one home."""
+    homes: dict[str, list[tuple[str, int]]] = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                homes.setdefault(ast.unparse(node.exc), []).append((module, node.lineno))
+    return {exc: sorted(where) for exc, where in homes.items() if len(where) > 1}
+
+
 def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports the gspcert under test; stdout
     is captured unless another target is given."""
@@ -630,6 +642,20 @@ class TestPublicApi:
     def test_every_parameter_is_read(self):
         # a parameter no body reads is generality no caller can use
         assert unread_parameters(package_sources()) == set()
+
+    def test_each_refusal_is_raised_in_one_place(self):
+        # an input rule has one home, at the door where the input enters,
+        # and no re-check behind it
+        assert repeated_raises(package_sources()) == {}
+
+    def test_a_raise_built_twice_is_repeated(self):
+        source = (
+            "def f(p):\n    if p:\n        raise ValueError(f'{p} is bad')\n    raise\n\n"
+            "def g(p):\n    raise ValueError(f'{p} is bad')\n\n"
+            "def h(q):\n    raise ValueError(f'{q} is bad')\n    raise\n"
+        )
+        repeated = {"ValueError(f'{p} is bad')": [("mod", 3), ("mod", 7)]}
+        assert repeated_raises({"mod": source}) == repeated
 
     def test_a_parameter_only_written_or_passed_on_by_name_is_unread(self):
         source = (

@@ -233,8 +233,6 @@ class TestResidualRoots:
     def test_p_must_be_prime(self):
         with pytest.raises(ValueError, match="^6 is not prime$"):
             embedding_roots(DEFINING, 6)
-        with pytest.raises(ValueError, match="^6 is not prime$"):
-            specialize(paper_dataset(), 6, 1)
         with pytest.raises(ValueError, match=r"^7\.0 is not an int$"):
             embedding_roots(DEFINING, 7.0)
 
@@ -463,10 +461,6 @@ class TestHeckeCharpoly:
         with pytest.raises(ValueError) as err:
             embedding_roots(DEFINING, 15)
         assert str(err.value) == "15 is not prime"
-        for root in range(15):
-            with pytest.raises(ValueError) as err:
-                specialize(paper_dataset(), 15, root)
-            assert str(err.value) == "15 is not prime"
 
     @pytest.mark.parametrize("root, eigenvalues", [
         (1, {3: (0,), 5: (2,), 25: (1,)}), (1, {2: (1,), 4: (1,), 3: (1,)}),
@@ -604,7 +598,7 @@ class TestPrimeBound:
     = 3 mod 4 up to MAX_PRIME (or, for the trial division, the largest
     with (p^2 + 1)/2 prime), end in bounded time: each took 0.08-0.21 s on
     a 2-CPU x86-64 host, and the bound is wide.  Above MAX_PRIME, p is
-    refused before any work."""
+    refused before any work, and so is an E above MAX_DEFINING_DEGREE."""
 
     def test_scan_over_all_of_f_p(self):
         # the one root of x + 1 is p - 1, the last element scanned
@@ -667,3 +661,19 @@ class TestPrimeBound:
             embedding_roots((1, 1), 3 * ABOVE)
         with pytest.raises(ValueError, match=f"^{3 * ABOVE} is not prime$"):
             certify(paper_dataset(), 3 * ABOVE, 0, table)
+
+    def test_defining_degree_above_cap_refused_before_any_work(self, monkeypatch):
+        # x^p mod E costs about deg(E)^2 log p: embedding_roots keeps the
+        # cap EigenformDataset keeps, and takes E at the cap, here
+        # (x^129 - 1)/(x - 1), whose roots mod 7 are the primitive cube roots
+        # of unity, 4 and 2
+        assert embedding_roots((1,) * (eigen_data.MAX_DEFINING_DEGREE + 1), 7) == [4, 2]
+
+        def unreachable(*args):
+            raise AssertionError("work ran above MAX_DEFINING_DEGREE")
+
+        monkeypatch.setattr(eigen_data, "fp_powmod", unreachable)
+        for p in (7, BELOW):
+            with pytest.raises(ValueError) as err:
+                embedding_roots((1,) * (eigen_data.MAX_DEFINING_DEGREE + 2), p)
+            assert str(err.value) == "defining polynomial has degree 129, above the supported 128"
