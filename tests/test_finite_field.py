@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspcert.polynomial import is_prime
+from gspcert.polynomial import MAX_PRIME, check_prime, is_prime
 from oracles import (
     _smallest_irreducible,
     element,
@@ -226,6 +226,28 @@ class TestIntegerHelpers:
         # the first is a strong pseudoprime to all 13 bases, the second a prime
         with pytest.raises(ValueError, match="too large"):
             is_prime(n)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 299993])
+    def test_check_prime_takes_each_prime_up_to_the_bound(self, p):
+        # 299993 is the largest prime up to MAX_PRIME
+        assert p <= MAX_PRIME
+        assert check_prime(p) is None
+
+    @pytest.mark.parametrize("p, message", [
+        (-7, "-7 is not prime"),
+        (0, "0 is not prime"),
+        (1, "1 is not prime"),
+        (15, "15 is not prime"),
+        (300001, "300001 is not prime"),  # above MAX_PRIME too: primality is checked first
+        (300007, "p = 300007 is above the supported 300000"),  # the least prime above it
+        (7.0, "7.0 is not an int"),
+    ])
+    def test_check_prime_refuses_with_one_line(self, p, message):
+        # the one home of "a prime up to MAX_PRIME", behind embedding_roots
+        # and supported_table
+        with pytest.raises(ValueError) as err:
+            check_prime(p)
+        assert str(err.value) == message
 
     def test_factorize(self):
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
