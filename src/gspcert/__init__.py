@@ -13,9 +13,9 @@ from .certifier import (
     VERDICT_LARGE_IMAGE,
     certify,
 )
-from .cli import DatasetError, ingest, render_json, render_text
-from .eigen_data import EigenformDataset, FrobeniusRecord, embedding_roots
+from .eigen_data import DatasetError, EigenformDataset, FrobeniusRecord, embedding_roots, ingest
 from .polynomial import Factorization
+from .report import render_json, render_text
 
 __version__ = "0.1.0"
 

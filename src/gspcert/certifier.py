@@ -5,9 +5,10 @@ ways the image of a residual Galois representation with surjective
 similitude multiplier can fail to be everything: stabilize a line or
 hyperplane (reducible), stabilize a rational or conjugate pair of planes
 (imprimitive / scalar extension), or land in one of the three exceptional
-quotients.  Each check below rules out one route using nothing but the mod-p
-Frobenius data; a check that fails proves nothing (the logic is one-sided),
-so the only verdicts are LARGE_IMAGE and INCONCLUSIVE.
+quotients.  The checks below use nothing but the mod-p Frobenius data and
+together rule out every route, though conjugate_22_split needs primitivity
+and rational_22_split beside it; a check that fails proves nothing (the
+logic is one-sided), so the only verdicts are LARGE_IMAGE and INCONCLUSIVE.
 """
 from __future__ import annotations
 
@@ -226,12 +227,17 @@ def check_conjugate_22_split(records: Sequence[FrobeniusRecord]) -> CheckResult:
     """Exclude the stabilizer of a conjugate pair of planes (the 2-dim
     representation over F_{p^2} pulled back by restriction of scalars).
 
-    An element preserving such a decomposition factors its characteristic
+    An element of Sp2(p^2), which fixes each plane, factors its characteristic
     polynomial as g * conjugate(g) with g quadratic over F_{p^2} and
     determinant-induced rational constant term.  For each squarefree record
     those factorizations are counted from its F_p factorization
     (_conjugate_pairings); a record with none cannot arise that way.  An
     irreducible record counts one: only reducible records can witness it.
+
+    Alone it does not exclude the pair: at p = 7, 348 of 2,030 sampled
+    elements of the sigma-semilinear coset of Sp2(p^2).2, all of trace 0,
+    have no such pairing, nor do 268 of 1,504 of the linear coset of
+    GU2(p).2; only primitivity and rational_22_split, in turn, exclude them.
     """
     pairings = [(rec.q, _conjugate_pairings(rec)) for rec in records if rec.squarefree]
     q = min((r for r, n in pairings if n == 0), default=None)

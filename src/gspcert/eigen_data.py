@@ -1,4 +1,11 @@
-"""Hecke eigenvalue datasets and their mod-p Frobenius data.
+"""Hecke eigenvalue datasets, their file format and mod-p Frobenius data.
+
+The dataset file is line oriented: header lines `weight N`, `level N`,
+`defining_poly c0 c1 ...` (integer coefficients, constant first) and
+`assumptions flag ...`, then one `eigenvalue <index> <coefficients...>`
+line per entry, the coefficients being the integer polynomial in alpha
+(a single integer for a constant).  Blank lines and text after `#` are
+ignored.
 
 A dataset carries integral eigenvalue expressions in the defining root
 alpha of a monic integer polynomial E (degree-0 expressions at desk scale).
@@ -14,14 +21,17 @@ with every prime power q^e computed mod p; its roots pair as r <-> nu/r for
 the similitude nu = q^(2k-3), which the factorizer, order and record share.
 Residues are ints in [0, p) and polynomials the low-first int tuples of
 polynomial's F_p kernel, from the embedding roots to the records, which are
-NamedTuples.  Input is refused at two doors: EigenformDataset's table
-checks, through which certify reaches specialize, and embedding_roots,
-which the CLI calls; specialize returns the residues as a dict keyed by
-index, and hecke_charpoly takes the a_q, a_{q^2} read from it as they are.
+NamedTuples.  Input is refused at three doors: ingest, which reads only a
+regular file and names the line of a malformed one, EigenformDataset's
+table checks, through which ingest builds and certify reaches specialize,
+and embedding_roots, which the CLI calls; specialize returns the residues
+as a dict keyed by index, and hecke_charpoly takes the a_q, a_{q^2} read
+from it as they are.
 """
 from __future__ import annotations
 
 import hashlib
+import os
 from itertools import islice
 from math import isqrt
 from typing import NamedTuple, Sequence
@@ -144,6 +154,88 @@ class EigenformDataset(_EigenformFields):
             *(f"assume={flag};" for flag in sorted(self.assumptions)),
         ])
         return hashlib.sha256(text.encode()).hexdigest()
+
+
+class DatasetError(ValueError):
+    """Raised when a dataset file cannot be parsed or fails validation."""
+
+
+def _dataset_error(path: str, lineno: int | None, message: str) -> DatasetError:
+    where = f"{path}, line {lineno}" if lineno is not None else str(path)
+    return DatasetError(f"{where}: {message}")
+
+
+def _parse_int(token: str, path: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise _dataset_error(path, lineno, f"{what} must be an integer, got {token!r}") from None
+
+
+def ingest(path: str | os.PathLike[str]) -> EigenformDataset:
+    """Parse a dataset file; raise DatasetError with line diagnostics."""
+    path = str(path)
+    # a regular file only: reading a FIFO blocks until a writer comes; isfile
+    # is False for a path holding a NUL, which open() refuses with ValueError
+    if not os.path.isfile(path):
+        raise DatasetError(f"no such dataset file: {path}")
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except OSError as exc:  # unreadable
+        raise DatasetError(f"{path}: {exc.strerror or exc}") from exc
+
+    header: dict[str, object] = {}  # weight, level and defining_poly
+    assumptions: list[str] = []
+    eigenvalues: dict[int, tuple[int, ...]] = {}
+
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # not at \f or \u2028
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, *rest = line.split()
+        if key == "weight" or key == "level":
+            if key in header:
+                raise _dataset_error(path, lineno, f"duplicate {key}")
+            if len(rest) != 1:
+                raise _dataset_error(path, lineno, f"{key} takes exactly one integer")
+            header[key] = _parse_int(rest[0], path, lineno, key)
+        elif key == "defining_poly":
+            if key in header:
+                raise _dataset_error(path, lineno, "duplicate defining_poly")
+            if len(rest) < 2:
+                raise _dataset_error(
+                    path, lineno, "defining_poly needs at least two coefficients"
+                )
+            header[key] = tuple(_parse_int(tok, path, lineno, "coefficient") for tok in rest)
+        elif key == "assumptions":
+            assumptions.extend(rest)
+        elif key == "eigenvalue":
+            if len(rest) < 2:
+                raise _dataset_error(
+                    path, lineno, "eigenvalue needs an index and at least one coefficient"
+                )
+            index = _parse_int(rest[0], path, lineno, "eigenvalue index")
+            if index in eigenvalues:
+                raise _dataset_error(path, lineno, f"duplicate eigenvalue index {index}")
+            eigenvalues[index] = tuple(
+                _parse_int(tok, path, lineno, "coefficient") for tok in rest[1:]
+            )
+        else:
+            raise _dataset_error(path, lineno, f"unknown directive {key!r}")
+
+    for name in ("weight", "level", "defining_poly"):
+        if name not in header:
+            raise _dataset_error(path, None, f"missing required field {name!r}")
+
+    try:
+        return EigenformDataset(
+            **header, eigenvalues=eigenvalues, assumptions=frozenset(assumptions)
+        )
+    except ValueError as exc:
+        raise _dataset_error(path, None, str(exc)) from exc
 
 
 class FrobeniusRecord(NamedTuple):

@@ -28,7 +28,6 @@ from functools import lru_cache
 from math import lcm
 
 from gspcert.certifier import Certificate
-from gspcert.cli import REPORT_FORMAT
 from gspcert.eigen_data import EigenformDataset, FrobeniusRecord
 from gspcert.polynomial import (
     Factorization,
@@ -40,6 +39,7 @@ from gspcert.polynomial import (
     fp_str,
     fp_trim,
 )
+from gspcert.report import REPORT_FORMAT
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +507,7 @@ def check_order_by_x_powers(rec: FrobeniusRecord, orders: tuple[int, ...], p: in
 
 
 # ---------------------------------------------------------------------------
-# the certify-report/1 JSON as a tree for json.dumps: cli.render_json
+# the certify-report/1 JSON as a tree for json.dumps: report.render_json
 # before it wrote the bytes itself
 
 

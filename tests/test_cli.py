@@ -17,7 +17,9 @@ import pytest
 
 import gspcert
 from cli_runner import invoke
-from gspcert.cli import DatasetError, REPORT_FORMAT, ingest, main
+from gspcert.cli import main
+from gspcert.eigen_data import DatasetError, ingest
+from gspcert.report import REPORT_FORMAT
 from test_reference_modules import names_used, unused_definitions
 
 DATASETS = resources.files("gspcert") / "datasets"
@@ -90,7 +92,8 @@ def repeated_raises(sources: dict[str, str]) -> dict[str, list[tuple[str, int]]]
     return {exc: sorted(where) for exc, where in homes.items() if len(where) > 1}
 
 
-def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def run_python(*args: str, stdout=subprocess.PIPE, timeout: float = 120
+               ) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports the gspcert under test; stdout
     is captured unless another target is given."""
     src = str(Path(gspcert.__file__).resolve().parents[1])
@@ -98,16 +101,32 @@ def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProces
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
-        timeout=120,
+        timeout=timeout,
     )
 
 
 class TestIngest:
     def test_nul_in_the_path_is_one_dataset_error_naming_it(self):
-        # open() refuses such a path with ValueError, not OSError
+        # no regular file has such a path, which open() would refuse with
+        # ValueError, not OSError
         with pytest.raises(DatasetError) as err:
             ingest("a\0b.dataset")
-        assert str(err.value) == "a\0b.dataset: embedded null byte"
+        assert str(err.value) == "no such dataset file: a\0b.dataset"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_fifo_is_refused_without_reading_it(self, tmp_path):
+        # a read of a FIFO blocks until a writer opens it: run each in a fresh
+        # interpreter, where a read that blocks fails at the timeout
+        fifo = str(tmp_path / "fifo.dataset")
+        os.mkfifo(fifo)
+        lib = run_python("-c", (
+            "from gspcert import DatasetError, ingest\n"
+            f"try:\n    ingest({fifo!r})\nexcept DatasetError as exc:\n    print(exc)\n"
+        ), timeout=30)
+        assert (lib.stdout, lib.stderr) == (f"no such dataset file: {fifo}\n", "")
+        command = run_python("-m", "gspcert", "certify", fifo, timeout=30)
+        assert command.returncode == 1
+        assert command.stderr == f"error: no such dataset file: {fifo}\n"
 
     def test_bundled_dataset(self):
         ds = ingest(PAPER)
@@ -211,8 +230,10 @@ class TestIngest:
             ingest(str(path))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DatasetError, match="No such file"):
-            ingest(str(tmp_path / "absent.dataset"))
+        path = tmp_path / "absent.dataset"
+        with pytest.raises(DatasetError) as err:
+            ingest(path)
+        assert str(err.value) == f"no such dataset file: {path}"
 
     def test_semantic_errors_carry_path(self, tmp_path):
         path = tmp_path / "incomplete_pair.dataset"
@@ -342,6 +363,8 @@ class TestErrorExits:
             (["certify", PAPER, "--prime", "11"], "table"),
             (["certify", PAPER, "--format", "xml"], "text or json"),
             (["certify", PAPER, "--prime", "15"], "must be a prime number, got 15"),
+            # the options are checked before the dataset file
+            (["certify", "absent.dataset", "--format", "xml"], "text or json"),
         ],
     )
     def test_usage_and_data_errors_exit_one(self, args, message):
@@ -539,24 +562,38 @@ class TestFreshInterpreter:
         assert "3 certificate(s): 3 LARGE_IMAGE, 0 INCONCLUSIVE" in res.stdout
 
     def test_package_exports_the_cli_names(self):
+        # the package takes them from the library; the command takes the five
+        # it calls by name, which the benchmark calls and rebinds as
+        # gspcert.cli.X, and defines nothing but the command
         res = run_python("-c", (
-            "import gspcert, gspcert.cli\n"
-            "print(all(getattr(gspcert, name) is getattr(gspcert.cli, name) for name in"
-            " ('DatasetError', 'ingest', 'render_json', 'render_text')))\n"
+            "import gspcert, gspcert.cli, gspcert.eigen_data, gspcert.report\n"
+            "homes = {'DatasetError': gspcert.eigen_data, 'ingest': gspcert.eigen_data,"
+            " 'render_json': gspcert.report, 'render_text': gspcert.report}\n"
+            "print(all(getattr(gspcert, name) is getattr(home, name)"
+            " for name, home in homes.items()))\n"
+            "print(all(getattr(gspcert.cli, name) is getattr(gspcert, name) for name in"
+            " ('ingest', 'embedding_roots', 'certify', 'render_json', 'render_text')))\n"
+            "print(sorted(name for name, value in vars(gspcert.cli).items()"
+            " if getattr(value, '__module__', None) == 'gspcert.cli'))\n"
             "from gspcert import *\n"
             "print(all(name in globals() for name in gspcert.__all__))\n"
         ))
         assert res.returncode == 0, res.stderr
-        assert res.stdout == "True\nTrue\n"
+        assert res.stdout == (
+            "True\nTrue\n['_Parser', '_certify_command', '_fail', '_parser', 'main']\nTrue\n"
+        )
 
     @pytest.mark.parametrize("module", ["gspcert.cli", "gspcert"])
     def test_import_loads_no_click_dataclasses_or_reference_maths(self, module):
         # the command's start-up: click, dataclasses (with inspect) and the
-        # tests' reference maths stay off the import path
+        # tests' reference maths stay off the import path; the library's
+        # loads no command line either
+        absent = ("click", "dataclasses", "inspect", "gspcert.symplectic", "symplectic", "oracles")
+        if module == "gspcert":
+            absent += ("gspcert.cli", "argparse")
         res = run_python("-c", (
             f"import sys, {module}\n"
-            "print(sorted(m for m in ('click', 'dataclasses', 'inspect', 'gspcert.symplectic',"
-            " 'symplectic', 'oracles') if m in sys.modules))\n"
+            f"print(sorted(m for m in {absent!r} if m in sys.modules))\n"
         ))
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[]\n"
@@ -605,10 +642,11 @@ class TestFreshInterpreter:
         assert cli.main is main
 
     def test_certificates_load_every_package_module_and_no_other(self):
-        # every module of the package is on the certify path: none is there
-        # for the tests alone; and the tests' reference maths, importable
-        # here, is not: no F_{p^e} element, 4x4 matrix or slow oracle
-        # stands behind a certificate
+        # every module of the package but the command's two (__main__ and
+        # cli) is on the library's certify path: none is there for the tests
+        # alone, and none loads the command; and the tests' reference maths,
+        # importable here, is not: no F_{p^e} element, 4x4 matrix or slow
+        # oracle stands behind a certificate
         res = run_python("-c", (
             "import sys\n"
             f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
@@ -621,7 +659,8 @@ class TestFreshInterpreter:
             "print(sorted(m for m in ('symplectic', 'oracles') if m in sys.modules))\n"
         ))
         assert res.returncode == 0, res.stderr
-        stems = {path.stem for path in Path(gspcert.__file__).parent.glob("*.py")} - {"__main__"}
+        stems = {path.stem for path in Path(gspcert.__file__).parent.glob("*.py")}
+        stems -= {"__main__", "cli"}
         expected = sorted("gspcert" if s == "__init__" else f"gspcert.{s}" for s in stems)
         assert res.stdout == f"{expected!r}\n[]\n"
 

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cli_runner import invoke, working_directory
-from gspcert.cli import REPORT_FORMAT
+from gspcert.report import REPORT_FORMAT
 
 FLAGS = ["not_maass_spezialform", "conductor_one"]
 DIRECTIVES = ["weight", "level", "defining_poly", "assumptions", "eigenvalue", "spin", "#"]

@@ -17,10 +17,10 @@ from gspcert.eigen_data import (
     embedding_roots,
     hecke_charpoly,
     hecke_quartic,
+    ingest,
     specialize,
 )
 from gspcert.certifier import ExceptionalTable, certify
-from gspcert.cli import ingest
 from gspcert.polynomial import (
     MAX_PRIME,
     MILLER_RABIN_BOUND,

@@ -30,8 +30,8 @@ import pytest
 from cli_runner import invoke
 from gspcert import certifier, eigen_data, polynomial
 from gspcert.certifier import ExceptionalTable, VERDICT_INCONCLUSIVE, VERDICT_LARGE_IMAGE, certify
-from gspcert.cli import ingest, render_json, render_text
-from gspcert.eigen_data import embedding_roots
+from gspcert.eigen_data import embedding_roots, ingest
+from gspcert.report import render_json, render_text
 from oracles import check_order_by_x_powers
 
 DATASETS = resources.files("gspcert") / "datasets"

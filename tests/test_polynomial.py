@@ -651,7 +651,9 @@ class TestProjectiveOrder:
         assert count == 0
         assert patterns == {(4,), (2, 2), (1, 1, 2), (1, 1, 1, 1)}
 
-    @pytest.mark.parametrize("p", [23, 31, 103])
+    # p = 43: (p^2 + 1)/2 = 5^2 37, so an irreducible quartic of order 37 is
+    # reached only by a descent that divides 5 out twice
+    @pytest.mark.parametrize("p", [23, 31, 43, 103])
     def test_seeded_hecke_quartics_match_stepping(self, p):
         rng = random.Random(f"order:{p}")
         checked = 0

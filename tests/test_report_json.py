@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from gspcert.certifier import ExceptionalTable, certify, supported_table
-from gspcert.cli import ingest, render_json, render_text
-from gspcert.eigen_data import EigenformDataset, embedding_roots
+from gspcert.eigen_data import EigenformDataset, embedding_roots, ingest
+from gspcert.report import render_json, render_text
 from oracles import reference_render_json
 
 DATASETS = resources.files("gspcert") / "datasets"
