@@ -109,8 +109,12 @@ def _certify_command(args: argparse.Namespace) -> int:
 
     report = render_json(certs) if args.fmt == "json" else render_text(certs)
     if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+        try:  # opened without blocking, a FIFO with no reader fails at once
+            nonblock = getattr(os, "O_NONBLOCK", 0)
+            fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | nonblock, 0o666)
+            if nonblock:  # a full pipe then waits for its reader, not fails
+                os.set_blocking(fd, True)
+            with open(fd, "w", encoding="utf-8") as fh:
                 fh.write(report)
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             return _fail(f"{args.out}: {getattr(exc, 'strerror', None) or exc}")

@@ -18,7 +18,7 @@ a_{q^2} the spin characteristic polynomial of Frobenius at q is
     x^4 - a_q x^3 + (a_q^2 - a_{q^2} - q^(2k-4)) x^2 - a_q q^(2k-3) x + q^(4k-6)
 
 with every prime power q^e computed mod p; its roots pair as r <-> nu/r for
-the similitude nu = q^(2k-3), which the factorizer, order and record share.
+the similitude nu = q^(2k-3), which the factorizer and record share.
 Residues are ints in [0, p) and polynomials the low-first int tuples of
 polynomial's F_p kernel, from the embedding roots to the records, which are
 NamedTuples.  Input is refused at three doors: ingest, which reads only a
@@ -120,7 +120,8 @@ class EigenformDataset(_EigenformFields):
         for index, expr in eigenvalues.items():
             primes.add(_eigenvalue_base(index))
             if not 1 <= len(expr) <= deg:
-                raise ValueError(f"eigenvalue {index}: expression degree must be < {deg}")
+                raise ValueError(f"eigenvalue {index}: expression needs 1 to {deg} "
+                                 f"coefficients, got {len(expr)}")
         for q in sorted(primes):
             for needed in (q, q * q):
                 if needed not in eigenvalues:
@@ -335,14 +336,13 @@ def hecke_charpoly(a1: int, a2: int, q: int, k: int, p: int) -> FrobeniusRecord:
     and the weight k, as build_records passes them to hecke_quartic.
 
     The projective order (squarefree charpolys only) is the order of the
-    companion matrix in PGL(4, p), the least n with x^n constant mod f,
-    read off the factorization and nu (polynomial.fp_projective_order)
-    without stepping through the powers of x; no matrix is built.  One
-    similitude nu = q^(2k-3) = q q^(2k-4), read back off f's x^2 coefficient,
-    goes to the record, the order and fp_hecke_factorization (p = 3 mod 4)."""
+    companion matrix in PGL(4, p), the least n with x^n constant mod f, read
+    off the factorization (polynomial.fp_projective_order); no matrix is
+    built.  One similitude nu = q^(2k-3) = q q^(2k-4), read back off f's x^2
+    coefficient, goes to the record and fp_hecke_factorization (p = 3 mod 4)."""
     f = hecke_quartic(a1, a2, q, k, p)
     nu = q * (a1 * a1 - a2 - f[2]) % p
     fac = factor(f, nu, p)
     sqfree = fac.is_squarefree()
-    return FrobeniusRecord(q, f, fac, sqfree, projective_order(fac, nu) if sqfree else None, nu)
+    return FrobeniusRecord(q, f, fac, sqfree, projective_order(fac) if sqfree else None, nu)
 

@@ -10,9 +10,9 @@ fp_hecke_factorization(f, nu, p) factors a Hecke quartic f, whose roots pair
 as r <-> nu/r for the similitude nu passed with it, through y = x + nu/x: a
 quadratic in y and quadratics in x, solved by square roots in F_p (one power
 each, as p = 3 mod 4), with no gcd and no scan over F_p; fp_projective_order
-reads the order of its companion matrix in PGL(4, p) off that factorization
-and nu.  Factorization holds its factors as tuples; fp_str prints a tuple high
-degree first.  is_prime and _prime_factors, the integer routines, sit beside
+reads the order of its companion matrix in PGL(4, p) off that factorization.
+Factorization holds its factors as tuples; fp_str prints a tuple high degree
+first.  is_prime and _prime_factors, the integer routines, sit beside
 the factorization.  Residues mod p are plain ints: no field-element type
 exists, and the tests' F_{p^2}/F_{p^4} elements are int tuples (oracles.py).
 """
@@ -213,29 +213,27 @@ def _x_power_is_constant(e: int, f: FpPoly, p: int) -> bool:
     return not (a1 or a2 or a3)
 
 
-def fp_projective_order(fac: Factorization, nu: int) -> int:
-    """The least n >= 1 with x^n constant mod a squarefree Hecke quartic f
-    with similitude nu, the order of its companion matrix in PGL(4, p), read
-    off fac, fp_hecke_factorization's output on a squarefree f and the nu
-    it checked: f is irreducible or a product of distinct factors of degree
-    1 or 2, and f0 = nu^2 != 0 makes x a unit mod each, so every loop ends.
+def fp_projective_order(fac: Factorization) -> int:
+    """The least n >= 1 with x^n constant mod a squarefree Hecke quartic f,
+    the order of its companion matrix in PGL(4, p), read off fac =
+    fp_hecke_factorization(f, nu, p): f is irreducible or has distinct factors
+    of degree 1 or 2, prime to x as f0 = nu^2 != 0, so every loop ends.
 
     Split f (CRT): x^n = c mod f iff mod every factor g.  With e_g the least
     exponent at which x^e_g = c_g in F_p mod g (1 for x - c_g; stepped on a
     quadratic g's two coefficients, e_g | p + 1), n = L k for L = lcm(e_g)
     and k the order in F_p^* of the ratios of the c_g^(L/e_g).  Irreducible
-    f: its roots pair as r <-> nu/r = r^(p^2), so n | p^2 + 1 = 2m, m odd,
-    and n | m iff r^m, a square root of nu, is in F_p, iff nu is a square.
-    Both then descend over primes found by trial division.
+    f: its roots pair as r <-> nu/r = r^(p^2), so x^(p^2+1) = nu mod f and
+    n | p^2 + 1.  Both descend from a multiple of n over its primes, found
+    by trial division (2 first here, as (p^2 + 1)/2 is odd).
     """
     p, factors = fac.p, fac.factors
     if len(factors) == 1:
-        eps = pow(nu, (p - 1) // 2, p) != 1
-        n = (p * p + 1) // 2
-        for ell in _prime_factors(n):
-            while n % ell == 0 and _x_power_is_constant(n // ell << eps, factors[0][0], p):
+        n = p * p + 1
+        for ell in [2] + _prime_factors(n // 2):
+            while n % ell == 0 and _x_power_is_constant(n // ell, factors[0][0], p):
                 n //= ell
-        return n << eps
+        return n
     n, steps = 1, []
     for g, _ in factors:
         e, c, v, b0, b1 = 1, 0, 1, -g[0], -g[1]

@@ -164,7 +164,7 @@ def test_criterion_8_randomized_oracles():
         nu = pow(q, 2 * k - 3, 7)
         fac = fp_hecke_factorization(f, nu, 7)
         if fac.is_squarefree():
-            assert fp_projective_order(fac, nu) == stepped_fp_projective_order(f, 7), f
+            assert fp_projective_order(fac) == stepped_fp_projective_order(f, 7), f
             hecke += 1
 
     # (iii) every generated quartic has the reciprocal similitude shape
@@ -191,7 +191,7 @@ def test_criterion_8_randomized_oracles():
             irreducible += 1
             nu = f[1] * pow(f[3], -1, 7) % 7 if f[3] else 0
             if nu and f[0] == nu * nu % 7:
-                assert fp_projective_order(fp_hecke_factorization(f, nu, 7), nu) == n, f
+                assert fp_projective_order(fp_hecke_factorization(f, nu, 7)) == n, f
                 hecke += 1
     assert irreducible == (7**4 - 7**2) // 4 == 588
     assert hecke == 72

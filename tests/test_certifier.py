@@ -175,7 +175,7 @@ class TestOrdersAgainstXPowers:
             f = (nu * nu % p, nu * f3 % p, f2, f3, 1)
             fac = fp_hecke_factorization(f, nu, p)
             if fac.is_squarefree():
-                rec = FrobeniusRecord(0, f, fac, True, fp_projective_order(fac, nu), nu)
+                rec = FrobeniusRecord(0, f, fac, True, fp_projective_order(fac), nu)
                 outcomes[check_order_by_x_powers(rec, orders, p)] += 1
         assert outcomes[True] and outcomes[False] and sum(outcomes.values()) == count
 

@@ -128,6 +128,25 @@ class TestIngest:
         assert command.returncode == 1
         assert command.stderr == f"error: no such dataset file: {fifo}\n"
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_out_to_a_fifo_with_no_reader_fails_without_waiting(self, tmp_path):
+        # an open for writing blocks until a reader opens the FIFO: the
+        # command fails at once instead, here before the timeout
+        fifo = str(tmp_path / "report.fifo")
+        os.mkfifo(fifo)
+        res = run_python("-m", "gspcert", "certify", PAPER, "--out", fifo, timeout=30)
+        assert res.returncode == 1
+        assert res.stderr == f"error: {fifo}: {os.strerror(errno.ENXIO)}\n"
+        assert res.stdout == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_to_dev_stdout_writes_the_report_into_the_pipe(self):
+        # a pipe's reader is there: the report is written as to a file
+        res = run_python("-m", "gspcert", "certify", PAPER, "--out", "/dev/stdout", timeout=30)
+        assert (res.returncode, res.stderr) == (0, "")
+        golden = Path(__file__).parent / "golden" / "weight28_level1.p7.txt"
+        assert res.stdout == golden.read_text(encoding="utf-8")
+
     def test_bundled_dataset(self):
         ds = ingest(PAPER)
         assert ds.weight == 28

@@ -115,10 +115,12 @@ class TestDatasetValidation:
         assert ds.primes() == [2, 3, 5, q] == validating_primes(ds.eigenvalues)
 
     def test_expression_degree_bounded_by_defining_degree(self):
-        bad = dict(EIGENVALUES)
-        bad[2] = (1, 2, 3, 4)  # degree 3 expression, deg E = 3
-        with pytest.raises(ValueError):
-            paper_dataset(eigenvalues=bad)
+        # deg E = 3: a degree-3 expression and an empty one break one rule
+        for expr in ((1, 2, 3, 4), ()):
+            bad = {**EIGENVALUES, 2: expr}
+            with pytest.raises(ValueError, match=(
+                    rf"^eigenvalue 2: expression needs 1 to 3 coefficients, got {len(expr)}$")):
+                paper_dataset(eigenvalues=bad)
 
     def test_unknown_assumption_flags_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -645,7 +645,7 @@ class TestProjectiveOrder:
                     assert fac.factors == ((f, 1),) and f[:2] == (nu * nu % p, nu * f[3] % p)
                 else:
                     assert all(m == 1 and len(g) <= 3 and g[0] for g, m in fac.factors), f
-                assert fp_projective_order(fac, nu) == stepped_fp_projective_order(f, p), f
+                assert fp_projective_order(fac) == stepped_fp_projective_order(f, p), f
                 patterns.add(tuple(len(g) - 1 for g, _ in fac.factors))
                 count -= 1
         assert count == 0
@@ -662,7 +662,7 @@ class TestProjectiveOrder:
             f = (nu * nu % p, nu * f3 % p, f2, f3, 1)
             fac = fp_hecke_factorization(f, nu, p)
             if fac.is_squarefree():
-                assert fp_projective_order(fac, nu) == stepped_fp_projective_order(f, p), f
+                assert fp_projective_order(fac) == stepped_fp_projective_order(f, p), f
                 checked += 1
 
     def test_irreducible_orders_by_definition_at_large_p(self):
@@ -674,7 +674,7 @@ class TestProjectiveOrder:
             f = (nu * nu % 10007, nu * f3 % 10007, f2, f3, 1)
             fac = fp_hecke_factorization(f, nu, 10007)
             if fac.factors == ((f, 1),):
-                assert is_projective_order(fp_projective_order(fac, nu), f, 10007), f
+                assert is_projective_order(fp_projective_order(fac), f, 10007), f
                 checked += 1
 
     @pytest.mark.parametrize("p", [7, 19, 103])
@@ -710,7 +710,7 @@ class TestProjectiveOrder:
 
     def test_frozen_paper_orders(self):
         for f, nu, n in ((POL2, 4, 25), (POL3, 5, 16), (POL5, 3, 8)):
-            assert fp_projective_order(fp_hecke_factorization(f, nu, 7), nu) == n
+            assert fp_projective_order(fp_hecke_factorization(f, nu, 7)) == n
             assert stepped_fp_projective_order(f, 7) == n
 
     @pytest.mark.parametrize("f", [(0, 0, 0, 0, 1), (0, 1, 2, 3, 1), (0, 0, 5, 0, 1)])
