@@ -205,6 +205,21 @@ MUTANTS = (
         MUST_FAIL,
         "one passed check certifies a large image",
     ),
+    # the one home of each input rule the command leaves to the library: p, the root
+    Mutant(
+        POLYNOMIAL,
+        "    if not is_prime(p):",
+        "    if False:",
+        MUST_FAIL,
+        "check_prime passes a composite p, so --prime 9 is refused by another rule or not at all",
+    ),
+    Mutant(
+        EIGEN_DATA,
+        "    if not 0 <= root < p:",
+        "    if False:",
+        MUST_FAIL,
+        "specialize takes a root out of [0, p) mod p: root 8 is certified as root 1 at p = 7",
+    ),
     # the command
     Mutant(
         CLI,

@@ -3,7 +3,8 @@
     python mutation/run.py
 
 Each test run works in a fresh temporary copy of what tier-1 reads (src/,
-tests/, pyproject.toml, README.md and perfbench/), never in the checkout.
+tests/, pyproject.toml, README.md, perfbench/ and this directory's list),
+never in the checkout.
 The unmutated copy runs first and must pass, or every kill would be
 vacuous.  Then each must_fail mutant of mutants.py is applied to its own
 copy, where `python -m pytest -q -x` must exit 1, tests failed.  Exit 0 is
@@ -27,7 +28,7 @@ from pathlib import Path
 from mutants import EQUIVALENT, MUST_FAIL, MUTANTS, Mutant
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "pyproject.toml", "README.md", "perfbench")
+COPIED = ("src", "tests", "pyproject.toml", "README.md", "perfbench", "mutation")
 # the wall-time tests, which a slow host fails on correct code, and the
 # list's own test, which fails on any mutant as its `before` is gone
 DESELECTED = (

@@ -1,7 +1,10 @@
 """The certify command.
 
-`gspcert certify` runs as one function: check the option values and the
-prime, ingest, choose the roots, certify, render, write, warn.  Exit codes:
+`gspcert certify` runs as one function: ingest, choose the roots, certify,
+render, write, warn.  It states no input rule of its own.  argparse parses
+the options and words a malformed one (`argument --prime/-p: invalid int
+value: 'x'`); the library's doors judge p (supported_table, before the
+dataset is read) and a given root (specialize), in their words.  Exit codes:
 0 when every requested certification returns LARGE_IMAGE, 2 when any
 returns INCONCLUSIVE, 1 for usage or data errors and for a report that
 cannot be written (to --out or to stdout), which print one `error:` line on
@@ -11,13 +14,13 @@ ingest, certify and the two renderers.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from typing import NoReturn, Sequence
 
 from .certifier import certify, supported_table
 from .eigen_data import embedding_roots, ingest
-from .polynomial import is_prime
 from .report import render_json, render_text
 
 
@@ -45,7 +48,7 @@ def _parser(prog: str | None) -> _Parser:
     )
     command.add_argument("input_path", metavar="INPUT", help="the dataset file")
     command.add_argument(
-        "--prime", "-p", default="7", metavar="P",
+        "--prime", "-p", type=int, default=7, metavar="P",
         help="residual characteristic, a prime (default: 7)",
     )
     command.add_argument(
@@ -54,7 +57,7 @@ def _parser(prog: str | None) -> _Parser:
              "defining polynomial mod p (default: all)",
     )
     command.add_argument(
-        "--format", dest="fmt", default="text", metavar="FORMAT",
+        "--format", dest="fmt", default="text", choices=("text", "json"), metavar="FORMAT",
         help="report format: text or json (default: text)",
     )
     command.add_argument(
@@ -71,12 +74,9 @@ def _fail(message: str) -> int:
 
 
 def _certify_command(args: argparse.Namespace) -> int:
-    """Check the options and the prime, ingest, certify the selected roots,
-    write the report, and return the exit code."""
-    try:
-        p = int(args.prime)
-    except ValueError:
-        return _fail(f"--prime must be an integer, got {args.prime!r}")
+    """Ingest, certify the selected roots, write the report, and return the
+    exit code; a ValueError from the library is the one error line."""
+    p = args.prime
     if args.root == "all":
         root = None
     else:
@@ -84,25 +84,15 @@ def _certify_command(args: argparse.Namespace) -> int:
             root = int(args.root)
         except ValueError:
             return _fail(f"--root must be an integer or 'all', got {args.root!r}")
-    if args.fmt not in ("text", "json"):
-        return _fail(f"--format must be text or json, got {args.fmt!r}")
 
     try:  # every ValueError, DatasetError among them, ends in its one line
-        if not is_prime(p):
-            return _fail(f"--prime must be a prime number, got {p}")
         table = supported_table(p)  # before any dataset work
         ds = ingest(args.input_path)
-        if root is None:
-            roots = embedding_roots(ds.defining_poly, p)
-            if not roots:
-                return _fail(
-                    f"no prime-field embedding: the defining polynomial "
-                    f"has no simple root mod {p}"
-                )
-        elif 0 <= root < p:
-            roots = [root]
-        else:
-            return _fail(f"--root must lie in [0, {p}), got {root}")
+        roots = embedding_roots(ds.defining_poly, p) if root is None else [root]
+        if not roots:
+            return _fail(
+                f"no prime-field embedding: the defining polynomial has no simple root mod {p}"
+            )
         certs = [certify(ds, p, r, table) for r in roots]
     except ValueError as exc:
         return _fail(str(exc))
@@ -118,6 +108,8 @@ def _certify_command(args: argparse.Namespace) -> int:
                 fh.write(report)
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             return _fail(f"{args.out}: {getattr(exc, 'strerror', None) or exc}")
+    elif sys.stdout is None:  # fd 1 was closed at start-up
+        return _fail(f"stdout: {os.strerror(errno.EBADF)}")
     else:
         try:
             sys.stdout.write(report)

@@ -12,11 +12,13 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
 import gspcert
 from cli_runner import invoke
+from gspcert.certifier import certify, supported_table
 from gspcert.cli import main
 from gspcert.eigen_data import DatasetError, ingest
 from gspcert.report import REPORT_FORMAT
@@ -92,16 +94,17 @@ def repeated_raises(sources: dict[str, str]) -> dict[str, list[tuple[str, int]]]
     return {exc: sorted(where) for exc, where in homes.items() if len(where) > 1}
 
 
-def run_python(*args: str, stdout=subprocess.PIPE, timeout: float = 120
-               ) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports the gspcert under test; stdout
-    is captured unless another target is given."""
+def run_python(*args: str, stdout=subprocess.PIPE, timeout: float = 120,
+               launcher: Sequence[str] = ()) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the gspcert under test, started
+    through the launcher command when one is given; stdout is captured
+    unless another target is given."""
     src = str(Path(gspcert.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
-        timeout=timeout,
+        [*launcher, sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=env, timeout=timeout,
     )
 
 
@@ -378,12 +381,13 @@ class TestErrorExits:
             (["certify", PAPER, "--root", "2"], "not a root"),
             (["certify", PAPER, "--root", "9"], "must lie in [0, 7)"),
             (["certify", PAPER, "--root", "x"], "integer or 'all'"),
-            (["certify", PAPER, "--prime", "6"], "must be a prime"),
+            (["certify", PAPER, "--prime", "6"], "6 is not prime"),
             (["certify", PAPER, "--prime", "11"], "table"),
-            (["certify", PAPER, "--format", "xml"], "text or json"),
-            (["certify", PAPER, "--prime", "15"], "must be a prime number, got 15"),
+            (["certify", PAPER, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+            (["certify", PAPER, "--prime", "15"], "15 is not prime"),
             # the options are checked before the dataset file
-            (["certify", "absent.dataset", "--format", "xml"], "text or json"),
+            (["certify", "absent.dataset", "--format", "xml"],
+             "argument --format: invalid choice: 'xml'"),
         ],
     )
     def test_usage_and_data_errors_exit_one(self, args, message):
@@ -443,7 +447,23 @@ class TestErrorExits:
         path.write_text("weight 28\nlevel 1\nspin 3\n")
         res = invoke(["certify", str(path), "--prime", "9"])
         assert res.exit_code == 1
-        assert res.stderr == "error: --prime must be a prime number, got 9\n"
+        assert res.stderr == "error: 9 is not prime\n"
+
+    @pytest.mark.parametrize("prime", [6, 9, 15, 3, 5, 11, 300007, 10**29 + 319])
+    def test_bad_prime_is_refused_in_the_words_of_supported_table(self, prime):
+        # the command states no rule for p: the library's door is its one home
+        with pytest.raises(ValueError) as err:
+            supported_table(prime)
+        res = invoke(["certify", PAPER, "--prime", str(prime)])
+        assert (res.exit_code, res.stderr, res.stdout) == (1, f"error: {err.value}\n", "")
+
+    @pytest.mark.parametrize("root", [-1, 7, 8, 2])
+    def test_bad_root_is_refused_in_the_words_of_certify(self, root):
+        # out of [0, 7), 8 = 1 mod 7 among them, or not a root of E mod 7
+        with pytest.raises(ValueError) as err:
+            certify(ingest(PAPER), 7, root)
+        res = invoke(["certify", PAPER, "--root", str(root)])
+        assert (res.exit_code, res.stderr, res.stdout) == (1, f"error: {err.value}\n", "")
 
     def test_prime_past_the_primality_bound_exits_one_with_one_line(self):
         res = invoke(["certify", PAPER, "--prime", str(10**29 + 319)])
@@ -515,7 +535,7 @@ class TestErrorExits:
             (["certify", PAPER, "extra"], "unrecognized arguments: extra"),
             (["certify", PAPER, "--root"], "argument --root: expected one argument"),
             (["certify", PAPER, "--root", "abc"], "--root must be an integer or 'all', got 'abc'"),
-            (["certify", PAPER, "--format", "xml"], "--format must be text or json, got 'xml'"),
+            (["certify", PAPER, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
         ],
         ids=["unknown-option", "no-input", "unknown-command", "no-command",
              "unknown-group-option", "extra-argument", "option-without-value", "root-abc",
@@ -652,6 +672,14 @@ class TestFreshInterpreter:
         # one line: no traceback, and no "Exception ignored" from the exit flush
         assert res.returncode == 1
         assert res.stderr == f"error: stdout: {os.strerror(errnum)}\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs a POSIX sh")
+    def test_closed_stdout_exits_one_with_one_line(self):
+        # with fd 1 closed at start-up the interpreter sets sys.stdout to None
+        res = run_python("-m", "gspcert", "certify", PAPER,
+                         launcher=("sh", "-c", 'exec "$0" "$@" >&-'))
+        assert res.returncode == 1
+        assert res.stderr == f"error: stdout: {os.strerror(errno.EBADF)}\n"
 
     def test_package_getattr_rejects_other_names(self):
         with pytest.raises(AttributeError):
