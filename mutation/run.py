@@ -5,15 +5,17 @@
 Each test run works in a fresh temporary copy of what tier-1 reads (src/,
 tests/, pyproject.toml, README.md, perfbench/ and this directory's list),
 never in the checkout.
-The unmutated copy runs first and must pass, or every kill would be
-vacuous.  Then each must_fail mutant of mutants.py is applied to its own
-copy, where `python -m pytest -q -x` must exit 1, tests failed.  Exit 0 is
-a survivor and exits 2-5 a broken mutant (an interrupted run, an internal,
-usage or collection error; a collection error is read off the summary, as
--x ends it in exit 1 too); both fail the gate.  A run past TIMEOUT
-seconds counts as a kill and is reported as one.  Before any of that,
-every mutant's `before` must occur exactly once in its file.  Prints one
-line per mutant and exits 1 on any failure.  Standard library only.
+The unmutated copy runs first and alone, and must pass, or every kill
+would be vacuous.  Then each must_fail mutant of mutants.py is applied to
+its own copy, where `python -m pytest -q -x` must exit 1, tests failed;
+the mutants run concurrently, one at a time on each CPU this process may
+use.  Exit 0 is a survivor and exits 2-5 a broken mutant (an interrupted
+run, an internal, usage or collection error; a collection error is read
+off the summary, as -x ends it in exit 1 too); both fail the gate.  A run
+past TIMEOUT seconds counts as a kill and is reported as one.  Before any
+of that, every mutant's `before` must occur exactly once in its file.
+Prints one line per mutant, in the list's order, and the wall time of the
+mutant runs, and exits 1 on any failure.  Standard library only.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from mutants import EQUIVALENT, MUST_FAIL, MUTANTS, Mutant
@@ -90,24 +93,27 @@ def main() -> int:
     if code != 0:
         return 1
 
+    must_fail = [m for m in MUTANTS if m.kind == MUST_FAIL]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     start = time.perf_counter()
     kills = 0
-    for m in MUTANTS:
-        if m.kind == EQUIVALENT:
-            print(f"{'equiv':8}         {m.file}: {m.reason}", flush=True)
-            continue
-        code, seconds, failed = run_tests(m)
-        if code in (1, None):
-            kills += 1
-            status = "killed" if code == 1 else "timeout"
-        else:
-            failures += 1
-            status = "SURVIVED" if code == 0 else f"BROKEN {code}"
-        by = f" [{failed}]" if failed else ""
-        print(f"{status:8} {seconds:5.1f}s  {m.file}: {m.reason}{by}", flush=True)
-    must_fail = sum(m.kind == MUST_FAIL for m in MUTANTS)
-    print(f"{kills} of {must_fail} must_fail mutants killed in "
-          f"{time.perf_counter() - start:.0f} s; {len(MUTANTS) - must_fail} equivalent")
+    with ThreadPoolExecutor(max(1, min(cpus, len(must_fail)))) as pool:
+        results = pool.map(run_tests, must_fail)  # in order, as each is ready
+        for m in MUTANTS:
+            if m.kind == EQUIVALENT:
+                print(f"{'equiv':8}         {m.file}: {m.reason}", flush=True)
+                continue
+            code, seconds, failed = next(results)
+            if code in (1, None):
+                kills += 1
+                status = "killed" if code == 1 else "timeout"
+            else:
+                failures += 1
+                status = "SURVIVED" if code == 0 else f"BROKEN {code}"
+            by = f" [{failed}]" if failed else ""
+            print(f"{status:8} {seconds:5.1f}s  {m.file}: {m.reason}{by}", flush=True)
+    print(f"{kills} of {len(must_fail)} must_fail mutants killed in "
+          f"{time.perf_counter() - start:.0f} s; {len(MUTANTS) - len(must_fail)} equivalent")
     return 1 if failures else 0
 
 

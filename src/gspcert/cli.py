@@ -2,14 +2,15 @@
 
 `gspcert certify` runs as one function: ingest, choose the roots, certify,
 render, write, warn.  It states no input rule of its own.  argparse parses
-the options and words a malformed one (`argument --prime/-p: invalid int
-value: 'x'`); the library's doors judge p (supported_table, before the
-dataset is read) and a given root (specialize), in their words.  Exit codes:
-0 when every requested certification returns LARGE_IMAGE, 2 when any
-returns INCONCLUSIVE, 1 for usage or data errors and for a report that
-cannot be written (to --out or to stdout), which print one `error:` line on
-stderr.  The command line is parsed by argparse; library callers use
-ingest, certify and the two renderers.
+the options, --root among them, and words a malformed one (`argument
+--prime/-p: invalid int value: 'x'`, `argument --root: invalid root value:
+'x'`); the library's doors judge p (supported_table, before the dataset is
+read) and a given root (specialize), in their words.  Exit codes: 0 when
+every requested certification returns LARGE_IMAGE, 2 when any returns
+INCONCLUSIVE, 1 for usage or data errors and for a report that cannot be
+written (to --out or to stdout), which print one `error:` line on stderr.
+The command line is parsed by argparse; library callers use ingest, certify
+and the two renderers.
 """
 from __future__ import annotations
 
@@ -34,6 +35,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parser(prog: str | None) -> _Parser:
+    def root(text: str) -> int | None:  # argparse words a failure by this name
+        return None if text == "all" else int(text)
+
     parser = _Parser(
         prog=prog,
         description="Certify that a residual Galois image is all of PGSp(4, p).",
@@ -52,7 +56,7 @@ def _parser(prog: str | None) -> _Parser:
         help="residual characteristic, a prime (default: 7)",
     )
     command.add_argument(
-        "--root", default="all", metavar="R",
+        "--root", type=root, default=None, metavar="R",
         help="embedding root in [0, p), or 'all' for every simple root of the "
              "defining polynomial mod p (default: all)",
     )
@@ -77,18 +81,10 @@ def _certify_command(args: argparse.Namespace) -> int:
     """Ingest, certify the selected roots, write the report, and return the
     exit code; a ValueError from the library is the one error line."""
     p = args.prime
-    if args.root == "all":
-        root = None
-    else:
-        try:
-            root = int(args.root)
-        except ValueError:
-            return _fail(f"--root must be an integer or 'all', got {args.root!r}")
-
     try:  # every ValueError, DatasetError among them, ends in its one line
         table = supported_table(p)  # before any dataset work
         ds = ingest(args.input_path)
-        roots = embedding_roots(ds.defining_poly, p) if root is None else [root]
+        roots = embedding_roots(ds.defining_poly, p) if args.root is None else [args.root]
         if not roots:
             return _fail(
                 f"no prime-field embedding: the defining polynomial has no simple root mod {p}"

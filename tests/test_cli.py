@@ -380,7 +380,7 @@ class TestErrorExits:
             (["certify", "absent.dataset"], "no such dataset file"),
             (["certify", PAPER, "--root", "2"], "not a root"),
             (["certify", PAPER, "--root", "9"], "must lie in [0, 7)"),
-            (["certify", PAPER, "--root", "x"], "integer or 'all'"),
+            (["certify", PAPER, "--root", "x"], "argument --root: invalid root value: 'x'"),
             (["certify", PAPER, "--prime", "6"], "6 is not prime"),
             (["certify", PAPER, "--prime", "11"], "table"),
             (["certify", PAPER, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
@@ -534,12 +534,15 @@ class TestErrorExits:
             (["--bogus", "certify", PAPER], "unrecognized arguments: --bogus"),
             (["certify", PAPER, "extra"], "unrecognized arguments: extra"),
             (["certify", PAPER, "--root"], "argument --root: expected one argument"),
-            (["certify", PAPER, "--root", "abc"], "--root must be an integer or 'all', got 'abc'"),
+            (["certify", PAPER, "--root", "abc"], "argument --root: invalid root value: 'abc'"),
+            (["certify", PAPER, "--root", "1.5"], "argument --root: invalid root value: '1.5'"),
+            (["certify", PAPER, "--root", ""], "argument --root: invalid root value: ''"),
+            (["certify", PAPER, "--root", "ALL"], "argument --root: invalid root value: 'ALL'"),
             (["certify", PAPER, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
         ],
         ids=["unknown-option", "no-input", "unknown-command", "no-command",
              "unknown-group-option", "extra-argument", "option-without-value", "root-abc",
-             "format-xml"],
+             "root-1.5", "root-empty", "root-ALL", "format-xml"],
     )
     def test_usage_errors_exit_one_with_one_error_line(self, args, message):
         # usage errors, in argparse's wording (the test keeps the name it had
